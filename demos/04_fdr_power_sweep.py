@@ -6,7 +6,7 @@ the command-line `simulate` subcommand produces.  The false discovery rate
 stays at or below the target at every n, while power grows with n and the
 estimate release dominates the pair release.
 
-Expect a couple of minutes of runtime.
+It runs in a few seconds on two cores.
 """
 
 from dpknockoff import SimConfig, run_sweep, write_plot_data, write_report

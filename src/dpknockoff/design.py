@@ -9,6 +9,7 @@ model for both views and the CSV ingestion path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,13 @@ class Dataset:
     n: int
     p: int
 
+    @cached_property
+    def col_norms(self) -> np.ndarray:
+        """Raw l2 norm of every design column, computed once (read-only)."""
+        norms = np.linalg.norm(self.x, axis=0)
+        norms.setflags(write=False)
+        return norms
+
     @classmethod
     def from_arrays(cls, x, y) -> "Dataset":
         x = np.array(x, dtype=float, ndmin=2)
@@ -52,13 +60,13 @@ class Dataset:
                 f"n={n} < 2p={2 * p}: a knockoff copy needs at least twice as "
                 "many samples as features"
             )
-        col_norms = np.linalg.norm(x, axis=0)
-        if np.any(col_norms < ZERO_COLUMN_TOL):
-            bad = int(np.argmin(col_norms))
+        dataset = cls(x=x, y=y, n=n, p=p)
+        if np.any(dataset.col_norms < ZERO_COLUMN_TOL):
+            bad = int(np.argmin(dataset.col_norms))
             raise InvalidDesign(
                 f"column {bad} has (near-)zero norm; the Gram matrix would be singular"
             )
-        return cls(x=x, y=y, n=n, p=p)
+        return dataset
 
 
 @dataclass(frozen=True)
@@ -165,7 +173,7 @@ def normalize_columns(d: Dataset) -> NormalizedDesign:
     Returns the rescaled matrix together with the reciprocal column norms
     (the diagonal of the normalizing matrix).
     """
-    col_norms = np.linalg.norm(d.x, axis=0)
+    col_norms = d.col_norms
     if np.any(col_norms < ZERO_COLUMN_TOL):
         bad = int(np.argmin(col_norms))
         raise InvalidDesign(f"column {bad} has (near-)zero norm and cannot be normalized")
@@ -180,7 +188,7 @@ def compute_bounds(d: Dataset, row_bound_override: float | None = None) -> NormB
     defaults to the observed largest row norm; pass ``row_bound_override`` to
     supply a worst-case bound larger than observed.
     """
-    col_min = float(np.linalg.norm(d.x, axis=0).min())
+    col_min = float(d.col_norms.min())
     if row_bound_override is not None:
         b = float(row_bound_override)
     else:

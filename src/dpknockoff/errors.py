@@ -55,3 +55,7 @@ class MissingTruth(DPKnockoffError):
 
 class ConfigInvalid(DPKnockoffError):
     """Simulation configuration fails validation."""
+
+
+class SweepAborted(DPKnockoffError):
+    """Too many trials at one sample size failed their privacy precondition."""

@@ -6,14 +6,26 @@ copy Xt is an n x p matrix satisfying, for a scalar s >= 0,
     Xt^T Xt = S',        X'^T Xt = S' - s*I,
 
 so that the augmented Gram G = [X' Xt]^T [X' Xt] has the block form
-[[S', S' - s*I], [S' - s*I, S']].  This module builds the copy via the
-Schur-complement Cholesky route, exposes the two standard choices of s, and
-provides the closed-form extreme eigenvalues of G used by the privacy
-calibration.
+[[S', S' - s*I], [S' - s*I, S']].  The copy is Xt = X'(I - s S'^{-1}) + U C,
+with U an orthonormal basis of a p-dimensional subspace orthogonal to
+col(X') and C^T C = 2sI - s^2 S'^{-1}.  U is (I - P) W R^{-1} for a fixed
+probe W, the projector P onto col(X') and R^T R = W^T (I - P) W, so the
+knockoff half of the feature-response product is
+
+    Xt^T y = (I - s S'^{-1}) X'^T y + C^T R^{-T} (W^T y - (X'^T W)^T S'^{-1} X'^T y),
+    R^T R  = W^T W - (X'^T W)^T S'^{-1} (X'^T W).
+
+:func:`knockoff_summary` computes G and [X' Xt]^T y from these identities
+with one pass over X' and W; :func:`build_knockoffs` builds the n x p copy
+explicitly and is the reference the summary is tested against.  The module
+also exposes the two standard choices of s and the closed-form extreme
+eigenvalues of G used by the privacy calibration.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +38,10 @@ from .errors import InvalidDesign, KnockoffInfeasible, PreconditionViolated
 # just a fixed arbitrary constant so the construction is reproducible.
 _PROBE_ENTROPY = 0x5D2B1
 _CHOLESKY_JITTER = 1e-10
+# Default probes kept per (n, p, attempt); each holds an n x p array, so the
+# bound caps the memory the cache can pin.
+_PROBE_CACHE_SIZE = 4
+_PROBE_LOCK = threading.Lock()
 
 S_MODES = ("private_recommended", "classic")
 
@@ -62,6 +78,33 @@ class AugmentedDesign:
         """The length-2p feature-response product [X' Xt]^T y."""
         y = np.asarray(y, dtype=float).ravel()
         return np.concatenate([self.design.x_prime.T @ y, self.knockoff.T @ y])
+
+    def summary(self, y) -> "KnockoffSummary":
+        """The summary the releases and statistics read, from the explicit copy."""
+        return KnockoffSummary(
+            gram_g=self.gram_g,
+            crossprod=self.crossprod(y),
+            s_value=self.s_value,
+            spectrum=self.spectrum,
+        )
+
+
+@dataclass(frozen=True)
+class KnockoffSummary:
+    """The augmented Gram G and the product [X' Xt]^T y, without the copy.
+
+    Everything the releases and the statistics read of an augmented design;
+    no n x p array is held.
+    """
+
+    gram_g: np.ndarray
+    crossprod: np.ndarray
+    s_value: float
+    spectrum: GramSpectrum
+
+    @property
+    def p(self) -> int:
+        return self.crossprod.shape[0] // 2
 
 
 def gram_spectrum(nd: NormalizedDesign) -> GramSpectrum:
@@ -124,6 +167,33 @@ def closed_form_gram_eigenvalues(spectrum: GramSpectrum, s: float) -> tuple[floa
     )
 
 
+def _draw_probe(entropy, n: int, p: int, attempt: int) -> np.ndarray:
+    ss = np.random.SeedSequence(entropy=entropy, spawn_key=(attempt,))
+    return np.random.default_rng(ss).standard_normal((n, p))
+
+
+@functools.lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def _cached_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    w = _draw_probe(_PROBE_ENTROPY, n, p, attempt)
+    wtw = w.T @ w
+    wtw = (wtw + wtw.T) / 2.0
+    w.setflags(write=False)
+    wtw.setflags(write=False)
+    return w, wtw
+
+
+def _default_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    """The default probe W for shape (n, p) and retry ``attempt``, with W^T W.
+
+    Both depend only on (n, p, attempt), so they are drawn on first use and
+    kept in a small bounded cache; the arrays are read-only because every
+    caller shares them.  The lock keeps concurrent sweep trials from drawing
+    the same probe twice.
+    """
+    with _PROBE_LOCK:
+        return _cached_probe(n, p, attempt)
+
+
 def complement_basis(x_prime: np.ndarray, seed=None) -> np.ndarray:
     """Orthonormal n x p basis of a subspace orthogonal to col(x_prime).
 
@@ -153,16 +223,21 @@ def complement_basis(x_prime: np.ndarray, seed=None) -> np.ndarray:
         def project_off(w):
             return w - q1 @ (q1.T @ w)
 
-    entropy = _PROBE_ENTROPY if seed is None else seed
-    scale = np.sqrt(float(n))
     for attempt in range(2):
-        ss = np.random.SeedSequence(entropy=entropy, spawn_key=(attempt,))
-        w = np.random.default_rng(ss).standard_normal((n, p))
+        if seed is None:
+            w, _ = _default_probe(n, p, attempt)
+        else:
+            w = _draw_probe(seed, n, p, attempt)
         w = project_off(project_off(w))
-        u = _orthonormalize_tall(w, 1e-8 * scale)
+        u = _orthonormalize_tall(w, _rank_tol(n))
         if u is not None:
             return u
     raise KnockoffInfeasible("probe matrix fell inside the design column span twice")
+
+
+def _rank_tol(n: int) -> float:
+    """Smallest accepted diagonal of the probe residual's triangular factor."""
+    return 1e-8 * np.sqrt(float(n))
 
 
 def _orthonormalize_tall(w: np.ndarray, rank_tol: float):
@@ -185,25 +260,47 @@ def _orthonormalize_tall(w: np.ndarray, rank_tol: float):
     return w
 
 
+def _check_copy_request(n: int, p: int, s: float) -> None:
+    if n < 2 * p:
+        raise KnockoffInfeasible(f"knockoff copy needs n >= 2p, got n={n}, p={p}")
+    if s < 0:
+        raise PreconditionViolated(f"s must be nonnegative, got {s}")
+
+
+def _decorrelation(spectrum: GramSpectrum, s: float):
+    """Factor S' and return (its Cholesky factor, S'^{-1} sI, C).
+
+    C is upper triangular with C^T C equal to the Schur complement
+    2sI - s^2 S'^{-1}.
+    """
+    p = spectrum.sigma_prime.shape[0]
+    try:
+        cho = cho_factor(spectrum.sigma_prime, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidDesign("normalized Gram matrix is not positive definite") from exc
+    sigma_inv_s = cho_solve(cho, s * np.eye(p))  # S'^{-1} * sI, via the factorization
+    schur = 2.0 * s * np.eye(p) - s * sigma_inv_s
+    schur = (schur + schur.T) / 2.0
+    return cho, sigma_inv_s, _cholesky_with_jitter(schur)
+
+
 def build_knockoffs(
     nd: NormalizedDesign,
     s: float,
     seed=None,
     spectrum: GramSpectrum | None = None,
 ) -> AugmentedDesign:
-    """Construct the knockoff copy and the augmented Gram matrix.
+    """Construct the knockoff copy and the augmented Gram matrix explicitly.
 
     The copy is Xt = X'(I - S'^{-1} sI) + U C, where U is an orthonormal
     basis of the complement of col(X') and C^T C equals the Schur complement
     2sI - s^2 S'^{-1}.  ``seed`` is forwarded to :func:`complement_basis`;
-    leave it ``None`` for the deterministic default basis.
+    leave it ``None`` for the deterministic default basis.  The filter itself
+    uses :func:`knockoff_summary`; this is the reference it is tested against.
     """
     x = nd.x_prime
     n, p = x.shape
-    if n < 2 * p:
-        raise KnockoffInfeasible(f"knockoff copy needs n >= 2p, got n={n}, p={p}")
-    if s < 0:
-        raise PreconditionViolated(f"s must be nonnegative, got {s}")
+    _check_copy_request(n, p, s)
     if spectrum is None:
         spectrum = gram_spectrum(nd)
 
@@ -211,14 +308,7 @@ def build_knockoffs(
         # Degenerate decorrelation: the copy coincides with the design.
         knockoff = x.copy()
     else:
-        try:
-            cho = cho_factor(spectrum.sigma_prime, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidDesign("normalized Gram matrix is not positive definite") from exc
-        sigma_inv_s = cho_solve(cho, s * np.eye(p))  # S'^{-1} * sI, via the factorization
-        schur = 2.0 * s * np.eye(p) - s * sigma_inv_s
-        schur = (schur + schur.T) / 2.0
-        c_upper = _cholesky_with_jitter(schur)
+        _, sigma_inv_s, c_upper = _decorrelation(spectrum, s)
         knockoff = x - x @ sigma_inv_s + complement_basis(x, seed=seed) @ c_upper
 
     # blockwise product [X' Xt]^T [X' Xt]; the top-left block is the Gram
@@ -234,6 +324,60 @@ def build_knockoffs(
         gram_g=gram,
         spectrum=spectrum,
     )
+
+
+def knockoff_summary(
+    nd: NormalizedDesign, s: float, y, spectrum: GramSpectrum
+) -> KnockoffSummary:
+    """G and [X' Xt]^T y for the copy :func:`build_knockoffs` builds, without it.
+
+    G is the closed-form block matrix [[S', S'-sI], [S'-sI, S']] and the
+    knockoff half of the product follows from the identity in the module
+    docstring, so the only n-length work is X'^T [y W] and W^T y.  The probe,
+    C, the rank test, the retry and the errors are those of
+    :func:`build_knockoffs` with its default basis.
+    """
+    x = nd.x_prime
+    n, p = x.shape
+    _check_copy_request(n, p, s)
+    y = np.asarray(y, dtype=float).ravel()
+    sigma = spectrum.sigma_prime
+    xty = x.T @ y
+
+    if s == 0.0:
+        off, kty = sigma, xty
+    else:
+        cho, sigma_inv_s, c_upper = _decorrelation(spectrum, s)
+        off = sigma - s * np.eye(p)
+        kty = xty - sigma_inv_s.T @ xty + c_upper.T @ _complement_crossprod(x, y, xty, cho)
+    return KnockoffSummary(
+        gram_g=np.block([[sigma, off], [off, sigma]]),
+        crossprod=np.concatenate([xty, kty]),
+        s_value=float(s),
+        spectrum=spectrum,
+    )
+
+
+def _complement_crossprod(x, y, xty, cho) -> np.ndarray:
+    """U^T y for U = complement_basis(x), from p x p algebra.
+
+    With W the probe and R^T R = W^T (I - P) W, U^T y equals
+    R^{-T} W^T (I - P) y; ``cho`` factors S' = X'^T X', which defines P.
+    """
+    n, p = x.shape
+    sinv_xty = cho_solve(cho, xty)
+    for attempt in range(2):
+        w, wtw = _default_probe(n, p, attempt)
+        xtw = x.T @ w
+        resid = wtw - xtw.T @ cho_solve(cho, xtw)
+        try:
+            r = np.linalg.cholesky((resid + resid.T) / 2.0).T
+        except np.linalg.LinAlgError:
+            continue
+        if np.abs(np.diag(r)).min() <= _rank_tol(n):
+            continue
+        return solve_triangular(r, w.T @ y - xtw.T @ sinv_xty, lower=False, trans="T")
+    raise KnockoffInfeasible("probe matrix fell inside the design column span twice")
 
 
 def _cholesky_with_jitter(mat: np.ndarray) -> np.ndarray:

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from .design import Dataset, ModelOracle, NormBounds, compute_bounds, normalize_columns
 from .errors import BudgetInvalid
 from .knockoffs import (
-    AugmentedDesign,
-    build_knockoffs,
+    KnockoffSummary,
     choose_s,
     gram_spectrum,
+    knockoff_summary,
     raw_gram_frobenius,
 )
 from .privacy import (
@@ -37,7 +37,7 @@ class FilterResult:
     """Everything produced by one run of the filter."""
 
     report: SelectionReport
-    augmented: AugmentedDesign
+    augmented: KnockoffSummary
     release: PrivateRelease | None = None
     bounds: NormBounds | None = None
     context: SensitivityContext | None = None
@@ -72,7 +72,7 @@ def run_knockoff_filter(
     nd = normalize_columns(dataset)
     spectrum = gram_spectrum(nd)
     s = choose_s(spectrum, s_mode)
-    ad = build_knockoffs(nd, s, spectrum=spectrum)
+    ks = knockoff_summary(nd, s, dataset.y, spectrum)
 
     release = None
     bounds = None
@@ -80,7 +80,7 @@ def run_knockoff_filter(
     if method == "none":
         kind = "nonprivate_lasso" if lam > 0 else "nonprivate_ols"
         source = EstimateSource(kind=kind, lam=lam, ridge_omega2=ridge_omega2)
-        estimate = estimate_coefficients(ad.gram_g, ad.crossprod(dataset.y), source)
+        estimate = estimate_coefficients(ks.gram_g, ks.crossprod, source)
     else:
         if budget is None or oracle is None:
             raise BudgetInvalid("private methods need a privacy budget and a model oracle")
@@ -89,19 +89,18 @@ def run_knockoff_filter(
             bounds, oracle, spectrum, raw_gram_frobenius(nd, spectrum), budget, dataset.p
         )
         if method == "1":
-            release = release_pair(ad, dataset.y, ctx, budget, seed=seed, zero_noise=zero_noise)
+            release = release_pair(ks, ctx, budget, seed=seed, zero_noise=zero_noise)
             source = EstimateSource(kind="pair", lam=lam, ridge_omega2=ridge_omega2, release=release)
             estimate = estimate_coefficients(
                 release.gram_noisy, release.crossprod_noisy, source
             )
         else:
             release = release_estimate(
-                ad, dataset.y, ctx, budget,
-                ridge_omega2=ridge_omega2, seed=seed, zero_noise=zero_noise,
+                ks, ctx, budget, ridge_omega2=ridge_omega2, seed=seed, zero_noise=zero_noise
             )
             source = EstimateSource(kind="estimate", release=release)
             estimate = estimate_coefficients(None, None, source)
 
     w = compute_statistics(estimate, stat)
     report = knockoff_threshold(w, q)
-    return FilterResult(report=report, augmented=ad, release=release, bounds=bounds, context=ctx)
+    return FilterResult(report=report, augmented=ks, release=release, bounds=bounds, context=ctx)

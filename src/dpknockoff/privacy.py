@@ -30,7 +30,7 @@ from .errors import (
     PrivacyPreconditionFailed,
     SingularSystem,
 )
-from .knockoffs import AugmentedDesign, GramSpectrum
+from .knockoffs import GramSpectrum, KnockoffSummary
 
 # Multiplicative bump applied to Gaussian variances so the strict calibration
 # inequality holds rather than equality.
@@ -382,8 +382,7 @@ class PrivateRelease:
 
 
 def release_pair(
-    ad: AugmentedDesign,
-    y,
+    ks: KnockoffSummary,
     ctx: SensitivityContext,
     budget: PrivacyBudget,
     seed=None,
@@ -391,10 +390,11 @@ def release_pair(
 ) -> PrivateRelease:
     """Release a perturbed (augmented Gram, feature-response product) pair.
 
-    The Gram perturbation is theta_1 ~ Laplace(lambda_min sensitivity / eps_1)
-    on the off-diagonal identity blocks plus a symmetric Gaussian block with
-    upper-triangle variance kappa_1^2 calibrated from the Frobenius
-    sensitivity at (eps_2, delta).  The product perturbation is i.i.d.
+    Both are read from ``ks``.  The Gram perturbation is
+    theta_1 ~ Laplace(lambda_min sensitivity / eps_1) on the off-diagonal
+    identity blocks plus a symmetric Gaussian block with upper-triangle
+    variance kappa_1^2 calibrated from the Frobenius sensitivity at
+    (eps_2, delta).  The product perturbation is i.i.d.
     Gaussian with variance kappa_2^2 calibrated from
     :func:`pair_crossprod_sensitivity` at (eps, delta_1).  Any statistic
     computed from the released pair costs
@@ -411,7 +411,7 @@ def release_pair(
     if zero_noise:
         theta1_scale = kappa1_sq = kappa2_sq = 0.0
 
-    p = ad.p
+    p = ks.p
     theta_1 = float(sample_laplace_vector(1, theta1_scale, _substream(seed, _LABEL_THETA1))[0])
     theta_2 = sample_symmetric_offdiag_gaussian(p, kappa1_sq, _substream(seed, _LABEL_THETA2))
     noise = StructuredGramNoise(theta_1=theta_1, theta_2=theta_2)
@@ -421,8 +421,8 @@ def release_pair(
     return PrivateRelease(
         kind="pair",
         budget=budget,
-        gram_noisy=ad.gram_g + noise.assembled_E,
-        crossprod_noisy=ad.crossprod(y) + e_vec,
+        gram_noisy=ks.gram_g + noise.assembled_E,
+        crossprod_noisy=ks.crossprod + e_vec,
         noise_scales={
             "theta1_scale": theta1_scale,
             "kappa1_sq": kappa1_sq,
@@ -437,8 +437,7 @@ def release_pair(
 
 
 def release_estimate(
-    ad: AugmentedDesign,
-    y,
+    ks: KnockoffSummary,
     ctx: SensitivityContext,
     budget: PrivacyBudget,
     ridge_omega2: float = 0.0,
@@ -447,10 +446,11 @@ def release_estimate(
 ) -> PrivateRelease:
     """Release a perturbed ridge/OLS coefficient vector on the augmented design.
 
-    Solves (G + omega^2 I) b = [X' Xt]^T y and adds i.i.d. Gaussian noise with
-    variance kappa^2 calibrated from :func:`estimate_sensitivity` at
-    (eps, delta_1); delta_2 is consumed by the concentration event inside the
-    sensitivity bound, for a total cost of (eps, delta_1 + delta_2).
+    Solves (G + omega^2 I) b = [X' Xt]^T y, both read from ``ks``, and adds
+    i.i.d. Gaussian noise with variance kappa^2 calibrated from
+    :func:`estimate_sensitivity` at (eps, delta_1); delta_2 is consumed by
+    the concentration event inside the sensitivity bound, for a total cost
+    of (eps, delta_1 + delta_2).
 
     ``zero_noise`` forces the scale to zero (testing only; no privacy).
     """
@@ -459,10 +459,10 @@ def release_estimate(
     if zero_noise:
         kappa_sq = 0.0
 
-    p = ad.p
-    gram = ad.gram_g if ridge_omega2 == 0.0 else ad.gram_g + ridge_omega2 * np.eye(2 * p)
+    p = ks.p
+    gram = ks.gram_g if ridge_omega2 == 0.0 else ks.gram_g + ridge_omega2 * np.eye(2 * p)
     try:
-        estimate = np.linalg.solve(gram, ad.crossprod(y))
+        estimate = np.linalg.solve(gram, ks.crossprod)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("augmented Gram (plus ridge) is numerically singular") from exc
     e_vec = sample_gaussian_vector(2 * p, kappa_sq, _substream(seed, _LABEL_VECTOR))

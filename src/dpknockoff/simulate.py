@@ -8,6 +8,9 @@ sweep is reproducible for any thread count.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -21,6 +24,7 @@ from .errors import (
     ConfigInvalid,
     DeltaTooSmall,
     PrivacyPreconditionFailed,
+    SweepAborted,
 )
 from .pipeline import METHODS, run_knockoff_filter
 from .privacy import PrivacyBudget
@@ -31,6 +35,13 @@ DELTA_RULES = ("two_p_over_n", "fixed")
 # A sweep aborts when more than this fraction of trials at one sample size
 # fail their privacy precondition.
 MAX_FAILURE_RATE = 0.05
+
+# Thread-count controls of the OpenBLAS copies bundled with numpy (64-bit
+# integer build) and with scipy; each copy runs its own thread pool.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
 
 
 @dataclass(frozen=True)
@@ -200,15 +211,68 @@ def _trial_outcome(cfg: SimConfig, n: int, n_idx: int, t: int):
     return evaluate_selection(result.report, oracle)
 
 
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each bundled OpenBLAS in this process.
+
+    Found through the libraries mapped into the process; empty where that
+    listing or the symbols are absent.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        if not path.startswith("/"):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            getter = getattr(lib, get_name, None)
+            setter = getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the body with every bundled OpenBLAS on one thread, then restore."""
+    controls = _blas_thread_controls()
+    previous = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (_, setter), count in zip(controls, previous):
+            setter(count)
+
+
 def run_sweep(cfg: SimConfig) -> SimulationReport:
     """Run the full grid of sample sizes and aggregate FDR/power estimates.
 
     Trials run on a bounded thread pool; results are collected by trial
     index and aggregated in index order, so the report is a pure function of
-    (cfg, base_seed) regardless of thread count.  Trials whose privacy
-    precondition fails are excluded from the means and counted under
-    ``failures``; a failure rate above MAX_FAILURE_RATE aborts the sweep.
+    (cfg, base_seed) regardless of thread count.  Each trial runs its linear
+    algebra on one BLAS thread: the bundled OpenBLAS copies are pinned for
+    the sweep's duration, whatever ``threads`` is, so trial threads do not
+    oversubscribe the cores and every thread count computes the same bits.
+    Trials whose privacy precondition fails are excluded from the means and
+    counted under ``failures``; a failure rate above MAX_FAILURE_RATE aborts
+    the sweep with :class:`SweepAborted`.
     """
+    with _single_blas_thread():
+        return _run_grid(cfg)
+
+
+def _run_grid(cfg: SimConfig) -> SimulationReport:
     rows = []
     grid = sorted(set(cfg.n_grid))
     for n_idx, n in enumerate(grid):
@@ -228,7 +292,7 @@ def run_sweep(cfg: SimConfig) -> SimulationReport:
         kept = [o for o in outcomes if o is not None]
         failures = cfg.trials - len(kept)
         if failures > MAX_FAILURE_RATE * cfg.trials:
-            raise RuntimeError(
+            raise SweepAborted(
                 f"{failures}/{cfg.trials} trials failed their privacy precondition "
                 f"at n={n}; the norm bounds are too loose for this sample size"
             )

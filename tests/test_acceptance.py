@@ -1,8 +1,8 @@
 """Acceptance suite: one test per formal criterion, printed pass/fail lines.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines; the end-to-end Monte Carlo reproduction (criterion 2) takes on the
-order of 25 minutes on two cores.
+lines; the end-to-end Monte Carlo reproduction (criterion 2) takes about 70
+seconds on two cores.
 """
 
 import math
@@ -223,8 +223,8 @@ def test_criterion_05_antisymmetry():
                 check(compute_statistics(est, kind).w, compute_statistics(est_sw, kind).w, idx)
 
     # private releases with the noise realization held fixed across the swap
-    rel1 = release_pair(ad, y, ctx, budget, seed=505)
-    rel2 = release_estimate(ad, y, ctx, budget, seed=506)
+    rel1 = release_pair(ad.summary(y), ctx, budget, seed=505)
+    rel2 = release_estimate(ad.summary(y), ctx, budget, seed=506)
     for idx in swap_sets:
         g_sw, c_sw = _swap_released_pair(rel1.gram_noisy, rel1.crossprod_noisy, idx, p)
         for kind in ("lcd", "csm"):

@@ -149,3 +149,18 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(out2), "--seed", "99"]) == 0
     assert out1.read_text() != out2.read_text()
+
+
+def test_simulate_abort_is_cli_error(tmp_path, capsys):
+    # p=5 with the 2p/n rule puts delta_2 below its floor on every trial
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n_grid = 400\np = 5\nk = 2\namplitude = 3.0\nsigma2 = 1.0\n"
+        "q = 0.2\ntrials = 4\nmethod = 2\neps = 0.3\nbase_seed = 7\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "report.csv"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "failed their privacy precondition" in err

@@ -147,3 +147,14 @@ def test_compute_bounds_col_min_is_attained():
     col_norms = np.linalg.norm(x, axis=0)
     assert np.all(nb.col_min_C <= col_norms + 1e-12)
     assert np.any(np.isclose(nb.col_min_C, col_norms))
+
+
+def test_column_norms_computed_once_and_shared():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((60, 5)) * np.logspace(-3, 3, 5)
+    ds = Dataset.from_arrays(x, np.zeros(60))
+    norms = ds.col_norms
+    assert norms is ds.col_norms and not norms.flags.writeable
+    assert np.array_equal(norms, np.linalg.norm(x, axis=0))
+    assert np.array_equal(normalize_columns(ds).normalizer_d, 1.0 / norms)
+    assert compute_bounds(ds, row_bound_override=1e-4).col_min_C == float(norms.min())

@@ -1,19 +1,27 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from dpknockoff import (
     Dataset,
     GramSpectrum,
+    InvalidDesign,
     KnockoffInfeasible,
+    NormalizedDesign,
     PreconditionViolated,
     build_knockoffs,
     choose_s,
     closed_form_gram_eigenvalues,
     complement_basis,
     gram_spectrum,
+    knockoff_summary,
     normalize_columns,
     raw_gram_frobenius,
 )
+from dpknockoff import knockoffs
+from dpknockoff.knockoffs import _default_probe
 
 
 def _random_design(n, p, seed):
@@ -148,8 +156,6 @@ def test_build_knockoffs_seeded_variant_is_valid():
 
 
 def test_build_knockoffs_needs_enough_samples():
-    from dpknockoff import NormalizedDesign
-
     good = _random_design(50, 5, 6)
     # hand-build a 5x3 normalized design (Dataset itself refuses n < 2p)
     x = np.random.default_rng(6).standard_normal((5, 3))
@@ -178,3 +184,142 @@ def test_raw_gram_frobenius_matches_direct_product():
     spectrum = gram_spectrum(nd)
     direct = float(np.linalg.norm(x.T @ x, "fro"))
     assert raw_gram_frobenius(nd, spectrum) == pytest.approx(direct, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Sufficient-statistic summary against the explicit copy
+# ---------------------------------------------------------------------------
+
+
+def _rel_gap(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def _assert_summary_matches_reference(nd, s, y, spectrum):
+    ks = knockoff_summary(nd, s, y, spectrum)
+    ref = build_knockoffs(nd, s, spectrum=spectrum).summary(y)
+    assert _rel_gap(ks.gram_g, ref.gram_g) <= 1e-10
+    assert _rel_gap(ks.crossprod, ref.crossprod) <= 1e-10
+    assert ks.s_value == ref.s_value and ks.spectrum is spectrum
+    return ks
+
+
+def _design_and_response(x, seed):
+    rng = np.random.default_rng(seed)
+    y = x[:, :3].sum(axis=1) + rng.standard_normal(x.shape[0])
+    ds = Dataset.from_arrays(x, y)
+    nd = normalize_columns(ds)
+    return nd, ds.y, gram_spectrum(nd)
+
+
+@pytest.mark.parametrize("n_of_p", [lambda p: 2 * p, lambda p: 3 * p, lambda p: 1000])
+@pytest.mark.parametrize("mode", ["private_recommended", "classic"])
+def test_knockoff_summary_matches_explicit_copy(n_of_p, mode):
+    for trial, p in enumerate((3, 12, 40)):
+        n = n_of_p(p)
+        x = np.random.default_rng((n, p, trial)).standard_normal((n, p))
+        nd, y, spectrum = _design_and_response(x, trial)
+        _assert_summary_matches_reference(nd, choose_s(spectrum, mode), y, spectrum)
+
+
+@pytest.mark.parametrize("mode", ["private_recommended", "classic"])
+def test_knockoff_summary_spread_column_norms(mode):
+    rng = np.random.default_rng(14)
+    n, p = 120, 10
+    x = rng.standard_normal((n, p)) * np.logspace(-3, 3, p)
+    nd, y, spectrum = _design_and_response(x, 15)
+    _assert_summary_matches_reference(nd, choose_s(spectrum, mode), y, spectrum)
+
+
+def test_knockoff_summary_classic_s_takes_jitter_path():
+    # s = 2 lambda_min puts the Schur complement's smallest eigenvalue at 0
+    x = np.random.default_rng(16).standard_normal((60, 10))
+    nd, y, spectrum = _design_and_response(x, 17)
+    s = choose_s(spectrum, "classic")
+    assert s == 2.0 * spectrum.lambda_min
+    ks = _assert_summary_matches_reference(nd, s, y, spectrum)
+    off = spectrum.sigma_prime - s * np.eye(10)
+    assert np.array_equal(ks.gram_g, np.block([[spectrum.sigma_prime, off],
+                                               [off, spectrum.sigma_prime]]))
+
+
+def test_knockoff_summary_s_zero():
+    x = np.random.default_rng(18).standard_normal((40, 4))
+    nd, y, spectrum = _design_and_response(x, 19)
+    ks = _assert_summary_matches_reference(nd, 0.0, y, spectrum)
+    assert np.array_equal(ks.crossprod[:4], ks.crossprod[4:])
+
+
+def test_knockoff_summary_retries_with_second_probe(monkeypatch):
+    # a design spanning the first probe leaves no complement for it
+    n, p = 80, 6
+    x = np.array(_default_probe(n, p, 0)[0])
+    nd, y, spectrum = _design_and_response(x, 20)
+    attempts = []
+
+    def spy(n, p, attempt):
+        attempts.append(attempt)
+        return _default_probe(n, p, attempt)
+
+    monkeypatch.setattr(knockoffs, "_default_probe", spy)
+    _assert_summary_matches_reference(nd, spectrum.lambda_min, y, spectrum)
+    assert attempts == [0, 1, 0, 1]  # the summary, then the reference
+
+
+def test_knockoff_summary_infeasible_where_reference_is():
+    n, p = 80, 6
+    # half of each probe inside the design span: both attempts fail
+    x = np.hstack([_default_probe(n, p, 0)[0][:, :3], _default_probe(n, p, 1)[0][:, :3]])
+    nd, y, spectrum = _design_and_response(x, 21)
+    for build in (
+        lambda: build_knockoffs(nd, spectrum.lambda_min, spectrum=spectrum),
+        lambda: knockoff_summary(nd, spectrum.lambda_min, y, spectrum),
+    ):
+        with pytest.raises(KnockoffInfeasible, match="twice"):
+            build()
+
+    # s beyond 2 lambda_min: the Schur complement is indefinite
+    nd, y, spectrum = _design_and_response(np.random.default_rng(22).standard_normal((60, 5)), 23)
+    s = 3.0 * spectrum.lambda_min
+    with pytest.raises(KnockoffInfeasible):
+        build_knockoffs(nd, s, spectrum=spectrum)
+    with pytest.raises(KnockoffInfeasible):
+        knockoff_summary(nd, s, y, spectrum)
+
+    # n < 2p
+    small = np.random.default_rng(24).standard_normal((5, 3))
+    small /= np.linalg.norm(small, axis=0)
+    tiny = NormalizedDesign(x_prime=small, normalizer_d=np.ones(3), source=nd.source)
+    with pytest.raises(KnockoffInfeasible):
+        knockoff_summary(tiny, 0.1, np.zeros(5), spectrum)
+
+
+def test_knockoff_summary_rejects_indefinite_gram_like_reference():
+    nd, y, _ = _design_and_response(np.random.default_rng(25).standard_normal((40, 3)), 26)
+    bad = GramSpectrum(-np.eye(3), 0.5, 1.0, 1.0)
+    with pytest.raises(InvalidDesign):
+        build_knockoffs(nd, 0.5, spectrum=bad)
+    with pytest.raises(InvalidDesign):
+        knockoff_summary(nd, 0.5, y, bad)
+    with pytest.raises(PreconditionViolated):
+        knockoff_summary(nd, -0.1, y, bad)
+
+
+def test_cached_probe_is_read_only():
+    w, wtw = _default_probe(50, 4, 0)
+    assert not w.flags.writeable and not wtw.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    assert _default_probe(50, 4, 0)[0] is w
+
+
+def test_probe_cache_draws_once_under_concurrent_trials():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(_default_probe, 20_011, 7, 0) for _ in range(32)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(w is results[0][0] and wtw is results[0][1] for w, wtw in results)

@@ -15,7 +15,6 @@ from dpknockoff import (
     PrivacyPreconditionFailed,
     StructuredGramNoise,
     assemble_gram_noise,
-    build_knockoffs,
     build_sensitivity_context,
     compute_bounds,
     delta2_floor,
@@ -23,6 +22,7 @@ from dpknockoff import (
     gaussian_scale,
     gram_sensitivities,
     gram_spectrum,
+    knockoff_summary,
     laplace_scale,
     normalize_columns,
     pair_crossprod_sensitivity,
@@ -335,27 +335,27 @@ def _release_inputs(n=200, p=10, seed=21):
     ds = Dataset.from_arrays(x, y)
     nd = normalize_columns(ds)
     spectrum = gram_spectrum(nd)
-    ad = build_knockoffs(nd, spectrum.lambda_min, spectrum=spectrum)
+    ks = knockoff_summary(nd, spectrum.lambda_min, ds.y, spectrum)
     bounds = compute_bounds(ds)
     oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05,
                            eps_1=0.2, eps_2=0.2, delta=0.05)
     ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(nd, spectrum), budget, p)
-    return ds, ad, ctx, budget
+    return ks, ctx, budget
 
 
 def test_release_pair_zero_noise_passthrough():
-    ds, ad, ctx, budget = _release_inputs()
-    rel = release_pair(ad, ds.y, ctx, budget, seed=3, zero_noise=True)
-    assert np.array_equal(rel.gram_noisy, ad.gram_g)
-    assert np.array_equal(rel.crossprod_noisy, ad.crossprod(ds.y))
+    ks, ctx, budget = _release_inputs()
+    rel = release_pair(ks, ctx, budget, seed=3, zero_noise=True)
+    assert np.array_equal(rel.gram_noisy, ks.gram_g)
+    assert np.array_equal(rel.crossprod_noisy, ks.crossprod)
     assert rel.noise_scales["theta1_scale"] == 0.0
     assert rel.noise_scales["kappa2_sq"] == 0.0
 
 
 def test_release_pair_recorded_scales():
-    ds, ad, ctx, budget = _release_inputs()
-    rel = release_pair(ad, ds.y, ctx, budget, seed=3)
+    ks, ctx, budget = _release_inputs()
+    rel = release_pair(ks, ctx, budget, seed=3)
     lam_sens, frob_sens = gram_sensitivities(ctx)
     assert rel.noise_scales["theta1_scale"] == pytest.approx(lam_sens / budget.eps_1, rel=1e-12)
     assert rel.noise_scales["kappa1_sq"] == pytest.approx(
@@ -383,32 +383,32 @@ def test_release_pair_kappa1_hand_value():
 
 
 def test_release_pair_deterministic_in_seed():
-    ds, ad, ctx, budget = _release_inputs()
-    r1 = release_pair(ad, ds.y, ctx, budget, seed=11)
-    r2 = release_pair(ad, ds.y, ctx, budget, seed=11)
-    r3 = release_pair(ad, ds.y, ctx, budget, seed=12)
+    ks, ctx, budget = _release_inputs()
+    r1 = release_pair(ks, ctx, budget, seed=11)
+    r2 = release_pair(ks, ctx, budget, seed=11)
+    r3 = release_pair(ks, ctx, budget, seed=12)
     assert np.array_equal(r1.gram_noisy, r2.gram_noisy)
     assert np.array_equal(r1.crossprod_noisy, r2.crossprod_noisy)
     assert not np.array_equal(r1.crossprod_noisy, r3.crossprod_noisy)
 
 
 def test_release_pair_requires_full_budget():
-    ds, ad, ctx, _ = _release_inputs()
+    ks, ctx, _ = _release_inputs()
     partial = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05)
     with pytest.raises(BudgetInvalid):
-        release_pair(ad, ds.y, ctx, partial, seed=1)
+        release_pair(ks, ctx, partial, seed=1)
 
 
 def test_release_estimate_zero_noise_matches_ols():
-    ds, ad, ctx, budget = _release_inputs()
-    rel = release_estimate(ad, ds.y, ctx, budget, seed=5, zero_noise=True)
-    direct = np.linalg.solve(ad.gram_g, ad.crossprod(ds.y))
+    ks, ctx, budget = _release_inputs()
+    rel = release_estimate(ks, ctx, budget, seed=5, zero_noise=True)
+    direct = np.linalg.solve(ks.gram_g, ks.crossprod)
     assert np.array_equal(rel.estimate_noisy, direct)
 
 
 def test_release_estimate_scales_and_ridge():
-    ds, ad, ctx, budget = _release_inputs()
-    rel = release_estimate(ad, ds.y, ctx, budget, ridge_omega2=0.5, seed=5)
+    ks, ctx, budget = _release_inputs()
+    rel = release_estimate(ks, ctx, budget, ridge_omega2=0.5, seed=5)
     sens = estimate_sensitivity(ctx, 0.5)
     assert rel.noise_scales["kappa_sq"] == pytest.approx(
         gaussian_scale(sens, budget.eps, budget.delta_1), rel=1e-12
@@ -416,8 +416,8 @@ def test_release_estimate_scales_and_ridge():
     assert rel.total_privacy() == (pytest.approx(budget.eps),
                                    pytest.approx(budget.delta_1 + budget.delta_2))
     # ridge shifts every augmented-Gram eigenvalue by exactly omega^2
-    base = np.linalg.eigvalsh(ad.gram_g)
-    shifted = np.linalg.eigvalsh(ad.gram_g + 0.5 * np.eye(ad.gram_g.shape[0]))
+    base = np.linalg.eigvalsh(ks.gram_g)
+    shifted = np.linalg.eigvalsh(ks.gram_g + 0.5 * np.eye(ks.gram_g.shape[0]))
     assert np.max(np.abs(shifted - (base + 0.5))) <= 1e-10
 
 

@@ -201,6 +201,36 @@ def test_threshold_q_validation():
         knockoff_threshold(_stat_vec([1.0]), q=0.0)
 
 
+def _loop_threshold(w, q):
+    """The per-candidate scan the vectorized threshold replaced, kept as reference."""
+    wv = np.asarray(w, dtype=float)
+    candidates = np.unique(np.abs(wv))
+    for t in candidates[candidates > 0.0]:
+        n_neg = int(np.count_nonzero(wv <= -t))
+        n_pos = int(np.count_nonzero(wv >= t))
+        if (1 + n_neg) / max(n_pos, 1) <= q:
+            return float(t)
+    return np.inf
+
+
+@pytest.mark.parametrize("kind", ["ties_and_zeros", "all_negative", "continuous"])
+def test_threshold_matches_loop_reference(kind):
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        p = int(rng.integers(1, 40))
+        if kind == "ties_and_zeros":
+            values = rng.integers(-3, 6, size=p).astype(float)
+        elif kind == "all_negative":
+            values = -np.abs(rng.integers(0, 4, size=p)).astype(float)
+        else:
+            values = rng.standard_normal(p) + 0.5
+        q = float(rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.9]))
+        report = knockoff_threshold(_stat_vec(values), q)
+        expected = _loop_threshold(values, q)
+        assert report.threshold_t == expected
+        assert report.selected == frozenset(int(j) for j in np.flatnonzero(values >= expected))
+
+
 def test_threshold_monotone_in_q():
     rng = np.random.default_rng(2)
     for _ in range(20):

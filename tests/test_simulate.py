@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from dpknockoff import simulate
 from dpknockoff import (
     ConfigInvalid,
     SimConfig,
+    SweepAborted,
     budget_for,
     budget_totals,
     generate_trial,
@@ -149,8 +151,23 @@ def test_run_sweep_aborts_on_systematic_failures():
     # p=5 with the 2p/n rule pushes delta_2 below its floor on every trial,
     # so the failure rate crosses the abort threshold immediately
     cfg = _cfg(method="2", eps=0.3, trials=4)
-    with pytest.raises(RuntimeError, match="failed their privacy precondition"):
+    with pytest.raises(SweepAborted, match="failed their privacy precondition"):
         run_sweep(cfg)
+
+
+def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
+    controls = simulate._blas_thread_controls()
+    before = [get() for get, _ in controls]
+    seen = []
+
+    def outcome(*args):
+        seen.append([get() for get, _ in controls])
+        return (0.0, 0.0)
+
+    monkeypatch.setattr(simulate, "_trial_outcome", outcome)
+    run_sweep(_cfg(trials=3, threads=2))
+    assert seen == [[1] * len(controls)] * 3
+    assert [get() for get, _ in controls] == before
 
 
 def test_run_sweep_global_null():
