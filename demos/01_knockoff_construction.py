@@ -24,7 +24,7 @@ x = rng.standard_normal((n, p))
 dataset = Dataset.from_arrays(x, np.zeros(n))
 
 nd = normalize_columns(dataset)
-spectrum = gram_spectrum(nd)
+spectrum = gram_spectrum(dataset)
 print(f"normalized Gram: lambda_min={spectrum.lambda_min:.4f}, "
       f"lambda_max={spectrum.lambda_max:.4f}")
 

@@ -21,7 +21,6 @@ from dpknockoff import (
     gram_sensitivities,
     gram_spectrum,
     laplace_scale,
-    normalize_columns,
     pair_crossprod_sensitivity,
     raw_gram_frobenius,
 )
@@ -34,15 +33,14 @@ beta[:k] = 3.0
 y = x @ beta + rng.standard_normal(n)
 dataset = Dataset.from_arrays(x, y)
 
-nd = normalize_columns(dataset)
-spectrum = gram_spectrum(nd)
+spectrum = gram_spectrum(dataset)
 bounds = compute_bounds(dataset)
 oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
 budget = PrivacyBudget(eps=0.1, delta_1=0.01, delta_2=0.01,
                        eps_1=0.05, eps_2=0.05, delta=0.01)
 
 ctx = build_sensitivity_context(
-    bounds, oracle, spectrum, raw_gram_frobenius(nd, spectrum), budget, p
+    bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget, p
 )
 print(f"row bound B            = {bounds.row_bound_B:.4f}")
 print(f"min column norm C_min  = {bounds.col_min_C:.4f}")

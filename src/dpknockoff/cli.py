@@ -16,8 +16,8 @@ import json
 import math
 import sys
 
-from .design import compute_bounds, load_dataset, normalize_columns
-from .errors import DPKnockoffError, PrivacyPreconditionFailed
+from .design import compute_bounds, load_dataset
+from .errors import DPKnockoffError, PrivacyPreconditionFailed, SweepAborted
 from .knockoffs import (
     choose_s,
     closed_form_gram_eigenvalues,
@@ -35,7 +35,14 @@ from .privacy import (
     laplace_scale,
     pair_crossprod_sensitivity,
 )
-from .simulate import read_config, run_sweep, with_overrides, write_plot_data, write_report
+from .simulate import (
+    SimulationReport,
+    read_config,
+    run_sweep,
+    with_overrides,
+    write_plot_data,
+    write_report,
+)
 
 
 def _add_data_flags(parser):
@@ -86,15 +93,14 @@ def _json_value(v):
 
 def cmd_calibrate(args) -> int:
     dataset = load_dataset(args.x, args.y, has_header=args.header)
-    nd = normalize_columns(dataset)
-    spectrum = gram_spectrum(nd)
+    spectrum = gram_spectrum(dataset)
     s = choose_s(spectrum, "private_recommended")
     g_max, g_min = closed_form_gram_eigenvalues(spectrum, s)
     bounds = compute_bounds(dataset, args.row_bound)
     budget = _budget_from_args(args)
     oracle = _oracle_from_args(args)
     ctx = build_sensitivity_context(
-        bounds, oracle, spectrum, raw_gram_frobenius(nd, spectrum), budget, dataset.p
+        bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget, dataset.p
     )
     lam_sens, frob_sens = gram_sensitivities(ctx)
     m1_sens = pair_crossprod_sensitivity(ctx)
@@ -194,10 +200,17 @@ def cmd_run(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = read_config(args.config)
     cfg = with_overrides(cfg, seed=args.seed, threads=args.threads)
-    report = run_sweep(cfg)
+    aborted = None
+    try:
+        report = run_sweep(cfg)
+    except SweepAborted as exc:
+        # keep the finished sample sizes, then report the abort
+        report, aborted = SimulationReport(rows=exc.rows), exc
     write_report(report, args.out)
     if args.emit_plot_data:
         write_plot_data(report, args.emit_plot_data)
+    if aborted is not None:
+        raise aborted
     return 0
 
 

@@ -2,8 +2,13 @@
 
 The knockoff construction and the privacy calibration both operate on a design
 matrix whose columns have been rescaled to unit l2 norm; the raw row/column
-norms feed the data-dependent sensitivity bounds.  This module holds the data
-model for both views and the CSV ingestion path.
+norms feed the data-dependent sensitivity bounds.  Normalization is the
+diagonal scaling X' = X D with D = diag(1/||x_j||), so everything the filter
+reads of X' follows from the raw Gram X^T X and raw products:
+S' = D (X^T X) D, X'^T v = D X^T v, and ||x_j|| = sqrt((X^T X)_jj).  The filter
+never forms X'; :func:`normalize_columns` builds it only for the explicit
+reference construction.  This module holds the data model for both views and
+the CSV ingestion path.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ class Dataset:
 
     Instances are validated at construction and treated as immutable
     afterwards.  Use :meth:`from_arrays` or :func:`load_dataset` instead of
-    the bare constructor.
+    the bare constructor.  The raw Gram X^T X is the one n-length pass the
+    column norms, the normalizer and the normalized Gram all derive from.
     """
 
     x: np.ndarray
@@ -38,11 +44,26 @@ class Dataset:
     p: int
 
     @cached_property
+    def gram(self) -> np.ndarray:
+        """Raw Gram X^T X, symmetrized, computed once (read-only)."""
+        g = self.x.T @ self.x
+        g = (g + g.T) / 2.0  # kill asymmetric rounding
+        g.setflags(write=False)
+        return g
+
+    @cached_property
     def col_norms(self) -> np.ndarray:
-        """Raw l2 norm of every design column, computed once (read-only)."""
-        norms = np.linalg.norm(self.x, axis=0)
+        """Raw l2 norm of every design column, sqrt(diag(X^T X)) (read-only)."""
+        norms = np.sqrt(np.diag(self.gram))
         norms.setflags(write=False)
         return norms
+
+    @cached_property
+    def normalizer_d(self) -> np.ndarray:
+        """Reciprocal column norms, the diagonal of D in X' = X D (read-only)."""
+        dvec = 1.0 / self.col_norms
+        dvec.setflags(write=False)
+        return dvec
 
     @classmethod
     def from_arrays(cls, x, y) -> "Dataset":
@@ -98,7 +119,9 @@ class NormalizedDesign:
     """Design with unit-l2 columns plus the diagonal rescaling that produced it.
 
     ``normalizer_d`` holds the reciprocals of the raw column norms, i.e.
-    ``x_prime = x @ diag(normalizer_d)``.
+    ``x_prime = x @ diag(normalizer_d)``.  Only the explicit reference path
+    (``build_knockoffs``, ``complement_basis``, ``swap_columns_test``) reads
+    one; the filter works from the raw :class:`Dataset`.
     """
 
     x_prime: np.ndarray
@@ -170,15 +193,15 @@ def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
 def normalize_columns(d: Dataset) -> NormalizedDesign:
     """Rescale every column of the design to unit l2 norm.
 
-    Returns the rescaled matrix together with the reciprocal column norms
-    (the diagonal of the normalizing matrix).
+    Returns the rescaled n x p matrix together with the reciprocal column
+    norms (the diagonal of the normalizing matrix).  Reference only: the
+    filter reads X' through the raw Gram and raw products instead.
     """
     col_norms = d.col_norms
     if np.any(col_norms < ZERO_COLUMN_TOL):
         bad = int(np.argmin(col_norms))
         raise InvalidDesign(f"column {bad} has (near-)zero norm and cannot be normalized")
-    dvec = 1.0 / col_norms
-    return NormalizedDesign(x_prime=d.x * dvec, normalizer_d=dvec, source=d)
+    return NormalizedDesign(x_prime=d.x * d.normalizer_d, normalizer_d=d.normalizer_d, source=d)
 
 
 def compute_bounds(d: Dataset, row_bound_override: float | None = None) -> NormBounds:

@@ -58,4 +58,12 @@ class ConfigInvalid(DPKnockoffError):
 
 
 class SweepAborted(DPKnockoffError):
-    """Too many trials at one sample size failed their privacy precondition."""
+    """Too many trials at one sample size failed their privacy precondition.
+
+    ``rows`` holds the report rows of the grid cells finished before the
+    aborting one, so the caller can still write them.
+    """
+
+    def __init__(self, message, rows=()):
+        super().__init__(message)
+        self.rows = tuple(rows)

@@ -15,10 +15,12 @@ knockoff half of the feature-response product is
     Xt^T y = (I - s S'^{-1}) X'^T y + C^T R^{-T} (W^T y - (X'^T W)^T S'^{-1} X'^T y),
     R^T R  = W^T W - (X'^T W)^T S'^{-1} (X'^T W).
 
-:func:`knockoff_summary` computes G and [X' Xt]^T y from these identities
-with one pass over X' and W; :func:`build_knockoffs` builds the n x p copy
-explicitly and is the reference the summary is tested against.  The module
-also exposes the two standard choices of s and the closed-form extreme
+X' = X D is a diagonal rescaling of the raw design, so S' = D (X^T X) D and
+X'^T [y W] = D X^T [y W].  :func:`gram_spectrum` and :func:`knockoff_summary`
+compute S', G and [X' Xt]^T y from the raw Gram and the raw products X^T y,
+X^T W and W^T y, without forming X'; :func:`build_knockoffs` builds X' and the
+n x p copy explicitly and is the reference both are tested against.  The
+module also exposes the two standard choices of s and the closed-form extreme
 eigenvalues of G used by the privacy calibration.
 """
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .design import NormalizedDesign
+from .design import Dataset, NormalizedDesign
 from .errors import InvalidDesign, KnockoffInfeasible, PreconditionViolated
 
 # Deterministic probe used to span the orthogonal complement; not a secret,
@@ -54,6 +56,28 @@ class GramSpectrum:
     lambda_min: float
     lambda_max: float
     frobenius_norm: float
+
+    @classmethod
+    def from_gram(cls, sigma_prime: np.ndarray) -> "GramSpectrum":
+        """Extreme eigenvalues and Frobenius norm of a normalized Gram S'.
+
+        S' is symmetrized first; a matrix that is not numerically positive
+        definite is rejected.
+        """
+        s = (sigma_prime + sigma_prime.T) / 2.0  # kill asymmetric rounding
+        evals = np.linalg.eigvalsh(s)
+        lam_min = float(evals[0])
+        lam_max = float(evals[-1])
+        if lam_min <= 0.0:
+            raise InvalidDesign(
+                f"normalized Gram matrix is numerically singular (lambda_min={lam_min:.3e})"
+            )
+        return cls(
+            sigma_prime=s,
+            lambda_min=lam_min,
+            lambda_max=lam_max,
+            frobenius_norm=float(np.linalg.norm(s, "fro")),
+        )
 
 
 @dataclass(frozen=True)
@@ -107,23 +131,13 @@ class KnockoffSummary:
         return self.crossprod.shape[0] // 2
 
 
-def gram_spectrum(nd: NormalizedDesign) -> GramSpectrum:
-    """Compute S' = X'^T X' and its extreme eigenvalues and Frobenius norm."""
-    s = nd.x_prime.T @ nd.x_prime
-    s = (s + s.T) / 2.0  # kill asymmetric rounding
-    evals = np.linalg.eigvalsh(s)
-    lam_min = float(evals[0])
-    lam_max = float(evals[-1])
-    if lam_min <= 0.0:
-        raise InvalidDesign(
-            f"normalized Gram matrix is numerically singular (lambda_min={lam_min:.3e})"
-        )
-    return GramSpectrum(
-        sigma_prime=s,
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        frobenius_norm=float(np.linalg.norm(s, "fro")),
-    )
+def gram_spectrum(d: Dataset) -> GramSpectrum:
+    """S' = D (X^T X) D and its extreme eigenvalues and Frobenius norm.
+
+    Built from the dataset's raw Gram and normalizer; the n x p design is
+    not read.
+    """
+    return GramSpectrum.from_gram(d.gram * np.outer(d.normalizer_d, d.normalizer_d))
 
 
 def choose_s(spectrum: GramSpectrum, mode: str = "private_recommended") -> float:
@@ -295,14 +309,15 @@ def build_knockoffs(
     The copy is Xt = X'(I - S'^{-1} sI) + U C, where U is an orthonormal
     basis of the complement of col(X') and C^T C equals the Schur complement
     2sI - s^2 S'^{-1}.  ``seed`` is forwarded to :func:`complement_basis`;
-    leave it ``None`` for the deterministic default basis.  The filter itself
+    leave it ``None`` for the deterministic default basis.  Without a
+    ``spectrum``, S' is computed explicitly as X'^T X'.  The filter itself
     uses :func:`knockoff_summary`; this is the reference it is tested against.
     """
     x = nd.x_prime
     n, p = x.shape
     _check_copy_request(n, p, s)
     if spectrum is None:
-        spectrum = gram_spectrum(nd)
+        spectrum = GramSpectrum.from_gram(x.T @ x)
 
     if s == 0.0:
         # Degenerate decorrelation: the copy coincides with the design.
@@ -326,30 +341,26 @@ def build_knockoffs(
     )
 
 
-def knockoff_summary(
-    nd: NormalizedDesign, s: float, y, spectrum: GramSpectrum
-) -> KnockoffSummary:
+def knockoff_summary(d: Dataset, s: float, spectrum: GramSpectrum) -> KnockoffSummary:
     """G and [X' Xt]^T y for the copy :func:`build_knockoffs` builds, without it.
 
     G is the closed-form block matrix [[S', S'-sI], [S'-sI, S']] and the
     knockoff half of the product follows from the identity in the module
-    docstring, so the only n-length work is X'^T [y W] and W^T y.  The probe,
+    docstring, with X'^T y = D X^T y and X'^T W = D X^T W taken from the raw
+    design, so the only n-length work is X^T y, X^T W and W^T y.  The probe,
     C, the rank test, the retry and the errors are those of
     :func:`build_knockoffs` with its default basis.
     """
-    x = nd.x_prime
-    n, p = x.shape
-    _check_copy_request(n, p, s)
-    y = np.asarray(y, dtype=float).ravel()
+    _check_copy_request(d.n, d.p, s)
     sigma = spectrum.sigma_prime
-    xty = x.T @ y
+    xty = d.normalizer_d * (d.x.T @ d.y)
 
     if s == 0.0:
         off, kty = sigma, xty
     else:
         cho, sigma_inv_s, c_upper = _decorrelation(spectrum, s)
-        off = sigma - s * np.eye(p)
-        kty = xty - sigma_inv_s.T @ xty + c_upper.T @ _complement_crossprod(x, y, xty, cho)
+        off = sigma - s * np.eye(d.p)
+        kty = xty - sigma_inv_s.T @ xty + c_upper.T @ _complement_crossprod(d, xty, cho)
     return KnockoffSummary(
         gram_g=np.block([[sigma, off], [off, sigma]]),
         crossprod=np.concatenate([xty, kty]),
@@ -358,17 +369,18 @@ def knockoff_summary(
     )
 
 
-def _complement_crossprod(x, y, xty, cho) -> np.ndarray:
-    """U^T y for U = complement_basis(x), from p x p algebra.
+def _complement_crossprod(d: Dataset, xty, cho) -> np.ndarray:
+    """U^T y for U = complement_basis(X'), from p x p algebra.
 
     With W the probe and R^T R = W^T (I - P) W, U^T y equals
-    R^{-T} W^T (I - P) y; ``cho`` factors S' = X'^T X', which defines P.
+    R^{-T} W^T (I - P) y; ``cho`` factors S' = X'^T X', which defines P, and
+    ``xty`` is X'^T y.
     """
-    n, p = x.shape
+    n, p = d.n, d.p
     sinv_xty = cho_solve(cho, xty)
     for attempt in range(2):
         w, wtw = _default_probe(n, p, attempt)
-        xtw = x.T @ w
+        xtw = d.normalizer_d[:, None] * (d.x.T @ w)
         resid = wtw - xtw.T @ cho_solve(cho, xtw)
         try:
             r = np.linalg.cholesky((resid + resid.T) / 2.0).T
@@ -376,7 +388,7 @@ def _complement_crossprod(x, y, xty, cho) -> np.ndarray:
             continue
         if np.abs(np.diag(r)).min() <= _rank_tol(n):
             continue
-        return solve_triangular(r, w.T @ y - xtw.T @ sinv_xty, lower=False, trans="T")
+        return solve_triangular(r, w.T @ d.y - xtw.T @ sinv_xty, lower=False, trans="T")
     raise KnockoffInfeasible("probe matrix fell inside the design column span twice")
 
 
@@ -400,12 +412,6 @@ def _cholesky_with_jitter(mat: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def raw_gram_frobenius(nd: NormalizedDesign, spectrum: GramSpectrum) -> float:
-    """Frobenius norm of the unnormalized Gram X^T X.
-
-    Recovered from the normalized Gram by undoing the column scaling:
-    (X^T X)_{ij} = S'_{ij} * c_i * c_j with c the raw column norms.
-    """
-    col_norms = 1.0 / nd.normalizer_d
-    raw = spectrum.sigma_prime * np.outer(col_norms, col_norms)
-    return float(np.linalg.norm(raw, "fro"))
+def raw_gram_frobenius(d: Dataset) -> float:
+    """Frobenius norm of the unnormalized Gram X^T X."""
+    return float(np.linalg.norm(d.gram, "fro"))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .design import Dataset, ModelOracle, NormBounds, compute_bounds, normalize_columns
+from .design import Dataset, ModelOracle, NormBounds, compute_bounds
 from .errors import BudgetInvalid
 from .knockoffs import (
     KnockoffSummary,
@@ -69,10 +69,9 @@ def run_knockoff_filter(
     method = str(method)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    nd = normalize_columns(dataset)
-    spectrum = gram_spectrum(nd)
+    spectrum = gram_spectrum(dataset)
     s = choose_s(spectrum, s_mode)
-    ks = knockoff_summary(nd, s, dataset.y, spectrum)
+    ks = knockoff_summary(dataset, s, spectrum)
 
     release = None
     bounds = None
@@ -86,7 +85,7 @@ def run_knockoff_filter(
             raise BudgetInvalid("private methods need a privacy budget and a model oracle")
         bounds = compute_bounds(dataset, row_bound_override)
         ctx = build_sensitivity_context(
-            bounds, oracle, spectrum, raw_gram_frobenius(nd, spectrum), budget, dataset.p
+            bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget, dataset.p
         )
         if method == "1":
             release = release_pair(ks, ctx, budget, seed=seed, zero_noise=zero_noise)

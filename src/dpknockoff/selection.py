@@ -15,7 +15,7 @@ import numpy as np
 
 from .design import ModelOracle, NormalizedDesign
 from .errors import MissingTruth, NonConvergence, PreconditionViolated, SingularSystem
-from .knockoffs import AugmentedDesign, gram_spectrum
+from .knockoffs import AugmentedDesign, GramSpectrum
 from .privacy import PrivateRelease
 
 STATISTIC_KINDS = ("lcd", "csm")
@@ -178,13 +178,20 @@ def compute_statistics(estimate, kind: str = "lcd") -> StatisticVector:
 
     ``lcd`` is the coefficient-magnitude difference |b_i| - |b_{i+p}|;
     ``csm`` is the signed max sgn(|b_i| - |b_{i+p}|) * max(|b_i|, |b_{i+p}|),
-    with sign 0 on exact ties so that ties contribute nothing.
+    with sign 0 on exact ties so that ties contribute nothing.  A non-finite
+    estimate raises :class:`SingularSystem`: its statistics would fall
+    through the threshold as an empty selection.
     """
     if kind not in STATISTIC_KINDS:
         raise ValueError(f"unknown statistic kind {kind!r}; expected one of {STATISTIC_KINDS}")
     est = np.asarray(estimate, dtype=float).ravel()
     if est.shape[0] % 2 != 0:
         raise ValueError("estimate must have even length 2p")
+    if not np.all(np.isfinite(est)):
+        bad = int(np.flatnonzero(~np.isfinite(est))[0])
+        raise SingularSystem(
+            f"estimate entry {bad} is {est[bad]}; the estimation system is numerically singular"
+        )
     p = est.shape[0] // 2
     mag_orig = np.abs(est[:p])
     mag_knock = np.abs(est[p:])
@@ -235,7 +242,7 @@ def swap_columns_test(ad: AugmentedDesign, f: SwapSet) -> AugmentedDesign:
     kn = ad.knockoff.copy()
     x[:, idx], kn[:, idx] = kn[:, idx].copy(), x[:, idx].copy()
     nd = NormalizedDesign(x_prime=x, normalizer_d=ad.design.normalizer_d, source=ad.design.source)
-    spectrum = gram_spectrum(nd)
+    spectrum = GramSpectrum.from_gram(x.T @ x)
     xtk = x.T @ kn
     ktk = kn.T @ kn
     ktk = (ktk + ktk.T) / 2.0

@@ -266,7 +266,8 @@ def run_sweep(cfg: SimConfig) -> SimulationReport:
     oversubscribe the cores and every thread count computes the same bits.
     Trials whose privacy precondition fails are excluded from the means and
     counted under ``failures``; a failure rate above MAX_FAILURE_RATE aborts
-    the sweep with :class:`SweepAborted`.
+    the sweep with :class:`SweepAborted`, which carries the rows of the
+    sample sizes already finished.
     """
     with _single_blas_thread():
         return _run_grid(cfg)
@@ -294,7 +295,8 @@ def _run_grid(cfg: SimConfig) -> SimulationReport:
         if failures > MAX_FAILURE_RATE * cfg.trials:
             raise SweepAborted(
                 f"{failures}/{cfg.trials} trials failed their privacy precondition "
-                f"at n={n}; the norm bounds are too loose for this sample size"
+                f"at n={n}; the norm bounds are too loose for this sample size",
+                rows=rows,
             )
         fdps = np.array([o[0] for o in kept])
         powers = np.array([o[1] for o in kept])

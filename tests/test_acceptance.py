@@ -2,12 +2,14 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; the end-to-end Monte Carlo reproduction (criterion 2) takes about 70
-seconds on two cores.
+seconds on two cores.  Every test here is marked ``slow``, so
+``pytest -m "not slow"`` is the fast loop.
 """
 
 import math
 
 import numpy as np
+import pytest
 from scipy.stats import binomtest
 
 from dpknockoff import (
@@ -43,6 +45,8 @@ from dpknockoff import (
     write_report,
 )
 from dpknockoff.privacy import STRICTNESS_BUMP
+
+pytestmark = pytest.mark.slow
 
 
 def _criterion(num, ok, detail):
@@ -121,7 +125,7 @@ def test_criterion_03_gram_identity():
         p = int(rng.integers(2, 31))
         n = int(rng.integers(2 * p, 10 * p + 1))
         nd = _random_normalized(n, p, 5000 + trial)
-        spectrum = gram_spectrum(nd)
+        spectrum = gram_spectrum(nd.source)
         ad = build_knockoffs(nd, spectrum.lambda_min, spectrum=spectrum)
         aug = ad.augmented_matrix()
         off = spectrum.sigma_prime - spectrum.lambda_min * np.eye(p)
@@ -144,7 +148,7 @@ def test_criterion_04_closed_form_eigenvalues():
         p = int(rng.integers(2, 21))
         n = int(rng.integers(2 * p, 4 * p + 1))
         nd = _random_normalized(n, p, 7000 + trial)
-        spectrum = gram_spectrum(nd)
+        spectrum = gram_spectrum(nd.source)
 
         s = choose_s(spectrum, "private_recommended")
         ad = build_knockoffs(nd, s, spectrum=spectrum)
@@ -186,14 +190,14 @@ def test_criterion_05_antisymmetry():
     y = x @ beta + rng.standard_normal(n)
     ds = Dataset.from_arrays(x, y)
     nd = normalize_columns(ds)
-    spectrum = gram_spectrum(nd)
+    spectrum = gram_spectrum(ds)
     ad = build_knockoffs(nd, spectrum.lambda_min, spectrum=spectrum)
     bounds = compute_bounds(ds)
     oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.4, delta_1=0.1, delta_2=0.1,
                            eps_1=0.3, eps_2=0.3, delta=0.1)
     ctx = build_sensitivity_context(
-        bounds, oracle, spectrum, raw_gram_frobenius(nd, spectrum), budget, p
+        bounds, oracle, spectrum, raw_gram_frobenius(ds), budget, p
     )
     swap_sets = [[2], list(range(p))]
     worst = 0.0
@@ -332,12 +336,11 @@ def test_criterion_07_sensitivity_oracles():
         delta_2 = float(rng.uniform(lo, 0.99))
         x = np.random.default_rng(9000 + trial).standard_normal((n, p))
         ds = Dataset.from_arrays(x, np.zeros(n))
-        nd = normalize_columns(ds)
-        spectrum = gram_spectrum(nd)
+        spectrum = gram_spectrum(ds)
         bnds = compute_bounds(ds)
         mo = ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=sigma2)
         bud = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=delta_2)
-        ctx = build_sensitivity_context(bnds, mo, spectrum, raw_gram_frobenius(nd, spectrum), bud, p)
+        ctx = build_sensitivity_context(bnds, mo, spectrum, raw_gram_frobenius(ds), bud, p)
         want = _oracle_pair(
             bnds.row_bound_B, bnds.col_min_C, spectrum.lambda_min, spectrum.lambda_max,
             ctx.frobenius_sigma_raw, beta_norm, sigma2, delta_2, p,

@@ -164,3 +164,24 @@ def test_simulate_abort_is_cli_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "failed their privacy precondition" in err
+
+
+def test_simulate_abort_keeps_finished_rows(tmp_path, capsys):
+    # with the 2p/n rule, p=12 clears the delta_2 floor at n=400 but not at
+    # n=4000, so the second cell aborts after the first has finished
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n_grid = 400, 4000\np = 12\nk = 3\namplitude = 3.5\nsigma2 = 1.0\n"
+        "q = 0.2\ntrials = 5\nmethod = 2\nstat = csm\neps = 0.3\nbase_seed = 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "report.csv"
+    plot = tmp_path / "plot.csv"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out), "--emit-plot-data", str(plot)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at n=4000" in err
+    lines = out.read_text().strip().split("\n")
+    assert lines[0].startswith("n,method,stat,trials,")
+    assert len(lines) == 2 and lines[1].startswith("400,2,csm,5,")
+    assert len(plot.read_text().strip().split("\n")) == 2

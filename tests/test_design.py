@@ -155,6 +155,9 @@ def test_column_norms_computed_once_and_shared():
     ds = Dataset.from_arrays(x, np.zeros(60))
     norms = ds.col_norms
     assert norms is ds.col_norms and not norms.flags.writeable
-    assert np.array_equal(norms, np.linalg.norm(x, axis=0))
+    # defined from the one raw Gram; agrees with a direct norm to rounding
+    assert np.array_equal(norms, np.sqrt(np.diag(ds.gram)))
+    direct = np.linalg.norm(x, axis=0)
+    assert np.max(np.abs(norms - direct) / direct) <= 1e-14
     assert np.array_equal(normalize_columns(ds).normalizer_d, 1.0 / norms)
     assert compute_bounds(ds, row_bound_override=1e-4).col_min_C == float(norms.min())

@@ -3,8 +3,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpknockoff import (
+    DPKnockoffError,
     Dataset,
     GramSpectrum,
     InvalidDesign,
@@ -44,7 +47,7 @@ def _target_gram(sigma_prime, s):
 
 def test_gram_spectrum_basics():
     nd = _random_design(80, 6, 0)
-    spectrum = gram_spectrum(nd)
+    spectrum = gram_spectrum(nd.source)
     assert np.max(np.abs(spectrum.sigma_prime - spectrum.sigma_prime.T)) <= 1e-10
     assert np.max(np.abs(np.diag(spectrum.sigma_prime) - 1.0)) <= 1e-10
     evals = np.linalg.eigvalsh(spectrum.sigma_prime)
@@ -99,7 +102,7 @@ def test_closed_form_eigenvalues_requires_s_equals_lambda_min():
 def test_classic_choice_zeroes_min_eigenvalue():
     # when 2*lambda_min <= 1, the classic s makes the augmented Gram singular
     nd = _random_design(60, 10, 5)
-    spectrum = gram_spectrum(nd)
+    spectrum = gram_spectrum(nd.source)
     s = choose_s(spectrum, "classic")
     assert s == pytest.approx(2.0 * spectrum.lambda_min)
     evals = np.linalg.eigvalsh(_target_gram(spectrum.sigma_prime, s))
@@ -108,7 +111,7 @@ def test_classic_choice_zeroes_min_eigenvalue():
 
 def test_build_knockoffs_identity_gram_orthogonal_copy():
     nd = _orthogonal_design(40, 5, 1)
-    spectrum = gram_spectrum(nd)
+    spectrum = gram_spectrum(nd.source)
     ad = build_knockoffs(nd, 1.0, spectrum=spectrum)
     assert np.max(np.abs(nd.x_prime.T @ ad.knockoff)) <= 1e-9
     assert np.max(np.abs(ad.knockoff.T @ ad.knockoff - np.eye(5))) <= 1e-9
@@ -126,7 +129,7 @@ def test_build_knockoffs_gram_identity_random_designs():
         p = int(rng.integers(2, 31))
         n = int(rng.integers(2 * p, 10 * p + 1))
         nd = _random_design(n, p, 1000 + trial)
-        spectrum = gram_spectrum(nd)
+        spectrum = gram_spectrum(nd.source)
         ad = build_knockoffs(nd, spectrum.lambda_min, spectrum=spectrum)
         target = _target_gram(spectrum.sigma_prime, spectrum.lambda_min)
         assert np.max(np.abs(ad.gram_g - target)) <= 1e-8
@@ -147,7 +150,7 @@ def test_build_knockoffs_deterministic():
 
 def test_build_knockoffs_seeded_variant_is_valid():
     nd = _random_design(70, 7, 4)
-    spectrum = gram_spectrum(nd)
+    spectrum = gram_spectrum(nd.source)
     ad = build_knockoffs(nd, spectrum.lambda_min, seed=99, spectrum=spectrum)
     target = _target_gram(spectrum.sigma_prime, spectrum.lambda_min)
     assert np.max(np.abs(ad.gram_g - target)) <= 1e-8
@@ -180,10 +183,8 @@ def test_raw_gram_frobenius_matches_direct_product():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((60, 4)) * rng.uniform(0.5, 3.0, size=4)
     ds = Dataset.from_arrays(x, np.zeros(60))
-    nd = normalize_columns(ds)
-    spectrum = gram_spectrum(nd)
     direct = float(np.linalg.norm(x.T @ x, "fro"))
-    assert raw_gram_frobenius(nd, spectrum) == pytest.approx(direct, rel=1e-10)
+    assert raw_gram_frobenius(ds) == pytest.approx(direct, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +196,9 @@ def _rel_gap(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def _assert_summary_matches_reference(nd, s, y, spectrum):
-    ks = knockoff_summary(nd, s, y, spectrum)
-    ref = build_knockoffs(nd, s, spectrum=spectrum).summary(y)
+def _assert_summary_matches_reference(ds, s, spectrum):
+    ks = knockoff_summary(ds, s, spectrum)
+    ref = build_knockoffs(normalize_columns(ds), s, spectrum=spectrum).summary(ds.y)
     assert _rel_gap(ks.gram_g, ref.gram_g) <= 1e-10
     assert _rel_gap(ks.crossprod, ref.crossprod) <= 1e-10
     assert ks.s_value == ref.s_value and ks.spectrum is spectrum
@@ -208,8 +209,7 @@ def _design_and_response(x, seed):
     rng = np.random.default_rng(seed)
     y = x[:, :3].sum(axis=1) + rng.standard_normal(x.shape[0])
     ds = Dataset.from_arrays(x, y)
-    nd = normalize_columns(ds)
-    return nd, ds.y, gram_spectrum(nd)
+    return ds, gram_spectrum(ds)
 
 
 @pytest.mark.parametrize("n_of_p", [lambda p: 2 * p, lambda p: 3 * p, lambda p: 1000])
@@ -218,8 +218,8 @@ def test_knockoff_summary_matches_explicit_copy(n_of_p, mode):
     for trial, p in enumerate((3, 12, 40)):
         n = n_of_p(p)
         x = np.random.default_rng((n, p, trial)).standard_normal((n, p))
-        nd, y, spectrum = _design_and_response(x, trial)
-        _assert_summary_matches_reference(nd, choose_s(spectrum, mode), y, spectrum)
+        ds, spectrum = _design_and_response(x, trial)
+        _assert_summary_matches_reference(ds, choose_s(spectrum, mode), spectrum)
 
 
 @pytest.mark.parametrize("mode", ["private_recommended", "classic"])
@@ -227,17 +227,17 @@ def test_knockoff_summary_spread_column_norms(mode):
     rng = np.random.default_rng(14)
     n, p = 120, 10
     x = rng.standard_normal((n, p)) * np.logspace(-3, 3, p)
-    nd, y, spectrum = _design_and_response(x, 15)
-    _assert_summary_matches_reference(nd, choose_s(spectrum, mode), y, spectrum)
+    ds, spectrum = _design_and_response(x, 15)
+    _assert_summary_matches_reference(ds, choose_s(spectrum, mode), spectrum)
 
 
 def test_knockoff_summary_classic_s_takes_jitter_path():
     # s = 2 lambda_min puts the Schur complement's smallest eigenvalue at 0
     x = np.random.default_rng(16).standard_normal((60, 10))
-    nd, y, spectrum = _design_and_response(x, 17)
+    ds, spectrum = _design_and_response(x, 17)
     s = choose_s(spectrum, "classic")
     assert s == 2.0 * spectrum.lambda_min
-    ks = _assert_summary_matches_reference(nd, s, y, spectrum)
+    ks = _assert_summary_matches_reference(ds, s, spectrum)
     off = spectrum.sigma_prime - s * np.eye(10)
     assert np.array_equal(ks.gram_g, np.block([[spectrum.sigma_prime, off],
                                                [off, spectrum.sigma_prime]]))
@@ -245,8 +245,8 @@ def test_knockoff_summary_classic_s_takes_jitter_path():
 
 def test_knockoff_summary_s_zero():
     x = np.random.default_rng(18).standard_normal((40, 4))
-    nd, y, spectrum = _design_and_response(x, 19)
-    ks = _assert_summary_matches_reference(nd, 0.0, y, spectrum)
+    ds, spectrum = _design_and_response(x, 19)
+    ks = _assert_summary_matches_reference(ds, 0.0, spectrum)
     assert np.array_equal(ks.crossprod[:4], ks.crossprod[4:])
 
 
@@ -254,7 +254,7 @@ def test_knockoff_summary_retries_with_second_probe(monkeypatch):
     # a design spanning the first probe leaves no complement for it
     n, p = 80, 6
     x = np.array(_default_probe(n, p, 0)[0])
-    nd, y, spectrum = _design_and_response(x, 20)
+    ds, spectrum = _design_and_response(x, 20)
     attempts = []
 
     def spy(n, p, attempt):
@@ -262,7 +262,7 @@ def test_knockoff_summary_retries_with_second_probe(monkeypatch):
         return _default_probe(n, p, attempt)
 
     monkeypatch.setattr(knockoffs, "_default_probe", spy)
-    _assert_summary_matches_reference(nd, spectrum.lambda_min, y, spectrum)
+    _assert_summary_matches_reference(ds, spectrum.lambda_min, spectrum)
     assert attempts == [0, 1, 0, 1]  # the summary, then the reference
 
 
@@ -270,39 +270,101 @@ def test_knockoff_summary_infeasible_where_reference_is():
     n, p = 80, 6
     # half of each probe inside the design span: both attempts fail
     x = np.hstack([_default_probe(n, p, 0)[0][:, :3], _default_probe(n, p, 1)[0][:, :3]])
-    nd, y, spectrum = _design_and_response(x, 21)
+    ds, spectrum = _design_and_response(x, 21)
     for build in (
-        lambda: build_knockoffs(nd, spectrum.lambda_min, spectrum=spectrum),
-        lambda: knockoff_summary(nd, spectrum.lambda_min, y, spectrum),
+        lambda: build_knockoffs(normalize_columns(ds), spectrum.lambda_min, spectrum=spectrum),
+        lambda: knockoff_summary(ds, spectrum.lambda_min, spectrum),
     ):
         with pytest.raises(KnockoffInfeasible, match="twice"):
             build()
 
     # s beyond 2 lambda_min: the Schur complement is indefinite
-    nd, y, spectrum = _design_and_response(np.random.default_rng(22).standard_normal((60, 5)), 23)
+    ds, spectrum = _design_and_response(np.random.default_rng(22).standard_normal((60, 5)), 23)
     s = 3.0 * spectrum.lambda_min
     with pytest.raises(KnockoffInfeasible):
-        build_knockoffs(nd, s, spectrum=spectrum)
+        build_knockoffs(normalize_columns(ds), s, spectrum=spectrum)
     with pytest.raises(KnockoffInfeasible):
-        knockoff_summary(nd, s, y, spectrum)
+        knockoff_summary(ds, s, spectrum)
 
-    # n < 2p
+    # n < 2p, on a bare Dataset (from_arrays itself refuses it)
     small = np.random.default_rng(24).standard_normal((5, 3))
-    small /= np.linalg.norm(small, axis=0)
-    tiny = NormalizedDesign(x_prime=small, normalizer_d=np.ones(3), source=nd.source)
+    tiny = Dataset(x=small, y=np.zeros(5), n=5, p=3)
     with pytest.raises(KnockoffInfeasible):
-        knockoff_summary(tiny, 0.1, np.zeros(5), spectrum)
+        knockoff_summary(tiny, 0.1, spectrum)
 
 
 def test_knockoff_summary_rejects_indefinite_gram_like_reference():
-    nd, y, _ = _design_and_response(np.random.default_rng(25).standard_normal((40, 3)), 26)
+    ds, _ = _design_and_response(np.random.default_rng(25).standard_normal((40, 3)), 26)
     bad = GramSpectrum(-np.eye(3), 0.5, 1.0, 1.0)
     with pytest.raises(InvalidDesign):
-        build_knockoffs(nd, 0.5, spectrum=bad)
+        build_knockoffs(normalize_columns(ds), 0.5, spectrum=bad)
     with pytest.raises(InvalidDesign):
-        knockoff_summary(nd, 0.5, y, bad)
+        knockoff_summary(ds, 0.5, bad)
     with pytest.raises(PreconditionViolated):
-        knockoff_summary(nd, -0.1, y, bad)
+        knockoff_summary(ds, -0.1, bad)
+
+
+def _filter_path(ds):
+    """What run_knockoff_filter computes: S' = D G D and the raw-product summary."""
+    spectrum = gram_spectrum(ds)
+    return spectrum, knockoff_summary(ds, choose_s(spectrum), spectrum), raw_gram_frobenius(ds)
+
+
+def _reference_path(ds):
+    """The same quantities from the explicit X' and the n x p copy."""
+    nd = normalize_columns(ds)
+    spectrum = GramSpectrum.from_gram(nd.x_prime.T @ nd.x_prime)
+    ref = build_knockoffs(nd, choose_s(spectrum), spectrum=spectrum).summary(ds.y)
+    col_norms = 1.0 / nd.normalizer_d
+    frob = float(np.linalg.norm(spectrum.sigma_prime * np.outer(col_norms, col_norms), "fro"))
+    return spectrum, ref, frob
+
+
+def _outcome(path, ds):
+    try:
+        return path(ds), None
+    except DPKnockoffError as exc:
+        return None, type(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    p=st.integers(2, 12),
+    n_factor=st.sampled_from([2, 3, 10]),
+    log_scales=st.lists(st.floats(-6.0, 6.0), min_size=12, max_size=12),
+    # equicorrelation of the columns; 0.99 keeps cond(S') near 1e4, where
+    # rounding amplified by the conditioning stays below the 1e-10 tolerance
+    rho=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+    plant_probes=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_path_matches_explicit_reference(p, n_factor, log_scales, rho, plant_probes, seed):
+    n = n_factor * p
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, p))
+    if plant_probes:
+        # half of each default probe inside the design span: both paths
+        # must give up with the same error
+        half = p // 2
+        z[:, :half] = _default_probe(n, p, 0)[0][:, :half]
+        z[:, half:2 * half] = _default_probe(n, p, 1)[0][:, :half]
+    x = np.sqrt(1.0 - rho) * z + np.sqrt(rho) * rng.standard_normal((n, 1))
+    x *= 10.0 ** np.asarray(log_scales[:p])
+    y = x[:, 0] / np.linalg.norm(x[:, 0]) + rng.standard_normal(n)
+    ds = Dataset.from_arrays(x, y)
+
+    ref, ref_error = _outcome(_reference_path, ds)
+    new, new_error = _outcome(_filter_path, ds)
+    assert new_error is ref_error
+    if ref_error is not None:
+        return
+    (spectrum, ks, frob), (ref_spectrum, ref_ks, ref_frob) = new, ref
+    assert _rel_gap(spectrum.sigma_prime, ref_spectrum.sigma_prime) <= 1e-10
+    for field in ("lambda_min", "lambda_max", "frobenius_norm"):
+        assert getattr(spectrum, field) == pytest.approx(getattr(ref_spectrum, field), rel=1e-10)
+    assert _rel_gap(ks.gram_g, ref_ks.gram_g) <= 1e-10
+    assert _rel_gap(ks.crossprod, ref_ks.crossprod) <= 1e-10
+    assert frob == pytest.approx(ref_frob, rel=1e-10)
 
 
 def test_cached_probe_is_read_only():

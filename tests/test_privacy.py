@@ -24,7 +24,6 @@ from dpknockoff import (
     gram_spectrum,
     knockoff_summary,
     laplace_scale,
-    normalize_columns,
     pair_crossprod_sensitivity,
     raw_gram_frobenius,
     release_estimate,
@@ -74,14 +73,13 @@ def _context_from_design(n, p, seed, beta_norm=1.0, sigma2=1.0, delta_2=0.05):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p))
     ds = Dataset.from_arrays(x, np.zeros(n))
-    nd = normalize_columns(ds)
-    spectrum = gram_spectrum(nd)
+    spectrum = gram_spectrum(ds)
     bounds = compute_bounds(ds)
     oracle = ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=sigma2)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=delta_2,
                            eps_1=0.1, eps_2=0.1, delta=0.05)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(nd, spectrum), budget, p)
-    return ctx, bounds, spectrum, nd
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(ds), budget, p)
+    return ctx, bounds, spectrum
 
 
 def _hand_context():
@@ -237,7 +235,7 @@ def test_sensitivities_match_oracle_on_random_contexts():
         sigma2 = float(rng.uniform(0.2, 4.0))
         lo = min(0.9, delta2_floor(p) * 1.2 + 1e-4)
         delta_2 = float(rng.uniform(lo, 0.99))
-        ctx, bounds, spectrum, _ = _context_from_design(
+        ctx, bounds, spectrum = _context_from_design(
             n, p, 3000 + trial, beta_norm=beta_norm, sigma2=sigma2, delta_2=delta_2
         )
         want_pair = oracle_pair_sensitivity(
@@ -333,14 +331,13 @@ def _release_inputs(n=200, p=10, seed=21):
     beta[:2] = 2.0
     y = x @ beta + rng.standard_normal(n)
     ds = Dataset.from_arrays(x, y)
-    nd = normalize_columns(ds)
-    spectrum = gram_spectrum(nd)
-    ks = knockoff_summary(nd, spectrum.lambda_min, ds.y, spectrum)
+    spectrum = gram_spectrum(ds)
+    ks = knockoff_summary(ds, spectrum.lambda_min, spectrum)
     bounds = compute_bounds(ds)
     oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05,
                            eps_1=0.2, eps_2=0.2, delta=0.05)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(nd, spectrum), budget, p)
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(ds), budget, p)
     return ks, ctx, budget
 
 

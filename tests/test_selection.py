@@ -4,6 +4,7 @@ import pytest
 from dpknockoff import (
     Dataset,
     EstimateSource,
+    GramSpectrum,
     MissingTruth,
     ModelOracle,
     NonConvergence,
@@ -15,12 +16,12 @@ from dpknockoff import (
     compute_statistics,
     estimate_coefficients,
     evaluate_selection,
-    gram_spectrum,
     knockoff_threshold,
     normalize_columns,
     run_knockoff_filter,
     swap_columns_test,
 )
+from dpknockoff import pipeline
 
 OLS = EstimateSource(kind="nonprivate_ols")
 
@@ -163,6 +164,22 @@ def test_statistics_rejects_odd_length():
         compute_statistics(np.ones(4), "nope")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["lcd", "csm"])
+def test_statistics_reject_non_finite_estimate(bad, kind):
+    est = np.array([1.0, bad, 0.5, 0.2])
+    with pytest.raises(SingularSystem, match="entry 1"):
+        compute_statistics(est, kind)
+
+
+def test_filter_raises_on_non_finite_estimate(monkeypatch):
+    # a NaN estimate must not pass through the threshold as an empty selection
+    ds, _ = _built_design()
+    monkeypatch.setattr(pipeline, "estimate_coefficients", lambda *a, **k: np.full(2 * ds.p, np.nan))
+    with pytest.raises(SingularSystem):
+        run_knockoff_filter(ds, q=0.2)
+
+
 # ---------------------------------------------------------------------------
 # Threshold
 # ---------------------------------------------------------------------------
@@ -255,7 +272,8 @@ def _built_design(n=80, p=6, seed=3, k=2, amp=3.0):
     y = x @ beta + rng.standard_normal(n)
     ds = Dataset.from_arrays(x, y)
     nd = normalize_columns(ds)
-    spectrum = gram_spectrum(nd)
+    # the reference chain throughout: S' = X'^T X', as swap_columns_test recomputes it
+    spectrum = GramSpectrum.from_gram(nd.x_prime.T @ nd.x_prime)
     return ds, build_knockoffs(nd, spectrum.lambda_min, spectrum=spectrum)
 
 

@@ -151,8 +151,9 @@ def test_run_sweep_aborts_on_systematic_failures():
     # p=5 with the 2p/n rule pushes delta_2 below its floor on every trial,
     # so the failure rate crosses the abort threshold immediately
     cfg = _cfg(method="2", eps=0.3, trials=4)
-    with pytest.raises(SweepAborted, match="failed their privacy precondition"):
+    with pytest.raises(SweepAborted, match="failed their privacy precondition") as info:
         run_sweep(cfg)
+    assert info.value.rows == ()
 
 
 def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
