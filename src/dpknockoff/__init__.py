@@ -49,12 +49,13 @@ from .privacy import (
     PrivacyBudget,
     PrivateRelease,
     SensitivityContext,
-    StructuredGramNoise,
     assemble_gram_noise,
     build_sensitivity_context,
+    calibrate,
     delta2_floor,
     estimate_sensitivity,
     gaussian_scale,
+    gram_noise_scales,
     gram_sensitivities,
     laplace_scale,
     pair_crossprod_sensitivity,
@@ -65,7 +66,6 @@ from .privacy import (
     sample_symmetric_offdiag_gaussian,
 )
 from .selection import (
-    EstimateSource,
     SelectionReport,
     StatisticVector,
     SwapSet,
@@ -89,76 +89,3 @@ from .simulate import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AugmentedDesign",
-    "BoundViolation",
-    "BudgetInvalid",
-    "ConfigInvalid",
-    "DPKnockoffError",
-    "Dataset",
-    "DeltaTooSmall",
-    "DimensionMismatch",
-    "EstimateSource",
-    "FilterResult",
-    "GramSpectrum",
-    "InvalidDesign",
-    "KnockoffInfeasible",
-    "KnockoffSummary",
-    "MissingTruth",
-    "ModelOracle",
-    "NonConvergence",
-    "NormBounds",
-    "NormalizedDesign",
-    "ParseError",
-    "PreconditionViolated",
-    "PrivacyBudget",
-    "PrivacyPreconditionFailed",
-    "PrivateRelease",
-    "SelectionReport",
-    "SensitivityContext",
-    "SimConfig",
-    "SimRow",
-    "SimulationReport",
-    "SingularSystem",
-    "StatisticVector",
-    "StructuredGramNoise",
-    "SwapSet",
-    "SweepAborted",
-    "assemble_gram_noise",
-    "budget_for",
-    "budget_totals",
-    "build_knockoffs",
-    "build_sensitivity_context",
-    "choose_s",
-    "closed_form_gram_eigenvalues",
-    "complement_basis",
-    "compute_bounds",
-    "compute_statistics",
-    "delta2_floor",
-    "estimate_coefficients",
-    "estimate_sensitivity",
-    "evaluate_selection",
-    "gaussian_scale",
-    "generate_trial",
-    "gram_sensitivities",
-    "gram_spectrum",
-    "knockoff_summary",
-    "knockoff_threshold",
-    "laplace_scale",
-    "load_dataset",
-    "normalize_columns",
-    "pair_crossprod_sensitivity",
-    "raw_gram_frobenius",
-    "read_config",
-    "release_estimate",
-    "release_pair",
-    "run_knockoff_filter",
-    "run_sweep",
-    "sample_gaussian_vector",
-    "sample_laplace_vector",
-    "sample_symmetric_offdiag_gaussian",
-    "swap_columns_test",
-    "write_plot_data",
-    "write_report",
-]

@@ -18,21 +18,16 @@ import sys
 
 from .design import compute_bounds, load_dataset
 from .errors import DPKnockoffError, PrivacyPreconditionFailed, SweepAborted
-from .knockoffs import (
-    choose_s,
-    closed_form_gram_eigenvalues,
-    gram_spectrum,
-    raw_gram_frobenius,
-)
+from .knockoffs import closed_form_gram_eigenvalues, gram_spectrum, raw_gram_frobenius
 from .pipeline import run_knockoff_filter
 from .privacy import (
     PrivacyBudget,
     build_sensitivity_context,
+    calibrate,
     delta2_floor,
     estimate_sensitivity,
-    gaussian_scale,
+    gram_noise_scales,
     gram_sensitivities,
-    laplace_scale,
     pair_crossprod_sensitivity,
 )
 from .simulate import (
@@ -94,7 +89,7 @@ def _json_value(v):
 def cmd_calibrate(args) -> int:
     dataset = load_dataset(args.x, args.y, has_header=args.header)
     spectrum = gram_spectrum(dataset)
-    s = choose_s(spectrum, "private_recommended")
+    s = spectrum.lambda_min
     g_max, g_min = closed_form_gram_eigenvalues(spectrum, s)
     bounds = compute_bounds(dataset, args.row_bound)
     budget = _budget_from_args(args)
@@ -110,23 +105,12 @@ def cmd_calibrate(args) -> int:
         m2_sens = None
 
     method = str(args.method)
-    if method == "1":
-        budget.require_pair_release()
-        theta1 = laplace_scale(lam_sens, budget.eps_1)
-        kappa1 = gaussian_scale(frob_sens, budget.eps_2, budget.delta)
-        kappa_field = gaussian_scale(m1_sens, budget.eps, budget.delta_1)
-        total_eps, total_delta = budget.pair_release_totals()
+    if method == "2" and m2_sens is None:
+        # no finite estimate calibration: the record has no kappa^2, only the cost
+        scales = dict(zip(("eps_total", "delta_total"), budget.estimate_release_totals()))
     else:
-        theta1 = laplace_scale(lam_sens, budget.eps_1) if budget.eps_1 else None
-        kappa1 = (
-            gaussian_scale(frob_sens, budget.eps_2, budget.delta)
-            if budget.eps_2 and budget.delta
-            else None
-        )
-        kappa_field = (
-            gaussian_scale(m2_sens, budget.eps, budget.delta_1) if m2_sens is not None else None
-        )
-        total_eps, total_delta = budget.estimate_release_totals()
+        scales = calibrate(ctx, budget, method, args.ridge)
+    theta1, kappa1 = gram_noise_scales(ctx, budget)
 
     record = {
         "n": dataset.n,
@@ -148,9 +132,9 @@ def cmd_calibrate(args) -> int:
         "method2_sensitivity": m2_sens,
         "theta1_scale": theta1,
         "kappa1_sq": kappa1,
-        "kappa2_sq_or_kappa_sq": kappa_field,
-        "total_eps": total_eps,
-        "total_delta": total_delta,
+        "kappa2_sq_or_kappa_sq": scales.get("kappa2_sq", scales.get("kappa_sq")),
+        "total_eps": scales["eps_total"],
+        "total_delta": scales["delta_total"],
     }
     print(json.dumps(record, indent=2))
     return 0

@@ -90,6 +90,22 @@ class AugmentedDesign:
     gram_g: np.ndarray
     spectrum: GramSpectrum
 
+    @classmethod
+    def assemble(
+        cls, nd: NormalizedDesign, knockoff: np.ndarray, s: float, spectrum: GramSpectrum
+    ) -> "AugmentedDesign":
+        """Bundle X', Xt and G = [X' Xt]^T [X' Xt]; G's top-left block is the spectrum's S'."""
+        xtk = nd.x_prime.T @ knockoff
+        ktk = knockoff.T @ knockoff
+        ktk = (ktk + ktk.T) / 2.0
+        return cls(
+            design=nd,
+            knockoff=knockoff,
+            s_value=float(s),
+            gram_g=np.block([[spectrum.sigma_prime, xtk], [xtk.T, ktk]]),
+            spectrum=spectrum,
+        )
+
     @property
     def p(self) -> int:
         return self.design.x_prime.shape[1]
@@ -325,20 +341,7 @@ def build_knockoffs(
     else:
         _, sigma_inv_s, c_upper = _decorrelation(spectrum, s)
         knockoff = x - x @ sigma_inv_s + complement_basis(x, seed=seed) @ c_upper
-
-    # blockwise product [X' Xt]^T [X' Xt]; the top-left block is the Gram
-    # already held by the spectrum
-    xtk = x.T @ knockoff
-    ktk = knockoff.T @ knockoff
-    ktk = (ktk + ktk.T) / 2.0
-    gram = np.block([[spectrum.sigma_prime, xtk], [xtk.T, ktk]])
-    return AugmentedDesign(
-        design=nd,
-        knockoff=knockoff,
-        s_value=float(s),
-        gram_g=gram,
-        spectrum=spectrum,
-    )
+    return AugmentedDesign.assemble(nd, knockoff, s, spectrum)
 
 
 def knockoff_summary(d: Dataset, s: float, spectrum: GramSpectrum) -> KnockoffSummary:

@@ -5,14 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .design import Dataset, ModelOracle, NormBounds, compute_bounds
-from .errors import BudgetInvalid
-from .knockoffs import (
-    KnockoffSummary,
-    choose_s,
-    gram_spectrum,
-    knockoff_summary,
-    raw_gram_frobenius,
-)
+from .errors import BudgetInvalid, PreconditionViolated
+from .knockoffs import KnockoffSummary, gram_spectrum, knockoff_summary, raw_gram_frobenius
 from .privacy import (
     PrivacyBudget,
     PrivateRelease,
@@ -22,7 +16,6 @@ from .privacy import (
     release_pair,
 )
 from .selection import (
-    EstimateSource,
     SelectionReport,
     compute_statistics,
     estimate_coefficients,
@@ -53,7 +46,6 @@ def run_knockoff_filter(
     oracle: ModelOracle | None = None,
     lam: float = 0.0,
     ridge_omega2: float = 0.0,
-    s_mode: str = "private_recommended",
     row_bound_override: float | None = None,
     seed=None,
     zero_noise: bool = False,
@@ -64,22 +56,27 @@ def run_knockoff_filter(
     statistics directly, ``"1"`` routes them through the noisy
     (Gram, feature-response) pair, ``"2"`` through the noisy coefficient
     vector.  Private methods need a ``budget`` and an ``oracle`` carrying the
-    bounds on ||beta|| and sigma^2.
+    bounds on ||beta|| and sigma^2.  ``lam > 0`` selects the lasso, which
+    takes no ridge term and does not apply to method ``"2"``'s released
+    ridge/OLS vector; asking for either raises :class:`PreconditionViolated`.
+    The decorrelation s is lambda_min(S'), the choice the calibration's
+    gamma = 2*lambda_max(S') - lambda_min(S') assumes.
     """
     method = str(method)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "2" and lam != 0.0:
+        raise PreconditionViolated(
+            "method 2 releases the ridge/OLS estimate; a lasso penalty does not apply"
+        )
     spectrum = gram_spectrum(dataset)
-    s = choose_s(spectrum, s_mode)
-    ks = knockoff_summary(dataset, s, spectrum)
+    ks = knockoff_summary(dataset, spectrum.lambda_min, spectrum)
 
     release = None
     bounds = None
     ctx = None
     if method == "none":
-        kind = "nonprivate_lasso" if lam > 0 else "nonprivate_ols"
-        source = EstimateSource(kind=kind, lam=lam, ridge_omega2=ridge_omega2)
-        estimate = estimate_coefficients(ks.gram_g, ks.crossprod, source)
+        estimate = estimate_coefficients(ks.gram_g, ks.crossprod, lam, ridge_omega2)
     else:
         if budget is None or oracle is None:
             raise BudgetInvalid("private methods need a privacy budget and a model oracle")
@@ -89,16 +86,14 @@ def run_knockoff_filter(
         )
         if method == "1":
             release = release_pair(ks, ctx, budget, seed=seed, zero_noise=zero_noise)
-            source = EstimateSource(kind="pair", lam=lam, ridge_omega2=ridge_omega2, release=release)
             estimate = estimate_coefficients(
-                release.gram_noisy, release.crossprod_noisy, source
+                release.gram_noisy, release.crossprod_noisy, lam, ridge_omega2
             )
         else:
             release = release_estimate(
                 ks, ctx, budget, ridge_omega2=ridge_omega2, seed=seed, zero_noise=zero_noise
             )
-            source = EstimateSource(kind="estimate", release=release)
-            estimate = estimate_coefficients(None, None, source)
+            estimate = release.estimate_noisy
 
     w = compute_statistics(estimate, stat)
     report = knockoff_threshold(w, q)

@@ -13,12 +13,17 @@ eta^2 = B^2/(C_min^2 - B^2), a Gaussian-norm concentration constant zeta,
 and the spectral spread gamma = 2*lambda_max(S') - lambda_min(S').  Because
 the sensitivities depend on the observed data, the guarantee is local: the
 noise is calibrated at the dataset at hand, not over all possible datasets.
+
+:func:`calibrate` is the one place a sensitivity meets its (eps, delta)
+knobs.  It returns the noise-scale record both releases draw from and carry
+as ``PrivateRelease.noise_scales``; ``dpknockoff calibrate`` prints from the
+same record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,16 +100,13 @@ class PrivacyBudget:
             if v is not None and v <= 0.0:
                 raise BudgetInvalid(f"{name} must be strictly positive, got {v}")
 
-    def require_pair_release(self) -> None:
+    def pair_release_totals(self) -> tuple[float, float]:
         missing = [n for n in ("eps_1", "eps_2", "delta") if getattr(self, n) is None]
         if missing:
             raise BudgetInvalid(
                 f"pair release needs eps, eps_1, eps_2, delta, delta_1, delta_2; "
                 f"missing {', '.join(missing)}"
             )
-
-    def pair_release_totals(self) -> tuple[float, float]:
-        self.require_pair_release()
         return (self.eps + self.eps_1 + self.eps_2, self.delta + self.delta_1 + self.delta_2)
 
     def estimate_release_totals(self) -> tuple[float, float]:
@@ -327,30 +329,71 @@ def estimate_sensitivity(ctx: SensitivityContext, ridge_omega2: float = 0.0) -> 
 
 
 # ---------------------------------------------------------------------------
-# Releases
+# Calibration and releases
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructuredGramNoise:
-    """Noise term added to the augmented Gram.
+def gram_noise_scales(ctx: SensitivityContext, budget: PrivacyBudget):
+    """(theta_1 Laplace scale, kappa_1^2 Gaussian variance) of the Gram noise.
 
-    ``assembled_E`` is theta_1 on the two off-diagonal identity blocks plus
-    the symmetric zero-diagonal block theta_2 tiled into all four blocks;
-    that layout matches which Gram entries a single row change can move, and
-    it is invariant in distribution under any original/knockoff column swap.
+    theta_1 is calibrated from the lambda_min sensitivity at eps_1 and
+    kappa_1^2 from the Frobenius sensitivity at (eps_2, delta); each is None
+    while its budget knobs are unset.
     """
+    lam_sens, frob_sens = gram_sensitivities(ctx)
+    theta1_scale = None if budget.eps_1 is None else laplace_scale(lam_sens, budget.eps_1)
+    kappa1_sq = None
+    if budget.eps_2 is not None and budget.delta is not None:
+        kappa1_sq = gaussian_scale(frob_sens, budget.eps_2, budget.delta)
+    return theta1_scale, kappa1_sq
 
-    theta_1: float
-    theta_2: np.ndarray
-    assembled_E: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "assembled_E", assemble_gram_noise(self.theta_1, self.theta_2))
+def calibrate(
+    ctx: SensitivityContext, budget: PrivacyBudget, method: str, ridge_omega2: float = 0.0
+) -> dict:
+    """Noise-scale record of a method ``"1"`` (pair) or ``"2"`` (estimate) release.
+
+    Every scale pairs one sensitivity with its budget knobs: for the pair
+    release theta_1 and kappa_1^2 from :func:`gram_noise_scales` and kappa_2^2
+    from :func:`pair_crossprod_sensitivity` at (eps, delta_1); for the
+    estimate release kappa^2 from :func:`estimate_sensitivity` at
+    (eps, delta_1).  The record ends with the release's total cost.
+    """
+    if method == "1":
+        totals = budget.pair_release_totals()  # raises unless every pair knob is set
+        lam_sens, frob_sens = gram_sensitivities(ctx)
+        theta1_scale, kappa1_sq = gram_noise_scales(ctx, budget)
+        cross_sens = pair_crossprod_sensitivity(ctx)
+        scales = {
+            "theta1_scale": theta1_scale,
+            "kappa1_sq": kappa1_sq,
+            "kappa2_sq": gaussian_scale(cross_sens, budget.eps, budget.delta_1),
+            "lambda_min_sensitivity": lam_sens,
+            "gram_frobenius_sensitivity": frob_sens,
+            "crossprod_sensitivity": cross_sens,
+        }
+    elif method == "2":
+        totals = budget.estimate_release_totals()
+        sens = estimate_sensitivity(ctx, ridge_omega2)
+        scales = {
+            "kappa_sq": gaussian_scale(sens, budget.eps, budget.delta_1),
+            "estimate_sensitivity": sens,
+            "ridge_omega2": ridge_omega2,
+        }
+    else:
+        raise ValueError(f"unknown release method {method!r}; expected '1' or '2'")
+    scales["eps_total"], scales["delta_total"] = totals
+    return scales
 
 
 def assemble_gram_noise(theta_1: float, theta_2: np.ndarray) -> np.ndarray:
-    """E = theta_1 * [[0, I], [I, 0]] + [[1, 1], [1, 1]] (x) theta_2."""
+    """E = theta_1 * [[0, I], [I, 0]] + [[1, 1], [1, 1]] (x) theta_2.
+
+    theta_1 sits on the two off-diagonal identity blocks and the symmetric
+    zero-diagonal block theta_2 is tiled into all four blocks; that layout
+    matches which Gram entries a single row change can move, and it is
+    invariant in distribution under any original/knockoff column swap.
+    """
     p = theta_2.shape[0]
     e = np.tile(theta_2, (2, 2))
     idx = np.arange(p)
@@ -361,11 +404,12 @@ def assemble_gram_noise(theta_1: float, theta_2: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrivateRelease:
-    """A released private quantity plus a record of every scale used.
+    """A released private quantity plus its noise-scale record.
 
     ``kind`` is ``"pair"`` (noisy Gram matrix and noisy feature-response
     product) or ``"estimate"`` (noisy coefficient vector); only the matching
-    payload fields are populated.
+    payload fields are populated.  ``noise_scales`` is the record
+    :func:`calibrate` returns.
     """
 
     kind: str
@@ -376,9 +420,7 @@ class PrivateRelease:
     estimate_noisy: np.ndarray | None = None
 
     def total_privacy(self) -> tuple[float, float]:
-        if self.kind == "pair":
-            return self.budget.pair_release_totals()
-        return self.budget.estimate_release_totals()
+        return self.noise_scales["eps_total"], self.noise_scales["delta_total"]
 
 
 def release_pair(
@@ -391,48 +433,33 @@ def release_pair(
     """Release a perturbed (augmented Gram, feature-response product) pair.
 
     Both are read from ``ks``.  The Gram perturbation is
-    theta_1 ~ Laplace(lambda_min sensitivity / eps_1) on the off-diagonal
-    identity blocks plus a symmetric Gaussian block with upper-triangle
-    variance kappa_1^2 calibrated from the Frobenius sensitivity at
-    (eps_2, delta).  The product perturbation is i.i.d.
-    Gaussian with variance kappa_2^2 calibrated from
-    :func:`pair_crossprod_sensitivity` at (eps, delta_1).  Any statistic
-    computed from the released pair costs
-    (eps + eps_1 + eps_2, delta + delta_1 + delta_2) in total.
+    theta_1 ~ Laplace(theta1_scale) on the off-diagonal identity blocks plus
+    a symmetric Gaussian block with upper-triangle variance kappa_1^2; the
+    product perturbation is i.i.d. Gaussian with variance kappa_2^2.  The
+    scales come from :func:`calibrate`.  Any statistic computed from the
+    released pair costs (eps + eps_1 + eps_2, delta + delta_1 + delta_2) in
+    total.
 
     ``zero_noise`` forces every scale to zero (testing only; no privacy).
     """
-    budget.require_pair_release()
-    lam_sens, frob_sens = gram_sensitivities(ctx)
-    theta1_scale = laplace_scale(lam_sens, budget.eps_1)
-    kappa1_sq = gaussian_scale(frob_sens, budget.eps_2, budget.delta)
-    cross_sens = pair_crossprod_sensitivity(ctx)
-    kappa2_sq = gaussian_scale(cross_sens, budget.eps, budget.delta_1)
+    scales = calibrate(ctx, budget, "1")
     if zero_noise:
-        theta1_scale = kappa1_sq = kappa2_sq = 0.0
+        scales.update(theta1_scale=0.0, kappa1_sq=0.0, kappa2_sq=0.0)
 
     p = ks.p
-    theta_1 = float(sample_laplace_vector(1, theta1_scale, _substream(seed, _LABEL_THETA1))[0])
-    theta_2 = sample_symmetric_offdiag_gaussian(p, kappa1_sq, _substream(seed, _LABEL_THETA2))
-    noise = StructuredGramNoise(theta_1=theta_1, theta_2=theta_2)
-    e_vec = sample_gaussian_vector(2 * p, kappa2_sq, _substream(seed, _LABEL_VECTOR))
-
-    eps_total, delta_total = budget.pair_release_totals()
+    theta_1 = float(
+        sample_laplace_vector(1, scales["theta1_scale"], _substream(seed, _LABEL_THETA1))[0]
+    )
+    theta_2 = sample_symmetric_offdiag_gaussian(
+        p, scales["kappa1_sq"], _substream(seed, _LABEL_THETA2)
+    )
+    e_vec = sample_gaussian_vector(2 * p, scales["kappa2_sq"], _substream(seed, _LABEL_VECTOR))
     return PrivateRelease(
         kind="pair",
         budget=budget,
-        gram_noisy=ks.gram_g + noise.assembled_E,
+        gram_noisy=ks.gram_g + assemble_gram_noise(theta_1, theta_2),
         crossprod_noisy=ks.crossprod + e_vec,
-        noise_scales={
-            "theta1_scale": theta1_scale,
-            "kappa1_sq": kappa1_sq,
-            "kappa2_sq": kappa2_sq,
-            "lambda_min_sensitivity": lam_sens,
-            "gram_frobenius_sensitivity": frob_sens,
-            "crossprod_sensitivity": cross_sens,
-            "eps_total": eps_total,
-            "delta_total": delta_total,
-        },
+        noise_scales=scales,
     )
 
 
@@ -447,17 +474,15 @@ def release_estimate(
     """Release a perturbed ridge/OLS coefficient vector on the augmented design.
 
     Solves (G + omega^2 I) b = [X' Xt]^T y, both read from ``ks``, and adds
-    i.i.d. Gaussian noise with variance kappa^2 calibrated from
-    :func:`estimate_sensitivity` at (eps, delta_1); delta_2 is consumed by
-    the concentration event inside the sensitivity bound, for a total cost
-    of (eps, delta_1 + delta_2).
+    i.i.d. Gaussian noise with variance kappa^2 from :func:`calibrate`;
+    delta_2 is consumed by the concentration event inside the sensitivity
+    bound, for a total cost of (eps, delta_1 + delta_2).
 
     ``zero_noise`` forces the scale to zero (testing only; no privacy).
     """
-    sens = estimate_sensitivity(ctx, ridge_omega2)
-    kappa_sq = gaussian_scale(sens, budget.eps, budget.delta_1)
+    scales = calibrate(ctx, budget, "2", ridge_omega2)
     if zero_noise:
-        kappa_sq = 0.0
+        scales["kappa_sq"] = 0.0
 
     p = ks.p
     gram = ks.gram_g if ridge_omega2 == 0.0 else ks.gram_g + ridge_omega2 * np.eye(2 * p)
@@ -465,18 +490,10 @@ def release_estimate(
         estimate = np.linalg.solve(gram, ks.crossprod)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("augmented Gram (plus ridge) is numerically singular") from exc
-    e_vec = sample_gaussian_vector(2 * p, kappa_sq, _substream(seed, _LABEL_VECTOR))
-
-    eps_total, delta_total = budget.estimate_release_totals()
+    e_vec = sample_gaussian_vector(2 * p, scales["kappa_sq"], _substream(seed, _LABEL_VECTOR))
     return PrivateRelease(
         kind="estimate",
         budget=budget,
         estimate_noisy=estimate + e_vec,
-        noise_scales={
-            "kappa_sq": kappa_sq,
-            "estimate_sensitivity": sens,
-            "ridge_omega2": ridge_omega2,
-            "eps_total": eps_total,
-            "delta_total": delta_total,
-        },
+        noise_scales=scales,
     )

@@ -5,6 +5,10 @@ into p statistics W, one per original feature, by comparing each coefficient
 against its knockoff counterpart.  Positive W favors the original column;
 the sign pattern of null statistics is i.i.d. symmetric, which is what makes
 the thresholding rule control the false discovery rate.
+
+The coefficient vector comes from :func:`estimate_coefficients` (OLS, ridge
+or the Gram-form lasso on a possibly noisy Gram and product) or, for the
+estimate release, is the released vector itself.
 """
 
 from __future__ import annotations
@@ -16,47 +20,11 @@ import numpy as np
 from .design import ModelOracle, NormalizedDesign
 from .errors import MissingTruth, NonConvergence, PreconditionViolated, SingularSystem
 from .knockoffs import AugmentedDesign, GramSpectrum
-from .privacy import PrivateRelease
 
 STATISTIC_KINDS = ("lcd", "csm")
 
 LASSO_MAX_SWEEPS = 100_000
 LASSO_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class EstimateSource:
-    """How the length-2p coefficient vector is obtained.
-
-    kind is one of:
-
-    * ``"nonprivate_ols"``   -- solve (gram + ridge) b = crossprod
-    * ``"nonprivate_lasso"`` -- l1-penalized Gram-form coordinate descent
-    * ``"pair"``             -- same solvers applied to a released noisy pair
-    * ``"estimate"``         -- released noisy coefficient vector used as-is
-
-    A noisy Gram matrix can be indefinite; by default it is used as-is, so
-    the statistics stay a pure function of the released pair.
-    ``repair_indefinite`` clips its eigenvalues to a small positive floor
-    first (off by default).
-    """
-
-    kind: str
-    lam: float = 0.0
-    ridge_omega2: float = 0.0
-    release: PrivateRelease | None = None
-    repair_indefinite: bool = False
-
-    def __post_init__(self):
-        if self.kind not in ("nonprivate_ols", "nonprivate_lasso", "pair", "estimate"):
-            raise ValueError(f"unknown estimate source kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError("lasso penalty must be nonnegative")
-        if self.ridge_omega2 < 0:
-            raise ValueError("ridge term must be nonnegative")
-        if self.kind in ("pair", "estimate"):
-            if self.release is None or self.release.kind != self.kind:
-                raise ValueError(f"source kind {self.kind!r} needs a matching release")
 
 
 @dataclass(frozen=True)
@@ -99,13 +67,6 @@ def _soft_threshold(z: float, t: float) -> float:
     return 0.0
 
 
-def _clip_eigenvalues(a: np.ndarray, rel_floor: float = 1e-8) -> np.ndarray:
-    """Push eigenvalues below a small positive floor up to it."""
-    evals, vecs = np.linalg.eigh((a + a.T) / 2.0)
-    floor = rel_floor * max(float(np.abs(evals).max()), 1.0)
-    return (vecs * np.maximum(evals, floor)) @ vecs.T
-
-
 def _lasso_gram_cd(gram, crossprod, lam, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWEEPS):
     """Minimize b^T A b - 2 c^T b + lam * ||b||_1 by cyclic coordinate descent.
 
@@ -143,32 +104,33 @@ def _lasso_gram_cd(gram, crossprod, lam, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWE
     )
 
 
-def estimate_coefficients(gram, crossprod, source: EstimateSource, tol=LASSO_TOL) -> np.ndarray:
-    """Produce the length-2p coefficient vector described by ``source``.
+def estimate_coefficients(
+    gram, crossprod, lam: float = 0.0, ridge_omega2: float = 0.0, tol=LASSO_TOL
+) -> np.ndarray:
+    """Length-2p coefficient vector from a (possibly noisy) Gram and product.
 
-    For the solver-based kinds, ``gram`` and ``crossprod`` are the (possibly
-    noisy) inputs; pass the released pair for kind ``"pair"``, or leave them
-    ``None`` to pull the pair from the release.  Kind ``"estimate"`` ignores
-    both and returns the released vector.
+    With ``lam > 0`` this is the Gram-form lasso; otherwise it solves
+    (gram + ridge_omega2 * I) b = crossprod.  The lasso has no ridge term,
+    so asking for both raises :class:`PreconditionViolated`.  A noisy Gram
+    is used as-is, indefinite or not, so the estimate stays a pure function
+    of the released pair.
     """
-    if source.kind == "estimate":
-        return np.asarray(source.release.estimate_noisy, dtype=float)
-    if source.kind == "pair" and gram is None and crossprod is None:
-        gram = source.release.gram_noisy
-        crossprod = source.release.crossprod_noisy
+    if lam < 0:
+        raise ValueError("lasso penalty must be nonnegative")
+    if ridge_omega2 < 0:
+        raise ValueError("ridge term must be nonnegative")
+    if lam > 0 and ridge_omega2 > 0:
+        raise PreconditionViolated(
+            "the lasso path takes no ridge term; set either lam or ridge_omega2, not both"
+        )
     gram = np.asarray(gram, dtype=float)
     crossprod = np.asarray(crossprod, dtype=float).ravel()
-    if source.repair_indefinite:
-        gram = _clip_eigenvalues(gram)
-
-    use_lasso = source.kind == "nonprivate_lasso" or (source.kind == "pair" and source.lam > 0)
-    if use_lasso:
-        return _lasso_gram_cd(gram, crossprod, source.lam, tol=tol)
-    a = gram
-    if source.ridge_omega2 > 0:
-        a = gram + source.ridge_omega2 * np.eye(gram.shape[0])
+    if lam > 0:
+        return _lasso_gram_cd(gram, crossprod, lam, tol=tol)
+    if ridge_omega2 > 0:
+        gram = gram + ridge_omega2 * np.eye(gram.shape[0])
     try:
-        return np.linalg.solve(a, crossprod)
+        return np.linalg.solve(gram, crossprod)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("estimation system is numerically singular") from exc
 
@@ -242,18 +204,7 @@ def swap_columns_test(ad: AugmentedDesign, f: SwapSet) -> AugmentedDesign:
     kn = ad.knockoff.copy()
     x[:, idx], kn[:, idx] = kn[:, idx].copy(), x[:, idx].copy()
     nd = NormalizedDesign(x_prime=x, normalizer_d=ad.design.normalizer_d, source=ad.design.source)
-    spectrum = GramSpectrum.from_gram(x.T @ x)
-    xtk = x.T @ kn
-    ktk = kn.T @ kn
-    ktk = (ktk + ktk.T) / 2.0
-    gram = np.block([[spectrum.sigma_prime, xtk], [xtk.T, ktk]])
-    return AugmentedDesign(
-        design=nd,
-        knockoff=kn,
-        s_value=ad.s_value,
-        gram_g=gram,
-        spectrum=spectrum,
-    )
+    return AugmentedDesign.assemble(nd, kn, ad.s_value, GramSpectrum.from_gram(x.T @ x))
 
 
 def evaluate_selection(report: SelectionReport, truth: ModelOracle) -> tuple[float, float]:

@@ -14,7 +14,6 @@ from scipy.stats import binomtest
 
 from dpknockoff import (
     Dataset,
-    EstimateSource,
     ModelOracle,
     NormBounds,
     GramSpectrum,
@@ -213,16 +212,16 @@ def test_criterion_05_antisymmetry():
         )
 
     sources = {
-        "ols": EstimateSource(kind="nonprivate_ols"),
-        "lasso": EstimateSource(kind="nonprivate_lasso", lam=0.1),
+        "ols": {},
+        "lasso": {"lam": 0.1},
     }
     for idx in swap_sets:
         swapped = swap_columns_test(ad, SwapSet(frozenset(idx)))
         for kind in ("lcd", "csm"):
             for source in sources.values():
-                est = estimate_coefficients(ad.gram_g, ad.crossprod(y), source, tol=1e-14)
+                est = estimate_coefficients(ad.gram_g, ad.crossprod(y), **source, tol=1e-14)
                 est_sw = estimate_coefficients(
-                    swapped.gram_g, swapped.crossprod(y), source, tol=1e-14
+                    swapped.gram_g, swapped.crossprod(y), **source, tol=1e-14
                 )
                 check(compute_statistics(est, kind).w, compute_statistics(est_sw, kind).w, idx)
 
@@ -430,7 +429,7 @@ def test_criterion_09_lasso_grid():
         c = rng.uniform(-3.0, 3.0, size=2)
         lam = float(rng.uniform(0.05, 2.0))
         a = np.eye(2)
-        est = estimate_coefficients(a, c, EstimateSource(kind="nonprivate_lasso", lam=lam))
+        est = estimate_coefficients(a, c, lam=lam)
         # closed-form soft threshold at lam/2 on an orthogonal design
         closed = np.sign(c) * np.maximum(np.abs(c) - lam / 2.0, 0.0)
         soft_ok = soft_ok and np.max(np.abs(est - closed)) <= 1e-10

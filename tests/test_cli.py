@@ -68,6 +68,72 @@ def test_calibrate_method2_totals(capsys, data_files):
     assert record["kappa2_sq_or_kappa_sq"] > 0
 
 
+PAIR_BUDGET = [
+    "--eps", "0.1", "--eps1", "0.05", "--eps2", "0.05",
+    "--delta", "0.02", "--delta1", "0.02", "--delta2", "0.02",
+]
+ESTIMATE_BUDGET = ["--eps", "0.2", "--delta1", "0.02", "--delta2", "0.02"]
+
+
+@pytest.mark.parametrize("method, budget, ridge, pairs", [
+    ("1", PAIR_BUDGET, "0", {
+        "theta1_scale": "theta1_scale",
+        "kappa1_sq": "kappa1_sq",
+        "kappa2_sq_or_kappa_sq": "kappa2_sq",
+        "lambda_min_sens": "lambda_min_sensitivity",
+        "gram_frob_sens": "gram_frobenius_sensitivity",
+        "method1_sensitivity": "crossprod_sensitivity",
+    }),
+    ("2", ESTIMATE_BUDGET, "0.5", {
+        "kappa2_sq_or_kappa_sq": "kappa_sq",
+        "method2_sensitivity": "estimate_sensitivity",
+    }),
+])
+def test_calibrate_agrees_with_run(capsys, data_files, method, budget, ridge, pairs):
+    xp, yp, bnorm = data_files
+    common = [
+        "--x", xp, "--y", yp, "--method", method, "--ridge", ridge, *budget,
+        "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0",
+    ]
+    code_cal, out_cal = _run_cli(capsys, ["calibrate", *common])
+    code_run, out_run = _run_cli(capsys, ["run", *common, "--seed", "3"])
+    assert code_cal == code_run == 0
+    cal, scales = json.loads(out_cal), json.loads(out_run)["noise_scales"]
+    for cal_key, run_key in pairs.items():
+        assert cal[cal_key] == scales[run_key], cal_key
+    assert (cal["total_eps"], cal["total_delta"]) == (scales["eps_total"], scales["delta_total"])
+
+
+def test_calibrate_method2_failed_precondition_prints_nulls(capsys, data_files):
+    # B = 12 against C_min ~ 16 gives eta^2 > 1: no finite estimate calibration
+    xp, yp, bnorm = data_files
+    code, out = _run_cli(capsys, [
+        "calibrate", "--x", xp, "--y", yp, "--method", "2", "--row-bound", "12",
+        *ESTIMATE_BUDGET, "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0",
+    ])
+    assert code == 0
+    record = json.loads(out)
+    assert record["eta2"] > 1.0
+    assert record["method2_sensitivity"] is None
+    assert record["kappa2_sq_or_kappa_sq"] is None
+    assert record["total_eps"] == pytest.approx(0.2)
+    assert record["total_delta"] == pytest.approx(0.04)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--method", "2", *ESTIMATE_BUDGET, "--lambda", "0.5"],
+    ["--method", "none", "--lambda", "0.5", "--ridge", "0.5"],
+])
+def test_run_refuses_ignored_knobs(capsys, data_files, extra):
+    xp, yp, bnorm = data_files
+    code = main([
+        "run", "--x", xp, "--y", yp, *extra,
+        "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_nonprivate(capsys, data_files):
     xp, yp, _ = data_files
     code, out = _run_cli(capsys, [

@@ -13,13 +13,14 @@ from dpknockoff import (
     NormBounds,
     PrivacyBudget,
     PrivacyPreconditionFailed,
-    StructuredGramNoise,
     assemble_gram_noise,
     build_sensitivity_context,
+    calibrate,
     compute_bounds,
     delta2_floor,
     estimate_sensitivity,
     gaussian_scale,
+    gram_noise_scales,
     gram_sensitivities,
     gram_spectrum,
     knockoff_summary,
@@ -320,8 +321,6 @@ def test_assembled_noise_structure():
     assert np.array_equal(e[p:, p:], theta_2)
     assert np.array_equal(e[:p, p:] - theta_1 * np.eye(p), theta_2)
     assert np.array_equal(assemble_gram_noise(0.0, np.zeros((p, p))), np.zeros((2 * p, 2 * p)))
-    noise = StructuredGramNoise(theta_1=theta_1, theta_2=theta_2)
-    assert np.array_equal(noise.assembled_E, e)
 
 
 def _release_inputs(n=200, p=10, seed=21):
@@ -433,3 +432,30 @@ def test_inconsistent_context_is_rejected():
     object.__setattr__(ctx, "eta2", 0.5)
     with pytest.raises(BoundViolation):
         pair_crossprod_sensitivity(ctx)
+
+
+def test_releases_carry_the_calibration_record():
+    ks, ctx, budget = _release_inputs()
+    assert release_pair(ks, ctx, budget, seed=3).noise_scales == calibrate(ctx, budget, "1")
+    rel = release_estimate(ks, ctx, budget, ridge_omega2=0.5, seed=5)
+    assert rel.noise_scales == calibrate(ctx, budget, "2", 0.5)
+    assert list(rel.noise_scales) == [
+        "kappa_sq", "estimate_sensitivity", "ridge_omega2", "eps_total", "delta_total"
+    ]
+    # zero noise zeroes the scales and keeps the sensitivities and totals
+    zeroed = release_pair(ks, ctx, budget, seed=3, zero_noise=True).noise_scales
+    full = calibrate(ctx, budget, "1")
+    assert zeroed == dict(full, theta1_scale=0.0, kappa1_sq=0.0, kappa2_sq=0.0)
+    with pytest.raises(ValueError):
+        calibrate(ctx, budget, "none")
+
+
+def test_gram_noise_scales_need_their_knobs():
+    _, ctx, budget = _release_inputs()
+    theta1, kappa1 = gram_noise_scales(ctx, budget)
+    record = calibrate(ctx, budget, "1")
+    assert (theta1, kappa1) == (record["theta1_scale"], record["kappa1_sq"])
+    only_eps1 = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05, eps_1=0.2, eps_2=0.2)
+    assert gram_noise_scales(ctx, only_eps1) == (theta1, None)
+    bare = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05)
+    assert gram_noise_scales(ctx, bare) == (None, None)

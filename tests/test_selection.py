@@ -3,11 +3,11 @@ import pytest
 
 from dpknockoff import (
     Dataset,
-    EstimateSource,
     GramSpectrum,
     MissingTruth,
     ModelOracle,
     NonConvergence,
+    PrivacyBudget,
     PreconditionViolated,
     SingularSystem,
     StatisticVector,
@@ -16,18 +16,14 @@ from dpknockoff import (
     compute_statistics,
     estimate_coefficients,
     evaluate_selection,
+    gram_spectrum,
     knockoff_threshold,
     normalize_columns,
     run_knockoff_filter,
     swap_columns_test,
 )
 from dpknockoff import pipeline
-
-OLS = EstimateSource(kind="nonprivate_ols")
-
-
-def _lasso(lam):
-    return EstimateSource(kind="nonprivate_lasso", lam=lam)
+from dpknockoff.selection import _lasso_gram_cd
 
 
 def _gram_objective(a, c, lam, b):
@@ -40,23 +36,22 @@ def _gram_objective(a, c, lam, b):
 
 
 def test_ols_diagonal_solve():
-    est = estimate_coefficients(2.0 * np.eye(2), np.array([2.0, 4.0]), OLS)
+    est = estimate_coefficients(2.0 * np.eye(2), np.array([2.0, 4.0]))
     assert np.allclose(est, [1.0, 2.0])
 
 
 def test_ols_singular_system():
     with pytest.raises(SingularSystem):
-        estimate_coefficients(np.zeros((2, 2)), np.array([1.0, 1.0]), OLS)
+        estimate_coefficients(np.zeros((2, 2)), np.array([1.0, 1.0]))
 
 
 def test_ridge_shifts_diagonal():
-    src = EstimateSource(kind="nonprivate_ols", ridge_omega2=1.0)
-    est = estimate_coefficients(np.eye(2), np.array([2.0, 4.0]), src)
+    est = estimate_coefficients(np.eye(2), np.array([2.0, 4.0]), ridge_omega2=1.0)
     assert np.allclose(est, [1.0, 2.0])
 
 
 def test_lasso_orthogonal_soft_threshold():
-    est = estimate_coefficients(np.eye(2), np.array([3.0, -0.2]), _lasso(1.0))
+    est = estimate_coefficients(np.eye(2), np.array([3.0, -0.2]), lam=1.0)
     assert np.allclose(est, [2.5, 0.0])
 
 
@@ -66,8 +61,8 @@ def test_lasso_zero_penalty_matches_ols():
         a = rng.standard_normal((6, 6))
         a = a @ a.T + 6 * np.eye(6)  # well conditioned
         c = rng.standard_normal(6)
-        ols = estimate_coefficients(a, c, OLS)
-        lasso = estimate_coefficients(a, c, _lasso(0.0))
+        ols = estimate_coefficients(a, c)
+        lasso = _lasso_gram_cd(a, c, 0.0)  # the solver itself; lam = 0 routes to OLS
         assert np.max(np.abs(ols - lasso)) <= 1e-6
 
 
@@ -91,7 +86,7 @@ def test_lasso_matches_bruteforce_grid():
         (np.array([[1.0, 0.3], [0.3, 1.0]]), np.array([1.5, -0.7]), 0.4),
     ]
     for a, c, lam in cases:
-        est = estimate_coefficients(a, c, _lasso(lam))
+        est = estimate_coefficients(a, c, lam=lam)
         best = _grid_minimum(a, c, lam)
         assert _gram_objective(a, c, lam, est) <= best + 1e-4
 
@@ -100,31 +95,18 @@ def test_lasso_nonconvergence_on_divergent_objective():
     # indefinite coupling drives the cyclic updates to +/-inf
     a = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(NonConvergence):
-        estimate_coefficients(a, np.array([1.0, -1.0]), _lasso(0.1))
+        estimate_coefficients(a, np.array([1.0, -1.0]), lam=0.1)
 
 
-def test_estimate_source_validation():
+def test_estimate_coefficients_validation():
+    a, c = np.eye(2), np.array([1.0, 1.0])
     with pytest.raises(ValueError):
-        EstimateSource(kind="who knows")
+        estimate_coefficients(a, c, lam=-1.0)
     with pytest.raises(ValueError):
-        EstimateSource(kind="nonprivate_lasso", lam=-1.0)
-    with pytest.raises(ValueError):
-        EstimateSource(kind="pair")  # release missing
-
-
-def test_indefinite_repair_flag():
-    from dpknockoff.selection import _clip_eigenvalues
-
-    # indefinite matrix: eigenvalues 3 and -1
-    a = np.array([[1.0, 2.0], [2.0, 1.0]])
-    c = np.array([1.0, -1.0])
-    assert np.linalg.eigvalsh(_clip_eigenvalues(a))[0] > 0
-    src = EstimateSource(kind="nonprivate_ols", repair_indefinite=True)
-    est = estimate_coefficients(a, c, src)
-    assert np.all(np.isfinite(est))
-    # default leaves the matrix untouched (solution of the raw system)
-    raw = estimate_coefficients(a, c, OLS)
-    assert not np.allclose(raw, est)
+        estimate_coefficients(a, c, ridge_omega2=-1.0)
+    # the lasso has no ridge term, so the pair is refused rather than half-ignored
+    with pytest.raises(PreconditionViolated):
+        estimate_coefficients(a, c, lam=0.1, ridge_omega2=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +287,8 @@ def test_single_swap_flips_one_statistic(kind):
     ds, ad = _built_design()
     j = 1
     swapped = swap_columns_test(ad, SwapSet(frozenset({j})))
-    est = estimate_coefficients(ad.gram_g, ad.crossprod(ds.y), OLS)
-    est_sw = estimate_coefficients(swapped.gram_g, swapped.crossprod(ds.y), OLS)
+    est = estimate_coefficients(ad.gram_g, ad.crossprod(ds.y))
+    est_sw = estimate_coefficients(swapped.gram_g, swapped.crossprod(ds.y))
     w = compute_statistics(est, kind).w
     w_sw = compute_statistics(est_sw, kind).w
     flip = np.ones(ad.p)
@@ -362,6 +344,42 @@ def test_pipeline_rejects_unknown_method():
     ds = Dataset.from_arrays(rng.standard_normal((40, 4)), rng.standard_normal(40))
     with pytest.raises(ValueError):
         run_knockoff_filter(ds, q=0.2, method="3")
+
+
+def _private_filter_inputs():
+    rng = np.random.default_rng(14)
+    n, p = 400, 8
+    x = rng.standard_normal((n, p))
+    beta = np.zeros(p)
+    beta[:2] = 3.0
+    ds = Dataset.from_arrays(x, x @ beta + rng.standard_normal(n))
+    oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
+    budget = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05, eps_1=0.2, eps_2=0.2, delta=0.05)
+    return ds, oracle, budget
+
+
+@pytest.mark.parametrize("method", ["none", "1", "2"])
+def test_pipeline_uses_s_equal_lambda_min(method):
+    # the calibration's gamma = 2*lambda_max - lambda_min assumes s = lambda_min(S')
+    ds, oracle, budget = _private_filter_inputs()
+    result = run_knockoff_filter(ds, q=0.2, method=method, budget=budget, oracle=oracle, seed=1)
+    assert result.augmented.s_value == gram_spectrum(ds).lambda_min
+
+
+@pytest.mark.parametrize("method", ["none", "1"])
+def test_pipeline_rejects_lasso_with_ridge(method):
+    ds, oracle, budget = _private_filter_inputs()
+    with pytest.raises(PreconditionViolated, match="ridge"):
+        run_knockoff_filter(
+            ds, q=0.2, method=method, budget=budget, oracle=oracle, lam=0.5, ridge_omega2=0.5
+        )
+
+
+def test_pipeline_rejects_lasso_under_method_2():
+    # method 2 releases the ridge/OLS vector; a penalty would be silently dropped
+    ds, oracle, budget = _private_filter_inputs()
+    with pytest.raises(PreconditionViolated, match="method 2"):
+        run_knockoff_filter(ds, q=0.2, method="2", budget=budget, oracle=oracle, lam=0.5)
 
 
 def test_full_filter_selects_strong_signals():
