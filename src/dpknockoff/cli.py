@@ -40,6 +40,18 @@ from .simulate import (
 )
 
 
+def _nonnegative(text: str) -> float:
+    if not float(text) >= 0.0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return float(text)
+
+
+def _positive(text: str) -> float:
+    if not float(text) > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return float(text)
+
+
 def _add_data_flags(parser):
     parser.add_argument("--x", required=True, help="CSV file with the design matrix")
     parser.add_argument("--y", required=True, help="file with one response value per line")
@@ -57,8 +69,8 @@ def _add_budget_flags(parser):
     parser.add_argument("--delta", type=float, default=None)
     parser.add_argument("--delta1", type=float, default=None)
     parser.add_argument("--delta2", type=float, default=None)
-    parser.add_argument("--beta-norm-bound", type=float, default=None)
-    parser.add_argument("--sigma2-bound", type=float, default=None)
+    parser.add_argument("--beta-norm-bound", type=_nonnegative, default=None)
+    parser.add_argument("--sigma2-bound", type=_positive, default=None)
 
 
 def _budget_from_args(args) -> PrivacyBudget:
@@ -209,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(cal)
     _add_budget_flags(cal)
     cal.add_argument("--method", choices=("1", "2"), default="1")
-    cal.add_argument("--ridge", type=float, default=0.0)
+    cal.add_argument("--ridge", type=_nonnegative, default=0.0)
     cal.set_defaults(func=cmd_calibrate)
 
     run = sub.add_parser("run", help="run the knockoff filter once")
@@ -218,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", choices=("none", "1", "2"), default="none")
     run.add_argument("--stat", choices=("lcd", "csm"), default="lcd")
     run.add_argument("--q", type=float, default=0.2)
-    run.add_argument("--lambda", type=float, default=0.0, help="lasso penalty (0 = OLS)")
-    run.add_argument("--ridge", type=float, default=0.0, help="ridge term omega^2")
+    run.add_argument("--lambda", type=_nonnegative, default=0.0, help="lasso penalty (0 = OLS)")
+    run.add_argument("--ridge", type=_nonnegative, default=0.0, help="ridge term omega^2")
     run.add_argument("--seed", type=int, default=None)
     run.set_defaults(func=cmd_run)
 

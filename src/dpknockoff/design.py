@@ -46,8 +46,9 @@ class Dataset:
     @cached_property
     def gram(self) -> np.ndarray:
         """Raw Gram X^T X, symmetrized, computed once (read-only)."""
-        g = self.x.T @ self.x
-        g = (g + g.T) / 2.0  # kill asymmetric rounding
+        with np.errstate(over="ignore", invalid="ignore"):  # from_arrays refuses inf/nan
+            g = self.x.T @ self.x
+            g = (g + g.T) / 2.0  # kill asymmetric rounding
         g.setflags(write=False)
         return g
 
@@ -82,6 +83,8 @@ class Dataset:
                 "many samples as features"
             )
         dataset = cls(x=x, y=y, n=n, p=p)
+        if not np.all(np.isfinite(dataset.gram)):
+            raise InvalidDesign("X^T X overflows double precision; rescale the design columns")
         if np.any(dataset.col_norms < ZERO_COLUMN_TOL):
             bad = int(np.argmin(dataset.col_norms))
             raise InvalidDesign(

@@ -31,7 +31,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .design import Dataset, NormalizedDesign
 from .errors import InvalidDesign, KnockoffInfeasible, PreconditionViolated
@@ -238,20 +237,16 @@ def complement_basis(x_prime: np.ndarray, seed=None) -> np.ndarray:
     if n < 2 * p:
         raise KnockoffInfeasible(f"orthogonal complement basis needs n >= 2p, got n={n}, p={p}")
 
-    # projector onto col(x) via the Gram factorization (cheaper than a tall
-    # QR); fall back to an explicit orthonormal basis if the Gram is not PD
+    # orthonormal basis of col(x) from the Gram factorization, X' L^{-T}
+    # (cheaper than a tall QR); fall back to QR if the Gram is not PD
     gram = x_prime.T @ x_prime
     try:
-        cho = cho_factor((gram + gram.T) / 2.0, lower=True)
-
-        def project_off(w):
-            return w - x_prime @ cho_solve(cho, x_prime.T @ w)
-
+        q1 = x_prime @ _lower_inverse(np.linalg.cholesky((gram + gram.T) / 2.0)).T
     except np.linalg.LinAlgError:
         q1, _ = np.linalg.qr(x_prime)
 
-        def project_off(w):
-            return w - q1 @ (q1.T @ w)
+    def project_off(w):
+        return w - q1 @ (q1.T @ w)
 
     for attempt in range(2):
         if seed is None:
@@ -281,12 +276,12 @@ def _orthonormalize_tall(w: np.ndarray, rank_tol: float):
     for _ in range(2):
         gram = w.T @ w
         try:
-            r = np.linalg.cholesky((gram + gram.T) / 2.0).T
+            lower = np.linalg.cholesky((gram + gram.T) / 2.0)
         except np.linalg.LinAlgError:
             return None
-        if np.abs(np.diag(r)).min() <= rank_tol:
+        if np.abs(np.diag(lower)).min() <= rank_tol:
             return None
-        w = solve_triangular(r, w.T, lower=False, trans="T").T
+        w = w @ _lower_inverse(lower).T  # w R^{-1} with R = L^T
     return w
 
 
@@ -297,21 +292,29 @@ def _check_copy_request(n: int, p: int, s: float) -> None:
         raise PreconditionViolated(f"s must be nonnegative, got {s}")
 
 
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """L^{-1} for a lower Cholesky factor L of A, so A^{-1} = L^{-T} L^{-1}.
+
+    One solve on the factor serves every later product with A^{-1}.
+    """
+    return np.linalg.solve(lower, np.eye(lower.shape[0]))
+
+
 def _decorrelation(spectrum: GramSpectrum, s: float):
-    """Factor S' and return (its Cholesky factor, S'^{-1} sI, C).
+    """Factor S' and return (L^{-1} for its Cholesky factor L, S'^{-1} sI, C).
 
     C is upper triangular with C^T C equal to the Schur complement
     2sI - s^2 S'^{-1}.
     """
     p = spectrum.sigma_prime.shape[0]
     try:
-        cho = cho_factor(spectrum.sigma_prime, lower=True)
+        l_inv = _lower_inverse(np.linalg.cholesky(spectrum.sigma_prime))
     except np.linalg.LinAlgError as exc:
         raise InvalidDesign("normalized Gram matrix is not positive definite") from exc
-    sigma_inv_s = cho_solve(cho, s * np.eye(p))  # S'^{-1} * sI, via the factorization
+    sigma_inv_s = s * (l_inv.T @ l_inv)  # S'^{-1} * sI, via the factorization
     schur = 2.0 * s * np.eye(p) - s * sigma_inv_s
     schur = (schur + schur.T) / 2.0
-    return cho, sigma_inv_s, _cholesky_with_jitter(schur)
+    return l_inv, sigma_inv_s, _cholesky_with_jitter(schur)
 
 
 def build_knockoffs(
@@ -361,9 +364,9 @@ def knockoff_summary(d: Dataset, s: float, spectrum: GramSpectrum) -> KnockoffSu
     if s == 0.0:
         off, kty = sigma, xty
     else:
-        cho, sigma_inv_s, c_upper = _decorrelation(spectrum, s)
+        l_inv, sigma_inv_s, c_upper = _decorrelation(spectrum, s)
         off = sigma - s * np.eye(d.p)
-        kty = xty - sigma_inv_s.T @ xty + c_upper.T @ _complement_crossprod(d, xty, cho)
+        kty = xty - sigma_inv_s.T @ xty + c_upper.T @ _complement_crossprod(d, xty, l_inv)
     return KnockoffSummary(
         gram_g=np.block([[sigma, off], [off, sigma]]),
         crossprod=np.concatenate([xty, kty]),
@@ -372,26 +375,26 @@ def knockoff_summary(d: Dataset, s: float, spectrum: GramSpectrum) -> KnockoffSu
     )
 
 
-def _complement_crossprod(d: Dataset, xty, cho) -> np.ndarray:
+def _complement_crossprod(d: Dataset, xty, l_inv) -> np.ndarray:
     """U^T y for U = complement_basis(X'), from p x p algebra.
 
     With W the probe and R^T R = W^T (I - P) W, U^T y equals
-    R^{-T} W^T (I - P) y; ``cho`` factors S' = X'^T X', which defines P, and
-    ``xty`` is X'^T y.
+    R^{-T} W^T (I - P) y.  ``l_inv`` is L^{-1} for the Cholesky factor L of
+    S' = X'^T X', so P = Q Q^T with Q = X' L^{-T}, and ``xty`` is X'^T y.
     """
     n, p = d.n, d.p
-    sinv_xty = cho_solve(cho, xty)
+    qty = l_inv @ xty
     for attempt in range(2):
         w, wtw = _default_probe(n, p, attempt)
-        xtw = d.normalizer_d[:, None] * (d.x.T @ w)
-        resid = wtw - xtw.T @ cho_solve(cho, xtw)
+        qtw = l_inv @ (d.normalizer_d[:, None] * (d.x.T @ w))
+        resid = wtw - qtw.T @ qtw
         try:
-            r = np.linalg.cholesky((resid + resid.T) / 2.0).T
+            r_lower = np.linalg.cholesky((resid + resid.T) / 2.0)  # R^T
         except np.linalg.LinAlgError:
             continue
-        if np.abs(np.diag(r)).min() <= _rank_tol(n):
+        if np.abs(np.diag(r_lower)).min() <= _rank_tol(n):
             continue
-        return solve_triangular(r, w.T @ d.y - xtw.T @ sinv_xty, lower=False, trans="T")
+        return np.linalg.solve(r_lower, w.T @ d.y - qtw.T @ qty)
     raise KnockoffInfeasible("probe matrix fell inside the design column span twice")
 
 

@@ -36,12 +36,8 @@ DELTA_RULES = ("two_p_over_n", "fixed")
 # fail their privacy precondition.
 MAX_FAILURE_RATE = 0.05
 
-# Thread-count controls of the OpenBLAS copies bundled with numpy (64-bit
-# integer build) and with scipy; each copy runs its own thread pool.
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
+# Thread-count controls of the OpenBLAS bundled with numpy (the scipy-openblas64 build).
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 
 
 @dataclass(frozen=True)
@@ -213,7 +209,7 @@ def _trial_outcome(cfg: SimConfig, n: int, n_idx: int, t: int):
 
 @functools.cache
 def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each bundled OpenBLAS in this process.
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS in this process.
 
     Found through the libraries mapped into the process; empty where that
     listing or the symbols are absent.
@@ -231,19 +227,17 @@ def _blas_thread_controls() -> tuple:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            getter = getattr(lib, get_name, None)
-            setter = getattr(lib, set_name, None)
-            if getter is not None and setter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                controls.append((getter, setter))
+        getter, setter = (getattr(lib, name, None) for name in _BLAS_THREAD_SYMBOLS)
+        if getter is not None and setter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            controls.append((getter, setter))
     return tuple(controls)
 
 
 @contextlib.contextmanager
 def _single_blas_thread():
-    """Run the body with every bundled OpenBLAS on one thread, then restore."""
+    """Run the body with numpy's bundled OpenBLAS on one thread, then restore."""
     controls = _blas_thread_controls()
     previous = [getter() for getter, _ in controls]
     for _, setter in controls:
@@ -261,7 +255,7 @@ def run_sweep(cfg: SimConfig) -> SimulationReport:
     Trials run on a bounded thread pool; results are collected by trial
     index and aggregated in index order, so the report is a pure function of
     (cfg, base_seed) regardless of thread count.  Each trial runs its linear
-    algebra on one BLAS thread: the bundled OpenBLAS copies are pinned for
+    algebra on one BLAS thread: numpy's bundled OpenBLAS is pinned for
     the sweep's duration, whatever ``threads`` is, so trial threads do not
     oversubscribe the cores and every thread count computes the same bits.
     Trials whose privacy precondition fails are excluded from the means and

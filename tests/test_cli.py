@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dpknockoff
 from dpknockoff.cli import main
 
 
@@ -181,6 +185,57 @@ def test_run_missing_budget_is_cli_error(capsys, data_files):
     ])
     assert code == 2
     assert "required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("run", "--lambda", "-1"),
+    ("run", "--lambda", "nan"),
+    ("run", "--ridge", "-0.5"),
+    ("run", "--beta-norm-bound", "-1"),
+    ("run", "--sigma2-bound", "0"),
+    ("calibrate", "--ridge", "-1"),
+    ("calibrate", "--beta-norm-bound", "-1"),
+    ("calibrate", "--sigma2-bound", "-2"),
+])
+def test_out_of_range_knob_is_usage_error(capsys, data_files, command, flag, value):
+    xp, yp, _ = data_files
+    with pytest.raises(SystemExit) as info:
+        main([command, "--x", xp, "--y", yp, flag, value])
+    assert info.value.code == 2
+    assert f"error: argument {flag}: must be" in capsys.readouterr().err
+
+
+def test_overflowing_design_is_cli_error(tmp_path, capsys):
+    x = np.random.default_rng(3).standard_normal((200, 5))
+    x[:, 1] *= 1e160
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(xp, x, delimiter=",")
+    np.savetxt(yp, np.ones(200))
+    assert main(["run", "--x", str(xp), "--y", str(yp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err
+
+
+def test_run_loads_no_scipy(data_files):
+    # the package factors and solves on numpy's LAPACK; scipy must stay unloaded
+    xp, yp, bnorm = data_files
+    argv = ["run", "--x", xp, "--y", yp, "--method", "2", *ESTIMATE_BUDGET,
+            "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0", "--seed", "1"]
+    script = (
+        "import json, sys\n"
+        "import dpknockoff, dpknockoff.cli\n"
+        f"code = dpknockoff.cli.main({argv!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "sys.stderr.write(json.dumps({'code': code, 'scipy': loaded}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(dpknockoff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == {"code": 0, "scipy": []}
+    assert len(json.loads(proc.stdout)["statistics"]) == 12
 
 
 def test_simulate_end_to_end(tmp_path, capsys):

@@ -72,6 +72,14 @@ def test_from_arrays_rejects_nonfinite():
         Dataset.from_arrays(x, np.ones(6))
 
 
+def test_from_arrays_rejects_overflowing_gram():
+    # every entry is finite, but the scaled column's squared norm overflows
+    x = np.random.default_rng(2).standard_normal((200, 5))
+    x[:, 1] *= 1e160
+    with pytest.raises(InvalidDesign, match="overflows"):
+        Dataset.from_arrays(x, np.ones(200))
+
+
 def test_normalize_columns_hand_checked():
     # column norms are 5 and 2; the zero padding row keeps n >= 2p
     x = np.array([

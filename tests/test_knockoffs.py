@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from dpknockoff import (
     DPKnockoffError,
@@ -302,6 +303,107 @@ def test_knockoff_summary_rejects_indefinite_gram_like_reference():
         knockoff_summary(ds, 0.5, bad)
     with pytest.raises(PreconditionViolated):
         knockoff_summary(ds, -0.1, bad)
+
+
+# ---------------------------------------------------------------------------
+# numpy's Cholesky solves against scipy.linalg (test-only reference)
+# ---------------------------------------------------------------------------
+
+
+def _scipy_orthonormalize_tall(w):
+    """Two Cholesky-QR rounds on scipy's transposed triangular solve."""
+    for _ in range(2):
+        r = np.linalg.cholesky(w.T @ w).T
+        w = solve_triangular(r, w.T, lower=False, trans="T").T
+    return w
+
+
+def _scipy_complement_crossprod(ds, xty, sigma_prime):
+    """U^T y for the first default probe, solved with cho_solve/solve_triangular."""
+    cho = cho_factor(sigma_prime, lower=True)
+    w, wtw = _default_probe(ds.n, ds.p, 0)
+    xtw = ds.normalizer_d[:, None] * (ds.x.T @ w)
+    r = np.linalg.cholesky(wtw - xtw.T @ cho_solve(cho, xtw)).T
+    return solve_triangular(r, w.T @ ds.y - xtw.T @ cho_solve(cho, xty), lower=False, trans="T")
+
+
+def _scipy_complement_basis(x_prime):
+    """The default complement basis, projecting with cho_solve."""
+    cho = cho_factor(x_prime.T @ x_prime, lower=True)
+    w = _default_probe(*x_prime.shape, 0)[0]
+    for _ in range(2):
+        w = w - x_prime @ cho_solve(cho, x_prime.T @ w)
+    return _scipy_orthonormalize_tall(w)
+
+
+def _assert_solves_match_scipy(a, b, tol):
+    """S^{-1} b and L^{-1} b (R^{-T} b with R = L^T) through the inverse factor."""
+    lower = np.linalg.cholesky(a)
+    l_inv = knockoffs._lower_inverse(lower)
+    reference = cho_solve(cho_factor(a, lower=True), b)
+    assert _rel_gap(l_inv.T @ (l_inv @ b), reference) <= tol
+    assert _rel_gap(l_inv @ b, solve_triangular(lower.T, b, lower=False, trans="T")) <= tol
+
+
+@pytest.mark.parametrize("p", [2, 50])
+@pytest.mark.parametrize("rhs_cols", [None, 7])
+def test_lower_inverse_matches_scipy_well_conditioned(p, rhs_cols):
+    rng = np.random.default_rng((p, rhs_cols or 0))
+    z = rng.standard_normal((20 * p, p))
+    a = z.T @ z / (20 * p)  # cond(a) below about 3
+    b = rng.standard_normal(p if rhs_cols is None else (p, rhs_cols))
+    _assert_solves_match_scipy(a, b, 1e-12)
+
+    n = 4 * p
+    ds, spectrum = _design_and_response(rng.standard_normal((n, p)), p)
+    xty = ds.normalizer_d * (ds.x.T @ ds.y)
+    l_inv = knockoffs._lower_inverse(np.linalg.cholesky(spectrum.sigma_prime))
+    got = knockoffs._complement_crossprod(ds, xty, l_inv)
+    assert _rel_gap(got, _scipy_complement_crossprod(ds, xty, spectrum.sigma_prime)) <= 1e-12
+    w = rng.standard_normal((n, p))
+    got = knockoffs._orthonormalize_tall(w, knockoffs._rank_tol(n))
+    assert _rel_gap(got, _scipy_orthonormalize_tall(w)) <= 1e-12
+    x_prime = normalize_columns(ds).x_prime
+    assert _rel_gap(complement_basis(x_prime), _scipy_complement_basis(x_prime)) <= 1e-12
+
+
+@pytest.mark.parametrize("log_cond", [2, 4, 6, 8])
+def test_lower_inverse_matches_scipy_scaled_by_condition(log_cond):
+    p = 30
+    rng = np.random.default_rng(log_cond)
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    a = (q * np.logspace(0, -log_cond, p)) @ q.T
+    a = (a + a.T) / 2.0
+    # each side's forward error is O(p cond eps): the Cholesky solve is
+    # backward stable and the computed triangular inverse is accurate to that
+    tol = p * np.linalg.cond(a) * np.finfo(float).eps
+    for b in (rng.standard_normal(p), rng.standard_normal((p, 4))):
+        _assert_solves_match_scipy(a, b, tol)
+
+
+def test_non_positive_definite_gram_raises_invalid_design():
+    # unit diagonal like every S'; the leading 2 x 2 block is PD, the whole is not
+    bad = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    assert np.linalg.eigvalsh(bad)[0] < 0.0
+    spectrum = GramSpectrum(bad, 0.5, 2.0, float(np.linalg.norm(bad)))
+    ds, _ = _design_and_response(np.random.default_rng(27).standard_normal((40, 3)), 28)
+    with pytest.raises(InvalidDesign):
+        build_knockoffs(normalize_columns(ds), 0.5, spectrum=spectrum)
+    with pytest.raises(InvalidDesign):
+        knockoff_summary(ds, 0.5, spectrum)
+
+
+def test_orthonormalize_tall_refuses_rank_deficient_residual():
+    n, p = 200, 5
+    w = np.random.default_rng(29).standard_normal((n, p))
+    duplicate = w.copy()
+    duplicate[:, 4] = duplicate[:, 3]
+    tiny = w.copy()
+    tiny[:, 2] *= 1e-12  # its triangular diagonal falls below the rank tolerance
+    for bad in (duplicate, tiny):
+        assert knockoffs._orthonormalize_tall(bad, knockoffs._rank_tol(n)) is None
+    u = knockoffs._orthonormalize_tall(w, knockoffs._rank_tol(n))
+    assert np.allclose(u.T @ u, np.eye(p), atol=1e-12)
 
 
 def _filter_path(ds):
