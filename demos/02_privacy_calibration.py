@@ -9,20 +9,17 @@ dataset, the guarantee is local to this data.
 
 import numpy as np
 
-from dpknockoff import (
-    Dataset,
-    ModelOracle,
-    PrivacyBudget,
+from dpknockoff import Dataset, ModelOracle, PrivacyBudget
+from dpknockoff.design import compute_bounds
+from dpknockoff.knockoffs import gram_spectrum, raw_gram_frobenius
+from dpknockoff.privacy import (
     build_sensitivity_context,
-    compute_bounds,
     delta2_floor,
     estimate_sensitivity,
     gaussian_scale,
     gram_sensitivities,
-    gram_spectrum,
     laplace_scale,
     pair_crossprod_sensitivity,
-    raw_gram_frobenius,
 )
 
 rng = np.random.default_rng(7)

@@ -10,7 +10,8 @@ of false positives on average.
 
 import numpy as np
 
-from dpknockoff import Dataset, ModelOracle, PrivacyBudget, evaluate_selection, run_knockoff_filter
+from dpknockoff import Dataset, ModelOracle, PrivacyBudget, run_knockoff_filter
+from dpknockoff.selection import evaluate_selection
 
 rng = np.random.default_rng(11)
 n, p, k, amplitude = 60_000, 30, 8, 6.0

@@ -9,7 +9,8 @@ estimate release dominates the pair release.
 It runs in a few seconds on two cores.
 """
 
-from dpknockoff import SimConfig, run_sweep, write_plot_data, write_report
+from dpknockoff import SimConfig, run_sweep, write_report
+from dpknockoff.simulate import write_plot_data
 
 GRID = (1000, 8000, 32000)
 TRIALS = 40

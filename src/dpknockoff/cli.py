@@ -101,8 +101,7 @@ def _json_value(v):
 def cmd_calibrate(args) -> int:
     dataset = load_dataset(args.x, args.y, has_header=args.header)
     spectrum = gram_spectrum(dataset)
-    s = spectrum.lambda_min
-    g_max, g_min = closed_form_gram_eigenvalues(spectrum, s)
+    g_max, g_min = closed_form_gram_eigenvalues(spectrum)
     bounds = compute_bounds(dataset, args.row_bound)
     budget = _budget_from_args(args)
     oracle = _oracle_from_args(args)
@@ -129,7 +128,7 @@ def cmd_calibrate(args) -> int:
         "p": dataset.p,
         "lambda_min": spectrum.lambda_min,
         "lambda_max": spectrum.lambda_max,
-        "s": s,
+        "s": spectrum.lambda_min,
         "g_lambda_max": g_max,
         "g_lambda_min": g_min,
         "row_bound_B": bounds.row_bound_B,

@@ -1,4 +1,4 @@
-"""Regression design containers: ingestion, validation, and column normalization.
+"""Regression design containers: ingestion, validation and norm bounds.
 
 The knockoff construction and the privacy calibration both operate on a design
 matrix whose columns have been rescaled to unit l2 norm; the raw row/column
@@ -6,9 +6,8 @@ norms feed the data-dependent sensitivity bounds.  Normalization is the
 diagonal scaling X' = X D with D = diag(1/||x_j||), so everything the filter
 reads of X' follows from the raw Gram X^T X and raw products:
 S' = D (X^T X) D, X'^T v = D X^T v, and ||x_j|| = sqrt((X^T X)_jj).  The filter
-never forms X'; :func:`normalize_columns` builds it only for the explicit
-reference construction.  This module holds the data model for both views and
-the CSV ingestion path.
+never forms X'.  This module holds the raw data model, its cached summaries
+and the CSV ingestion path.
 """
 
 from __future__ import annotations
@@ -118,21 +117,6 @@ class NormBounds:
 
 
 @dataclass(frozen=True)
-class NormalizedDesign:
-    """Design with unit-l2 columns plus the diagonal rescaling that produced it.
-
-    ``normalizer_d`` holds the reciprocals of the raw column norms, i.e.
-    ``x_prime = x @ diag(normalizer_d)``.  Only the explicit reference path
-    (``build_knockoffs``, ``complement_basis``, ``swap_columns_test``) reads
-    one; the filter works from the raw :class:`Dataset`.
-    """
-
-    x_prime: np.ndarray
-    normalizer_d: np.ndarray
-    source: Dataset
-
-
-@dataclass(frozen=True)
 class ModelOracle:
     """Bounds on the unknown model parameters, plus optional ground truth.
 
@@ -191,20 +175,6 @@ def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
     except Exception as exc:
         raise ParseError(f"could not parse response file {y_path}: {exc}") from exc
     return Dataset.from_arrays(x, y)
-
-
-def normalize_columns(d: Dataset) -> NormalizedDesign:
-    """Rescale every column of the design to unit l2 norm.
-
-    Returns the rescaled n x p matrix together with the reciprocal column
-    norms (the diagonal of the normalizing matrix).  Reference only: the
-    filter reads X' through the raw Gram and raw products instead.
-    """
-    col_norms = d.col_norms
-    if np.any(col_norms < ZERO_COLUMN_TOL):
-        bad = int(np.argmin(col_norms))
-        raise InvalidDesign(f"column {bad} has (near-)zero norm and cannot be normalized")
-    return NormalizedDesign(x_prime=d.x * d.normalizer_d, normalizer_d=d.normalizer_d, source=d)
 
 
 def compute_bounds(d: Dataset, row_bound_override: float | None = None) -> NormBounds:

@@ -58,10 +58,12 @@ class ConfigInvalid(DPKnockoffError):
 
 
 class SweepAborted(DPKnockoffError):
-    """Too many trials at one sample size failed their privacy precondition.
+    """A sweep stopped at one sample size.
 
-    ``rows`` holds the report rows of the grid cells finished before the
-    aborting one, so the caller can still write them.
+    Either too many of its trials failed their privacy precondition, or one
+    raised any other package error, which is chained as the cause.  ``rows``
+    holds the report rows of the grid cells finished before the aborting
+    one, so the caller can still write them.
     """
 
     def __init__(self, message, rows=()):

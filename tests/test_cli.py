@@ -216,6 +216,19 @@ def test_overflowing_design_is_cli_error(tmp_path, capsys):
     assert err.startswith("error: ") and "overflows" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_response_is_cli_error(tmp_path, capsys):
+    x = np.random.default_rng(4).standard_normal((5000, 20))
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(xp, x, delimiter=",")
+    np.savetxt(yp, (x[:, 0] + 1.0) * 1e306)
+    assert main(["run", "--x", str(xp), "--y", str(yp)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: products with the response overflow double precision; rescale the response y\n"
+    )
+
+
 def test_run_loads_no_scipy(data_files):
     # the package factors and solves on numpy's LAPACK; scipy must stay unloaded
     xp, yp, bnorm = data_files
@@ -306,3 +319,21 @@ def test_simulate_abort_keeps_finished_rows(tmp_path, capsys):
     assert lines[0].startswith("n,method,stat,trials,")
     assert len(lines) == 2 and lines[1].startswith("400,2,csm,5,")
     assert len(plot.read_text().strip().split("\n")) == 2
+
+
+def test_simulate_keeps_finished_rows_on_any_package_error(tmp_path, capsys):
+    # at n=20000, X^T y overflows in every trial (InvalidDesign, not a privacy
+    # failure); the n=200 cell has finished by then and its row must be kept
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n_grid = 200, 20000\np = 10\nk = 3\namplitude = 1e304\nsigma2 = 1.0\n"
+        "q = 0.2\ntrials = 3\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "report.csv"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at n=20000" in err and "InvalidDesign" in err
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 2 and lines[1].startswith("200,none,lcd,3,")

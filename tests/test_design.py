@@ -7,10 +7,10 @@ from dpknockoff import (
     DimensionMismatch,
     InvalidDesign,
     ParseError,
-    compute_bounds,
     load_dataset,
-    normalize_columns,
 )
+from dpknockoff.design import compute_bounds
+from reference import normalize_columns
 
 
 def _write(path, text):

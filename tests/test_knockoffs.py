@@ -10,22 +10,27 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from dpknockoff import (
     DPKnockoffError,
     Dataset,
-    GramSpectrum,
     InvalidDesign,
     KnockoffInfeasible,
-    NormalizedDesign,
     PreconditionViolated,
-    build_knockoffs,
-    choose_s,
-    closed_form_gram_eigenvalues,
-    complement_basis,
-    gram_spectrum,
-    knockoff_summary,
-    normalize_columns,
-    raw_gram_frobenius,
 )
 from dpknockoff import knockoffs
-from dpknockoff.knockoffs import _default_probe
+from dpknockoff.knockoffs import (
+    GramSpectrum,
+    _default_probe,
+    closed_form_gram_eigenvalues,
+    gram_spectrum,
+    knockoff_summary,
+    raw_gram_frobenius,
+)
+from reference import (
+    NormalizedDesign,
+    _orthonormalize_tall,
+    build_knockoffs,
+    choose_s,
+    complement_basis,
+    normalize_columns,
+)
 
 
 def _random_design(n, p, seed):
@@ -82,22 +87,16 @@ def test_choose_s_needs_positive_lambda_min():
 
 def test_closed_form_eigenvalues_identity():
     spectrum = GramSpectrum(np.eye(5), 1.0, 1.0, np.sqrt(5.0))
-    assert closed_form_gram_eigenvalues(spectrum, 1.0) == (1.0, 1.0)
+    assert closed_form_gram_eigenvalues(spectrum) == (1.0, 1.0)
 
 
 def test_closed_form_eigenvalues_formula_and_explicit_match():
     spectrum = GramSpectrum(np.diag([0.5, 2.0]), 0.5, 2.0, float(np.hypot(0.5, 2.0)))
-    gmax, gmin = closed_form_gram_eigenvalues(spectrum, 0.5)
+    gmax, gmin = closed_form_gram_eigenvalues(spectrum)
     assert (gmax, gmin) == (3.5, 0.5)
     evals = np.linalg.eigvalsh(_target_gram(spectrum.sigma_prime, 0.5))
     assert evals[-1] == pytest.approx(3.5, abs=1e-12)
     assert evals[0] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_closed_form_eigenvalues_requires_s_equals_lambda_min():
-    spectrum = GramSpectrum(np.eye(3), 0.5, 1.5, 2.0)
-    with pytest.raises(PreconditionViolated):
-        closed_form_gram_eigenvalues(spectrum, 0.6)
 
 
 def test_classic_choice_zeroes_min_eigenvalue():
@@ -197,12 +196,13 @@ def _rel_gap(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def _assert_summary_matches_reference(ds, s, spectrum):
-    ks = knockoff_summary(ds, s, spectrum)
-    ref = build_knockoffs(normalize_columns(ds), s, spectrum=spectrum).summary(ds.y)
+def _assert_summary_matches_reference(ds, spectrum):
+    ks = knockoff_summary(ds, spectrum)
+    nd = normalize_columns(ds)
+    ref = build_knockoffs(nd, spectrum.lambda_min, spectrum=spectrum).summary(ds.y)
     assert _rel_gap(ks.gram_g, ref.gram_g) <= 1e-10
     assert _rel_gap(ks.crossprod, ref.crossprod) <= 1e-10
-    assert ks.s_value == ref.s_value and ks.spectrum is spectrum
+    assert ks.spectrum is spectrum
     return ks
 
 
@@ -214,41 +214,20 @@ def _design_and_response(x, seed):
 
 
 @pytest.mark.parametrize("n_of_p", [lambda p: 2 * p, lambda p: 3 * p, lambda p: 1000])
-@pytest.mark.parametrize("mode", ["private_recommended", "classic"])
-def test_knockoff_summary_matches_explicit_copy(n_of_p, mode):
+def test_knockoff_summary_matches_explicit_copy(n_of_p):
     for trial, p in enumerate((3, 12, 40)):
         n = n_of_p(p)
         x = np.random.default_rng((n, p, trial)).standard_normal((n, p))
         ds, spectrum = _design_and_response(x, trial)
-        _assert_summary_matches_reference(ds, choose_s(spectrum, mode), spectrum)
+        _assert_summary_matches_reference(ds, spectrum)
 
 
-@pytest.mark.parametrize("mode", ["private_recommended", "classic"])
-def test_knockoff_summary_spread_column_norms(mode):
+def test_knockoff_summary_spread_column_norms():
     rng = np.random.default_rng(14)
     n, p = 120, 10
     x = rng.standard_normal((n, p)) * np.logspace(-3, 3, p)
     ds, spectrum = _design_and_response(x, 15)
-    _assert_summary_matches_reference(ds, choose_s(spectrum, mode), spectrum)
-
-
-def test_knockoff_summary_classic_s_takes_jitter_path():
-    # s = 2 lambda_min puts the Schur complement's smallest eigenvalue at 0
-    x = np.random.default_rng(16).standard_normal((60, 10))
-    ds, spectrum = _design_and_response(x, 17)
-    s = choose_s(spectrum, "classic")
-    assert s == 2.0 * spectrum.lambda_min
-    ks = _assert_summary_matches_reference(ds, s, spectrum)
-    off = spectrum.sigma_prime - s * np.eye(10)
-    assert np.array_equal(ks.gram_g, np.block([[spectrum.sigma_prime, off],
-                                               [off, spectrum.sigma_prime]]))
-
-
-def test_knockoff_summary_s_zero():
-    x = np.random.default_rng(18).standard_normal((40, 4))
-    ds, spectrum = _design_and_response(x, 19)
-    ks = _assert_summary_matches_reference(ds, 0.0, spectrum)
-    assert np.array_equal(ks.crossprod[:4], ks.crossprod[4:])
+    _assert_summary_matches_reference(ds, spectrum)
 
 
 def test_knockoff_summary_retries_with_second_probe(monkeypatch):
@@ -263,7 +242,7 @@ def test_knockoff_summary_retries_with_second_probe(monkeypatch):
         return _default_probe(n, p, attempt)
 
     monkeypatch.setattr(knockoffs, "_default_probe", spy)
-    _assert_summary_matches_reference(ds, spectrum.lambda_min, spectrum)
+    _assert_summary_matches_reference(ds, spectrum)
     assert attempts == [0, 1, 0, 1]  # the summary, then the reference
 
 
@@ -274,24 +253,16 @@ def test_knockoff_summary_infeasible_where_reference_is():
     ds, spectrum = _design_and_response(x, 21)
     for build in (
         lambda: build_knockoffs(normalize_columns(ds), spectrum.lambda_min, spectrum=spectrum),
-        lambda: knockoff_summary(ds, spectrum.lambda_min, spectrum),
+        lambda: knockoff_summary(ds, spectrum),
     ):
         with pytest.raises(KnockoffInfeasible, match="twice"):
             build()
-
-    # s beyond 2 lambda_min: the Schur complement is indefinite
-    ds, spectrum = _design_and_response(np.random.default_rng(22).standard_normal((60, 5)), 23)
-    s = 3.0 * spectrum.lambda_min
-    with pytest.raises(KnockoffInfeasible):
-        build_knockoffs(normalize_columns(ds), s, spectrum=spectrum)
-    with pytest.raises(KnockoffInfeasible):
-        knockoff_summary(ds, s, spectrum)
 
     # n < 2p, on a bare Dataset (from_arrays itself refuses it)
     small = np.random.default_rng(24).standard_normal((5, 3))
     tiny = Dataset(x=small, y=np.zeros(5), n=5, p=3)
     with pytest.raises(KnockoffInfeasible):
-        knockoff_summary(tiny, 0.1, spectrum)
+        knockoff_summary(tiny, spectrum)
 
 
 def test_knockoff_summary_rejects_indefinite_gram_like_reference():
@@ -300,9 +271,7 @@ def test_knockoff_summary_rejects_indefinite_gram_like_reference():
     with pytest.raises(InvalidDesign):
         build_knockoffs(normalize_columns(ds), 0.5, spectrum=bad)
     with pytest.raises(InvalidDesign):
-        knockoff_summary(ds, 0.5, bad)
-    with pytest.raises(PreconditionViolated):
-        knockoff_summary(ds, -0.1, bad)
+        knockoff_summary(ds, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +330,7 @@ def test_lower_inverse_matches_scipy_well_conditioned(p, rhs_cols):
     got = knockoffs._complement_crossprod(ds, xty, l_inv)
     assert _rel_gap(got, _scipy_complement_crossprod(ds, xty, spectrum.sigma_prime)) <= 1e-12
     w = rng.standard_normal((n, p))
-    got = knockoffs._orthonormalize_tall(w, knockoffs._rank_tol(n))
+    got = _orthonormalize_tall(w, knockoffs._rank_tol(n))
     assert _rel_gap(got, _scipy_orthonormalize_tall(w)) <= 1e-12
     x_prime = normalize_columns(ds).x_prime
     assert _rel_gap(complement_basis(x_prime), _scipy_complement_basis(x_prime)) <= 1e-12
@@ -390,7 +359,7 @@ def test_non_positive_definite_gram_raises_invalid_design():
     with pytest.raises(InvalidDesign):
         build_knockoffs(normalize_columns(ds), 0.5, spectrum=spectrum)
     with pytest.raises(InvalidDesign):
-        knockoff_summary(ds, 0.5, spectrum)
+        knockoff_summary(ds, spectrum)
 
 
 def test_orthonormalize_tall_refuses_rank_deficient_residual():
@@ -401,15 +370,15 @@ def test_orthonormalize_tall_refuses_rank_deficient_residual():
     tiny = w.copy()
     tiny[:, 2] *= 1e-12  # its triangular diagonal falls below the rank tolerance
     for bad in (duplicate, tiny):
-        assert knockoffs._orthonormalize_tall(bad, knockoffs._rank_tol(n)) is None
-    u = knockoffs._orthonormalize_tall(w, knockoffs._rank_tol(n))
+        assert _orthonormalize_tall(bad, knockoffs._rank_tol(n)) is None
+    u = _orthonormalize_tall(w, knockoffs._rank_tol(n))
     assert np.allclose(u.T @ u, np.eye(p), atol=1e-12)
 
 
 def _filter_path(ds):
     """What run_knockoff_filter computes: S' = D G D and the raw-product summary."""
     spectrum = gram_spectrum(ds)
-    return spectrum, knockoff_summary(ds, choose_s(spectrum), spectrum), raw_gram_frobenius(ds)
+    return spectrum, knockoff_summary(ds, spectrum), raw_gram_frobenius(ds)
 
 
 def _reference_path(ds):

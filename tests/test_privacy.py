@@ -8,32 +8,30 @@ from dpknockoff import (
     BudgetInvalid,
     Dataset,
     DeltaTooSmall,
-    GramSpectrum,
     ModelOracle,
-    NormBounds,
     PrivacyBudget,
     PrivacyPreconditionFailed,
+)
+from dpknockoff.design import NormBounds, compute_bounds
+from dpknockoff.knockoffs import GramSpectrum, gram_spectrum, knockoff_summary, raw_gram_frobenius
+from dpknockoff.privacy import (
+    STRICTNESS_BUMP,
     assemble_gram_noise,
     build_sensitivity_context,
     calibrate,
-    compute_bounds,
     delta2_floor,
     estimate_sensitivity,
     gaussian_scale,
     gram_noise_scales,
     gram_sensitivities,
-    gram_spectrum,
-    knockoff_summary,
     laplace_scale,
     pair_crossprod_sensitivity,
-    raw_gram_frobenius,
     release_estimate,
     release_pair,
     sample_gaussian_vector,
     sample_laplace_vector,
     sample_symmetric_offdiag_gaussian,
 )
-from dpknockoff.privacy import STRICTNESS_BUMP
 
 # ---------------------------------------------------------------------------
 # Independent termwise oracles.  These re-derive the sensitivity values step
@@ -331,7 +329,7 @@ def _release_inputs(n=200, p=10, seed=21):
     y = x @ beta + rng.standard_normal(n)
     ds = Dataset.from_arrays(x, y)
     spectrum = gram_spectrum(ds)
-    ks = knockoff_summary(ds, spectrum.lambda_min, spectrum)
+    ks = knockoff_summary(ds, spectrum)
     bounds = compute_bounds(ds)
     oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05,

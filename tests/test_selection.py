@@ -3,27 +3,26 @@ import pytest
 
 from dpknockoff import (
     Dataset,
-    GramSpectrum,
+    InvalidDesign,
     MissingTruth,
     ModelOracle,
     NonConvergence,
     PrivacyBudget,
     PreconditionViolated,
     SingularSystem,
+    run_knockoff_filter,
+)
+from dpknockoff import pipeline
+from dpknockoff.knockoffs import GramSpectrum, gram_spectrum
+from dpknockoff.selection import (
     StatisticVector,
-    SwapSet,
-    build_knockoffs,
+    _lasso_gram_cd,
     compute_statistics,
     estimate_coefficients,
     evaluate_selection,
-    gram_spectrum,
     knockoff_threshold,
-    normalize_columns,
-    run_knockoff_filter,
-    swap_columns_test,
 )
-from dpknockoff import pipeline
-from dpknockoff.selection import _lasso_gram_cd
+from reference import SwapSet, build_knockoffs, normalize_columns, swap_columns_test
 
 
 def _gram_objective(a, c, lam, b):
@@ -159,6 +158,16 @@ def test_filter_raises_on_non_finite_estimate(monkeypatch):
     ds, _ = _built_design()
     monkeypatch.setattr(pipeline, "estimate_coefficients", lambda *a, **k: np.full(2 * ds.p, np.nan))
     with pytest.raises(SingularSystem):
+        run_knockoff_filter(ds, q=0.2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_filter_blames_the_response_when_its_products_overflow():
+    # X^T y overflows; the error must name the response, not the estimate
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((5000, 20))
+    ds = Dataset.from_arrays(x, (x[:, 0] + rng.standard_normal(5000)) * 1e306)
+    with pytest.raises(InvalidDesign, match="rescale the response y"):
         run_knockoff_filter(ds, q=0.2)
 
 

@@ -3,18 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from dpknockoff import simulate
 from dpknockoff import (
     ConfigInvalid,
     SimConfig,
+    SingularSystem,
     SweepAborted,
+    read_config,
+    run_sweep,
+    write_report,
+)
+from dpknockoff import simulate
+from dpknockoff.simulate import (
+    SimulationReport,
     budget_for,
     budget_totals,
     generate_trial,
-    read_config,
-    run_sweep,
     write_plot_data,
-    write_report,
 )
 
 
@@ -156,6 +160,22 @@ def test_run_sweep_aborts_on_systematic_failures():
     assert info.value.rows == ()
 
 
+def test_run_sweep_wraps_any_package_error(monkeypatch):
+    # a non-privacy error in a trial aborts with the finished rows, chained from it
+    real = simulate.run_knockoff_filter
+
+    def failing(dataset, **kwargs):
+        if dataset.n == 600:
+            raise SingularSystem("boom")
+        return real(dataset, **kwargs)
+
+    monkeypatch.setattr(simulate, "run_knockoff_filter", failing)
+    with pytest.raises(SweepAborted, match="n=600 failed with SingularSystem: boom") as info:
+        run_sweep(_cfg(n_grid=(400, 600), trials=3, threads=2))
+    assert isinstance(info.value.__cause__, SingularSystem)
+    assert [row.n for row in info.value.rows] == [400]
+
+
 def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
     controls = simulate._blas_thread_controls()
     before = [get() for get, _ in controls]
@@ -215,8 +235,6 @@ def test_write_report_round_trip(tmp_path):
 
 
 def test_write_report_empty(tmp_path):
-    from dpknockoff import SimulationReport
-
     out = tmp_path / "empty.csv"
     write_report(SimulationReport(rows=()), out)
     assert out.read_text().strip().count("\n") == 0  # header only
