@@ -36,9 +36,7 @@ oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1
 budget = PrivacyBudget(eps=0.1, delta_1=0.01, delta_2=0.01,
                        eps_1=0.05, eps_2=0.05, delta=0.01)
 
-ctx = build_sensitivity_context(
-    bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget, p
-)
+ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget)
 print(f"row bound B            = {bounds.row_bound_B:.4f}")
 print(f"min column norm C_min  = {bounds.col_min_C:.4f}")
 print(f"eta^2                  = {ctx.eta2:.6f}")

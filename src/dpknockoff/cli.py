@@ -40,14 +40,20 @@ from .simulate import (
 )
 
 
+def _finite(text: str) -> float:
+    if math.isinf(float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return float(text)
+
+
 def _nonnegative(text: str) -> float:
-    if not float(text) >= 0.0:  # also refuses nan
+    if not _finite(text) >= 0.0:  # also refuses nan
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
     return float(text)
 
 
 def _positive(text: str) -> float:
-    if not float(text) > 0.0:
+    if not _finite(text) > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return float(text)
 
@@ -105,9 +111,7 @@ def cmd_calibrate(args) -> int:
     bounds = compute_bounds(dataset, args.row_bound)
     budget = _budget_from_args(args)
     oracle = _oracle_from_args(args)
-    ctx = build_sensitivity_context(
-        bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget, dataset.p
-    )
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget)
     lam_sens, frob_sens = gram_sensitivities(ctx)
     m1_sens = pair_crossprod_sensitivity(ctx)
     try:
@@ -118,7 +122,7 @@ def cmd_calibrate(args) -> int:
     method = str(args.method)
     if method == "2" and m2_sens is None:
         # no finite estimate calibration: the record has no kappa^2, only the cost
-        scales = dict(zip(("eps_total", "delta_total"), budget.estimate_release_totals()))
+        scales = dict(zip(("eps_total", "delta_total"), budget.totals("2")))
     else:
         scales = calibrate(ctx, budget, method, args.ridge)
     theta1, kappa1 = gram_noise_scales(ctx, budget)

@@ -146,9 +146,13 @@ def _default_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray
         return _cached_probe(n, p, attempt)
 
 
-def _rank_tol(n: int) -> float:
-    """Smallest accepted diagonal of the probe residual's triangular factor."""
-    return 1e-8 * np.sqrt(float(n))
+def _rank_tol(n: int, cond: float) -> float:
+    """Smallest accepted diagonal of the probe residual's triangular factor.
+
+    R^T R formed from p x p products carries rounding near cond(S') * eps * n;
+    a diagonal within 4 times its square root is indistinguishable from zero.
+    """
+    return 4.0 * np.sqrt(cond * np.finfo(float).eps * n)
 
 
 def _lower_inverse(lower: np.ndarray) -> np.ndarray:
@@ -192,7 +196,8 @@ def knockoff_summary(d: Dataset, spectrum: GramSpectrum) -> KnockoffSummary:
     xty = d.normalizer_d * _response_product(d.x, d.y)
     l_inv, sigma_inv_s, c_upper = _decorrelation(spectrum, s)
     off = sigma - s * np.eye(d.p)
-    kty = xty - sigma_inv_s.T @ xty + c_upper.T @ _complement_crossprod(d, xty, l_inv)
+    uty = _complement_crossprod(d, xty, l_inv, spectrum.lambda_max / s)
+    kty = xty - sigma_inv_s.T @ xty + c_upper.T @ uty
     return KnockoffSummary(
         gram_g=np.block([[sigma, off], [off, sigma]]),
         crossprod=np.concatenate([xty, kty]),
@@ -211,12 +216,13 @@ def _response_product(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return product
 
 
-def _complement_crossprod(d: Dataset, xty, l_inv) -> np.ndarray:
+def _complement_crossprod(d: Dataset, xty, l_inv, cond: float) -> np.ndarray:
     """U^T y for U = (I - P) W R^{-1}, from p x p algebra.
 
     With W the default probe and R^T R = W^T (I - P) W, U^T y equals
     R^{-T} W^T (I - P) y.  ``l_inv`` is L^{-1} for the Cholesky factor L of
     S' = X'^T X', so P = Q Q^T with Q = X' L^{-T}, and ``xty`` is X'^T y.
+    A diagonal of R at or below :func:`_rank_tol` puts the probe in the span.
     """
     n, p = d.n, d.p
     qty = l_inv @ xty
@@ -228,7 +234,7 @@ def _complement_crossprod(d: Dataset, xty, l_inv) -> np.ndarray:
             r_lower = np.linalg.cholesky((resid + resid.T) / 2.0)  # R^T
         except np.linalg.LinAlgError:
             continue
-        if np.abs(np.diag(r_lower)).min() <= _rank_tol(n):
+        if np.abs(np.diag(r_lower)).min() <= _rank_tol(n, cond):
             continue
         return np.linalg.solve(r_lower, _response_product(w, d.y) - qtw.T @ qty)
     raise KnockoffInfeasible("probe matrix fell inside the design column span twice")

@@ -45,7 +45,6 @@ def run_knockoff_filter(
     ridge_omega2: float = 0.0,
     row_bound_override: float | None = None,
     seed=None,
-    zero_noise: bool = False,
 ) -> FilterResult:
     """Run the full knockoff filter on one dataset.
 
@@ -75,17 +74,15 @@ def run_knockoff_filter(
             raise BudgetInvalid("private methods need a privacy budget and a model oracle")
         bounds = compute_bounds(dataset, row_bound_override)
         ctx = build_sensitivity_context(
-            bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget, dataset.p
+            bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget
         )
         if method == "1":
-            release = release_pair(ks, ctx, budget, seed=seed, zero_noise=zero_noise)
+            release = release_pair(ks, ctx, budget, seed=seed)
             estimate = estimate_coefficients(
                 release.gram_noisy, release.crossprod_noisy, lam, ridge_omega2
             )
         else:
-            release = release_estimate(
-                ks, ctx, budget, ridge_omega2=ridge_omega2, seed=seed, zero_noise=zero_noise
-            )
+            release = release_estimate(ks, ctx, budget, ridge_omega2=ridge_omega2, seed=seed)
             estimate = release.estimate_noisy
 
     w = compute_statistics(estimate, stat)

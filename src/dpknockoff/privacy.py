@@ -15,9 +15,9 @@ the sensitivities depend on the observed data, the guarantee is local: the
 noise is calibrated at the dataset at hand, not over all possible datasets.
 
 :func:`calibrate` is the one place a sensitivity meets its (eps, delta)
-knobs.  It returns the noise-scale record both releases draw from and carry
-as ``PrivateRelease.noise_scales``; ``dpknockoff calibrate`` prints from the
-same record.
+knobs, and it refuses any non-finite sensitivity or scale.  Both releases
+draw from its record and carry it as ``PrivateRelease.noise_scales``;
+``dpknockoff calibrate`` prints from the same record.
 """
 
 from __future__ import annotations
@@ -28,14 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import ModelOracle, NormBounds
-from .errors import (
-    BoundViolation,
-    BudgetInvalid,
-    DeltaTooSmall,
-    PrivacyPreconditionFailed,
-    SingularSystem,
-)
+from .errors import BudgetInvalid, DeltaTooSmall, PrivacyPreconditionFailed
 from .knockoffs import GramSpectrum, KnockoffSummary, closed_form_gram_eigenvalues
+from .selection import estimate_coefficients
 
 # Multiplicative bump applied to Gaussian variances so the strict calibration
 # inequality holds rather than equality.
@@ -97,10 +92,16 @@ class PrivacyBudget:
                 raise BudgetInvalid(f"{name} must lie in (0,1), got {v}")
         for name in ("eps_1", "eps_2"):
             v = getattr(self, name)
-            if v is not None and v <= 0.0:
-                raise BudgetInvalid(f"{name} must be strictly positive, got {v}")
+            if v is not None and not 0.0 < v < math.inf:
+                need = "finite" if v > 0.0 else "strictly positive"
+                raise BudgetInvalid(f"{name} must be {need}, got {v}")
 
-    def pair_release_totals(self) -> tuple[float, float]:
+    def totals(self, method: str) -> tuple[float, float]:
+        """Composed (eps, delta) cost of a method ``"1"`` (pair) or ``"2"`` (estimate) release."""
+        if method == "2":
+            return (self.eps, self.delta_1 + self.delta_2)
+        if method != "1":
+            raise ValueError(f"unknown release method {method!r}; expected '1' or '2'")
         missing = [n for n in ("eps_1", "eps_2", "delta") if getattr(self, n) is None]
         if missing:
             raise BudgetInvalid(
@@ -109,25 +110,33 @@ class PrivacyBudget:
             )
         return (self.eps + self.eps_1 + self.eps_2, self.delta + self.delta_1 + self.delta_2)
 
-    def estimate_release_totals(self) -> tuple[float, float]:
-        return (self.eps, self.delta_1 + self.delta_2)
-
 
 @dataclass(frozen=True)
 class SensitivityContext:
-    """All scalars the sensitivity formulas read, frozen in one place."""
+    """The sensitivity inputs plus zeta; eta^2, B/eta and gamma derive from them."""
 
-    eta2: float
     zeta: float
-    gamma: float
     bounds: NormBounds
     oracle: ModelOracle
     spectrum: GramSpectrum
     frobenius_sigma_raw: float
 
     @property
-    def p(self) -> int:
-        return self.spectrum.sigma_prime.shape[0]
+    def eta2(self) -> float:
+        """Row-influence ratio B^2/(C_min^2 - B^2)."""
+        b, c = self.bounds.row_bound_B, self.bounds.col_min_C
+        return b * b / (c * c - b * b)
+
+    @property
+    def b_over_eta(self) -> float:
+        """sqrt(C_min^2 - B^2), which equals B/eta."""
+        b, c = self.bounds.row_bound_B, self.bounds.col_min_C
+        return math.sqrt(c * c - b * b)
+
+    @property
+    def gamma(self) -> float:
+        """lambda_max of the augmented Gram, 2*lambda_max(S') - lambda_min(S')."""
+        return closed_form_gram_eigenvalues(self.spectrum)[0]
 
 
 def delta2_floor(p: int) -> float:
@@ -141,52 +150,29 @@ def build_sensitivity_context(
     spectrum: GramSpectrum,
     raw_gram_frobenius: float,
     budget: PrivacyBudget,
-    p: int,
 ) -> SensitivityContext:
-    """Evaluate the calibration scalars for the observed design.
+    """Bind the calibration inputs for the observed design and evaluate zeta.
 
-    eta^2 = B^2/(C_min^2 - B^2) measures how much one row can move the
-    normalized Gram; zeta = 2*p*sigma^2 / (1 - sqrt((2/p) ln(2/delta_2)))
-    bounds the norm of the Gaussian part of the released quantities except
-    with probability delta_2; gamma = 2*lambda_max(S') - lambda_min(S') is
-    the largest eigenvalue of the augmented Gram, from
-    :func:`~dpknockoff.knockoffs.closed_form_gram_eigenvalues`.
+    zeta = 2*p*sigma^2 / (1 - sqrt((2/p) ln(2/delta_2))) bounds the norm of
+    the Gaussian part of the released quantities except with probability
+    delta_2, with p read from the spectrum.  eta^2 and gamma follow from
+    ``bounds`` and ``spectrum`` (see :class:`SensitivityContext`).
     """
+    p = spectrum.sigma_prime.shape[0]
     floor = delta2_floor(p)
     if budget.delta_2 <= floor:
         raise DeltaTooSmall(
             f"delta_2={budget.delta_2:g} must exceed 2*exp(-p/2)={floor:.3e} "
             "for the concentration constant to be finite"
         )
-    b = bounds.row_bound_B
-    c = bounds.col_min_C
-    eta2 = b * b / (c * c - b * b)
     denom = 1.0 - math.sqrt((2.0 / p) * math.log(2.0 / budget.delta_2))
-    zeta = 2.0 * p * oracle.sigma2_bound / denom
-    gamma, _ = closed_form_gram_eigenvalues(spectrum)
     return SensitivityContext(
-        eta2=eta2,
-        zeta=zeta,
-        gamma=gamma,
+        zeta=2.0 * p * oracle.sigma2_bound / denom,
         bounds=bounds,
         oracle=oracle,
         spectrum=spectrum,
         frobenius_sigma_raw=float(raw_gram_frobenius),
     )
-
-
-def _b_over_eta(ctx: SensitivityContext) -> float:
-    """sqrt(C_min^2 - B^2), which must equal B/eta; guards inconsistent plumbing."""
-    b = ctx.bounds.row_bound_B
-    c = ctx.bounds.col_min_C
-    direct = math.sqrt(c * c - b * b)
-    via_eta = b / math.sqrt(ctx.eta2)
-    if abs(direct - via_eta) > 1e-12 * max(1.0, direct):
-        raise BoundViolation(
-            f"inconsistent sensitivity context: B/eta={via_eta:.12g} but "
-            f"sqrt(C_min^2-B^2)={direct:.12g}"
-        )
-    return direct
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +184,8 @@ def gaussian_scale(sensitivity_l2: float, eps: float, delta: float) -> float:
     """Gaussian-mechanism variance for an l2 sensitivity.
 
     Returns 2*ln(1.25/delta)*(sensitivity/eps)^2, bumped by a relative 1e-9
-    so the strict calibration inequality is satisfied.
+    so the strict calibration inequality is satisfied; inf where that
+    overflows.
     """
     if not 0.0 < eps < 1.0:
         raise BudgetInvalid(f"Gaussian mechanism needs eps in (0,1), got {eps}")
@@ -206,7 +193,10 @@ def gaussian_scale(sensitivity_l2: float, eps: float, delta: float) -> float:
         raise BudgetInvalid(f"Gaussian mechanism needs delta in (0,1), got {delta}")
     if sensitivity_l2 < 0:
         raise ValueError("sensitivity must be nonnegative")
-    base = 2.0 * math.log(1.25 / delta) * (sensitivity_l2 / eps) ** 2
+    try:
+        base = 2.0 * math.log(1.25 / delta) * (sensitivity_l2 / eps) ** 2
+    except OverflowError:  # float ** raises where a product would give inf
+        return math.inf
     return base * (1.0 + STRICTNESS_BUMP)
 
 
@@ -285,7 +275,6 @@ def pair_crossprod_sensitivity(ctx: SensitivityContext) -> float:
     c = ctx.bounds.col_min_C
     lam_min = ctx.spectrum.lambda_min
     lam_max = ctx.spectrum.lambda_max
-    b_over_eta = _b_over_eta(ctx)
 
     noise_part = math.sqrt(ctx.zeta) * (
         2.0 * math.sqrt(ctx.gamma) + eta * math.sqrt(3.0 + 2.0 * lam_max + lam_min)
@@ -293,7 +282,7 @@ def pair_crossprod_sensitivity(ctx: SensitivityContext) -> float:
     signal_part = ctx.oracle.beta_norm_bound * (
         math.sqrt(2.0) * (eta / b - 1.0 / c) * ctx.frobenius_sigma_raw
         + 2.0 * eta * b
-        + (c - b_over_eta) * lam_min
+        + (c - ctx.b_over_eta) * lam_min
         + ctx.eta2 * (lam_min + 1.0) * math.sqrt(c * c + b * b)
     )
     return noise_part + signal_part
@@ -321,11 +310,9 @@ def estimate_sensitivity(ctx: SensitivityContext, ridge_omega2: float = 0.0) -> 
             "Ridge stabilization (a positive ridge_omega2) raises the effective "
             "eigenvalue when eta^2 < 1; with eta^2 >= 1 the norm bounds are too loose."
         )
-    b_over_eta = _b_over_eta(ctx)
-    c = ctx.bounds.col_min_C
     return (
         2.0 * math.sqrt(ctx.zeta) / math.sqrt(denom_sq)
-        + (c - b_over_eta) * ctx.oracle.beta_norm_bound
+        + (ctx.bounds.col_min_C - ctx.b_over_eta) * ctx.oracle.beta_norm_bound
     )
 
 
@@ -358,10 +345,12 @@ def calibrate(
     release theta_1 and kappa_1^2 from :func:`gram_noise_scales` and kappa_2^2
     from :func:`pair_crossprod_sensitivity` at (eps, delta_1); for the
     estimate release kappa^2 from :func:`estimate_sensitivity` at
-    (eps, delta_1).  The record ends with the release's total cost.
+    (eps, delta_1).  The record ends with the release's total cost.  A
+    non-finite entry, such as the inf scale of an overflowing ||beta|| bound,
+    raises :class:`PrivacyPreconditionFailed` naming its key.
     """
+    totals = budget.totals(method)  # raises unless the method's knobs are set
     if method == "1":
-        totals = budget.pair_release_totals()  # raises unless every pair knob is set
         lam_sens, frob_sens = gram_sensitivities(ctx)
         theta1_scale, kappa1_sq = gram_noise_scales(ctx, budget)
         cross_sens = pair_crossprod_sensitivity(ctx)
@@ -373,17 +362,20 @@ def calibrate(
             "gram_frobenius_sensitivity": frob_sens,
             "crossprod_sensitivity": cross_sens,
         }
-    elif method == "2":
-        totals = budget.estimate_release_totals()
+    else:
         sens = estimate_sensitivity(ctx, ridge_omega2)
         scales = {
             "kappa_sq": gaussian_scale(sens, budget.eps, budget.delta_1),
             "estimate_sensitivity": sens,
             "ridge_omega2": ridge_omega2,
         }
-    else:
-        raise ValueError(f"unknown release method {method!r}; expected '1' or '2'")
     scales["eps_total"], scales["delta_total"] = totals
+    for key, value in scales.items():
+        if not math.isfinite(value):
+            raise PrivacyPreconditionFailed(
+                f"calibration gives {key}={value}; the norm bounds are too loose "
+                "for finite noise"
+            )
     return scales
 
 
@@ -426,7 +418,6 @@ def release_pair(
     ctx: SensitivityContext,
     budget: PrivacyBudget,
     seed=None,
-    zero_noise: bool = False,
 ) -> PrivateRelease:
     """Release a perturbed (augmented Gram, feature-response product) pair.
 
@@ -436,22 +427,16 @@ def release_pair(
     product perturbation is i.i.d. Gaussian with variance kappa_2^2.  The
     scales come from :func:`calibrate`.  Any statistic computed from the
     released pair costs (eps + eps_1 + eps_2, delta + delta_1 + delta_2) in
-    total.
-
-    ``zero_noise`` forces every scale to zero (testing only; no privacy).
+    total.  The release adds exactly the noise it draws.
     """
     scales = calibrate(ctx, budget, "1")
-    if zero_noise:
-        scales.update(theta1_scale=0.0, kappa1_sq=0.0, kappa2_sq=0.0)
-
-    p = ks.p
     theta_1 = float(
         sample_laplace_vector(1, scales["theta1_scale"], _substream(seed, _LABEL_THETA1))[0]
     )
     theta_2 = sample_symmetric_offdiag_gaussian(
-        p, scales["kappa1_sq"], _substream(seed, _LABEL_THETA2)
+        ks.p, scales["kappa1_sq"], _substream(seed, _LABEL_THETA2)
     )
-    e_vec = sample_gaussian_vector(2 * p, scales["kappa2_sq"], _substream(seed, _LABEL_VECTOR))
+    e_vec = sample_gaussian_vector(2 * ks.p, scales["kappa2_sq"], _substream(seed, _LABEL_VECTOR))
     return PrivateRelease(
         gram_noisy=ks.gram_g + assemble_gram_noise(theta_1, theta_2),
         crossprod_noisy=ks.crossprod + e_vec,
@@ -465,29 +450,17 @@ def release_estimate(
     budget: PrivacyBudget,
     ridge_omega2: float = 0.0,
     seed=None,
-    zero_noise: bool = False,
 ) -> PrivateRelease:
     """Release a perturbed ridge/OLS coefficient vector on the augmented design.
 
-    Solves (G + omega^2 I) b = [X' Xt]^T y, both read from ``ks``, and adds
-    i.i.d. Gaussian noise with variance kappa^2 from :func:`calibrate`;
-    delta_2 is consumed by the concentration event inside the sensitivity
-    bound, for a total cost of (eps, delta_1 + delta_2).
-
-    ``zero_noise`` forces the scale to zero (testing only; no privacy).
+    The vector is :func:`~dpknockoff.selection.estimate_coefficients` of
+    G + omega^2 I and [X' Xt]^T y, both read from ``ks``; the sensitivity is
+    calibrated for exactly that vector.  It adds i.i.d. Gaussian noise with
+    variance kappa^2 from :func:`calibrate`; delta_2 is consumed by the
+    concentration event inside the sensitivity bound, for a total cost of
+    (eps, delta_1 + delta_2).
     """
     scales = calibrate(ctx, budget, "2", ridge_omega2)
-    if zero_noise:
-        scales["kappa_sq"] = 0.0
-
-    p = ks.p
-    gram = ks.gram_g if ridge_omega2 == 0.0 else ks.gram_g + ridge_omega2 * np.eye(2 * p)
-    try:
-        estimate = np.linalg.solve(gram, ks.crossprod)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("augmented Gram (plus ridge) is numerically singular") from exc
-    e_vec = sample_gaussian_vector(2 * p, scales["kappa_sq"], _substream(seed, _LABEL_VECTOR))
-    return PrivateRelease(
-        estimate_noisy=estimate + e_vec,
-        noise_scales=scales,
-    )
+    estimate = estimate_coefficients(ks.gram_g, ks.crossprod, ridge_omega2=ridge_omega2)
+    e_vec = sample_gaussian_vector(2 * ks.p, scales["kappa_sq"], _substream(seed, _LABEL_VECTOR))
+    return PrivateRelease(noise_scales=scales, estimate_noisy=estimate + e_vec)

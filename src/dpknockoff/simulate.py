@@ -149,12 +149,13 @@ def generate_trial(n: int, cfg: SimConfig, trial_seed) -> tuple[Dataset, ModelOr
     beta = np.zeros(cfg.p)
     beta[: cfg.k] = cfg.amplitude
     y = x @ beta + rng.normal(0.0, math.sqrt(cfg.sigma2), size=n)
-    oracle = ModelOracle(
-        beta_norm_bound=cfg.pessimism * float(np.linalg.norm(beta)),
-        sigma2_bound=cfg.pessimism * cfg.sigma2,
-        true_beta=beta,
-        true_support=frozenset(range(cfg.k)),
-    )
+    with np.errstate(over="ignore"):  # an overflowing ||beta|| is inf; calibrate refuses it
+        oracle = ModelOracle(
+            beta_norm_bound=cfg.pessimism * float(np.linalg.norm(beta)),
+            sigma2_bound=cfg.pessimism * cfg.sigma2,
+            true_beta=beta,
+            true_support=frozenset(range(cfg.k)),
+        )
     return Dataset.from_arrays(x, y), oracle
 
 
@@ -180,11 +181,7 @@ def budget_for(cfg: SimConfig, n: int) -> PrivacyBudget | None:
 def budget_totals(cfg: SimConfig, n: int) -> tuple[float, float]:
     """Composed (eps, delta) cost per trial; (0, 0) when no mechanism runs."""
     budget = budget_for(cfg, n)
-    if budget is None:
-        return 0.0, 0.0
-    if cfg.method == "1":
-        return budget.pair_release_totals()
-    return budget.estimate_release_totals()
+    return (0.0, 0.0) if budget is None else budget.totals(cfg.method)
 
 
 def _trial_outcome(cfg: SimConfig, n: int, n_idx: int, t: int):

@@ -147,7 +147,8 @@ def complement_basis(x_prime: np.ndarray, seed=None) -> np.ndarray:
         else:
             w = _seeded_probe(seed, n, p, attempt)
         w = project_off(project_off(w))
-        u = _orthonormalize_tall(w, knockoffs._rank_tol(n))
+        # the filter's rank rule, so both refuse the same probes
+        u = _orthonormalize_tall(w, knockoffs._rank_tol(n, np.linalg.cond(gram)))
         if u is not None:
             return u
     raise KnockoffInfeasible("probe matrix fell inside the design column span twice")

@@ -193,9 +193,7 @@ def test_criterion_05_antisymmetry():
     oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.4, delta_1=0.1, delta_2=0.1,
                            eps_1=0.3, eps_2=0.3, delta=0.1)
-    ctx = build_sensitivity_context(
-        bounds, oracle, spectrum, raw_gram_frobenius(ds), budget, p
-    )
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(ds), budget)
     swap_sets = [[2], list(range(p))]
     worst = 0.0
 
@@ -311,7 +309,7 @@ def test_criterion_07_sensitivity_oracles():
     spectrum = GramSpectrum(np.eye(2), 1.0, 1.0, math.sqrt(2.0))
     oracle = ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.9)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, 4.0 * math.sqrt(2.0), budget, 2)
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, 4.0 * math.sqrt(2.0), budget)
     hand_pair = _oracle_pair(1.0, 2.0, 1.0, 1.0, 4.0 * math.sqrt(2.0), 1.0, 1.0, 0.9, 2)
     hand_est = _oracle_estimate(1.0, 2.0, 1.0, 1.0, 1.0, 0.9, 2)
     ok = (
@@ -337,7 +335,7 @@ def test_criterion_07_sensitivity_oracles():
         bnds = compute_bounds(ds)
         mo = ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=sigma2)
         bud = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=delta_2)
-        ctx = build_sensitivity_context(bnds, mo, spectrum, raw_gram_frobenius(ds), bud, p)
+        ctx = build_sensitivity_context(bnds, mo, spectrum, raw_gram_frobenius(ds), bud)
         want = _oracle_pair(
             bnds.row_bound_B, bnds.col_min_C, spectrum.lambda_min, spectrum.lambda_max,
             ctx.frobenius_sigma_raw, beta_norm, sigma2, delta_2, p,
@@ -364,7 +362,7 @@ def test_criterion_07_sensitivity_oracles():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_08_mechanism_calibration():
+def test_criterion_08_mechanism_calibration(zero_draws):
     rng = np.random.default_rng(88)
     worst_scale = 0.0
     for _ in range(200):
@@ -383,7 +381,8 @@ def test_criterion_08_mechanism_calibration():
     lap = sample_laplace_vector(1_000_000, 2.5, seed=802)
     lap_err = abs(lap.var() / (2.0 * 2.5 ** 2) - 1.0)
 
-    # zero-noise passthrough against the fully non-private pipeline
+    # zero-noise passthrough against the fully non-private pipeline; zero_draws
+    # zeroes the package's samplers only, not the ones this module imported
     rng2 = np.random.default_rng(89)
     n, p = 300, 12
     x = rng2.standard_normal((n, p))
@@ -396,9 +395,9 @@ def test_criterion_08_mechanism_calibration():
                            eps_1=0.2, eps_2=0.2, delta=0.05)
     base = run_knockoff_filter(ds, q=0.2, stat="lcd", method="none")
     pass1 = run_knockoff_filter(ds, q=0.2, stat="lcd", method="1", budget=budget,
-                                oracle=oracle, seed=7, zero_noise=True)
+                                oracle=oracle, seed=7)
     pass2 = run_knockoff_filter(ds, q=0.2, stat="lcd", method="2", budget=budget,
-                                oracle=oracle, seed=7, zero_noise=True)
+                                oracle=oracle, seed=7)
     gap1 = float(np.abs(pass1.report.w.w - base.report.w.w).max())
     gap2 = float(np.abs(pass2.report.w.w - base.report.w.w).max())
 

@@ -196,6 +196,13 @@ def test_run_missing_budget_is_cli_error(capsys, data_files):
     ("calibrate", "--ridge", "-1"),
     ("calibrate", "--beta-norm-bound", "-1"),
     ("calibrate", "--sigma2-bound", "-2"),
+    ("run", "--lambda", "inf"),
+    ("run", "--ridge", "inf"),
+    ("run", "--beta-norm-bound", "inf"),
+    ("run", "--sigma2-bound", "inf"),
+    ("calibrate", "--sigma2-bound", "Infinity"),
+    ("calibrate", "--ridge", "inf"),
+    ("calibrate", "--beta-norm-bound", "inf"),
 ])
 def test_out_of_range_knob_is_usage_error(capsys, data_files, command, flag, value):
     xp, yp, _ = data_files
@@ -203,6 +210,38 @@ def test_out_of_range_knob_is_usage_error(capsys, data_files, command, flag, val
         main([command, "--x", xp, "--y", yp, flag, value])
     assert info.value.code == 2
     assert f"error: argument {flag}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps1", "inf", "eps_1 must be finite, got inf"),
+    ("--eps1", "nan", "eps_1 must be strictly positive, got nan"),
+    ("--eps2", "inf", "eps_2 must be finite, got inf"),
+])
+def test_non_finite_epsilon_is_cli_error(capsys, data_files, flag, value, message):
+    xp, yp, bnorm = data_files
+    code = main([
+        "run", "--x", xp, "--y", yp, "--method", "1", *PAIR_BUDGET, flag, value,
+        "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method, budget, scale", [
+    ("1", PAIR_BUDGET, "kappa2_sq"),
+    ("2", ESTIMATE_BUDGET, "kappa_sq"),
+])
+def test_overflowing_norm_bound_names_the_scale(capsys, data_files, method, budget, scale):
+    # ||beta|| <= 1e308 calibrates an infinite variance: refused, not drawn
+    xp, yp, _ = data_files
+    code = main([
+        "run", "--x", xp, "--y", yp, "--method", method, *budget,
+        "--beta-norm-bound", "1e308", "--sigma2-bound", "1.0",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: calibration gives {scale}=inf;") and err.count("\n") == 1
 
 
 def test_overflowing_design_is_cli_error(tmp_path, capsys):

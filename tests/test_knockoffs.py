@@ -246,6 +246,21 @@ def test_knockoff_summary_retries_with_second_probe(monkeypatch):
     assert attempts == [0, 1, 0, 1]  # the summary, then the reference
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.99])
+def test_probe_in_span_is_refused_above_the_rounding_floor(rho):
+    # p x p rounding leaves the planted directions of W^T (I - P) W near
+    # eps * n instead of 0, which passed the former fixed 1e-8 sqrt(n) bound
+    n, p = 8, 4
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((n, p))
+    z[:, :2] = _default_probe(n, p, 0)[0][:, :2]
+    z[:, 2:] = _default_probe(n, p, 1)[0][:, :2]
+    x = (np.sqrt(1.0 - rho) * z + np.sqrt(rho) * rng.standard_normal((n, 1))) * [1, 1, 100, 1]
+    ds, spectrum = _design_and_response(x, 22)
+    with pytest.raises(KnockoffInfeasible, match="twice"):
+        knockoff_summary(ds, spectrum)
+
+
 def test_knockoff_summary_infeasible_where_reference_is():
     n, p = 80, 6
     # half of each probe inside the design span: both attempts fail
@@ -327,10 +342,10 @@ def test_lower_inverse_matches_scipy_well_conditioned(p, rhs_cols):
     ds, spectrum = _design_and_response(rng.standard_normal((n, p)), p)
     xty = ds.normalizer_d * (ds.x.T @ ds.y)
     l_inv = knockoffs._lower_inverse(np.linalg.cholesky(spectrum.sigma_prime))
-    got = knockoffs._complement_crossprod(ds, xty, l_inv)
+    got = knockoffs._complement_crossprod(ds, xty, l_inv, spectrum.lambda_max / spectrum.lambda_min)
     assert _rel_gap(got, _scipy_complement_crossprod(ds, xty, spectrum.sigma_prime)) <= 1e-12
     w = rng.standard_normal((n, p))
-    got = _orthonormalize_tall(w, knockoffs._rank_tol(n))
+    got = _orthonormalize_tall(w, knockoffs._rank_tol(n, 1.0))
     assert _rel_gap(got, _scipy_orthonormalize_tall(w)) <= 1e-12
     x_prime = normalize_columns(ds).x_prime
     assert _rel_gap(complement_basis(x_prime), _scipy_complement_basis(x_prime)) <= 1e-12
@@ -370,8 +385,8 @@ def test_orthonormalize_tall_refuses_rank_deficient_residual():
     tiny = w.copy()
     tiny[:, 2] *= 1e-12  # its triangular diagonal falls below the rank tolerance
     for bad in (duplicate, tiny):
-        assert _orthonormalize_tall(bad, knockoffs._rank_tol(n)) is None
-    u = _orthonormalize_tall(w, knockoffs._rank_tol(n))
+        assert _orthonormalize_tall(bad, knockoffs._rank_tol(n, 1.0)) is None
+    u = _orthonormalize_tall(w, knockoffs._rank_tol(n, 1.0))
     assert np.allclose(u.T @ u, np.eye(p), atol=1e-12)
 
 
@@ -391,6 +406,31 @@ def _reference_path(ds):
     return spectrum, ref, frob
 
 
+RHO_WELL_CONDITIONED = [0.0, 0.5, 0.9, 0.99]
+RHO_ILL_CONDITIONED = [0.999, 0.9999, 0.99999, 0.999999, 0.9999999]
+# Past cond(S') ~ 1e4 the filter-vs-reference gap is held to
+# COND_GAP_FACTOR * cond(S') * eps, times the probe residual factor for
+# [X' Xt]^T y.  Over 3000 random designs at these rho values (300 per value
+# and seed, two seeds) the worst gap was 1.6 of those units.
+COND_GAP_FACTOR = 50.0
+
+
+def _probe_residual_factor(ds, cond):
+    """max(1, n / sigma_min((I - P) W)^2) for the probe the filter keeps.
+
+    The filter forms R^T R = W^T (I - P) W in p x p products, so its rounding
+    in U^T y grows with this factor as well as with cond(S'); it is large
+    only when n is close to 2p.
+    """
+    q, _ = np.linalg.qr(normalize_columns(ds).x_prime)
+    for attempt in range(2):
+        w, _ = _default_probe(ds.n, ds.p, attempt)
+        smin = np.linalg.svd(w - q @ (q.T @ w), compute_uv=False)[-1]
+        if smin > knockoffs._rank_tol(ds.n, cond):
+            break
+    return max(1.0, ds.n / smin**2)
+
+
 def _outcome(path, ds):
     try:
         return path(ds), None
@@ -398,14 +438,14 @@ def _outcome(path, ds):
         return None, type(exc)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=135, deadline=None, derandomize=True)
 @given(
     p=st.integers(2, 12),
     n_factor=st.sampled_from([2, 3, 10]),
     log_scales=st.lists(st.floats(-6.0, 6.0), min_size=12, max_size=12),
-    # equicorrelation of the columns; 0.99 keeps cond(S') near 1e4, where
-    # rounding amplified by the conditioning stays below the 1e-10 tolerance
-    rho=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+    # equicorrelation of the columns; up to 0.99 cond(S') stays near 1e4 or
+    # below, and the values past it reach cond(S') of about 1e9
+    rho=st.sampled_from(RHO_WELL_CONDITIONED + RHO_ILL_CONDITIONED),
     plant_probes=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -430,12 +470,17 @@ def test_filter_path_matches_explicit_reference(p, n_factor, log_scales, rho, pl
     if ref_error is not None:
         return
     (spectrum, ks, frob), (ref_spectrum, ref_ks, ref_frob) = new, ref
-    assert _rel_gap(spectrum.sigma_prime, ref_spectrum.sigma_prime) <= 1e-10
+    tol = cross_tol = 1e-10
+    if rho in RHO_ILL_CONDITIONED:
+        cond = ref_spectrum.lambda_max / ref_spectrum.lambda_min
+        tol = COND_GAP_FACTOR * cond * np.finfo(float).eps
+        cross_tol = tol * _probe_residual_factor(ds, cond)
+    assert _rel_gap(spectrum.sigma_prime, ref_spectrum.sigma_prime) <= tol
     for field in ("lambda_min", "lambda_max", "frobenius_norm"):
-        assert getattr(spectrum, field) == pytest.approx(getattr(ref_spectrum, field), rel=1e-10)
-    assert _rel_gap(ks.gram_g, ref_ks.gram_g) <= 1e-10
-    assert _rel_gap(ks.crossprod, ref_ks.crossprod) <= 1e-10
-    assert frob == pytest.approx(ref_frob, rel=1e-10)
+        assert getattr(spectrum, field) == pytest.approx(getattr(ref_spectrum, field), rel=tol)
+    assert _rel_gap(ks.gram_g, ref_ks.gram_g) <= tol
+    assert _rel_gap(ks.crossprod, ref_ks.crossprod) <= cross_tol
+    assert frob == pytest.approx(ref_frob, rel=tol)
 
 
 def test_cached_probe_is_read_only():

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpknockoff import (
     BoundViolation,
@@ -11,6 +14,7 @@ from dpknockoff import (
     ModelOracle,
     PrivacyBudget,
     PrivacyPreconditionFailed,
+    run_knockoff_filter,
 )
 from dpknockoff.design import NormBounds, compute_bounds
 from dpknockoff.knockoffs import GramSpectrum, gram_spectrum, knockoff_summary, raw_gram_frobenius
@@ -77,7 +81,7 @@ def _context_from_design(n, p, seed, beta_norm=1.0, sigma2=1.0, delta_2=0.05):
     oracle = ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=sigma2)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=delta_2,
                            eps_1=0.1, eps_2=0.1, delta=0.05)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(ds), budget, p)
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(ds), budget)
     return ctx, bounds, spectrum
 
 
@@ -88,7 +92,7 @@ def _hand_context():
     oracle = ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.9,
                            eps_1=0.05, eps_2=0.05, delta=0.1)
-    return build_sensitivity_context(bounds, oracle, spectrum, 4.0 * math.sqrt(2.0), budget, 2)
+    return build_sensitivity_context(bounds, oracle, spectrum, 4.0 * math.sqrt(2.0), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +174,7 @@ def test_context_zeta_hand_value():
     spectrum = GramSpectrum(np.eye(50), 1.0, 1.0, math.sqrt(50.0))
     oracle = ModelOracle(beta_norm_bound=0.0, sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.01)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget, 50)
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget)
     assert ctx.zeta == pytest.approx(185.30923345104162, rel=1e-12)
     assert ctx.zeta == pytest.approx(oracle_zeta(50, 1.0, 0.01), rel=1e-12)
 
@@ -182,7 +186,7 @@ def test_context_delta2_floor():
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.5)
     assert 0.5 < delta2_floor(2)
     with pytest.raises(DeltaTooSmall):
-        build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget, 2)
+        build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget)
 
 
 def test_gram_sensitivities_hand_values():
@@ -198,7 +202,7 @@ def test_gram_sensitivities_vanish_with_tiny_rows():
     spectrum = GramSpectrum(np.eye(2), 1.0, 1.0, math.sqrt(2.0))
     oracle = ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.9)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget, 2)
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget)
     lam_sens, frob_sens = gram_sensitivities(ctx)
     assert lam_sens <= 1e-15 and frob_sens <= 1e-15
 
@@ -259,7 +263,7 @@ def test_pair_sensitivity_zero_signal_reduction():
     spectrum = GramSpectrum(np.eye(2), 1.0, 1.0, math.sqrt(2.0))
     oracle = ModelOracle(beta_norm_bound=0.0, sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.9)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, 4.0 * math.sqrt(2.0), budget, 2)
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, 4.0 * math.sqrt(2.0), budget)
     eta = math.sqrt(ctx.eta2)
     want = math.sqrt(ctx.zeta) * (2.0 * math.sqrt(ctx.gamma) + eta * math.sqrt(3.0 + 2.0 + 1.0))
     assert pair_crossprod_sensitivity(ctx) == pytest.approx(want, rel=1e-12)
@@ -271,7 +275,7 @@ def test_pair_sensitivity_limit_small_eta():
     spectrum = GramSpectrum(np.eye(2), 1.0, 1.0, math.sqrt(2.0))
     oracle = ModelOracle(beta_norm_bound=0.0, sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.9)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget, 2)
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget)
     assert pair_crossprod_sensitivity(ctx) == pytest.approx(
         2.0 * math.sqrt(ctx.zeta * ctx.gamma), rel=1e-6
     )
@@ -282,7 +286,7 @@ def test_estimate_sensitivity_precondition():
     spectrum = GramSpectrum(np.eye(2) * 0.4, 0.4, 0.4, 0.4 * math.sqrt(2.0))
     oracle = ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.9)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget, 2)
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget)
     with pytest.raises(PrivacyPreconditionFailed):
         estimate_sensitivity(ctx)
     # ridge stabilization rescues it: effective lambda_min = 0.4 + 0.3 > 0.5
@@ -294,7 +298,7 @@ def test_estimate_sensitivity_limit():
     spectrum = GramSpectrum(np.eye(2) * 0.8, 0.8, 0.8, 0.8 * math.sqrt(2.0))
     oracle = ModelOracle(beta_norm_bound=0.0, sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.9)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget, 2)
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget)
     assert estimate_sensitivity(ctx) == pytest.approx(2.0 * math.sqrt(ctx.zeta / 0.8), rel=1e-6)
 
 
@@ -334,17 +338,17 @@ def _release_inputs(n=200, p=10, seed=21):
     oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05,
                            eps_1=0.2, eps_2=0.2, delta=0.05)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(ds), budget, p)
+    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(ds), budget)
     return ks, ctx, budget
 
 
-def test_release_pair_zero_noise_passthrough():
+def test_release_pair_zero_noise_passthrough(zero_draws):
     ks, ctx, budget = _release_inputs()
-    rel = release_pair(ks, ctx, budget, seed=3, zero_noise=True)
+    rel = release_pair(ks, ctx, budget, seed=3)
     assert np.array_equal(rel.gram_noisy, ks.gram_g)
     assert np.array_equal(rel.crossprod_noisy, ks.crossprod)
-    assert rel.noise_scales["theta1_scale"] == 0.0
-    assert rel.noise_scales["kappa2_sq"] == 0.0
+    # zero draws leave the record as calibrated: it reports what was spent
+    assert rel.noise_scales == calibrate(ctx, budget, "1")
 
 
 def test_release_pair_recorded_scales():
@@ -393,9 +397,9 @@ def test_release_pair_requires_full_budget():
         release_pair(ks, ctx, partial, seed=1)
 
 
-def test_release_estimate_zero_noise_matches_ols():
+def test_release_estimate_zero_noise_matches_ols(zero_draws):
     ks, ctx, budget = _release_inputs()
-    rel = release_estimate(ks, ctx, budget, seed=5, zero_noise=True)
+    rel = release_estimate(ks, ctx, budget, seed=5)
     direct = np.linalg.solve(ks.gram_g, ks.crossprod)
     assert np.array_equal(rel.estimate_noisy, direct)
 
@@ -422,14 +426,52 @@ def test_budget_validation():
         PrivacyBudget(eps=0.5, delta_1=0.0, delta_2=0.1)
     with pytest.raises(BudgetInvalid):
         PrivacyBudget(eps=0.5, delta_1=0.1, delta_2=0.1, eps_1=-0.1)
+    # an infinite eps_1 or eps_2 would calibrate zero noise, a nan one nan noise
+    for name in ("eps_1", "eps_2"):
+        for bad in (math.inf, math.nan, -math.inf):
+            with pytest.raises(BudgetInvalid, match=name):
+                PrivacyBudget(eps=0.5, delta_1=0.1, delta_2=0.1, **{name: bad})
+    for bad in (math.inf, math.nan):
+        with pytest.raises(BudgetInvalid):
+            PrivacyBudget(eps=bad, delta_1=0.1, delta_2=0.1)
+        with pytest.raises(BudgetInvalid):
+            PrivacyBudget(eps=0.5, delta_1=0.1, delta_2=0.1, delta=bad)
 
 
-def test_inconsistent_context_is_rejected():
+def test_budget_totals_by_method():
+    full = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05, eps_1=0.2, eps_2=0.1, delta=0.02)
+    assert full.totals("1") == (0.4 + 0.2 + 0.1, 0.02 + 0.05 + 0.05)
+    assert full.totals("2") == (0.4, 0.05 + 0.05)
+    bare = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05)
+    assert bare.totals("2") == (0.4, 0.1)
+    with pytest.raises(BudgetInvalid, match="missing eps_1, eps_2, delta$"):
+        bare.totals("1")
+    with pytest.raises(ValueError, match="unknown release method"):
+        full.totals("none")
+
+
+def test_context_derives_eta2_gamma_and_p():
     ctx = _hand_context()
-    # tamper with eta2 so B/eta no longer equals sqrt(C^2 - B^2)
-    object.__setattr__(ctx, "eta2", 0.5)
-    with pytest.raises(BoundViolation):
-        pair_crossprod_sensitivity(ctx)
+    assert [f.name for f in dataclasses.fields(ctx)] == [
+        "zeta", "bounds", "oracle", "spectrum", "frobenius_sigma_raw"
+    ]
+    assert ctx.b_over_eta == pytest.approx(1.0 / math.sqrt(ctx.eta2), rel=1e-15)
+    assert ctx.gamma == 2.0 * ctx.spectrum.lambda_max - ctx.spectrum.lambda_min
+    # p is the spectrum's 2, whose floor 2*exp(-1) this delta_2 does not clear
+    budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.01)
+    oracle = ModelOracle(beta_norm_bound=0.0, sigma2_bound=1.0)
+    with pytest.raises(DeltaTooSmall):
+        build_sensitivity_context(ctx.bounds, oracle, ctx.spectrum, 1.0, budget)
+
+
+def test_calibrate_refuses_non_finite_scales():
+    ks, ctx, budget = _release_inputs()
+    huge = dataclasses.replace(ctx, oracle=ModelOracle(beta_norm_bound=1e200, sigma2_bound=1.0))
+    with pytest.raises(PrivacyPreconditionFailed, match="kappa2_sq=inf"):
+        calibrate(huge, budget, "1")
+    with pytest.raises(PrivacyPreconditionFailed, match="kappa_sq=inf"):
+        release_estimate(ks, huge, budget, seed=1)
+    assert gaussian_scale(1e300, 0.5, 0.1) == math.inf
 
 
 def test_releases_carry_the_calibration_record():
@@ -440,10 +482,6 @@ def test_releases_carry_the_calibration_record():
     assert list(rel.noise_scales) == [
         "kappa_sq", "estimate_sensitivity", "ridge_omega2", "eps_total", "delta_total"
     ]
-    # zero noise zeroes the scales and keeps the sensitivities and totals
-    zeroed = release_pair(ks, ctx, budget, seed=3, zero_noise=True).noise_scales
-    full = calibrate(ctx, budget, "1")
-    assert zeroed == dict(full, theta1_scale=0.0, kappa1_sq=0.0, kappa2_sq=0.0)
     with pytest.raises(ValueError):
         calibrate(ctx, budget, "none")
 
@@ -457,3 +495,42 @@ def test_gram_noise_scales_need_their_knobs():
     assert gram_noise_scales(ctx, only_eps1) == (theta1, None)
     bare = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05)
     assert gram_noise_scales(ctx, bare) == (None, None)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    p=st.integers(4, 12),
+    n_factor=st.sampled_from([2, 3, 10, 100]),
+    log_scales=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12),
+    k=st.integers(1, 16),
+    method=st.sampled_from(["1", "2"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_bound_close_to_c_min_is_finite_or_refused(p, n_factor, log_scales, k, method, seed):
+    # B = C_min (1 - 10^-k) sends eta^2 toward 1/(2 * 10^-k): the filter returns
+    # finite statistics or refuses the calibration, never a numerical failure
+    n = n_factor * p
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p)) * 10.0 ** np.asarray(log_scales[:p])
+    ds = Dataset.from_arrays(x, x[:, 0] + rng.standard_normal(n))
+    c_min = float(ds.col_norms.min())
+    budget = PrivacyBudget(eps=0.5, delta_1=0.05, delta_2=0.5, eps_1=0.3, eps_2=0.3, delta=0.05)
+    oracle = ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0)
+
+    def run(row_bound):
+        return run_knockoff_filter(
+            ds, q=0.2, method=method, budget=budget, oracle=oracle,
+            row_bound_override=row_bound, seed=seed,
+        )
+
+    with pytest.raises(BoundViolation):
+        run(c_min)
+    b = c_min * (1.0 - 10.0 ** -k)
+    if b >= c_min:  # 1 - 10^-16 rounded B up to C_min, checked above
+        return
+    try:
+        result = run(b)
+    except PrivacyPreconditionFailed:
+        return
+    assert np.all(np.isfinite(result.report.w.w))

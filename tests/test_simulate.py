@@ -5,10 +5,12 @@ import pytest
 
 from dpknockoff import (
     ConfigInvalid,
+    PrivacyPreconditionFailed,
     SimConfig,
     SingularSystem,
     SweepAborted,
     read_config,
+    run_knockoff_filter,
     run_sweep,
     write_report,
 )
@@ -158,6 +160,21 @@ def test_run_sweep_aborts_on_systematic_failures():
     with pytest.raises(SweepAborted, match="failed their privacy precondition") as info:
         run_sweep(cfg)
     assert info.value.rows == ()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_beta_norm_is_a_privacy_failure():
+    # ||beta|| = sqrt(3) * 1e200 overflows to inf without a warning, and the
+    # calibration refuses the infinite scale, so every trial fails its precondition
+    cfg = _cfg(n_grid=(200,), p=10, k=3, amplitude=1e200, method="2", eps=0.5, trials=3)
+    dataset, oracle = generate_trial(200, cfg, 0)
+    assert oracle.beta_norm_bound == math.inf
+    with pytest.raises(PrivacyPreconditionFailed, match="kappa_sq=inf"):
+        run_knockoff_filter(
+            dataset, q=cfg.q, method="2", budget=budget_for(cfg, 200), oracle=oracle
+        )
+    with pytest.raises(SweepAborted, match="privacy precondition"):
+        run_sweep(cfg)
 
 
 def test_run_sweep_wraps_any_package_error(monkeypatch):
