@@ -7,20 +7,14 @@ privacy budget.  Because the sensitivities are evaluated at the observed
 dataset, the guarantee is local to this data.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from dpknockoff import Dataset, ModelOracle, PrivacyBudget
 from dpknockoff.design import compute_bounds
 from dpknockoff.knockoffs import gram_spectrum, raw_gram_frobenius
-from dpknockoff.privacy import (
-    build_sensitivity_context,
-    delta2_floor,
-    estimate_sensitivity,
-    gaussian_scale,
-    gram_sensitivities,
-    laplace_scale,
-    pair_crossprod_sensitivity,
-)
+from dpknockoff.privacy import build_sensitivity_context, calibrate, delta2_floor
 
 rng = np.random.default_rng(7)
 n, p, k = 5000, 20, 5
@@ -44,19 +38,20 @@ print(f"zeta                   = {ctx.zeta:.2f}")
 print(f"gamma                  = {ctx.gamma:.4f}")
 print(f"delta_2 floor (p={p})  = {delta2_floor(p):.3e}")
 
-lam_sens, frob_sens = gram_sensitivities(ctx)
-print(f"\nlambda_min sensitivity = {lam_sens:.6f}")
-print(f"Gram Frobenius sens.   = {frob_sens:.6f}")
-print(f"pair crossprod sens.   = {pair_crossprod_sensitivity(ctx):.2f}")
-print(f"estimate sens.         = {estimate_sensitivity(ctx):.2f}")
+# calibrate pairs each sensitivity with its budget knobs, once per release
+pair = calibrate(ctx, budget, "1")
+estimate = calibrate(ctx, budget, "2")
+print(f"\nlambda_min sensitivity = {pair['lambda_min_sensitivity']:.6f}")
+print(f"Gram Frobenius sens.   = {pair['gram_frobenius_sensitivity']:.6f}")
+print(f"pair crossprod sens.   = {pair['crossprod_sensitivity']:.2f}")
+print(f"estimate sens.         = {estimate['estimate_sensitivity']:.2f}")
 
 print("\nnoise scales for the pair release:")
-print(f"  theta_1 Laplace scale = {laplace_scale(lam_sens, budget.eps_1):.4f}")
-print(f"  kappa_1^2             = {gaussian_scale(frob_sens, budget.eps_2, budget.delta):.4f}")
-print(f"  kappa_2^2             = "
-      f"{gaussian_scale(pair_crossprod_sensitivity(ctx), budget.eps, budget.delta_1):.1f}")
+print(f"  theta_1 Laplace scale = {pair['theta1_scale']:.4f}")
+print(f"  kappa_1^2             = {pair['kappa1_sq']:.4f}")
+print(f"  kappa_2^2             = {pair['kappa2_sq']:.1f}")
 
 print("\nestimate-release variance vs. eps (delta_1 = 0.01):")
 for eps in (0.05, 0.1, 0.2, 0.4, 0.8):
-    kappa_sq = gaussian_scale(estimate_sensitivity(ctx), eps, 0.01)
+    kappa_sq = calibrate(ctx, replace(budget, eps=eps), "2")["kappa_sq"]
     print(f"  eps = {eps:4.2f} -> kappa^2 = {kappa_sq:12.1f}")

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from .design import compute_bounds, load_dataset
 from .errors import DPKnockoffError, PrivacyPreconditionFailed, SweepAborted
@@ -26,18 +27,9 @@ from .privacy import (
     calibrate,
     delta2_floor,
     estimate_sensitivity,
-    gram_noise_scales,
-    gram_sensitivities,
-    pair_crossprod_sensitivity,
+    pair_scales,
 )
-from .simulate import (
-    SimulationReport,
-    read_config,
-    run_sweep,
-    with_overrides,
-    write_plot_data,
-    write_report,
-)
+from .simulate import SimulationReport, read_config, run_sweep, write_plot_data, write_report
 
 
 def _finite(text: str) -> float:
@@ -112,8 +104,6 @@ def cmd_calibrate(args) -> int:
     budget = _budget_from_args(args)
     oracle = _oracle_from_args(args)
     ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget)
-    lam_sens, frob_sens = gram_sensitivities(ctx)
-    m1_sens = pair_crossprod_sensitivity(ctx)
     try:
         m2_sens = estimate_sensitivity(ctx, args.ridge)
     except PrivacyPreconditionFailed:
@@ -125,7 +115,8 @@ def cmd_calibrate(args) -> int:
         scales = dict(zip(("eps_total", "delta_total"), budget.totals("2")))
     else:
         scales = calibrate(ctx, budget, method, args.ridge)
-    theta1, kappa1 = gram_noise_scales(ctx, budget)
+    # the pair fields come from the pair release's record, whichever method is printed
+    pair = scales if method == "1" else pair_scales(ctx, budget)
 
     record = {
         "n": dataset.n,
@@ -140,13 +131,13 @@ def cmd_calibrate(args) -> int:
         "eta2": ctx.eta2,
         "zeta": ctx.zeta,
         "gamma": ctx.gamma,
-        "lambda_min_sens": lam_sens,
-        "gram_frob_sens": frob_sens,
+        "lambda_min_sens": pair["lambda_min_sensitivity"],
+        "gram_frob_sens": pair["gram_frobenius_sensitivity"],
         "delta2_floor": delta2_floor(dataset.p),
-        "method1_sensitivity": m1_sens,
+        "method1_sensitivity": pair["crossprod_sensitivity"],
         "method2_sensitivity": m2_sens,
-        "theta1_scale": theta1,
-        "kappa1_sq": kappa1,
+        "theta1_scale": pair["theta1_scale"],
+        "kappa1_sq": pair["kappa1_sq"],
         "kappa2_sq_or_kappa_sq": scales.get("kappa2_sq", scales.get("kappa_sq")),
         "total_eps": scales["eps_total"],
         "total_delta": scales["delta_total"],
@@ -197,8 +188,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = read_config(args.config)
-    cfg = with_overrides(cfg, seed=args.seed, threads=args.threads)
+    overrides = {"base_seed": args.seed, "threads": args.threads}
+    cfg = replace(read_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
     aborted = None
     try:
         report = run_sweep(cfg)
@@ -255,7 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DPKnockoffError as exc:
+    except (DPKnockoffError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

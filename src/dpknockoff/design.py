@@ -69,9 +69,14 @@ class Dataset:
     def from_arrays(cls, x, y) -> "Dataset":
         x = np.array(x, dtype=float, ndmin=2)
         y = np.array(y, dtype=float).ravel()
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-            raise InvalidDesign("design or response contains non-finite entries")
         n, p = x.shape
+        dataset = cls(x=x, y=y, n=n, p=p)
+        # a non-finite x_ij makes (X^T X)_jj non-finite, so x is scanned only
+        # where the Gram is not finite, or not formed because the shape is refused
+        shape_ok = y.shape[0] == n and n >= 2 * p
+        gram_finite = shape_ok and bool(np.all(np.isfinite(dataset.gram)))
+        if not (gram_finite or np.all(np.isfinite(x))) or not np.all(np.isfinite(y)):
+            raise InvalidDesign("design or response contains non-finite entries")
         if y.shape[0] != n:
             raise DimensionMismatch(
                 f"response has {y.shape[0]} entries but design has {n} rows"
@@ -81,8 +86,7 @@ class Dataset:
                 f"n={n} < 2p={2 * p}: a knockoff copy needs at least twice as "
                 "many samples as features"
             )
-        dataset = cls(x=x, y=y, n=n, p=p)
-        if not np.all(np.isfinite(dataset.gram)):
+        if not gram_finite:
             raise InvalidDesign("X^T X overflows double precision; rescale the design columns")
         if np.any(dataset.col_norms < ZERO_COLUMN_TOL):
             bad = int(np.argmin(dataset.col_norms))

@@ -321,19 +321,28 @@ def estimate_sensitivity(ctx: SensitivityContext, ridge_omega2: float = 0.0) -> 
 # ---------------------------------------------------------------------------
 
 
-def gram_noise_scales(ctx: SensitivityContext, budget: PrivacyBudget):
-    """(theta_1 Laplace scale, kappa_1^2 Gaussian variance) of the Gram noise.
+def pair_scales(ctx: SensitivityContext, budget: PrivacyBudget) -> dict:
+    """Noise scales and sensitivities of the pair release, each evaluated once.
 
-    theta_1 is calibrated from the lambda_min sensitivity at eps_1 and
-    kappa_1^2 from the Frobenius sensitivity at (eps_2, delta); each is None
-    while its budget knobs are unset.
+    theta_1 is the Laplace scale of the lambda_min sensitivity at eps_1,
+    kappa_1^2 the Gaussian variance of the Frobenius sensitivity at
+    (eps_2, delta) and kappa_2^2 that of :func:`pair_crossprod_sensitivity`
+    at (eps, delta_1); theta_1 and kappa_1^2 are None while their knobs are
+    unset.
     """
     lam_sens, frob_sens = gram_sensitivities(ctx)
-    theta1_scale = None if budget.eps_1 is None else laplace_scale(lam_sens, budget.eps_1)
+    cross_sens = pair_crossprod_sensitivity(ctx)
     kappa1_sq = None
     if budget.eps_2 is not None and budget.delta is not None:
         kappa1_sq = gaussian_scale(frob_sens, budget.eps_2, budget.delta)
-    return theta1_scale, kappa1_sq
+    return {
+        "theta1_scale": None if budget.eps_1 is None else laplace_scale(lam_sens, budget.eps_1),
+        "kappa1_sq": kappa1_sq,
+        "kappa2_sq": gaussian_scale(cross_sens, budget.eps, budget.delta_1),
+        "lambda_min_sensitivity": lam_sens,
+        "gram_frobenius_sensitivity": frob_sens,
+        "crossprod_sensitivity": cross_sens,
+    }
 
 
 def calibrate(
@@ -341,27 +350,16 @@ def calibrate(
 ) -> dict:
     """Noise-scale record of a method ``"1"`` (pair) or ``"2"`` (estimate) release.
 
-    Every scale pairs one sensitivity with its budget knobs: for the pair
-    release theta_1 and kappa_1^2 from :func:`gram_noise_scales` and kappa_2^2
-    from :func:`pair_crossprod_sensitivity` at (eps, delta_1); for the
-    estimate release kappa^2 from :func:`estimate_sensitivity` at
-    (eps, delta_1).  The record ends with the release's total cost.  A
-    non-finite entry, such as the inf scale of an overflowing ||beta|| bound,
-    raises :class:`PrivacyPreconditionFailed` naming its key.
+    Every scale pairs one sensitivity with its budget knobs: the pair
+    release's record is :func:`pair_scales`; the estimate release's holds
+    kappa^2 from :func:`estimate_sensitivity` at (eps, delta_1).  The record
+    ends with the release's total cost.  A non-finite entry, such as the inf
+    scale of an overflowing ||beta|| bound, raises
+    :class:`PrivacyPreconditionFailed` naming its key.
     """
     totals = budget.totals(method)  # raises unless the method's knobs are set
     if method == "1":
-        lam_sens, frob_sens = gram_sensitivities(ctx)
-        theta1_scale, kappa1_sq = gram_noise_scales(ctx, budget)
-        cross_sens = pair_crossprod_sensitivity(ctx)
-        scales = {
-            "theta1_scale": theta1_scale,
-            "kappa1_sq": kappa1_sq,
-            "kappa2_sq": gaussian_scale(cross_sens, budget.eps, budget.delta_1),
-            "lambda_min_sensitivity": lam_sens,
-            "gram_frobenius_sensitivity": frob_sens,
-            "crossprod_sensitivity": cross_sens,
-        }
+        scales = pair_scales(ctx, budget)
     else:
         sens = estimate_sensitivity(ctx, ridge_omega2)
         scales = {

@@ -14,7 +14,7 @@ import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .design import Dataset, ModelOracle
 from .errors import (
     BoundViolation,
     ConfigInvalid,
-    DeltaTooSmall,
     DPKnockoffError,
     PrivacyPreconditionFailed,
     SweepAborted,
@@ -139,10 +138,11 @@ def generate_trial(n: int, cfg: SimConfig, trial_seed) -> tuple[Dataset, ModelOr
     """Draw one synthetic dataset.
 
     Design entries are i.i.d. standard normal; the first k coefficients
-    equal +amplitude (fixed support, common sign) and the response follows
-    the linear model with noise variance sigma2.  The returned oracle holds
-    the exact coefficient norm and the true variance, each inflated by the
-    pessimism factor.
+    equal +amplitude (fixed support, common sign; amplitude 0 is the global
+    null) and the response follows the linear model with noise variance
+    sigma2.  The returned oracle holds the exact coefficient norm and the
+    true variance, each inflated by the pessimism factor; its support is
+    read from the nonzeros of beta.
     """
     rng = np.random.default_rng(trial_seed)
     x = rng.standard_normal((n, cfg.p))
@@ -154,7 +154,6 @@ def generate_trial(n: int, cfg: SimConfig, trial_seed) -> tuple[Dataset, ModelOr
             beta_norm_bound=cfg.pessimism * float(np.linalg.norm(beta)),
             sigma2_bound=cfg.pessimism * cfg.sigma2,
             true_beta=beta,
-            true_support=frozenset(range(cfg.k)),
         )
     return Dataset.from_arrays(x, y), oracle
 
@@ -200,7 +199,7 @@ def _trial_outcome(cfg: SimConfig, n: int, n_idx: int, t: int):
             oracle=oracle,
             seed=release_seed,
         )
-    except (PrivacyPreconditionFailed, BoundViolation, DeltaTooSmall):
+    except (PrivacyPreconditionFailed, BoundViolation):
         return None
     return evaluate_selection(result.report, oracle)
 
@@ -258,7 +257,8 @@ def run_sweep(cfg: SimConfig) -> SimulationReport:
     oversubscribe the cores and every thread count computes the same bits.
     Trials whose privacy precondition fails are excluded from the means and
     counted under ``failures``.  A failure rate above MAX_FAILURE_RATE, or
-    any other package error in a trial, aborts the sweep with
+    any other package error in a trial (such as ``DeltaTooSmall``, which
+    depends only on (cfg, n) and so fails every trial), aborts the sweep with
     :class:`SweepAborted`, which carries the rows of the sample sizes
     already finished.
     """
@@ -345,21 +345,30 @@ def write_plot_data(report: SimulationReport, out_path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_CONFIG_KEYS = {
-    "n_grid", "p", "k", "amplitude", "sigma2", "q", "trials", "method", "stat",
-    "eps", "eps1", "eps2", "delta_rule", "delta_value", "base_seed", "threads",
-    "pessimism",
-}
-_REQUIRED_KEYS = ("n_grid", "p", "k", "amplitude", "sigma2", "q", "trials")
+# Config-file spelling of the SimConfig fields that are not spelled as named.
+_CONFIG_SPELLING = {"eps_1": "eps1", "eps_2": "eps2"}
+
+
+def _parse_value(annotation: str, text: str):
+    """Parse a config value as the SimConfig field annotation asks."""
+    if annotation == "tuple":  # n_grid: comma-separated sample sizes
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    if annotation == "int":
+        return int(text)
+    if annotation == "str":
+        return text
+    return float(text)  # float, float | None
 
 
 def read_config(path) -> SimConfig:
     """Parse a flat key=value config file into a SimConfig.
 
     Lines look like ``key = value``; '#' starts a comment.  ``n_grid`` is a
-    comma-separated list of sample sizes.  Keys mirror the SimConfig fields
-    (with ``eps1``/``eps2`` for the split epsilons).
+    comma-separated list of sample sizes.  Keys are the SimConfig fields
+    (with ``eps1``/``eps2`` for the split epsilons); a field without a
+    default is required.
     """
+    by_key = {_CONFIG_SPELLING.get(f.name, f.name): f for f in fields(SimConfig)}
     raw = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -370,43 +379,17 @@ def read_config(path) -> SimConfig:
                 raise ConfigInvalid(f"{path}:{lineno}: expected 'key = value', got {text!r}")
             key, _, value = text.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in by_key:
                 raise ConfigInvalid(f"{path}:{lineno}: unknown key {key!r}")
             if key in raw:
                 raise ConfigInvalid(f"{path}:{lineno}: duplicate key {key!r}")
             raw[key] = value.strip()
-    missing = [k for k in _REQUIRED_KEYS if k not in raw]
+    missing = [k for k, f in by_key.items() if k not in raw and f.default is MISSING]
     if missing:
         raise ConfigInvalid(f"{path}: missing required keys: {', '.join(missing)}")
     try:
-        return SimConfig(
-            n_grid=tuple(int(tok) for tok in raw["n_grid"].split(",") if tok.strip()),
-            p=int(raw["p"]),
-            k=int(raw["k"]),
-            amplitude=float(raw["amplitude"]),
-            sigma2=float(raw["sigma2"]),
-            q=float(raw["q"]),
-            trials=int(raw["trials"]),
-            method=raw.get("method", "none"),
-            stat=raw.get("stat", "lcd"),
-            eps=float(raw.get("eps", 0.0)),
-            eps_1=float(raw.get("eps1", 0.0)),
-            eps_2=float(raw.get("eps2", 0.0)),
-            delta_rule=raw.get("delta_rule", "two_p_over_n"),
-            delta_value=float(raw["delta_value"]) if "delta_value" in raw else None,
-            base_seed=int(raw.get("base_seed", 0)),
-            threads=int(raw.get("threads", 1)),
-            pessimism=float(raw.get("pessimism", 1.0)),
-        )
+        return SimConfig(**{
+            f.name: _parse_value(f.type, raw[key]) for key, f in by_key.items() if key in raw
+        })
     except ValueError as exc:
         raise ConfigInvalid(f"{path}: {exc}") from exc
-
-
-def with_overrides(cfg: SimConfig, seed: int | None = None, threads: int | None = None) -> SimConfig:
-    """Copy of cfg with CLI-level overrides applied."""
-    updates = {}
-    if seed is not None:
-        updates["base_seed"] = seed
-    if threads is not None:
-        updates["threads"] = threads
-    return replace(cfg, **updates) if updates else cfg

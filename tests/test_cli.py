@@ -108,6 +108,28 @@ def test_calibrate_agrees_with_run(capsys, data_files, method, budget, ridge, pa
     assert (cal["total_eps"], cal["total_delta"]) == (scales["eps_total"], scales["delta_total"])
 
 
+@pytest.mark.parametrize("knobs, theta1, kappa1", [
+    ([], False, False),
+    (["--eps1", "0.05"], True, False),
+    (["--eps2", "0.05"], False, False),
+    (["--eps2", "0.05", "--delta", "0.02"], False, True),
+    (["--eps1", "0.05", "--eps2", "0.05", "--delta", "0.02"], True, True),
+])
+def test_calibrate_method2_prints_gram_scales_only_with_their_knobs(
+    capsys, data_files, knobs, theta1, kappa1
+):
+    xp, yp, bnorm = data_files
+    code, out = _run_cli(capsys, [
+        "calibrate", "--x", xp, "--y", yp, "--method", "2", *ESTIMATE_BUDGET, *knobs,
+        "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0",
+    ])
+    assert code == 0
+    record = json.loads(out)
+    assert (record["theta1_scale"] is not None) == theta1
+    assert (record["kappa1_sq"] is not None) == kappa1
+    assert record["lambda_min_sens"] > 0 and record["gram_frob_sens"] > 0
+
+
 def test_calibrate_method2_failed_precondition_prints_nulls(capsys, data_files):
     # B = 12 against C_min ~ 16 gives eta^2 > 1: no finite estimate calibration
     xp, yp, bnorm = data_files
@@ -325,10 +347,10 @@ def test_simulate_seed_override_changes_output(tmp_path):
 
 
 def test_simulate_abort_is_cli_error(tmp_path, capsys):
-    # p=5 with the 2p/n rule puts delta_2 below its floor on every trial
+    # ||beta|| overflows on every draw, so every trial fails its privacy precondition
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
-        "n_grid = 400\np = 5\nk = 2\namplitude = 3.0\nsigma2 = 1.0\n"
+        "n_grid = 200\np = 10\nk = 3\namplitude = 1e200\nsigma2 = 1.0\n"
         "q = 0.2\ntrials = 4\nmethod = 2\neps = 0.3\nbase_seed = 7\n",
         encoding="utf-8",
     )
@@ -376,3 +398,42 @@ def test_simulate_keeps_finished_rows_on_any_package_error(tmp_path, capsys):
     assert err.startswith("error: ") and "at n=20000" in err and "InvalidDesign" in err
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 2 and lines[1].startswith("200,none,lcd,3,")
+
+
+def test_simulate_zero_amplitude_runs_the_global_null(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n_grid = 200, 400\np = 10\nk = 3\namplitude = 0\nsigma2 = 1.0\n"
+        "q = 0.2\ntrials = 4\nbase_seed = 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "report.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [row["n"] for row in rows] == ["200", "400"]
+    assert all(row["power_hat"] == "0" and row["failures"] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("kind", ["x", "y", "config", "out"])
+def test_file_errors_are_cli_errors(tmp_path, capsys, data_files, kind):
+    # a missing input or an unwritable output exits 2 with one error line
+    xp, yp, _ = data_files
+    missing = str(tmp_path / "nope.csv")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n_grid = 200\np = 10\nk = 3\namplitude = 3\nsigma2 = 1\nq = 0.2\ntrials = 2\n",
+        encoding="utf-8",
+    )
+    argv = {
+        "x": ["run", "--x", missing, "--y", yp],
+        "y": ["run", "--x", xp, "--y", missing],
+        "config": ["simulate", "--config", missing, "--out", str(tmp_path / "r.csv")],
+        "out": ["simulate", "--config", str(cfg), "--out", str(tmp_path / "no_dir" / "r.csv")],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert ("r.csv" if kind == "out" else "nope.csv") in err

@@ -72,6 +72,41 @@ def test_from_arrays_rejects_nonfinite():
         Dataset.from_arrays(x, np.ones(6))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (-1, -1), (25, 2)])
+def test_from_arrays_rejects_nonfinite_through_the_gram(value, where):
+    x = np.random.default_rng(5).standard_normal((50, 5))
+    x[where] = value
+    with pytest.raises(InvalidDesign, match="non-finite entries"):
+        Dataset.from_arrays(x, np.ones(50))
+
+
+@pytest.mark.parametrize("value, y_len, p, error, match", [
+    # a non-finite x is reported before a wrong-length y or n < 2p ...
+    (np.nan, 49, 5, InvalidDesign, "non-finite entries"),
+    (np.nan, 50, 30, InvalidDesign, "non-finite entries"),
+    # ... and a finite but overflowing x after them
+    (1e160, 49, 5, DimensionMismatch, "49 entries but design has 50 rows"),
+    (1e160, 50, 30, InvalidDesign, "n=50 < 2p=60"),
+])
+def test_from_arrays_combined_defects_keep_their_order(value, y_len, p, error, match):
+    x = np.random.default_rng(6).standard_normal((50, p))
+    x[3, 1] = value
+    with pytest.raises(error, match=match):
+        Dataset.from_arrays(x, np.ones(y_len))
+
+
+def test_from_arrays_refused_shape_forms_no_gram(monkeypatch):
+    def no_gram(self):
+        raise AssertionError("a refused shape must not form X^T X")
+
+    monkeypatch.setattr(Dataset, "gram", property(no_gram))
+    with pytest.raises(InvalidDesign, match="n=4 < 2p"):
+        Dataset.from_arrays(np.ones((4, 3)), np.ones(4))
+    with pytest.raises(DimensionMismatch):
+        Dataset.from_arrays(np.ones((8, 3)), np.ones(7))
+
+
 def test_from_arrays_rejects_overflowing_gram():
     # every entry is finite, but the scaled column's squared norm overflows
     x = np.random.default_rng(2).standard_normal((200, 5))

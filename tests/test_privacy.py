@@ -17,6 +17,7 @@ from dpknockoff import (
     run_knockoff_filter,
 )
 from dpknockoff.design import NormBounds, compute_bounds
+from dpknockoff import privacy
 from dpknockoff.knockoffs import GramSpectrum, gram_spectrum, knockoff_summary, raw_gram_frobenius
 from dpknockoff.privacy import (
     STRICTNESS_BUMP,
@@ -26,10 +27,10 @@ from dpknockoff.privacy import (
     delta2_floor,
     estimate_sensitivity,
     gaussian_scale,
-    gram_noise_scales,
     gram_sensitivities,
     laplace_scale,
     pair_crossprod_sensitivity,
+    pair_scales,
     release_estimate,
     release_pair,
     sample_gaussian_vector,
@@ -486,15 +487,33 @@ def test_releases_carry_the_calibration_record():
         calibrate(ctx, budget, "none")
 
 
-def test_gram_noise_scales_need_their_knobs():
+def test_pair_scales_need_their_knobs():
     _, ctx, budget = _release_inputs()
-    theta1, kappa1 = gram_noise_scales(ctx, budget)
+    scales = pair_scales(ctx, budget)
+    theta1, kappa1 = scales["theta1_scale"], scales["kappa1_sq"]
     record = calibrate(ctx, budget, "1")
     assert (theta1, kappa1) == (record["theta1_scale"], record["kappa1_sq"])
+    # the pair record is pair_scales followed by the totals, in that key order
+    assert list(record) == [*scales, "eps_total", "delta_total"]
+    assert all(record[key] == value for key, value in scales.items())
     only_eps1 = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05, eps_1=0.2, eps_2=0.2)
-    assert gram_noise_scales(ctx, only_eps1) == (theta1, None)
+    got = pair_scales(ctx, only_eps1)
+    assert (got["theta1_scale"], got["kappa1_sq"]) == (theta1, None)
     bare = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05)
-    assert gram_noise_scales(ctx, bare) == (None, None)
+    got = pair_scales(ctx, bare)
+    assert (got["theta1_scale"], got["kappa1_sq"]) == (None, None)
+
+
+def test_calibrate_evaluates_each_pair_sensitivity_once(monkeypatch):
+    _, ctx, budget = _release_inputs()
+    calls = []
+    for name in ("gram_sensitivities", "pair_crossprod_sensitivity"):
+        real = getattr(privacy, name)
+        monkeypatch.setattr(
+            privacy, name, lambda c, _real=real, _name=name: calls.append(_name) or _real(c)
+        )
+    calibrate(ctx, budget, "1")
+    assert sorted(calls) == ["gram_sensitivities", "pair_crossprod_sensitivity"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dpknockoff import (
     ConfigInvalid,
+    DeltaTooSmall,
     PrivacyPreconditionFailed,
     SimConfig,
     SingularSystem,
@@ -154,12 +156,26 @@ def test_run_sweep_private_methods_run():
 
 
 def test_run_sweep_aborts_on_systematic_failures():
-    # p=5 with the 2p/n rule pushes delta_2 below its floor on every trial,
-    # so the failure rate crosses the abort threshold immediately
-    cfg = _cfg(method="2", eps=0.3, trials=4)
+    # ||beta|| overflows on every draw, so each trial fails its privacy
+    # precondition and the failure rate crosses the abort threshold at once
+    cfg = _cfg(n_grid=(200,), p=10, k=3, amplitude=1e200, method="2", eps=0.3, trials=4)
     with pytest.raises(SweepAborted, match="failed their privacy precondition") as info:
         run_sweep(cfg)
     assert info.value.rows == ()
+
+
+def test_run_sweep_aborts_on_delta2_below_its_floor():
+    # delta_2 = 2p/(3n) depends only on (cfg, n): at p=10, n=1000 it is 0.0067
+    # against a floor of 2*exp(-5) = 0.0135, so the sweep aborts naming the
+    # floor instead of counting every trial as a privacy failure
+    cfg = _cfg(n_grid=(200, 1000), p=10, k=3, method="1", eps=0.3, eps_1=0.2, eps_2=0.2,
+               trials=4)
+    with pytest.raises(
+        SweepAborted, match=r"n=1000 failed with DeltaTooSmall: .* must exceed 2\*exp\(-p/2\)"
+    ) as info:
+        run_sweep(cfg)
+    assert isinstance(info.value.__cause__, DeltaTooSmall)
+    assert [row.n for row in info.value.rows] == [200]
 
 
 @pytest.mark.filterwarnings("error")
@@ -295,6 +311,42 @@ def test_read_config_round_trip(tmp_path):
     assert cfg.n_grid == (400, 800)
     assert cfg.method == "2" and cfg.stat == "csm"
     assert cfg.eps == 0.2 and cfg.base_seed == 42 and cfg.threads == 2
+
+
+def test_read_config_round_trips_every_field(tmp_path):
+    cfg = SimConfig(
+        n_grid=(400, 800), p=12, k=3, amplitude=2.5, sigma2=1.5, q=0.1, trials=4,
+        method="1", stat="csm", eps=0.3, eps_1=0.2, eps_2=0.1, delta_rule="fixed",
+        delta_value=0.01, base_seed=9, threads=2, pessimism=1.5,
+    )
+    fields = dataclasses.fields(SimConfig)
+    # every field differs from its default, so a dropped key would show
+    assert all(getattr(cfg, f.name) != f.default for f in fields)
+    spelling = {"eps_1": "eps1", "eps_2": "eps2"}
+    lines = []
+    for f in fields:
+        value = getattr(cfg, f.name)
+        text = ", ".join(map(str, value)) if f.name == "n_grid" else str(value)
+        lines.append(f"{spelling.get(f.name, f.name)} = {text}")
+    path = tmp_path / "every.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert read_config(path) == cfg
+
+
+def test_read_config_keeps_the_config_spelling(tmp_path):
+    base = "n_grid = 100\np = 5\nk = 2\namplitude = 1\nsigma2 = 1\nq = .2\ntrials = 2\n"
+    path = tmp_path / "field_name.cfg"
+    path.write_text(base + "eps_1 = 0.2\n", encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match="unknown key 'eps_1'"):
+        read_config(path)
+    path.write_text("p = 5\nk = 2\n", encoding="utf-8")
+    with pytest.raises(
+        ConfigInvalid, match="missing required keys: n_grid, amplitude, sigma2, q, trials$"
+    ):
+        read_config(path)
+    path.write_text(base.replace("p = 5", "p = 5.0"), encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match="invalid literal for int"):
+        read_config(path)
 
 
 @pytest.mark.parametrize(
