@@ -31,7 +31,7 @@ dataset = Dataset.from_arrays(x, y)
 
 spectrum = gram_spectrum(dataset)
 summary = knockoff_summary(dataset, spectrum)
-s = summary.s_value
+s = spectrum.lambda_min
 print(f"normalized Gram: lambda_min={spectrum.lambda_min:.4f}, "
       f"lambda_max={spectrum.lambda_max:.4f}")
 print(f"decorrelation s = lambda_min(S') = {s:.4f}")

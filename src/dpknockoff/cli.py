@@ -17,10 +17,10 @@ import math
 import sys
 from dataclasses import replace
 
-from .design import compute_bounds, load_dataset
+from .design import ModelOracle, compute_bounds, load_dataset
 from .errors import DPKnockoffError, PrivacyPreconditionFailed, SweepAborted
 from .knockoffs import closed_form_gram_eigenvalues, gram_spectrum, raw_gram_frobenius
-from .pipeline import run_knockoff_filter
+from .pipeline import METHODS, run_knockoff_filter
 from .privacy import (
     PrivacyBudget,
     build_sensitivity_context,
@@ -29,6 +29,7 @@ from .privacy import (
     estimate_sensitivity,
     pair_scales,
 )
+from .selection import STATISTIC_KINDS
 from .simulate import SimulationReport, read_config, run_sweep, write_plot_data, write_report
 
 
@@ -48,6 +49,12 @@ def _positive(text: str) -> float:
     if not _finite(text) > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return float(text)
+
+
+def _nonnegative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return int(text)
 
 
 def _add_data_flags(parser):
@@ -83,8 +90,6 @@ def _budget_from_args(args) -> PrivacyBudget:
 
 
 def _oracle_from_args(args):
-    from .design import ModelOracle
-
     if args.beta_norm_bound is None or args.sigma2_bound is None:
         raise DPKnockoffError("--beta-norm-bound and --sigma2-bound are required here")
     return ModelOracle(beta_norm_bound=args.beta_norm_bound, sigma2_bound=args.sigma2_bound)
@@ -214,25 +219,25 @@ def build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", help="print spectral and privacy calibration scalars")
     _add_data_flags(cal)
     _add_budget_flags(cal)
-    cal.add_argument("--method", choices=("1", "2"), default="1")
+    cal.add_argument("--method", choices=METHODS[1:], default="1")  # the private methods
     cal.add_argument("--ridge", type=_nonnegative, default=0.0)
     cal.set_defaults(func=cmd_calibrate)
 
     run = sub.add_parser("run", help="run the knockoff filter once")
     _add_data_flags(run)
     _add_budget_flags(run)
-    run.add_argument("--method", choices=("none", "1", "2"), default="none")
-    run.add_argument("--stat", choices=("lcd", "csm"), default="lcd")
+    run.add_argument("--method", choices=METHODS, default="none")
+    run.add_argument("--stat", choices=STATISTIC_KINDS, default="lcd")
     run.add_argument("--q", type=float, default=0.2)
     run.add_argument("--lambda", type=_nonnegative, default=0.0, help="lasso penalty (0 = OLS)")
     run.add_argument("--ridge", type=_nonnegative, default=0.0, help="ridge term omega^2")
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=_nonnegative_int, default=None)
     run.set_defaults(func=cmd_run)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo sweep from a config file")
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", required=True, help="output CSV path")
-    sim.add_argument("--seed", type=int, default=None, help="override base_seed")
+    sim.add_argument("--seed", type=_nonnegative_int, default=None, help="override base_seed")
     sim.add_argument("--threads", type=int, default=None, help="override thread count")
     sim.add_argument(
         "--emit-plot-data", default=None, metavar="PATH",

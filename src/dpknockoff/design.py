@@ -44,10 +44,9 @@ class Dataset:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Raw Gram X^T X, symmetrized, computed once (read-only)."""
+        """Raw Gram X^T X, computed once (read-only)."""
         with np.errstate(over="ignore", invalid="ignore"):  # from_arrays refuses inf/nan
             g = self.x.T @ self.x
-            g = (g + g.T) / 2.0  # kill asymmetric rounding
         g.setflags(write=False)
         return g
 

@@ -17,11 +17,13 @@ knockoff half of the feature-response product is
 
 The filter fixes s = lambda_min(S'), which keeps lambda_min(G) at
 lambda_min(S') and gives the closed-form lambda_max(G) the privacy
-calibration reads.  X' = X D is a diagonal rescaling of the raw design, so
-S' = D (X^T X) D and X'^T [y W] = D X^T [y W].  :func:`gram_spectrum` and
-:func:`knockoff_summary` compute S', G and [X' Xt]^T y from the raw Gram and
-the raw products X^T y, X^T W and W^T y, without forming X' or the copy.
-The explicit n x p copy they are tested against lives with the tests.
+calibration reads; it also keeps the spectrum of 2sI - s^2 S'^{-1} in
+[s, 2s), so one plain Cholesky gives C.  X' = X D is a diagonal rescaling of
+the raw design, so S' = D (X^T X) D and X'^T [y W] = D X^T [y W].
+:func:`gram_spectrum` and :func:`knockoff_summary` compute S', G and
+[X' Xt]^T y from the raw Gram and the raw products X^T y, X^T W and W^T y,
+without forming X' or the copy.  The explicit n x p copy they are tested
+against, and the decorrelation at any other s, live with the tests.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import InvalidDesign, KnockoffInfeasible
 # Deterministic probe used to span the orthogonal complement; not a secret,
 # just a fixed arbitrary constant so the construction is reproducible.
 _PROBE_ENTROPY = 0x5D2B1
-_CHOLESKY_JITTER = 1e-10
 # Default probes kept per (n, p, attempt); each holds an n x p array, so the
 # bound caps the memory the cache can pin.
 _PROBE_CACHE_SIZE = 4
@@ -58,8 +59,8 @@ class GramSpectrum:
     def from_gram(cls, sigma_prime: np.ndarray) -> "GramSpectrum":
         """Extreme eigenvalues and Frobenius norm of a normalized Gram S'.
 
-        S' is symmetrized first; a matrix that is not numerically positive
-        definite is rejected.
+        S' is symmetrized first, the package's one symmetrization; a matrix
+        that is not numerically positive definite is rejected.
         """
         s = (sigma_prime + sigma_prime.T) / 2.0  # kill asymmetric rounding
         evals = np.linalg.eigvalsh(s)
@@ -93,11 +94,6 @@ class KnockoffSummary:
     def p(self) -> int:
         return self.crossprod.shape[0] // 2
 
-    @property
-    def s_value(self) -> float:
-        """The decorrelation s, lambda_min(S')."""
-        return self.spectrum.lambda_min
-
 
 def gram_spectrum(d: Dataset) -> GramSpectrum:
     """S' = D (X^T X) D and its extreme eigenvalues and Frobenius norm.
@@ -128,7 +124,6 @@ def _cached_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]
     ss = np.random.SeedSequence(entropy=_PROBE_ENTROPY, spawn_key=(attempt,))
     w = np.random.default_rng(ss).standard_normal((n, p))
     wtw = w.T @ w
-    wtw = (wtw + wtw.T) / 2.0
     w.setflags(write=False)
     wtw.setflags(write=False)
     return w, wtw
@@ -163,21 +158,29 @@ def _lower_inverse(lower: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lower, np.eye(lower.shape[0]))
 
 
-def _decorrelation(spectrum: GramSpectrum, s: float):
-    """Factor S' and return (L^{-1} for its Cholesky factor L, S'^{-1} sI, C).
+def _decorrelation(spectrum: GramSpectrum):
+    """Factor S' and return (L^{-1} for its Cholesky factor L, s S'^{-1}, C).
 
-    C is upper triangular with C^T C equal to the Schur complement
-    2sI - s^2 S'^{-1}.
+    s is lambda_min(S'), and C is upper triangular with C^T C equal to the
+    Schur complement 2sI - s^2 S'^{-1}, whose spectrum lies in [s, 2s).  One
+    plain Cholesky factors it; rounding of order cond(S') eps s only breaks
+    it near cond(S') ~ 1/eps, where the design is refused.
     """
+    s = spectrum.lambda_min
     p = spectrum.sigma_prime.shape[0]
     try:
         l_inv = _lower_inverse(np.linalg.cholesky(spectrum.sigma_prime))
     except np.linalg.LinAlgError as exc:
         raise InvalidDesign("normalized Gram matrix is not positive definite") from exc
     sigma_inv_s = s * (l_inv.T @ l_inv)  # S'^{-1} * sI, via the factorization
-    schur = 2.0 * s * np.eye(p) - s * sigma_inv_s
-    schur = (schur + schur.T) / 2.0
-    return l_inv, sigma_inv_s, _cholesky_with_jitter(schur)
+    try:
+        c_upper = np.linalg.cholesky(2.0 * s * np.eye(p) - s * sigma_inv_s).T
+    except np.linalg.LinAlgError as exc:
+        raise KnockoffInfeasible(
+            "knockoff Schur complement 2sI - s^2 S'^-1 is numerically singular at "
+            f"cond(S')={spectrum.lambda_max / s:.3e}; the design is too nearly collinear"
+        ) from exc
+    return l_inv, sigma_inv_s, c_upper
 
 
 def knockoff_summary(d: Dataset, spectrum: GramSpectrum) -> KnockoffSummary:
@@ -194,7 +197,7 @@ def knockoff_summary(d: Dataset, spectrum: GramSpectrum) -> KnockoffSummary:
     s = spectrum.lambda_min
     sigma = spectrum.sigma_prime
     xty = d.normalizer_d * _response_product(d.x, d.y)
-    l_inv, sigma_inv_s, c_upper = _decorrelation(spectrum, s)
+    l_inv, sigma_inv_s, c_upper = _decorrelation(spectrum)
     off = sigma - s * np.eye(d.p)
     uty = _complement_crossprod(d, xty, l_inv, spectrum.lambda_max / s)
     kty = xty - sigma_inv_s.T @ xty + c_upper.T @ uty
@@ -229,35 +232,14 @@ def _complement_crossprod(d: Dataset, xty, l_inv, cond: float) -> np.ndarray:
     for attempt in range(2):
         w, wtw = _default_probe(n, p, attempt)
         qtw = l_inv @ (d.normalizer_d[:, None] * (d.x.T @ w))
-        resid = wtw - qtw.T @ qtw
         try:
-            r_lower = np.linalg.cholesky((resid + resid.T) / 2.0)  # R^T
+            r_lower = np.linalg.cholesky(wtw - qtw.T @ qtw)  # R^T
         except np.linalg.LinAlgError:
             continue
         if np.abs(np.diag(r_lower)).min() <= _rank_tol(n, cond):
             continue
         return np.linalg.solve(r_lower, _response_product(w, d.y) - qtw.T @ qty)
     raise KnockoffInfeasible("probe matrix fell inside the design column span twice")
-
-
-def _cholesky_with_jitter(mat: np.ndarray) -> np.ndarray:
-    """Upper-triangular C with C^T C = mat, retrying once with a tiny ridge.
-
-    The Schur complement is positive definite in exact arithmetic for
-    0 < s < 2*lambda_min, but rounding (or the boundary choice s = 2*lambda_min)
-    can push an eigenvalue below zero; one jitter retry covers that case.
-    """
-    try:
-        return np.linalg.cholesky(mat).T
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.cholesky(mat + _CHOLESKY_JITTER * np.eye(mat.shape[0])).T
-    except np.linalg.LinAlgError as exc:
-        raise KnockoffInfeasible(
-            "Schur complement is not positive semidefinite even after jitter; "
-            "s may exceed the feasible range for this Gram matrix"
-        ) from exc
 
 
 def raw_gram_frobenius(d: Dataset) -> float:

@@ -14,7 +14,7 @@ import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -98,6 +98,8 @@ class SimConfig:
                 raise ConfigInvalid("fixed delta rule needs delta_value in (0,1)")
         if self.threads < 1:
             raise ConfigInvalid("threads must be at least 1")
+        if self.base_seed < 0:
+            raise ConfigInvalid(f"base_seed must be nonnegative, got {self.base_seed}")
         if self.pessimism < 1.0:
             raise ConfigInvalid("pessimism factor must be >= 1")
         if self.method == "1" and not (self.eps > 0 and self.eps_1 > 0 and self.eps_2 > 0):
@@ -128,10 +130,7 @@ class SimulationReport:
     rows: tuple = field(default_factory=tuple)
 
 
-REPORT_COLUMNS = (
-    "n", "method", "stat", "trials", "fdr_hat", "fdr_se",
-    "power_hat", "power_se", "eps_total", "delta_total", "failures",
-)
+REPORT_COLUMNS = tuple(f.name for f in fields(SimRow))
 
 
 def generate_trial(n: int, cfg: SimConfig, trial_seed) -> tuple[Dataset, ModelOracle]:
@@ -320,13 +319,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_report(report: SimulationReport, out_path) -> None:
-    """Write the sweep report as CSV, one row per (n, method), 6 significant digits."""
-    lines = [",".join(REPORT_COLUMNS)]
+def _write_csv(report: SimulationReport, out_path, columns, values) -> None:
+    """One header line, then ``values(row)`` per row in order of n, 6 significant digits."""
+    lines = [",".join(columns)]
     for row in sorted(report.rows, key=lambda r: r.n):
-        lines.append(",".join(_fmt(getattr(row, col)) for col in REPORT_COLUMNS))
+        lines.append(",".join(_fmt(v) for v in values(row)))
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_report(report: SimulationReport, out_path) -> None:
+    """Write the sweep report as CSV, one row per (n, method), one column per SimRow field."""
+    _write_csv(report, out_path, REPORT_COLUMNS, astuple)
 
 
 PLOT_COLUMNS = ("n", "log10_n", "method", "stat", "fdr_hat", "fdr_se", "power_hat", "power_se")
@@ -334,15 +338,10 @@ PLOT_COLUMNS = ("n", "log10_n", "method", "stat", "fdr_hat", "fdr_se", "power_ha
 
 def write_plot_data(report: SimulationReport, out_path) -> None:
     """Write a companion CSV shaped for plotting (log-scale sample size included)."""
-    lines = [",".join(PLOT_COLUMNS)]
-    for row in sorted(report.rows, key=lambda r: r.n):
-        values = (
-            row.n, math.log10(row.n), row.method, row.stat,
-            row.fdr_hat, row.fdr_se, row.power_hat, row.power_se,
-        )
-        lines.append(",".join(_fmt(v) for v in values))
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(report, out_path, PLOT_COLUMNS, lambda row: (
+        row.n, math.log10(row.n), row.method, row.stat,
+        row.fdr_hat, row.fdr_se, row.power_hat, row.power_se,
+    ))
 
 
 # Config-file spelling of the SimConfig fields that are not spelled as named.

@@ -5,9 +5,11 @@ copy (Barber & Candes 2015, arXiv:1404.5609): it computes the augmented Gram
 and [X' Xt]^T y from sufficient statistics at s = lambda_min(S').  This
 module builds both explicitly, for any s and, optionally, a seeded probe.
 With the default probe it calls the package's own private helpers (probe,
-Cholesky inverse, decorrelation C, rank test) through the module, so both
-sides use the same basis U and the same C, and a test that patches a helper
-reaches both.
+Cholesky inverse, rank test, and the decorrelation C at s = lambda_min)
+through the module, so both sides use the same basis U and the same C, and
+a test that patches a helper reaches both.  Only the reference factors the
+Schur complement at other s, such as the classic s = 2 lambda_min(S'),
+where it is singular and needs a jitter retry.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dpknockoff.errors import InvalidDesign, KnockoffInfeasible, PreconditionVio
 from dpknockoff.knockoffs import GramSpectrum, KnockoffSummary
 
 S_MODES = ("private_recommended", "classic")
+_CHOLESKY_JITTER = 1e-10
 
 
 @dataclass(frozen=True)
@@ -174,6 +177,36 @@ def _orthonormalize_tall(w: np.ndarray, rank_tol: float):
     return w
 
 
+def decorrelation(spectrum: GramSpectrum, s: float):
+    """(S'^{-1} sI, C) with C upper triangular and C^T C = 2sI - s^2 S'^{-1}, for any s.
+
+    At s = lambda_min(S') this is the package's own factorization.  Other s
+    factor the Schur complement here; it is positive definite in exact
+    arithmetic for 0 < s < 2 lambda_min, but rounding, or the boundary
+    choice s = 2 lambda_min, can push an eigenvalue below zero, so a failed
+    Cholesky is retried once with a tiny ridge.
+    """
+    if s == spectrum.lambda_min:
+        _, sigma_inv_s, c_upper = knockoffs._decorrelation(spectrum)
+        return sigma_inv_s, c_upper
+    p = spectrum.sigma_prime.shape[0]
+    try:
+        l_inv = knockoffs._lower_inverse(np.linalg.cholesky(spectrum.sigma_prime))
+    except np.linalg.LinAlgError as exc:
+        raise InvalidDesign("normalized Gram matrix is not positive definite") from exc
+    sigma_inv_s = s * (l_inv.T @ l_inv)
+    schur = 2.0 * s * np.eye(p) - s * sigma_inv_s
+    for ridge in (0.0, _CHOLESKY_JITTER):
+        try:
+            return sigma_inv_s, np.linalg.cholesky(schur + ridge * np.eye(p)).T
+        except np.linalg.LinAlgError:
+            continue
+    raise KnockoffInfeasible(
+        "Schur complement is not positive semidefinite even after jitter; "
+        "s may exceed the feasible range for this Gram matrix"
+    )
+
+
 def build_knockoffs(
     nd: NormalizedDesign,
     s: float,
@@ -201,7 +234,7 @@ def build_knockoffs(
         # Degenerate decorrelation: the copy coincides with the design.
         knockoff = x.copy()
     else:
-        _, sigma_inv_s, c_upper = knockoffs._decorrelation(spectrum, s)
+        sigma_inv_s, c_upper = decorrelation(spectrum, s)
         knockoff = x - x @ sigma_inv_s + complement_basis(x, seed=seed) @ c_upper
     return AugmentedDesign.assemble(nd, knockoff, s, spectrum)
 

@@ -225,6 +225,7 @@ def test_run_missing_budget_is_cli_error(capsys, data_files):
     ("calibrate", "--sigma2-bound", "Infinity"),
     ("calibrate", "--ridge", "inf"),
     ("calibrate", "--beta-norm-bound", "inf"),
+    ("run", "--seed", "-1"),
 ])
 def test_out_of_range_knob_is_usage_error(capsys, data_files, command, flag, value):
     xp, yp, _ = data_files
@@ -344,6 +345,25 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(out2), "--seed", "99"]) == 0
     assert out1.read_text() != out2.read_text()
+
+
+def test_simulate_negative_seed_is_usage_error(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n_grid = 40\np = 4\nk = 1\namplitude = 1.0\nsigma2 = 1.0\nq = 0.2\ntrials = 2\n",
+        encoding="utf-8",
+    )
+    src = os.path.dirname(os.path.dirname(dpknockoff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpknockoff", "simulate", "--config", str(cfg),
+         "--out", str(tmp_path / "r.csv"), "--seed", "-1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "error: argument --seed: must be nonnegative, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_simulate_abort_is_cli_error(tmp_path, capsys):

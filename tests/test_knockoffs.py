@@ -438,6 +438,23 @@ def _outcome(path, ds):
         return None, type(exc)
 
 
+def _hostile_design(p, n_factor, log_scales, rho, plant_probes, seed):
+    """Equicorrelated columns (rho) with norms 10^log_scales, n = n_factor * p."""
+    n = n_factor * p
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, p))
+    if plant_probes:
+        # half of each default probe inside the design span: the filter
+        # and the reference must give up with the same error
+        half = p // 2
+        z[:, :half] = _default_probe(n, p, 0)[0][:, :half]
+        z[:, half:2 * half] = _default_probe(n, p, 1)[0][:, :half]
+    x = np.sqrt(1.0 - rho) * z + np.sqrt(rho) * rng.standard_normal((n, 1))
+    x *= 10.0 ** np.asarray(log_scales[:p])
+    y = x[:, 0] / np.linalg.norm(x[:, 0]) + rng.standard_normal(n)
+    return Dataset.from_arrays(x, y)
+
+
 @settings(max_examples=135, deadline=None, derandomize=True)
 @given(
     p=st.integers(2, 12),
@@ -450,20 +467,7 @@ def _outcome(path, ds):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_filter_path_matches_explicit_reference(p, n_factor, log_scales, rho, plant_probes, seed):
-    n = n_factor * p
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, p))
-    if plant_probes:
-        # half of each default probe inside the design span: both paths
-        # must give up with the same error
-        half = p // 2
-        z[:, :half] = _default_probe(n, p, 0)[0][:, :half]
-        z[:, half:2 * half] = _default_probe(n, p, 1)[0][:, :half]
-    x = np.sqrt(1.0 - rho) * z + np.sqrt(rho) * rng.standard_normal((n, 1))
-    x *= 10.0 ** np.asarray(log_scales[:p])
-    y = x[:, 0] / np.linalg.norm(x[:, 0]) + rng.standard_normal(n)
-    ds = Dataset.from_arrays(x, y)
-
+    ds = _hostile_design(p, n_factor, log_scales, rho, plant_probes, seed)
     ref, ref_error = _outcome(_reference_path, ds)
     new, new_error = _outcome(_filter_path, ds)
     assert new_error is ref_error
@@ -501,3 +505,92 @@ def test_probe_cache_draws_once_under_concurrent_trials():
     finally:
         sys.setswitchinterval(interval)
     assert all(w is results[0][0] and wtw is results[0][1] for w, wtw in results)
+
+
+# ---------------------------------------------------------------------------
+# The decorrelation factor C at s = lambda_min(S')
+# ---------------------------------------------------------------------------
+
+# 1 - rho of 1e-15 and 2e-16 put cond(S') near 1/eps, where rounding can
+# break the Cholesky of the Schur complement
+RHO_NEAR_SINGULAR = [1.0 - 1e-15, 1.0 - 2.2e-16]
+SCHUR_GAP_FACTOR = 10.0
+
+
+def _exact_schur(spectrum):
+    """2sI - s^2 S'^{-1} at s = lambda_min(S'), from the eigendecomposition of S'."""
+    s = spectrum.lambda_min
+    evals, vecs = np.linalg.eigh(spectrum.sigma_prime)
+    return (vecs * (2.0 * s - s * s / evals)) @ vecs.T
+
+
+def test_decorrelation_factors_the_schur_complement_or_refuses():
+    # no ridge on the filter's path: C^T C is the Schur complement to
+    # rounding, and a design whose complement rounds to singular is refused
+    rng = np.random.default_rng(2024)
+    rhos = RHO_WELL_CONDITIONED + RHO_ILL_CONDITIONED + RHO_NEAR_SINGULAR
+    factored = refused = 0
+    worst = 0.0
+    for trial in range(1000):
+        rho = rhos[trial % len(rhos)]
+        ds = _hostile_design(
+            int(rng.integers(2, 13)), int(rng.choice([2, 3, 10])), rng.uniform(-6.0, 6.0, 12),
+            rho, bool(rng.integers(2)), int(rng.integers(2**32)),
+        )
+        try:
+            spectrum = gram_spectrum(ds)
+            _, _, c_upper = knockoffs._decorrelation(spectrum)
+        except InvalidDesign:
+            continue
+        except KnockoffInfeasible:
+            assert rho in RHO_NEAR_SINGULAR
+            refused += 1
+            continue
+        factored += 1
+        cond = spectrum.lambda_max / spectrum.lambda_min
+        gap = _rel_gap(c_upper.T @ c_upper, _exact_schur(spectrum))
+        worst = max(worst, gap / (cond * np.finfo(float).eps))
+    assert worst <= SCHUR_GAP_FACTOR
+    assert factored >= 800 and refused >= 3
+
+
+def test_near_duplicate_column_is_refused_with_its_condition_number():
+    n, p = 40, 4
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((n, p))
+    x[:, -1] = x[:, 0] + 1e-8 * rng.standard_normal(n)
+    ds = Dataset.from_arrays(x, x[:, 0] + rng.standard_normal(n))
+    spectrum = gram_spectrum(ds)
+    assert 1e15 < spectrum.lambda_max / spectrum.lambda_min < 1e17
+    with pytest.raises(KnockoffInfeasible, match=r"cond\(S'\)=\d\.\d{3}e\+1[56]"):
+        knockoff_summary(ds, spectrum)
+
+
+def test_reference_classic_s_copy_has_singular_augmented_gram(monkeypatch):
+    # the equicorrelated s = 2 lambda_min(S') (Barber & Candes 2015) makes the
+    # Schur complement singular; only the reference factors it, with a jitter retry
+    failed = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        try:
+            return cholesky(a)
+        except np.linalg.LinAlgError:
+            failed.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    rng = np.random.default_rng(44)
+    checked = 0
+    for trial in range(12):
+        p = int(rng.integers(2, 21))
+        nd = _random_design(int(rng.integers(2 * p, 4 * p + 1)), p, 7000 + trial)
+        spectrum = gram_spectrum(nd.source)
+        s = choose_s(spectrum, "classic")
+        if s != 2.0 * spectrum.lambda_min:
+            continue
+        checked += 1
+        ad = build_knockoffs(nd, s, spectrum=spectrum)
+        assert np.max(np.abs(ad.gram_g - _target_gram(spectrum.sigma_prime, s))) <= 1e-8
+        assert abs(np.linalg.eigvalsh(ad.gram_g)[0]) <= 1e-8
+    assert checked >= 6 and failed  # some plain factorization needed the jitter

@@ -372,7 +372,10 @@ def test_pipeline_uses_s_equal_lambda_min(method):
     # the calibration's gamma = 2*lambda_max - lambda_min assumes s = lambda_min(S')
     ds, oracle, budget = _private_filter_inputs()
     result = run_knockoff_filter(ds, q=0.2, method=method, budget=budget, oracle=oracle, seed=1)
-    assert result.augmented.s_value == gram_spectrum(ds).lambda_min
+    spectrum, p = gram_spectrum(ds), ds.p
+    off = spectrum.sigma_prime - spectrum.lambda_min * np.eye(p)
+    assert np.array_equal(result.augmented.gram_g[:p, p:], off)
+    assert np.array_equal(result.augmented.gram_g[p:, :p], off)
 
 
 @pytest.mark.parametrize("method", ["none", "1"])

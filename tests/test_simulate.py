@@ -70,6 +70,8 @@ def test_config_rejects_bad_values():
         _cfg(method="2", delta_rule="fixed")  # missing delta_value
     with pytest.raises(ConfigInvalid):
         _cfg(pessimism=0.5)
+    with pytest.raises(ConfigInvalid, match="base_seed"):
+        _cfg(base_seed=-4)  # SeedSequence takes nonnegative entropy only
 
 
 def test_budget_split_rules():
