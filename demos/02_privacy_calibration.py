@@ -14,7 +14,7 @@ import numpy as np
 from dpknockoff import Dataset, ModelOracle, PrivacyBudget
 from dpknockoff.design import compute_bounds
 from dpknockoff.knockoffs import gram_spectrum, raw_gram_frobenius
-from dpknockoff.privacy import build_sensitivity_context, calibrate, delta2_floor
+from dpknockoff.privacy import build_sensitivity_context, delta2_floor
 
 rng = np.random.default_rng(7)
 n, p, k = 5000, 20, 5
@@ -38,20 +38,18 @@ print(f"zeta                   = {ctx.zeta:.2f}")
 print(f"gamma                  = {ctx.gamma:.4f}")
 print(f"delta_2 floor (p={p})  = {delta2_floor(p):.3e}")
 
-# calibrate pairs each sensitivity with its budget knobs, once per release
-pair = calibrate(ctx, budget, "1")
-estimate = calibrate(ctx, budget, "2")
-print(f"\nlambda_min sensitivity = {pair['lambda_min_sensitivity']:.6f}")
-print(f"Gram Frobenius sens.   = {pair['gram_frobenius_sensitivity']:.6f}")
-print(f"pair crossprod sens.   = {pair['crossprod_sensitivity']:.2f}")
-print(f"estimate sens.         = {estimate['estimate_sensitivity']:.2f}")
+# the record derives each sensitivity and noise scale once, when first read
+print(f"\nlambda_min sensitivity = {ctx.lambda_min_sensitivity:.6f}")
+print(f"Gram Frobenius sens.   = {ctx.gram_frobenius_sensitivity:.6f}")
+print(f"pair crossprod sens.   = {ctx.crossprod_sensitivity:.2f}")
+print(f"estimate sens.         = {ctx.estimate_sensitivity:.2f}")
 
 print("\nnoise scales for the pair release:")
-print(f"  theta_1 Laplace scale = {pair['theta1_scale']:.4f}")
-print(f"  kappa_1^2             = {pair['kappa1_sq']:.4f}")
-print(f"  kappa_2^2             = {pair['kappa2_sq']:.1f}")
+print(f"  theta_1 Laplace scale = {ctx.theta1_scale:.4f}")
+print(f"  kappa_1^2             = {ctx.kappa1_sq:.4f}")
+print(f"  kappa_2^2             = {ctx.kappa2_sq:.1f}")
 
 print("\nestimate-release variance vs. eps (delta_1 = 0.01):")
 for eps in (0.05, 0.1, 0.2, 0.4, 0.8):
-    kappa_sq = calibrate(ctx, replace(budget, eps=eps), "2")["kappa_sq"]
+    kappa_sq = replace(ctx, budget=replace(budget, eps=eps)).kappa_sq
     print(f"  eps = {eps:4.2f} -> kappa^2 = {kappa_sq:12.1f}")

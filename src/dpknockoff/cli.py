@@ -19,16 +19,9 @@ from dataclasses import replace
 
 from .design import ModelOracle, compute_bounds, load_dataset
 from .errors import DPKnockoffError, PrivacyPreconditionFailed, SweepAborted
-from .knockoffs import closed_form_gram_eigenvalues, gram_spectrum, raw_gram_frobenius
+from .knockoffs import gram_spectrum, raw_gram_frobenius
 from .pipeline import METHODS, run_knockoff_filter
-from .privacy import (
-    PrivacyBudget,
-    build_sensitivity_context,
-    calibrate,
-    delta2_floor,
-    estimate_sensitivity,
-    pair_scales,
-)
+from .privacy import PrivacyBudget, build_sensitivity_context, delta2_floor
 from .selection import STATISTIC_KINDS
 from .simulate import SimulationReport, read_config, run_sweep, write_plot_data, write_report
 
@@ -104,24 +97,22 @@ def _json_value(v):
 def cmd_calibrate(args) -> int:
     dataset = load_dataset(args.x, args.y, has_header=args.header)
     spectrum = gram_spectrum(dataset)
-    g_max, g_min = closed_form_gram_eigenvalues(spectrum)
     bounds = compute_bounds(dataset, args.row_bound)
     budget = _budget_from_args(args)
-    oracle = _oracle_from_args(args)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget)
+    ctx = build_sensitivity_context(
+        bounds, _oracle_from_args(args), spectrum, raw_gram_frobenius(dataset), budget, args.ridge
+    )
     try:
-        m2_sens = estimate_sensitivity(ctx, args.ridge)
+        m2_sens = ctx.estimate_sensitivity
     except PrivacyPreconditionFailed:
         m2_sens = None
 
     method = str(args.method)
-    if method == "2" and m2_sens is None:
-        # no finite estimate calibration: the record has no kappa^2, only the cost
-        scales = dict(zip(("eps_total", "delta_total"), budget.totals("2")))
-    else:
-        scales = calibrate(ctx, budget, method, args.ridge)
-    # the pair fields come from the pair release's record, whichever method is printed
-    pair = scales if method == "1" else pair_scales(ctx, budget)
+    kappa = None  # without a finite estimate calibration, method 2 prints only its cost
+    if method == "1" or m2_sens is not None:
+        ctx.noise_scales(method)  # refuses unset knobs and non-finite scales
+        kappa = ctx.kappa2_sq if method == "1" else ctx.kappa_sq
+    eps_total, delta_total = budget.totals(method)
 
     record = {
         "n": dataset.n,
@@ -129,23 +120,23 @@ def cmd_calibrate(args) -> int:
         "lambda_min": spectrum.lambda_min,
         "lambda_max": spectrum.lambda_max,
         "s": spectrum.lambda_min,
-        "g_lambda_max": g_max,
-        "g_lambda_min": g_min,
+        "g_lambda_max": ctx.gamma,
+        "g_lambda_min": spectrum.lambda_min,
         "row_bound_B": bounds.row_bound_B,
         "col_min_C": bounds.col_min_C,
         "eta2": ctx.eta2,
         "zeta": ctx.zeta,
         "gamma": ctx.gamma,
-        "lambda_min_sens": pair["lambda_min_sensitivity"],
-        "gram_frob_sens": pair["gram_frobenius_sensitivity"],
+        "lambda_min_sens": ctx.lambda_min_sensitivity,
+        "gram_frob_sens": ctx.gram_frobenius_sensitivity,
         "delta2_floor": delta2_floor(dataset.p),
-        "method1_sensitivity": pair["crossprod_sensitivity"],
+        "method1_sensitivity": ctx.crossprod_sensitivity,
         "method2_sensitivity": m2_sens,
-        "theta1_scale": pair["theta1_scale"],
-        "kappa1_sq": pair["kappa1_sq"],
-        "kappa2_sq_or_kappa_sq": scales.get("kappa2_sq", scales.get("kappa_sq")),
-        "total_eps": scales["eps_total"],
-        "total_delta": scales["delta_total"],
+        "theta1_scale": ctx.theta1_scale,
+        "kappa1_sq": ctx.kappa1_sq,
+        "kappa2_sq_or_kappa_sq": kappa,
+        "total_eps": eps_total,
+        "total_delta": delta_total,
     }
     print(json.dumps(record, indent=2))
     return 0

@@ -6,14 +6,13 @@ norms feed the data-dependent sensitivity bounds.  Normalization is the
 diagonal scaling X' = X D with D = diag(1/||x_j||), so everything the filter
 reads of X' follows from the raw Gram X^T X and raw products:
 S' = D (X^T X) D, X'^T v = D X^T v, and ||x_j|| = sqrt((X^T X)_jj).  The filter
-never forms X'.  This module holds the raw data model, its cached summaries
+never forms X'.  This module holds the raw data model, its summaries
 and the CSV ingestion path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,45 +34,28 @@ class Dataset:
     afterwards.  Use :meth:`from_arrays` or :func:`load_dataset` instead of
     the bare constructor.  The raw Gram X^T X is the one n-length pass the
     column norms, the normalizer and the normalized Gram all derive from.
+    :meth:`from_arrays` computes it once, with the column norms
+    sqrt(diag(X^T X)) and their reciprocals ``normalizer_d``, the diagonal
+    of D in X' = X D; all three are read-only.
     """
 
     x: np.ndarray
     y: np.ndarray
     n: int
     p: int
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """Raw Gram X^T X, computed once (read-only)."""
-        with np.errstate(over="ignore", invalid="ignore"):  # from_arrays refuses inf/nan
-            g = self.x.T @ self.x
-        g.setflags(write=False)
-        return g
-
-    @cached_property
-    def col_norms(self) -> np.ndarray:
-        """Raw l2 norm of every design column, sqrt(diag(X^T X)) (read-only)."""
-        norms = np.sqrt(np.diag(self.gram))
-        norms.setflags(write=False)
-        return norms
-
-    @cached_property
-    def normalizer_d(self) -> np.ndarray:
-        """Reciprocal column norms, the diagonal of D in X' = X D (read-only)."""
-        dvec = 1.0 / self.col_norms
-        dvec.setflags(write=False)
-        return dvec
+    gram: np.ndarray
+    col_norms: np.ndarray
+    normalizer_d: np.ndarray
 
     @classmethod
     def from_arrays(cls, x, y) -> "Dataset":
         x = np.array(x, dtype=float, ndmin=2)
         y = np.array(y, dtype=float).ravel()
         n, p = x.shape
-        dataset = cls(x=x, y=y, n=n, p=p)
         # a non-finite x_ij makes (X^T X)_jj non-finite, so x is scanned only
         # where the Gram is not finite, or not formed because the shape is refused
-        shape_ok = y.shape[0] == n and n >= 2 * p
-        gram_finite = shape_ok and bool(np.all(np.isfinite(dataset.gram)))
+        gram = _raw_gram(x) if y.shape[0] == n and n >= 2 * p else None
+        gram_finite = gram is not None and bool(np.all(np.isfinite(gram)))
         if not (gram_finite or np.all(np.isfinite(x))) or not np.all(np.isfinite(y)):
             raise InvalidDesign("design or response contains non-finite entries")
         if y.shape[0] != n:
@@ -87,12 +69,22 @@ class Dataset:
             )
         if not gram_finite:
             raise InvalidDesign("X^T X overflows double precision; rescale the design columns")
-        if np.any(dataset.col_norms < ZERO_COLUMN_TOL):
-            bad = int(np.argmin(dataset.col_norms))
+        col_norms = np.sqrt(np.diag(gram))
+        if np.any(col_norms < ZERO_COLUMN_TOL):
+            bad = int(np.argmin(col_norms))
             raise InvalidDesign(
                 f"column {bad} has (near-)zero norm; the Gram matrix would be singular"
             )
-        return dataset
+        normalizer_d = 1.0 / col_norms
+        for summary in (gram, col_norms, normalizer_d):
+            summary.setflags(write=False)
+        return cls(x=x, y=y, n=n, p=p, gram=gram, col_norms=col_norms, normalizer_d=normalizer_d)
+
+
+def _raw_gram(x: np.ndarray) -> np.ndarray:
+    """X^T X; an overflow is left in place for :meth:`Dataset.from_arrays` to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x.T @ x
 
 
 @dataclass(frozen=True)
@@ -184,13 +176,16 @@ def compute_bounds(d: Dataset, row_bound_override: float | None = None) -> NormB
     """Derive norm bounds from the data, optionally overriding the row bound.
 
     ``col_min_C`` is always the exact smallest column norm.  ``row_bound_B``
-    defaults to the observed largest row norm; pass ``row_bound_override`` to
-    supply a worst-case bound larger than observed.
+    defaults to the observed largest row norm; ``row_bound_override``
+    supplies a worst-case bound at or above it.  An override below it would
+    calibrate for rows smaller than the data has, and raises
+    :class:`BoundViolation` naming both values.
     """
-    col_min = float(d.col_norms.min())
-    if row_bound_override is not None:
-        b = float(row_bound_override)
-    else:
-        row_sq = np.einsum("ij,ij->i", d.x, d.x)
-        b = float(np.sqrt(row_sq.max()))
-    return NormBounds(row_bound_B=b, col_min_C=col_min)
+    row_max = float(np.sqrt(np.einsum("ij,ij->i", d.x, d.x).max()))
+    b = row_max if row_bound_override is None else float(row_bound_override)
+    if b < row_max:
+        raise BoundViolation(
+            f"row bound B={b!r} is below the observed maximum row norm {row_max!r}; "
+            "the calibration must cover every row"
+        )
+    return NormBounds(row_bound_B=b, col_min_C=float(d.col_norms.min()))

@@ -74,15 +74,15 @@ def run_knockoff_filter(
             raise BudgetInvalid("private methods need a privacy budget and a model oracle")
         bounds = compute_bounds(dataset, row_bound_override)
         ctx = build_sensitivity_context(
-            bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget
+            bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget, ridge_omega2
         )
         if method == "1":
-            release = release_pair(ks, ctx, budget, seed=seed)
+            release = release_pair(ks, ctx, seed=seed)
             estimate = estimate_coefficients(
                 release.gram_noisy, release.crossprod_noisy, lam, ridge_omega2
             )
         else:
-            release = release_estimate(ks, ctx, budget, ridge_omega2=ridge_omega2, seed=seed)
+            release = release_estimate(ks, ctx, seed=seed)
             estimate = release.estimate_noisy
 
     w = compute_statistics(estimate, stat)

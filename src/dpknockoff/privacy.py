@@ -14,16 +14,17 @@ and the spectral spread gamma = 2*lambda_max(S') - lambda_min(S').  Because
 the sensitivities depend on the observed data, the guarantee is local: the
 noise is calibrated at the dataset at hand, not over all possible datasets.
 
-:func:`calibrate` is the one place a sensitivity meets its (eps, delta)
-knobs, and it refuses any non-finite sensitivity or scale.  Both releases
-draw from its record and carry it as ``PrivateRelease.noise_scales``;
-``dpknockoff calibrate`` prints from the same record.
+:class:`SensitivityContext` is the one calibration record: it derives each
+sensitivity and noise scale once and refuses any non-finite one.  Both
+releases carry its ``noise_scales(method)`` as ``PrivateRelease.noise_scales``;
+``dpknockoff calibrate`` prints the same record's fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,13 +114,36 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class SensitivityContext:
-    """The sensitivity inputs plus zeta; eta^2, B/eta and gamma derive from them."""
+    """The calibration record: the sensitivity inputs, budget and ridge term omega^2.
 
-    zeta: float
+    zeta, eta^2, gamma, the four sensitivities and their noise scales are
+    properties derived from these fields, each sensitivity and scale
+    evaluated at most once, when first read.  Of all these facts only the
+    release method and its (eps, delta) totals are public.
+    """
+
     bounds: NormBounds
     oracle: ModelOracle
     spectrum: GramSpectrum
     frobenius_sigma_raw: float
+    budget: PrivacyBudget
+    ridge_omega2: float = 0.0
+
+    @cached_property
+    def zeta(self) -> float:
+        """2*p*sigma^2 / (1 - sqrt((2/p) ln(2/delta_2))), which bounds the norm of the
+        Gaussian part of the released quantities except with probability delta_2.
+        """
+        p = self.spectrum.sigma_prime.shape[0]
+        delta_2 = self.budget.delta_2
+        floor = delta2_floor(p)
+        if delta_2 <= floor:
+            raise DeltaTooSmall(
+                f"delta_2={delta_2:g} must exceed 2*exp(-p/2)={floor:.3e} "
+                "for the concentration constant to be finite"
+            )
+        denom = 1.0 - math.sqrt((2.0 / p) * math.log(2.0 / delta_2))
+        return 2.0 * p * self.oracle.sigma2_bound / denom
 
     @property
     def eta2(self) -> float:
@@ -138,6 +162,72 @@ class SensitivityContext:
         """lambda_max of the augmented Gram, 2*lambda_max(S') - lambda_min(S')."""
         return closed_form_gram_eigenvalues(self.spectrum)[0]
 
+    @cached_property
+    def lambda_min_sensitivity(self) -> float:
+        """Per-row l1 sensitivity of lambda_min(S'), eta^2 * (1 + lambda_min(S'))."""
+        return self.eta2 * (1.0 + self.spectrum.lambda_min)
+
+    @cached_property
+    def gram_frobenius_sensitivity(self) -> float:
+        """Per-row l2 sensitivity of S' in Frobenius norm, eta^2 * (sqrt(2) + ||S'||_F)."""
+        return self.eta2 * (math.sqrt(2.0) + self.spectrum.frobenius_norm)
+
+    @cached_property
+    def crossprod_sensitivity(self) -> float:
+        """:func:`pair_crossprod_sensitivity` of this record."""
+        return pair_crossprod_sensitivity(self)
+
+    @cached_property
+    def estimate_sensitivity(self) -> float:
+        """:func:`estimate_sensitivity` at this record's ridge term."""
+        return estimate_sensitivity(self, self.ridge_omega2)
+
+    @cached_property
+    def theta1_scale(self) -> float | None:
+        """Laplace scale of the lambda_min sensitivity at eps_1; None without eps_1."""
+        eps_1 = self.budget.eps_1
+        return None if eps_1 is None else laplace_scale(self.lambda_min_sensitivity, eps_1)
+
+    @cached_property
+    def kappa1_sq(self) -> float | None:
+        """Gaussian variance of the Frobenius sensitivity at (eps_2, delta); None without both."""
+        b = self.budget
+        if b.eps_2 is None or b.delta is None:
+            return None
+        return gaussian_scale(self.gram_frobenius_sensitivity, b.eps_2, b.delta)
+
+    @cached_property
+    def kappa2_sq(self) -> float:
+        """Gaussian variance of the cross-product sensitivity at (eps, delta_1)."""
+        return gaussian_scale(self.crossprod_sensitivity, self.budget.eps, self.budget.delta_1)
+
+    @cached_property
+    def kappa_sq(self) -> float:
+        """Gaussian variance of the estimate sensitivity at (eps, delta_1)."""
+        return gaussian_scale(self.estimate_sensitivity, self.budget.eps, self.budget.delta_1)
+
+    def noise_scales(self, method: str) -> dict:
+        """A method ``"1"`` (pair) or ``"2"`` (estimate) release's noise scales, the
+        sensitivities behind them and its total cost.  Unset knobs raise
+        :class:`BudgetInvalid`; a non-finite entry, such as the inf scale of an
+        overflowing ||beta|| bound, raises :class:`PrivacyPreconditionFailed`.
+        """
+        totals = self.budget.totals(method)
+        if method == "1":
+            keys = ("theta1_scale", "kappa1_sq", "kappa2_sq", "lambda_min_sensitivity",
+                    "gram_frobenius_sensitivity", "crossprod_sensitivity")
+        else:
+            keys = ("kappa_sq", "estimate_sensitivity", "ridge_omega2")
+        scales = {key: getattr(self, key) for key in keys}
+        scales["eps_total"], scales["delta_total"] = totals
+        for key, value in scales.items():
+            if not math.isfinite(value):
+                raise PrivacyPreconditionFailed(
+                    f"calibration gives {key}={value}; the norm bounds are too loose "
+                    "for finite noise"
+                )
+        return scales
+
 
 def delta2_floor(p: int) -> float:
     """Smallest admissible delta_2 for dimension p (exclusive bound)."""
@@ -150,29 +240,16 @@ def build_sensitivity_context(
     spectrum: GramSpectrum,
     raw_gram_frobenius: float,
     budget: PrivacyBudget,
+    ridge_omega2: float = 0.0,
 ) -> SensitivityContext:
-    """Bind the calibration inputs for the observed design and evaluate zeta.
-
-    zeta = 2*p*sigma^2 / (1 - sqrt((2/p) ln(2/delta_2))) bounds the norm of
-    the Gaussian part of the released quantities except with probability
-    delta_2, with p read from the spectrum.  eta^2 and gamma follow from
-    ``bounds`` and ``spectrum`` (see :class:`SensitivityContext`).
+    """The calibration record of the observed design; a delta_2 at or below
+    :func:`delta2_floor` raises :class:`DeltaTooSmall` here, before any release.
     """
-    p = spectrum.sigma_prime.shape[0]
-    floor = delta2_floor(p)
-    if budget.delta_2 <= floor:
-        raise DeltaTooSmall(
-            f"delta_2={budget.delta_2:g} must exceed 2*exp(-p/2)={floor:.3e} "
-            "for the concentration constant to be finite"
-        )
-    denom = 1.0 - math.sqrt((2.0 / p) * math.log(2.0 / budget.delta_2))
-    return SensitivityContext(
-        zeta=2.0 * p * oracle.sigma2_bound / denom,
-        bounds=bounds,
-        oracle=oracle,
-        spectrum=spectrum,
-        frobenius_sigma_raw=float(raw_gram_frobenius),
+    ctx = SensitivityContext(
+        bounds, oracle, spectrum, float(raw_gram_frobenius), budget, ridge_omega2
     )
+    ctx.zeta  # raises DeltaTooSmall now, before any release
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +319,6 @@ def sample_symmetric_offdiag_gaussian(p: int, variance: float, rng) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def gram_sensitivities(ctx: SensitivityContext) -> tuple[float, float]:
-    """Per-row sensitivities of the normalized Gram's smallest eigenvalue
-    (l1, fed to Laplace noise) and of the Gram itself in Frobenius norm
-    (l2, fed to Gaussian noise)::
-
-        |lambda_min| change <= eta^2 * (1 + lambda_min(S'))
-        Frobenius change    <= eta^2 * (sqrt(2) + ||S'||_F)
-    """
-    lam_sens = ctx.eta2 * (1.0 + ctx.spectrum.lambda_min)
-    frob_sens = ctx.eta2 * (math.sqrt(2.0) + ctx.spectrum.frobenius_norm)
-    return lam_sens, frob_sens
-
-
 def pair_crossprod_sensitivity(ctx: SensitivityContext) -> float:
     """l2 sensitivity of the feature-response product [X' Xt]^T y.
 
@@ -317,64 +381,8 @@ def estimate_sensitivity(ctx: SensitivityContext, ridge_omega2: float = 0.0) -> 
 
 
 # ---------------------------------------------------------------------------
-# Calibration and releases
+# Releases
 # ---------------------------------------------------------------------------
-
-
-def pair_scales(ctx: SensitivityContext, budget: PrivacyBudget) -> dict:
-    """Noise scales and sensitivities of the pair release, each evaluated once.
-
-    theta_1 is the Laplace scale of the lambda_min sensitivity at eps_1,
-    kappa_1^2 the Gaussian variance of the Frobenius sensitivity at
-    (eps_2, delta) and kappa_2^2 that of :func:`pair_crossprod_sensitivity`
-    at (eps, delta_1); theta_1 and kappa_1^2 are None while their knobs are
-    unset.
-    """
-    lam_sens, frob_sens = gram_sensitivities(ctx)
-    cross_sens = pair_crossprod_sensitivity(ctx)
-    kappa1_sq = None
-    if budget.eps_2 is not None and budget.delta is not None:
-        kappa1_sq = gaussian_scale(frob_sens, budget.eps_2, budget.delta)
-    return {
-        "theta1_scale": None if budget.eps_1 is None else laplace_scale(lam_sens, budget.eps_1),
-        "kappa1_sq": kappa1_sq,
-        "kappa2_sq": gaussian_scale(cross_sens, budget.eps, budget.delta_1),
-        "lambda_min_sensitivity": lam_sens,
-        "gram_frobenius_sensitivity": frob_sens,
-        "crossprod_sensitivity": cross_sens,
-    }
-
-
-def calibrate(
-    ctx: SensitivityContext, budget: PrivacyBudget, method: str, ridge_omega2: float = 0.0
-) -> dict:
-    """Noise-scale record of a method ``"1"`` (pair) or ``"2"`` (estimate) release.
-
-    Every scale pairs one sensitivity with its budget knobs: the pair
-    release's record is :func:`pair_scales`; the estimate release's holds
-    kappa^2 from :func:`estimate_sensitivity` at (eps, delta_1).  The record
-    ends with the release's total cost.  A non-finite entry, such as the inf
-    scale of an overflowing ||beta|| bound, raises
-    :class:`PrivacyPreconditionFailed` naming its key.
-    """
-    totals = budget.totals(method)  # raises unless the method's knobs are set
-    if method == "1":
-        scales = pair_scales(ctx, budget)
-    else:
-        sens = estimate_sensitivity(ctx, ridge_omega2)
-        scales = {
-            "kappa_sq": gaussian_scale(sens, budget.eps, budget.delta_1),
-            "estimate_sensitivity": sens,
-            "ridge_omega2": ridge_omega2,
-        }
-    scales["eps_total"], scales["delta_total"] = totals
-    for key, value in scales.items():
-        if not math.isfinite(value):
-            raise PrivacyPreconditionFailed(
-                f"calibration gives {key}={value}; the norm bounds are too loose "
-                "for finite noise"
-            )
-    return scales
 
 
 def assemble_gram_noise(theta_1: float, theta_2: np.ndarray) -> np.ndarray:
@@ -399,7 +407,8 @@ class PrivateRelease:
 
     A pair release populates the noisy Gram matrix and noisy
     feature-response product, an estimate release the noisy coefficient
-    vector.  ``noise_scales`` is the record :func:`calibrate` returns.
+    vector.  ``noise_scales`` is :meth:`SensitivityContext.noise_scales` of
+    the release's method.
     """
 
     noise_scales: dict
@@ -414,7 +423,6 @@ class PrivateRelease:
 def release_pair(
     ks: KnockoffSummary,
     ctx: SensitivityContext,
-    budget: PrivacyBudget,
     seed=None,
 ) -> PrivateRelease:
     """Release a perturbed (augmented Gram, feature-response product) pair.
@@ -423,11 +431,11 @@ def release_pair(
     theta_1 ~ Laplace(theta1_scale) on the off-diagonal identity blocks plus
     a symmetric Gaussian block with upper-triangle variance kappa_1^2; the
     product perturbation is i.i.d. Gaussian with variance kappa_2^2.  The
-    scales come from :func:`calibrate`.  Any statistic computed from the
+    scales come from ``ctx.noise_scales("1")``.  Any statistic computed from the
     released pair costs (eps + eps_1 + eps_2, delta + delta_1 + delta_2) in
     total.  The release adds exactly the noise it draws.
     """
-    scales = calibrate(ctx, budget, "1")
+    scales = ctx.noise_scales("1")
     theta_1 = float(
         sample_laplace_vector(1, scales["theta1_scale"], _substream(seed, _LABEL_THETA1))[0]
     )
@@ -445,20 +453,19 @@ def release_pair(
 def release_estimate(
     ks: KnockoffSummary,
     ctx: SensitivityContext,
-    budget: PrivacyBudget,
-    ridge_omega2: float = 0.0,
     seed=None,
 ) -> PrivateRelease:
     """Release a perturbed ridge/OLS coefficient vector on the augmented design.
 
     The vector is :func:`~dpknockoff.selection.estimate_coefficients` of
-    G + omega^2 I and [X' Xt]^T y, both read from ``ks``; the sensitivity is
-    calibrated for exactly that vector.  It adds i.i.d. Gaussian noise with
-    variance kappa^2 from :func:`calibrate`; delta_2 is consumed by the
+    G + omega^2 I and [X' Xt]^T y, both read from ``ks``, with omega^2 the
+    record's ridge term; the sensitivity is calibrated for exactly that
+    vector.  It adds i.i.d. Gaussian noise with variance kappa^2 from
+    ``ctx.noise_scales("2")``; delta_2 is consumed by the
     concentration event inside the sensitivity bound, for a total cost of
     (eps, delta_1 + delta_2).
     """
-    scales = calibrate(ctx, budget, "2", ridge_omega2)
-    estimate = estimate_coefficients(ks.gram_g, ks.crossprod, ridge_omega2=ridge_omega2)
+    scales = ctx.noise_scales("2")
+    estimate = estimate_coefficients(ks.gram_g, ks.crossprod, ridge_omega2=ctx.ridge_omega2)
     e_vec = sample_gaussian_vector(2 * ks.p, scales["kappa_sq"], _substream(seed, _LABEL_VECTOR))
     return PrivateRelease(noise_scales=scales, estimate_noisy=estimate + e_vec)

@@ -222,8 +222,8 @@ def test_criterion_05_antisymmetry():
                 check(compute_statistics(est, kind).w, compute_statistics(est_sw, kind).w, idx)
 
     # private releases with the noise realization held fixed across the swap
-    rel1 = release_pair(ad.summary(y), ctx, budget, seed=505)
-    rel2 = release_estimate(ad.summary(y), ctx, budget, seed=506)
+    rel1 = release_pair(ad.summary(y), ctx, seed=505)
+    rel2 = release_estimate(ad.summary(y), ctx, seed=506)
     for idx in swap_sets:
         g_sw, c_sw = _swap_released_pair(rel1.gram_noisy, rel1.crossprod_noisy, idx, p)
         for kind in ("lcd", "csm"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dpknockoff
+from dpknockoff import cli, privacy
 from dpknockoff.cli import main
 
 
@@ -42,14 +43,14 @@ def test_calibrate_emits_full_record(capsys, data_files):
     ])
     assert code == 0
     record = json.loads(out)
-    for key in (
-        "lambda_min", "lambda_max", "s", "g_lambda_max", "g_lambda_min",
-        "eta2", "zeta", "gamma", "lambda_min_sens", "gram_frob_sens",
-        "delta2_floor", "method1_sensitivity", "method2_sensitivity",
-        "theta1_scale", "kappa1_sq", "kappa2_sq_or_kappa_sq",
-        "total_eps", "total_delta",
-    ):
-        assert key in record, key
+    assert list(record) == [
+        "n", "p", "lambda_min", "lambda_max", "s", "g_lambda_max", "g_lambda_min",
+        "row_bound_B", "col_min_C", "eta2", "zeta", "gamma", "lambda_min_sens",
+        "gram_frob_sens", "delta2_floor", "method1_sensitivity", "method2_sensitivity",
+        "theta1_scale", "kappa1_sq", "kappa2_sq_or_kappa_sq", "total_eps", "total_delta",
+    ]
+    assert (record["n"], record["p"]) == (300, 12)
+    assert 0 < record["row_bound_B"] < record["col_min_C"]
     assert record["total_eps"] == pytest.approx(0.2)
     assert record["total_delta"] == pytest.approx(0.06)
     assert record["s"] == pytest.approx(record["lambda_min"])
@@ -77,6 +78,11 @@ PAIR_BUDGET = [
     "--delta", "0.02", "--delta1", "0.02", "--delta2", "0.02",
 ]
 ESTIMATE_BUDGET = ["--eps", "0.2", "--delta1", "0.02", "--delta2", "0.02"]
+RUN_SCALE_KEYS = {
+    "1": ["theta1_scale", "kappa1_sq", "kappa2_sq", "lambda_min_sensitivity",
+          "gram_frobenius_sensitivity", "crossprod_sensitivity", "eps_total", "delta_total"],
+    "2": ["kappa_sq", "estimate_sensitivity", "ridge_omega2", "eps_total", "delta_total"],
+}
 
 
 @pytest.mark.parametrize("method, budget, ridge, pairs", [
@@ -103,6 +109,7 @@ def test_calibrate_agrees_with_run(capsys, data_files, method, budget, ridge, pa
     code_run, out_run = _run_cli(capsys, ["run", *common, "--seed", "3"])
     assert code_cal == code_run == 0
     cal, scales = json.loads(out_cal), json.loads(out_run)["noise_scales"]
+    assert list(scales) == RUN_SCALE_KEYS[method]
     for cal_key, run_key in pairs.items():
         assert cal[cal_key] == scales[run_key], cal_key
     assert (cal["total_eps"], cal["total_delta"]) == (scales["eps_total"], scales["delta_total"])
@@ -144,6 +151,47 @@ def test_calibrate_method2_failed_precondition_prints_nulls(capsys, data_files):
     assert record["kappa2_sq_or_kappa_sq"] is None
     assert record["total_eps"] == pytest.approx(0.2)
     assert record["total_delta"] == pytest.approx(0.04)
+
+
+def test_calibrate_method2_evaluates_the_estimate_sensitivity_once(
+    capsys, data_files, monkeypatch
+):
+    calls = []
+    real = privacy.estimate_sensitivity
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(privacy, "estimate_sensitivity", spy)
+    monkeypatch.setattr(cli, "estimate_sensitivity", spy, raising=False)
+    xp, yp, bnorm = data_files
+    code, out = _run_cli(capsys, [
+        "calibrate", "--x", xp, "--y", yp, "--method", "2", *ESTIMATE_BUDGET,
+        "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0",
+    ])
+    assert code == 0 and json.loads(out)["method2_sensitivity"] > 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, budget", [
+    ("run", ["--method", "1", *PAIR_BUDGET]),
+    ("run", ["--method", "2", *ESTIMATE_BUDGET]),
+    ("calibrate", ["--method", "1", *PAIR_BUDGET]),
+    ("calibrate", ["--method", "2", *ESTIMATE_BUDGET]),
+])
+def test_row_bound_below_the_data_is_cli_error(capsys, data_files, command, budget):
+    # the fixture's largest row norm is above 1, so B = 1 would under-calibrate
+    xp, yp, bnorm = data_files
+    code = main([
+        command, "--x", xp, "--y", yp, *budget, "--row-bound", "1",
+        "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(
+        "error: row bound B=1.0 is below the observed maximum row norm "
+    ) and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("extra", [

@@ -9,6 +9,7 @@ from dpknockoff import (
     ParseError,
     load_dataset,
 )
+from dpknockoff import design
 from dpknockoff.design import compute_bounds
 from reference import normalize_columns
 
@@ -97,10 +98,10 @@ def test_from_arrays_combined_defects_keep_their_order(value, y_len, p, error, m
 
 
 def test_from_arrays_refused_shape_forms_no_gram(monkeypatch):
-    def no_gram(self):
+    def no_gram(x):
         raise AssertionError("a refused shape must not form X^T X")
 
-    monkeypatch.setattr(Dataset, "gram", property(no_gram))
+    monkeypatch.setattr(design, "_raw_gram", no_gram)
     with pytest.raises(InvalidDesign, match="n=4 < 2p"):
         Dataset.from_arrays(np.ones((4, 3)), np.ones(4))
     with pytest.raises(DimensionMismatch):
@@ -169,8 +170,21 @@ def test_compute_bounds_block_design():
 
 
 def test_compute_bounds_override_violation():
-    with pytest.raises(BoundViolation):
+    # 5 covers every row (norm 1) but not B < C_min = 2
+    with pytest.raises(BoundViolation, match="strictly below the smallest column norm"):
         compute_bounds(_block_design(), row_bound_override=5.0)
+
+
+@pytest.mark.parametrize("override", [0.5, 1.0 - 1e-12, 0.0, -1.0])
+def test_compute_bounds_refuses_override_below_the_data(override):
+    with pytest.raises(
+        BoundViolation,
+        match=rf"B={override!r} is below the observed maximum row norm 1\.0;",
+    ):
+        compute_bounds(_block_design(), row_bound_override=override)
+    # at or above the largest row norm, an override is a worst-case bound
+    for b in (1.0, 1.5):
+        assert compute_bounds(_block_design(), row_bound_override=b).row_bound_B == b
 
 
 def test_compute_bounds_duplicate_max_row():
@@ -203,4 +217,8 @@ def test_column_norms_computed_once_and_shared():
     direct = np.linalg.norm(x, axis=0)
     assert np.max(np.abs(norms - direct) / direct) <= 1e-14
     assert np.array_equal(normalize_columns(ds).normalizer_d, 1.0 / norms)
-    assert compute_bounds(ds, row_bound_override=1e-4).col_min_C == float(norms.min())
+    assert not ds.gram.flags.writeable and not ds.normalizer_d.flags.writeable
+    # no row bound fits below this spread design's C_min; a tall one shares its C_min too
+    tall = Dataset.from_arrays(rng.standard_normal((600, 5)), np.zeros(600))
+    b = 2.0 * compute_bounds(tall).row_bound_B
+    assert compute_bounds(tall, row_bound_override=b).col_min_C == float(tall.col_norms.min())

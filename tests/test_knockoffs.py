@@ -275,7 +275,11 @@ def test_knockoff_summary_infeasible_where_reference_is():
 
     # n < 2p, on a bare Dataset (from_arrays itself refuses it)
     small = np.random.default_rng(24).standard_normal((5, 3))
-    tiny = Dataset(x=small, y=np.zeros(5), n=5, p=3)
+    norms = np.linalg.norm(small, axis=0)
+    tiny = Dataset(
+        x=small, y=np.zeros(5), n=5, p=3,
+        gram=small.T @ small, col_norms=norms, normalizer_d=1.0 / norms,
+    )
     with pytest.raises(KnockoffInfeasible):
         knockoff_summary(tiny, spectrum)
 

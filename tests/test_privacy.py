@@ -23,14 +23,11 @@ from dpknockoff.privacy import (
     STRICTNESS_BUMP,
     assemble_gram_noise,
     build_sensitivity_context,
-    calibrate,
     delta2_floor,
     estimate_sensitivity,
     gaussian_scale,
-    gram_sensitivities,
     laplace_scale,
     pair_crossprod_sensitivity,
-    pair_scales,
     release_estimate,
     release_pair,
     sample_gaussian_vector,
@@ -192,7 +189,7 @@ def test_context_delta2_floor():
 
 def test_gram_sensitivities_hand_values():
     ctx = _hand_context()
-    lam_sens, frob_sens = gram_sensitivities(ctx)
+    lam_sens, frob_sens = ctx.lambda_min_sensitivity, ctx.gram_frobenius_sensitivity
     assert lam_sens == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert frob_sens == pytest.approx((1.0 / 3.0) * 2.0 * math.sqrt(2.0), rel=1e-12)
     assert frob_sens == pytest.approx(0.9428090415820634, rel=1e-9)
@@ -204,7 +201,7 @@ def test_gram_sensitivities_vanish_with_tiny_rows():
     oracle = ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.9)
     ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget)
-    lam_sens, frob_sens = gram_sensitivities(ctx)
+    lam_sens, frob_sens = ctx.lambda_min_sensitivity, ctx.gram_frobenius_sensitivity
     assert lam_sens <= 1e-15 and frob_sens <= 1e-15
 
 
@@ -345,17 +342,17 @@ def _release_inputs(n=200, p=10, seed=21):
 
 def test_release_pair_zero_noise_passthrough(zero_draws):
     ks, ctx, budget = _release_inputs()
-    rel = release_pair(ks, ctx, budget, seed=3)
+    rel = release_pair(ks, ctx, seed=3)
     assert np.array_equal(rel.gram_noisy, ks.gram_g)
     assert np.array_equal(rel.crossprod_noisy, ks.crossprod)
     # zero draws leave the record as calibrated: it reports what was spent
-    assert rel.noise_scales == calibrate(ctx, budget, "1")
+    assert rel.noise_scales == ctx.noise_scales("1")
 
 
 def test_release_pair_recorded_scales():
     ks, ctx, budget = _release_inputs()
-    rel = release_pair(ks, ctx, budget, seed=3)
-    lam_sens, frob_sens = gram_sensitivities(ctx)
+    rel = release_pair(ks, ctx, seed=3)
+    lam_sens, frob_sens = ctx.lambda_min_sensitivity, ctx.gram_frobenius_sensitivity
     assert rel.noise_scales["theta1_scale"] == pytest.approx(lam_sens / budget.eps_1, rel=1e-12)
     assert rel.noise_scales["kappa1_sq"] == pytest.approx(
         gaussian_scale(frob_sens, budget.eps_2, budget.delta), rel=1e-12
@@ -372,8 +369,10 @@ def test_release_pair_recorded_scales():
 def test_release_pair_theta1_scale_hand_value():
     # eta2=1/3, lambda_min=1, eps_1=0.05 -> Laplace scale (2/3)/0.05
     ctx = _hand_context()
-    lam_sens, _ = gram_sensitivities(ctx)
-    assert laplace_scale(lam_sens, 0.05) == pytest.approx(13.333333333333332, rel=1e-12)
+    assert laplace_scale(ctx.lambda_min_sensitivity, 0.05) == pytest.approx(
+        13.333333333333332, rel=1e-12
+    )
+    assert ctx.theta1_scale == laplace_scale(ctx.lambda_min_sensitivity, 0.05)
 
 
 def test_release_pair_kappa1_hand_value():
@@ -383,9 +382,9 @@ def test_release_pair_kappa1_hand_value():
 
 def test_release_pair_deterministic_in_seed():
     ks, ctx, budget = _release_inputs()
-    r1 = release_pair(ks, ctx, budget, seed=11)
-    r2 = release_pair(ks, ctx, budget, seed=11)
-    r3 = release_pair(ks, ctx, budget, seed=12)
+    r1 = release_pair(ks, ctx, seed=11)
+    r2 = release_pair(ks, ctx, seed=11)
+    r3 = release_pair(ks, ctx, seed=12)
     assert np.array_equal(r1.gram_noisy, r2.gram_noisy)
     assert np.array_equal(r1.crossprod_noisy, r2.crossprod_noisy)
     assert not np.array_equal(r1.crossprod_noisy, r3.crossprod_noisy)
@@ -395,20 +394,21 @@ def test_release_pair_requires_full_budget():
     ks, ctx, _ = _release_inputs()
     partial = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05)
     with pytest.raises(BudgetInvalid):
-        release_pair(ks, ctx, partial, seed=1)
+        release_pair(ks, dataclasses.replace(ctx, budget=partial), seed=1)
 
 
 def test_release_estimate_zero_noise_matches_ols(zero_draws):
     ks, ctx, budget = _release_inputs()
-    rel = release_estimate(ks, ctx, budget, seed=5)
+    rel = release_estimate(ks, ctx, seed=5)
     direct = np.linalg.solve(ks.gram_g, ks.crossprod)
     assert np.array_equal(rel.estimate_noisy, direct)
 
 
 def test_release_estimate_scales_and_ridge():
     ks, ctx, budget = _release_inputs()
-    rel = release_estimate(ks, ctx, budget, ridge_omega2=0.5, seed=5)
+    rel = release_estimate(ks, dataclasses.replace(ctx, ridge_omega2=0.5), seed=5)
     sens = estimate_sensitivity(ctx, 0.5)
+    assert rel.noise_scales["estimate_sensitivity"] == sens
     assert rel.noise_scales["kappa_sq"] == pytest.approx(
         gaussian_scale(sens, budget.eps, budget.delta_1), rel=1e-12
     )
@@ -454,7 +454,7 @@ def test_budget_totals_by_method():
 def test_context_derives_eta2_gamma_and_p():
     ctx = _hand_context()
     assert [f.name for f in dataclasses.fields(ctx)] == [
-        "zeta", "bounds", "oracle", "spectrum", "frobenius_sigma_raw"
+        "bounds", "oracle", "spectrum", "frobenius_sigma_raw", "budget", "ridge_omega2"
     ]
     assert ctx.b_over_eta == pytest.approx(1.0 / math.sqrt(ctx.eta2), rel=1e-15)
     assert ctx.gamma == 2.0 * ctx.spectrum.lambda_max - ctx.spectrum.lambda_min
@@ -469,51 +469,94 @@ def test_calibrate_refuses_non_finite_scales():
     ks, ctx, budget = _release_inputs()
     huge = dataclasses.replace(ctx, oracle=ModelOracle(beta_norm_bound=1e200, sigma2_bound=1.0))
     with pytest.raises(PrivacyPreconditionFailed, match="kappa2_sq=inf"):
-        calibrate(huge, budget, "1")
+        huge.noise_scales("1")
     with pytest.raises(PrivacyPreconditionFailed, match="kappa_sq=inf"):
-        release_estimate(ks, huge, budget, seed=1)
+        release_estimate(ks, huge, seed=1)
     assert gaussian_scale(1e300, 0.5, 0.1) == math.inf
 
 
 def test_releases_carry_the_calibration_record():
     ks, ctx, budget = _release_inputs()
-    assert release_pair(ks, ctx, budget, seed=3).noise_scales == calibrate(ctx, budget, "1")
-    rel = release_estimate(ks, ctx, budget, ridge_omega2=0.5, seed=5)
-    assert rel.noise_scales == calibrate(ctx, budget, "2", 0.5)
+    rel = release_pair(ks, ctx, seed=3)
+    assert rel.noise_scales == ctx.noise_scales("1")
+    assert list(rel.noise_scales) == [
+        "theta1_scale", "kappa1_sq", "kappa2_sq", "lambda_min_sensitivity",
+        "gram_frobenius_sensitivity", "crossprod_sensitivity", "eps_total", "delta_total",
+    ]
+    ridged = dataclasses.replace(ctx, ridge_omega2=0.5)
+    rel = release_estimate(ks, ridged, seed=5)
+    assert rel.noise_scales == ridged.noise_scales("2")
     assert list(rel.noise_scales) == [
         "kappa_sq", "estimate_sensitivity", "ridge_omega2", "eps_total", "delta_total"
     ]
     with pytest.raises(ValueError):
-        calibrate(ctx, budget, "none")
+        ctx.noise_scales("none")
 
 
 def test_pair_scales_need_their_knobs():
     _, ctx, budget = _release_inputs()
-    scales = pair_scales(ctx, budget)
-    theta1, kappa1 = scales["theta1_scale"], scales["kappa1_sq"]
-    record = calibrate(ctx, budget, "1")
+    theta1, kappa1 = ctx.theta1_scale, ctx.kappa1_sq
+    record = ctx.noise_scales("1")
     assert (theta1, kappa1) == (record["theta1_scale"], record["kappa1_sq"])
-    # the pair record is pair_scales followed by the totals, in that key order
-    assert list(record) == [*scales, "eps_total", "delta_total"]
-    assert all(record[key] == value for key, value in scales.items())
+    assert all(record[key] == getattr(ctx, key) for key in record if not key.endswith("_total"))
     only_eps1 = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05, eps_1=0.2, eps_2=0.2)
-    got = pair_scales(ctx, only_eps1)
-    assert (got["theta1_scale"], got["kappa1_sq"]) == (theta1, None)
-    bare = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05)
-    got = pair_scales(ctx, bare)
-    assert (got["theta1_scale"], got["kappa1_sq"]) == (None, None)
+    got = dataclasses.replace(ctx, budget=only_eps1)
+    assert (got.theta1_scale, got.kappa1_sq) == (theta1, None)
+    bare = dataclasses.replace(ctx, budget=PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05))
+    assert (bare.theta1_scale, bare.kappa1_sq) == (None, None)
+    with pytest.raises(BudgetInvalid, match="missing eps_1, eps_2, delta$"):
+        bare.noise_scales("1")
+
+
+RECORD_FACTS = (
+    "zeta", "eta2", "gamma", "lambda_min_sensitivity", "gram_frobenius_sensitivity",
+    "crossprod_sensitivity", "estimate_sensitivity",
+    "theta1_scale", "kappa1_sq", "kappa2_sq", "kappa_sq",
+)
 
 
 def test_calibrate_evaluates_each_pair_sensitivity_once(monkeypatch):
-    _, ctx, budget = _release_inputs()
+    # every fact read twice, and through both records: each formula runs once
+    _, ctx, _ = _release_inputs()
     calls = []
-    for name in ("gram_sensitivities", "pair_crossprod_sensitivity"):
+    for name in ("pair_crossprod_sensitivity", "estimate_sensitivity",
+                 "gaussian_scale", "laplace_scale"):
         real = getattr(privacy, name)
         monkeypatch.setattr(
-            privacy, name, lambda c, _real=real, _name=name: calls.append(_name) or _real(c)
+            privacy, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
         )
-    calibrate(ctx, budget, "1")
-    assert sorted(calls) == ["gram_sensitivities", "pair_crossprod_sensitivity"]
+    first = {name: getattr(ctx, name) for name in RECORD_FACTS}
+    records = ctx.noise_scales("1"), ctx.noise_scales("2")
+    for name in set(RECORD_FACTS) - {"eta2", "gamma"}:  # cached: the very same object
+        assert getattr(ctx, name) is first[name], name
+    assert records == (ctx.noise_scales("1"), ctx.noise_scales("2"))
+    assert sorted(calls) == sorted([
+        "pair_crossprod_sensitivity", "estimate_sensitivity", "laplace_scale",
+        "gaussian_scale", "gaussian_scale", "gaussian_scale",
+    ])
+
+
+def test_replaced_budget_derives_every_fact_afresh():
+    _, ctx, _ = _release_inputs()
+    for name in RECORD_FACTS:  # fill the caches at the old budget
+        getattr(ctx, name)
+    b2 = PrivacyBudget(eps=0.2, delta_1=0.01, delta_2=0.2, eps_1=0.1, eps_2=0.4, delta=0.02)
+    replaced = dataclasses.replace(ctx, budget=b2)
+    built = build_sensitivity_context(
+        ctx.bounds, ctx.oracle, ctx.spectrum, ctx.frobenius_sigma_raw, b2
+    )
+    for field in dataclasses.fields(ctx):
+        assert getattr(replaced, field.name) is getattr(built, field.name) or (
+            getattr(replaced, field.name) == getattr(built, field.name)
+        ), field.name
+    for name in RECORD_FACTS:
+        assert getattr(replaced, name) == getattr(built, name), name
+    assert replaced.zeta != ctx.zeta and replaced.kappa_sq != ctx.kappa_sq
+    assert replaced.noise_scales("1") == built.noise_scales("1")
+    assert replaced.noise_scales("2") == built.noise_scales("2")
+    # zeta is derived, so a replaced delta_2 below its floor is refused, not kept stale
+    with pytest.raises(DeltaTooSmall):
+        dataclasses.replace(ctx, budget=dataclasses.replace(b2, delta_2=1e-3)).zeta
 
 
 @pytest.mark.filterwarnings("error")
@@ -528,28 +571,42 @@ def test_calibrate_evaluates_each_pair_sensitivity_once(monkeypatch):
 )
 def test_row_bound_close_to_c_min_is_finite_or_refused(p, n_factor, log_scales, k, method, seed):
     # B = C_min (1 - 10^-k) sends eta^2 toward 1/(2 * 10^-k): the filter returns
-    # finite statistics or refuses the calibration, never a numerical failure
-    n = n_factor * p
+    # finite statistics or refuses the calibration, never a numerical failure.
+    # Columns scaled over 1e-3..1e3 put C_min below some row norm, and a row
+    # bound below the data is refused; a tall design with column scales within
+    # a factor of 3 keeps every row norm below C_min, so B -> C_min reaches
+    # the release there.
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, p)) * 10.0 ** np.asarray(log_scales[:p])
-    ds = Dataset.from_arrays(x, x[:, 0] + rng.standard_normal(n))
-    c_min = float(ds.col_norms.min())
+    log_scales = np.asarray(log_scales[:p])
     budget = PrivacyBudget(eps=0.5, delta_1=0.05, delta_2=0.5, eps_1=0.3, eps_2=0.3, delta=0.05)
     oracle = ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0)
+    for n, scales, tall in (
+        (n_factor * p, 10.0 ** log_scales, False),
+        (100 * p, 3.0 ** (log_scales / 6.0), True),
+    ):
+        x = rng.standard_normal((n, p)) * scales
+        ds = Dataset.from_arrays(x, x[:, 0] + rng.standard_normal(n))
+        c_min = float(ds.col_norms.min())
+        row_max = float(np.sqrt(np.einsum("ij,ij->i", x, x).max()))
 
-    def run(row_bound):
-        return run_knockoff_filter(
-            ds, q=0.2, method=method, budget=budget, oracle=oracle,
-            row_bound_override=row_bound, seed=seed,
-        )
+        def run(row_bound):
+            return run_knockoff_filter(
+                ds, q=0.2, method=method, budget=budget, oracle=oracle,
+                row_bound_override=row_bound, seed=seed,
+            )
 
-    with pytest.raises(BoundViolation):
-        run(c_min)
-    b = c_min * (1.0 - 10.0 ** -k)
-    if b >= c_min:  # 1 - 10^-16 rounded B up to C_min, checked above
-        return
-    try:
-        result = run(b)
-    except PrivacyPreconditionFailed:
-        return
-    assert np.all(np.isfinite(result.report.w.w))
+        with pytest.raises(BoundViolation):
+            run(c_min)
+        b = c_min * (1.0 - 10.0 ** -k)
+        if b >= c_min:  # 1 - 10^-16 rounded B up to C_min, checked above
+            continue
+        if b < row_max:
+            assert not tall, "the tall design must keep every row below B"
+            with pytest.raises(BoundViolation, match="below the observed maximum row norm"):
+                run(b)
+            continue
+        try:
+            result = run(b)
+        except PrivacyPreconditionFailed:
+            continue
+        assert np.all(np.isfinite(result.report.w.w))
