@@ -55,7 +55,7 @@ def _add_data_flags(parser):
     parser.add_argument("--y", required=True, help="file with one response value per line")
     parser.add_argument("--header", action="store_true", help="skip one header line per file")
     parser.add_argument(
-        "--row-bound", type=float, default=None,
+        "--row-bound", type=_positive, default=None,
         help="override for the row-norm bound B (default: observed max row norm)",
     )
 

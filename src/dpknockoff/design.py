@@ -30,13 +30,16 @@ ZERO_COLUMN_TOL = 1e-12
 class Dataset:
     """Raw regression data: an n x p design matrix and a length-n response.
 
-    Instances are validated at construction and treated as immutable
-    afterwards.  Use :meth:`from_arrays` or :func:`load_dataset` instead of
-    the bare constructor.  The raw Gram X^T X is the one n-length pass the
-    column norms, the normalizer and the normalized Gram all derive from.
-    :meth:`from_arrays` computes it once, with the column norms
+    Instances are validated at construction and immutable afterwards.  Use
+    :meth:`from_arrays` or :func:`load_dataset` instead of the bare
+    constructor: :meth:`from_arrays` copies the arrays it is given, so later
+    writes to them do not reach the dataset, while :func:`load_dataset` and
+    :func:`~dpknockoff.simulate.generate_trial` hand over the arrays they
+    just built, so no n x p array is copied.  The raw Gram X^T X is the one
+    n-length pass the column norms, the normalizer and the normalized Gram
+    all derive from.  Validation computes it once, with the column norms
     sqrt(diag(X^T X)) and their reciprocals ``normalizer_d``, the diagonal
-    of D in X' = X D; all three are read-only.
+    of D in X' = X D.  ``x``, ``y`` and all three summaries are read-only.
     """
 
     x: np.ndarray
@@ -49,8 +52,11 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, x, y) -> "Dataset":
-        x = np.array(x, dtype=float, ndmin=2)
-        y = np.array(y, dtype=float).ravel()
+        return cls._owned(np.array(x, dtype=float, ndmin=2), np.array(y, dtype=float).ravel())
+
+    @classmethod
+    def _owned(cls, x: np.ndarray, y: np.ndarray) -> "Dataset":
+        """Validate a 2-D float x and 1-D float y and take ownership of both."""
         n, p = x.shape
         # a non-finite x_ij makes (X^T X)_jj non-finite, so x is scanned only
         # where the Gram is not finite, or not formed because the shape is refused
@@ -76,13 +82,13 @@ class Dataset:
                 f"column {bad} has (near-)zero norm; the Gram matrix would be singular"
             )
         normalizer_d = 1.0 / col_norms
-        for summary in (gram, col_norms, normalizer_d):
-            summary.setflags(write=False)
+        for array in (x, y, gram, col_norms, normalizer_d):
+            array.setflags(write=False)
         return cls(x=x, y=y, n=n, p=p, gram=gram, col_norms=col_norms, normalizer_d=normalizer_d)
 
 
 def _raw_gram(x: np.ndarray) -> np.ndarray:
-    """X^T X; an overflow is left in place for :meth:`Dataset.from_arrays` to refuse."""
+    """X^T X; an overflow is left in place for :meth:`Dataset._owned` to refuse."""
     with np.errstate(over="ignore", invalid="ignore"):
         return x.T @ x
 
@@ -169,7 +175,7 @@ def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
         raise
     except Exception as exc:
         raise ParseError(f"could not parse response file {y_path}: {exc}") from exc
-    return Dataset.from_arrays(x, y)
+    return Dataset._owned(x, y.ravel())
 
 
 def compute_bounds(d: Dataset, row_bound_override: float | None = None) -> NormBounds:

@@ -154,7 +154,7 @@ def generate_trial(n: int, cfg: SimConfig, trial_seed) -> tuple[Dataset, ModelOr
             sigma2_bound=cfg.pessimism * cfg.sigma2,
             true_beta=beta,
         )
-    return Dataset.from_arrays(x, y), oracle
+    return Dataset._owned(x, y), oracle
 
 
 def budget_for(cfg: SimConfig, n: int) -> PrivacyBudget | None:

@@ -274,11 +274,16 @@ def test_run_missing_budget_is_cli_error(capsys, data_files):
     ("calibrate", "--ridge", "inf"),
     ("calibrate", "--beta-norm-bound", "inf"),
     ("run", "--seed", "-1"),
+    *[
+        (command, "--row-bound", value)
+        for command in ("run", "calibrate")
+        for value in ("nan", "inf", "-inf", "0", "-1")
+    ],
 ])
 def test_out_of_range_knob_is_usage_error(capsys, data_files, command, flag, value):
     xp, yp, _ = data_files
     with pytest.raises(SystemExit) as info:
-        main([command, "--x", xp, "--y", yp, flag, value])
+        main([command, "--x", xp, "--y", yp, f"{flag}={value}"])
     assert info.value.code == 2
     assert f"error: argument {flag}: must be" in capsys.readouterr().err
 

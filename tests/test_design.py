@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from dpknockoff import (
 )
 from dpknockoff import design
 from dpknockoff.design import compute_bounds
+from dpknockoff.simulate import SimConfig, generate_trial
 from reference import normalize_columns
 
 
@@ -222,3 +226,62 @@ def test_column_norms_computed_once_and_shared():
     tall = Dataset.from_arrays(rng.standard_normal((600, 5)), np.zeros(600))
     b = 2.0 * compute_bounds(tall).row_bound_B
     assert compute_bounds(tall, row_bound_override=b).col_min_C == float(tall.col_norms.min())
+
+
+def _write_design_csv(tmp_path, n, p, seed=0):
+    rng = np.random.default_rng(seed)
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(xp, rng.standard_normal((n, p)), delimiter=",", fmt="%.6f")
+    np.savetxt(yp, rng.standard_normal(n), fmt="%.6f")
+    return str(xp), str(yp)
+
+
+def _trial_config(p):
+    return SimConfig(n_grid=(100,), p=p, k=2, amplitude=3.0, sigma2=1.0, q=0.2, trials=1)
+
+
+@pytest.mark.parametrize("builder", ["from_arrays", "load_dataset", "generate_trial"])
+def test_dataset_arrays_are_read_only_on_every_path(tmp_path, builder):
+    if builder == "from_arrays":
+        rng = np.random.default_rng(1)
+        ds = Dataset.from_arrays(rng.standard_normal((40, 4)), rng.standard_normal(40))
+    elif builder == "load_dataset":
+        ds = load_dataset(*_write_design_csv(tmp_path, 40, 4))
+    else:
+        ds, _ = generate_trial(40, _trial_config(4), 3)
+    for array in (ds.x, ds.y, ds.gram, ds.col_norms, ds.normalizer_d):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_from_arrays_copies_the_callers_arrays():
+    rng = np.random.default_rng(2)
+    x, y = rng.standard_normal((40, 4)), rng.standard_normal(40)
+    ds = Dataset.from_arrays(x, y)
+    x_before, gram_before, norms_before = ds.x.copy(), ds.gram.copy(), ds.col_norms.copy()
+    x *= 10.0
+    y[:] = 0.0
+    assert x.flags.writeable and y.flags.writeable
+    assert np.array_equal(ds.x, x_before) and not np.array_equal(ds.x, x)
+    assert np.array_equal(ds.gram, gram_before)
+    assert np.array_equal(ds.col_norms, norms_before)
+    assert np.any(ds.y != 0.0)
+
+
+@pytest.mark.parametrize("builder", ["load_dataset", "generate_trial"])
+def test_building_a_dataset_holds_one_design(tmp_path, builder):
+    # the builders hand their fresh arrays to the dataset: the traced peak
+    # stays near one n x p design, well below a second (copied) one
+    n, p = 20_000, 50
+    if builder == "load_dataset":
+        build = functools.partial(load_dataset, *_write_design_csv(tmp_path, n, p))
+    else:
+        build = functools.partial(generate_trial, n, _trial_config(p), 5)
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * p, f"peak {peak / (8 * n * p):.2f} x the design"
