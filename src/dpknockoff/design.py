@@ -12,6 +12,13 @@ and the CSV ingestion path.
 
 from __future__ import annotations
 
+import functools
+import io
+import os
+import signal
+import stat
+import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,22 +167,164 @@ def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
 
     The design file holds one sample per row with comma-separated numeric
     fields; the response file holds one value per line.  When ``has_header``
-    is set the first line of each file is skipped.
+    is set the first line of each file is skipped.  A file with no data
+    rows, or a response file with more than one value per line, raises
+    :class:`ParseError` naming the file.
+
+    The design is the array one ``np.loadtxt`` of the whole file returns,
+    bit for bit.  Where ``os.sched_getaffinity`` lists more than one CPU the
+    file is cut into newline-aligned parts, one per CPU: this process parses
+    the first part and a forked child each other part, and the children send
+    their rows over pipes into the end of this process's array.  Any failure
+    of the split (a fork, a child, a warning, a column count) discards it and
+    parses the whole file serially, so errors, warnings and row numbers are
+    those of the serial parse; one CPU, or a file with no newline after any
+    cut, takes the serial parse directly.
     """
     skip = 1 if has_header else 0
-    try:
-        x = np.loadtxt(x_path, delimiter=",", skiprows=skip, ndmin=2, dtype=float)
-    except OSError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"could not parse design file {x_path}: {exc}") from exc
-    try:
-        y = np.loadtxt(y_path, skiprows=skip, ndmin=1, dtype=float)
-    except OSError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"could not parse response file {y_path}: {exc}") from exc
+    x = _read_table(x_path, "design", functools.partial(_parse_design, x_path, skip))
+    read_y = functools.partial(np.loadtxt, y_path, skiprows=skip, ndmin=2, dtype=float)
+    y = _read_table(y_path, "response", read_y)
+    if y.shape[1] != 1:
+        raise ParseError(f"response file {y_path} has {y.shape[1]} values per line; expected one")
     return Dataset._owned(x, y.ravel())
+
+
+def _read_table(path, kind: str, parse) -> np.ndarray:
+    """``parse()`` one input file; a parse failure or no data rows is a ParseError naming it."""
+    with warnings.catch_warnings():
+        # refused below by file name rather than reported as numpy's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = parse()
+        except OSError:
+            raise
+        except Exception as exc:
+            raise ParseError(f"could not parse {kind} file {path}: {exc}") from exc
+    if table.shape[0] == 0:
+        raise ParseError(f"{kind} file {path} contains no data")
+    return table
+
+
+def _loadtxt_csv(source, skip: int) -> np.ndarray:
+    return np.loadtxt(source, delimiter=",", skiprows=skip, ndmin=2, dtype=float)
+
+
+def _parse_design(path, skip: int) -> np.ndarray:
+    try:
+        x = _parse_in_parts(path, skip)
+    except Exception:  # any failure of the split: the serial parse gives its result or its error
+        x = None
+    return _loadtxt_csv(path, skip) if x is None else x
+
+
+# np.loadtxt opens a file with one of these suffixes through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _parse_in_parts(path, skip: int) -> np.ndarray | None:
+    """The design parsed in newline-aligned parts, one per CPU, or None.
+
+    None stands for one part, a compressed file, or anything but a regular
+    file (a pipe can be read only once, by ``np.loadtxt``); any failure of
+    the split raises.  A child only parses its part and ends in
+    ``os._exit``, so the threads this process may run (OpenBLAS's) hold no
+    lock it needs, and it never returns into the caller's stack.
+    """
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2 or str(path).endswith(_COMPRESSED) or not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        cuts = {size}
+        for k in range(1, cpus):
+            f.seek(size * k // cpus)
+            f.readline()  # a cut falls just after a newline, or at the end of the file
+            cuts.add(f.tell())
+        bounds = [0, *sorted(cuts)]
+        if len(bounds) < 3:
+            return None
+        readers, pids = [], []
+        try:
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns that a process with threads forks; see above
+                warnings.simplefilter("ignore", DeprecationWarning)
+                for start, end in zip(bounds[1:], bounds[2:]):
+                    read_fd, write_fd = os.pipe()
+                    readers.append(open(read_fd, "rb"))
+                    with open(write_fd, "wb") as writer:  # this process's copy closes on leaving
+                        pid = os.fork()
+                        if pid == 0:
+                            _parse_in_child(f.fileno(), start, end, writer, readers)
+                    pids.append(pid)
+            x = _parse_range(f.fileno(), 0, bounds[1], skip)
+            for reader in readers:
+                _append_rows(x, reader)
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for reader in readers:
+                reader.close()
+            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    if any(statuses):
+        raise ChildProcessError(f"a design part's child ended with wait status {max(statuses)}")
+    return x
+
+
+def _parse_in_child(fd: int, start: int, end: int, writer, readers) -> None:
+    """Body of a forked child: parse bytes [start, end), send shape and rows, os._exit."""
+    status = 1
+    try:
+        for reader in readers:
+            reader.close()
+        part = _parse_range(fd, start, end, 0)
+        writer.write(struct.pack("2q", *part.shape))
+        writer.write(part)
+        writer.close()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _append_rows(x: np.ndarray, reader) -> None:
+    """Grow ``x`` in place by the rows one child sends; nothing else views ``x``."""
+    rows, cols = struct.unpack("2q", reader.read(16))
+    if cols != x.shape[1]:
+        raise ValueError(f"a part has {cols} columns, the first part {x.shape[1]}")
+    n = x.shape[0]
+    x.resize((n + rows, cols), refcheck=False)
+    if reader.readinto(x[n:]) != x[n:].nbytes:
+        raise EOFError("a design part's child sent fewer rows than it announced")
+
+
+def _parse_range(fd: int, start: int, end: int, skip: int) -> np.ndarray:
+    """np.loadtxt of bytes [start, end), decoded and split into lines as for the whole file."""
+    # the default encoding and universal newlines: what np.loadtxt opens a path with
+    text = io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, end)))
+    with text, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning, such as a part with no rows, fails the split
+        return _loadtxt_csv(text, skip)
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, end) of an open file, read with ``os.preadv``.
+
+    A positional read moves no shared file offset, so the forked children
+    read one inherited descriptor side by side.
+    """
+
+    def __init__(self, fd: int, start: int, end: int):
+        self._fd, self._pos, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = os.preadv(self._fd, [memoryview(buffer)[: self._end - self._pos]], self._pos)
+        self._pos += n
+        return n
 
 
 def compute_bounds(d: Dataset, row_bound_override: float | None = None) -> NormBounds:

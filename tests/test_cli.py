@@ -510,3 +510,50 @@ def test_file_errors_are_cli_errors(tmp_path, capsys, data_files, kind):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert ("r.csv" if kind == "out" else "nope.csv") in err
+
+
+@pytest.mark.parametrize("command", ["run", "calibrate"])
+def test_response_with_several_values_per_line_is_cli_error(tmp_path, capsys, command):
+    rng = np.random.default_rng(8)
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(xp, rng.standard_normal((30, 3)), delimiter=",")
+    np.savetxt(yp, rng.standard_normal((15, 2)))
+    argv = [command, "--x", str(xp), "--y", str(yp), "--eps", "1", "--delta", "0.1",
+            "--beta-norm-bound", "1", "--sigma2-bound", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: response file {yp} has 2 values per line; expected one\n"
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["run", "calibrate"])
+@pytest.mark.parametrize("empty", ["x", "y"])
+def test_empty_input_file_is_cli_error_naming_it(tmp_path, capsys, data_files, command, empty):
+    # numpy's "input contained no data" warning must not reach stderr, and the
+    # error names the empty file rather than blaming the other one
+    xp, yp, _ = data_files
+    blank = tmp_path / "empty.csv"
+    blank.write_text("", encoding="utf-8")
+    xp, yp = (str(blank), yp) if empty == "x" else (xp, str(blank))
+    argv = [command, "--x", xp, "--y", yp, "--eps", "1", "--delta", "0.1",
+            "--beta-norm-bound", "1", "--sigma2-bound", "1"]
+    assert main(argv) == 2
+    kind = "design" if empty == "x" else "response"
+    assert capsys.readouterr().err == f"error: {kind} file {blank} contains no data\n"
+
+
+def test_run_subprocess_writes_nothing_to_stderr(data_files):
+    # the design is parsed in forked children under the default BLAS threads;
+    # -X dev and -W error turn any warning, unclosed descriptor included, into output
+    xp, yp, _ = data_files
+    src = os.path.dirname(os.path.dirname(dpknockoff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    argv = ["-X", "dev", "-W", "error", "-m", "dpknockoff", "run", "--x", xp, "--y", yp]
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(json.loads(proc.stdout)["statistics"]) == 12

@@ -1,4 +1,7 @@
 import functools
+import gzip
+import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,6 +70,29 @@ def test_load_dataset_parse_errors(tmp_path, payload):
     xp = _write(tmp_path / "x.csv", payload)
     yp = _write(tmp_path / "y.csv", "1\n2\n3\n4\n")
     with pytest.raises(ParseError):
+        load_dataset(xp, yp)
+
+
+def test_load_dataset_refuses_several_values_per_response_line(tmp_path):
+    # read row-major, a 15 x 2 response would pair each design row with an unrelated value
+    rng = np.random.default_rng(7)
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(xp, rng.standard_normal((30, 3)), delimiter=",")
+    np.savetxt(yp, rng.standard_normal((15, 2)))
+    message = f"response file {yp} has 2 values per line; expected one"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_dataset(str(xp), str(yp))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("content", ["", "\n\n", "# only a comment\n"])
+@pytest.mark.parametrize("empty", ["x", "y"])
+def test_load_dataset_names_an_empty_file(tmp_path, empty, content):
+    xp, yp = _write_design_csv(tmp_path, 60, 3)
+    path = xp if empty == "x" else yp
+    _write(tmp_path / os.path.basename(path), content)
+    kind = "design" if empty == "x" else "response"
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{kind} file {path} contains no data')}$"):
         load_dataset(xp, yp)
 
 
@@ -285,3 +311,176 @@ def test_building_a_dataset_holds_one_design(tmp_path, builder):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * n * p, f"peak {peak / (8 * n * p):.2f} x the design"
+
+
+# -- the design parsed in forked, newline-aligned parts ---------------------
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="the split parse reads os.sched_getaffinity"
+)
+
+
+def _serial_design(path, skip=0):
+    return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, dtype=float)
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _rows(n, p, seed=11):
+    scales = 10.0 ** (np.arange(p) % 6 - 3)  # digits of every width in each part
+    x = np.random.default_rng(seed).standard_normal((n, p)) * scales
+    return [",".join(f"{v:.17g}" for v in row) for row in x]
+
+
+def _interleaved(rows):
+    out = []
+    for i, row in enumerate(rows):
+        out += ["", "# comment line"] if i % 7 == 3 else []
+        out.append(f"{row}  # trailing comment" if i % 5 == 1 else row)
+    return out
+
+
+def _mixed_endings(rows):
+    endings = ["\n", "\r\n", "\r", "\r\r\n"]
+    return "".join(row + endings[i % 4] for i, row in enumerate(rows))
+
+
+SPLIT_CASES = {
+    # name: (file text, skip)
+    "header": ("a,b,c\n" + "\n".join(_rows(80, 3)) + "\n", 1),
+    "crlf": ("\r\n".join(_rows(80, 3)) + "\r\n", 0),
+    "crlf_header": ("a,b,c\r\n" + "\r\n".join(_rows(80, 3)) + "\r\n", 1),
+    "no_trailing_newline": ("\n".join(_rows(80, 3)), 0),
+    "blank_and_comment_lines": ("\n".join(_interleaved(_rows(80, 3))) + "\n", 0),
+    "trailing_blank_lines": ("\n".join(_rows(80, 3)) + "\n\n\n\n", 0),
+    "one_column": ("\n".join(_rows(80, 1)) + "\n", 0),
+    # numpy reads a lone CR as a line end; a part must be split into lines the same way
+    "mixed_line_endings": (_mixed_endings(_rows(80, 3)), 0),
+}
+
+
+@needs_affinity
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_parse_is_bit_identical_to_one_loadtxt(tmp_path, monkeypatch, case, cpus):
+    text, skip = SPLIT_CASES[case]
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode())
+    _cpus(monkeypatch, cpus)
+    x = design._parse_in_parts(str(path), skip)
+    assert x is not None, "the split did not run"
+    _assert_same_bits(x, _serial_design(str(path), skip))
+    _assert_no_child_left()
+
+
+@needs_affinity
+@pytest.mark.parametrize("newline", ["\n", ""])
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_split_parse_with_a_cut_in_the_last_line(tmp_path, monkeypatch, cpus, newline):
+    # the last line, padded by a comment, starts at about 42% of the file, so
+    # the last cut lands in it; with two CPUs that is the only cut
+    rows = _rows(60, 3)
+    body = "\n".join(rows[:-1]) + "\n"
+    text = body + rows[-1] + " #" + "x" * (7 * len(body) // 5) + newline
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode())
+    _cpus(monkeypatch, cpus)
+    x = design._parse_in_parts(str(path), 0)
+    serial = _serial_design(str(path))
+    if cpus == 2:
+        assert x is None
+        x = design._parse_design(str(path), 0)
+    _assert_same_bits(x, serial)
+    assert x.shape == (60, 3)
+
+
+@needs_affinity
+def test_split_parse_leaves_a_compressed_design_to_loadtxt(tmp_path, monkeypatch):
+    # np.loadtxt decompresses a .gz by name; its bytes are not the design's lines
+    path = tmp_path / "x.csv.gz"
+    with gzip.open(path, "wt", encoding="utf-8") as f:
+        f.write("\n".join(_rows(80, 3)) + "\n")
+    _cpus(monkeypatch, 4)
+    assert design._parse_in_parts(str(path), 0) is None
+    _assert_same_bits(design._parse_design(str(path), 0), _serial_design(str(path)))
+
+
+@needs_affinity
+@pytest.mark.parametrize("bad_row", ["1.5,2.5", "1.5,oops,2.5", "1.5,2.5,3.5,4.5"])
+def test_split_parse_error_in_a_later_part_is_the_serial_error(tmp_path, monkeypatch, bad_row):
+    rows = _rows(80, 3)
+    rows[70] = bad_row
+    xp, yp = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
+    _write(tmp_path / "x.csv", "\n".join(rows) + "\n")
+    _write(tmp_path / "y.csv", "\n".join(["1"] * 80) + "\n")
+    errors = []
+    for cpus in (1, 4):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(ParseError) as info:
+            load_dataset(xp, yp)
+        errors.append(str(info.value))
+    # whole-file row numbers (numpy counts from 0 or 1, by message), not a part's
+    assert errors[0] == errors[1] and ("row 70" in errors[0] or "row 71" in errors[0])
+    _assert_no_child_left()
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _parse_fails_in_children(monkeypatch, failure):
+    parent = os.getpid()
+    real = design._parse_range
+
+    def parse_range(*args):
+        if os.getpid() != parent:
+            raise failure
+        return real(*args)
+
+    monkeypatch.setattr(design, "_parse_range", parse_range)
+    # no SIGKILL: a child that escaped os._exit runs on into the test and is seen there
+    monkeypatch.setattr(os, "kill", lambda pid, sig: None)
+
+
+def _fork_fails(monkeypatch):
+    def fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@needs_affinity
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc")
+@pytest.mark.parametrize("failure", [
+    None,
+    lambda mp: _parse_fails_in_children(mp, ValueError("a child's part does not parse")),
+    # a BaseException must end the child in os._exit too, never in the caller's stack
+    lambda mp: _parse_fails_in_children(mp, SystemExit(0)),
+    lambda mp: _parse_fails_in_children(mp, KeyboardInterrupt()),
+    _fork_fails,
+], ids=["ok", "child-error", "child-exit", "child-interrupt", "fork-oserror"])
+def test_load_dataset_leaves_no_child_or_descriptor_behind(tmp_path, monkeypatch, failure):
+    xp, yp = _write_design_csv(tmp_path, 400, 5)
+    _cpus(monkeypatch, 3)
+    if failure is not None:
+        failure(monkeypatch)
+    parent, fds = os.getpid(), _open_fds()
+    ds = load_dataset(xp, yp)
+    if os.getpid() != parent:  # reached only by a child that returned into this test
+        (tmp_path / "escaped").touch()
+        os._exit(0)
+    assert not (tmp_path / "escaped").exists()
+    _assert_same_bits(ds.x, _serial_design(xp))
+    _assert_no_child_left()
+    assert _open_fds() == fds
