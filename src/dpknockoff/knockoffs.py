@@ -6,11 +6,11 @@ copy Xt is an n x p matrix satisfying, for a scalar s >= 0,
     Xt^T Xt = S',        X'^T Xt = S' - s*I,
 
 so that the augmented Gram G = [X' Xt]^T [X' Xt] has the block form
-[[S', S' - s*I], [S' - s*I, S']].  The copy is Xt = X'(I - s S'^{-1}) + U C,
-with U an orthonormal basis of a p-dimensional subspace orthogonal to
-col(X') and C^T C = 2sI - s^2 S'^{-1}.  U is (I - P) W R^{-1} for a fixed
-probe W, the projector P onto col(X') and R^T R = W^T (I - P) W, so the
-knockoff half of the feature-response product is
+[[S', S' - s*I], [S' - s*I, S']], which :func:`paired_blocks` builds.  The
+copy is Xt = X'(I - s S'^{-1}) + U C, with U an orthonormal basis of a
+p-dimensional subspace orthogonal to col(X') and C^T C = 2sI - s^2 S'^{-1}.
+U is (I - P) W R^{-1} for a fixed probe W, the projector P onto col(X') and
+R^T R = W^T (I - P) W, so the knockoff half of the feature-response product is
 
     Xt^T y = (I - s S'^{-1}) X'^T y + C^T R^{-T} (W^T y - (X'^T W)^T S'^{-1} X'^T y),
     R^T R  = W^T W - (X'^T W)^T S'^{-1} (X'^T W).
@@ -195,17 +195,31 @@ def knockoff_summary(d: Dataset, spectrum: GramSpectrum) -> KnockoffSummary:
     if d.n < 2 * d.p:
         raise KnockoffInfeasible(f"knockoff copy needs n >= 2p, got n={d.n}, p={d.p}")
     s = spectrum.lambda_min
-    sigma = spectrum.sigma_prime
     xty = d.normalizer_d * _response_product(d.x, d.y)
     l_inv, sigma_inv_s, c_upper = _decorrelation(spectrum)
-    off = sigma - s * np.eye(d.p)
     uty = _complement_crossprod(d, xty, l_inv, spectrum.lambda_max / s)
     kty = xty - sigma_inv_s.T @ xty + c_upper.T @ uty
     return KnockoffSummary(
-        gram_g=np.block([[sigma, off], [off, sigma]]),
+        gram_g=paired_blocks(spectrum.sigma_prime, -s),
         crossprod=np.concatenate([xty, kty]),
         spectrum=spectrum,
     )
+
+
+def paired_blocks(a: np.ndarray, c: float) -> np.ndarray:
+    """[[A, A + cI], [A + cI, A]] for a p x p block A and a scalar c.
+
+    G is ``paired_blocks(S', -s)`` and the pair release's Gram noise is
+    ``paired_blocks(theta_2, theta_1)``: theta_1 on the diagonals of the
+    off-diagonal blocks, the symmetric zero-diagonal theta_2 in all four.
+    That layout matches which entries of G a single row change can move, and
+    it is invariant in distribution under any original/knockoff column swap.
+    """
+    p = a.shape[0]
+    out = np.tile(a, (2, 2))
+    rows = np.arange(2 * p)
+    out[rows, (rows + p) % (2 * p)] += c
+    return out
 
 
 def _response_product(a: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Two release mechanisms protect the knockoff statistics:
 
 * the pair release perturbs the augmented Gram matrix (with a structured
-  noise term built from one Laplace scalar and one symmetric Gaussian block)
+  noise term built from one Laplace scalar and one symmetric Gaussian block,
+  in G's own block layout, :func:`~dpknockoff.knockoffs.paired_blocks`)
   and the feature-response product;
 * the estimate release perturbs the ridge/OLS coefficient vector directly.
 
@@ -14,10 +15,11 @@ and the spectral spread gamma = 2*lambda_max(S') - lambda_min(S').  Because
 the sensitivities depend on the observed data, the guarantee is local: the
 noise is calibrated at the dataset at hand, not over all possible datasets.
 
-:class:`SensitivityContext` is the one calibration record: it derives each
-sensitivity and noise scale once and refuses any non-finite one.  Both
-releases carry its ``noise_scales(method)`` as ``PrivateRelease.noise_scales``;
-``dpknockoff calibrate`` prints the same record's fields.
+:class:`SensitivityContext` is the one calibration record: each
+sensitivity formula and noise scale is one of its cached properties,
+evaluated once, and a non-finite one is refused.  Both releases carry its
+``noise_scales(method)`` as ``PrivateRelease.noise_scales``; ``dpknockoff
+calibrate`` prints the same record's fields.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .design import ModelOracle, NormBounds
 from .errors import BudgetInvalid, DeltaTooSmall, PrivacyPreconditionFailed
-from .knockoffs import GramSpectrum, KnockoffSummary, closed_form_gram_eigenvalues
+from .knockoffs import GramSpectrum, KnockoffSummary, closed_form_gram_eigenvalues, paired_blocks
 from .selection import estimate_coefficients
 
 # Multiplicative bump applied to Gaussian variances so the strict calibration
@@ -46,13 +48,10 @@ _LABEL_VECTOR = 2
 
 def _substream(seed, label: int) -> np.random.Generator:
     """Independent generator derived from ``seed`` by a fixed integer label."""
-    if isinstance(seed, np.random.SeedSequence):
-        ss = np.random.SeedSequence(
-            entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + (label,)
-        )
-    else:
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(label,))
-    return np.random.default_rng(ss)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.default_rng(
+        np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, label))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +173,63 @@ class SensitivityContext:
 
     @cached_property
     def crossprod_sensitivity(self) -> float:
-        """:func:`pair_crossprod_sensitivity` of this record."""
-        return pair_crossprod_sensitivity(self)
+        """l2 sensitivity of the feature-response product [X' Xt]^T y.
+
+        Termwise:
+
+            sqrt(zeta) * (2*sqrt(gamma) + eta*sqrt(3 + 2*lambda_max + lambda_min))
+          + ||beta|| * ( sqrt(2)*(eta/B - 1/C_min)*||X^T X||_F
+                       + 2*eta*B
+                       + (C_min - B/eta)*lambda_min
+                       + eta^2*(lambda_min + 1)*sqrt(C_min^2 + B^2) )
+
+        The first block covers the Gaussian part of the response via the
+        concentration constant zeta; the second covers the signal part through
+        the supplied bound on ||beta||.
+        """
+        eta = math.sqrt(self.eta2)
+        b = self.bounds.row_bound_B
+        c = self.bounds.col_min_C
+        lam_min = self.spectrum.lambda_min
+        lam_max = self.spectrum.lambda_max
+        noise_part = math.sqrt(self.zeta) * (
+            2.0 * math.sqrt(self.gamma) + eta * math.sqrt(3.0 + 2.0 * lam_max + lam_min)
+        )
+        signal_part = self.oracle.beta_norm_bound * (
+            math.sqrt(2.0) * (eta / b - 1.0 / c) * self.frobenius_sigma_raw
+            + 2.0 * eta * b
+            + (c - self.b_over_eta) * lam_min
+            + self.eta2 * (lam_min + 1.0) * math.sqrt(c * c + b * b)
+        )
+        return noise_part + signal_part
 
     @cached_property
     def estimate_sensitivity(self) -> float:
-        """:func:`estimate_sensitivity` at this record's ridge term."""
-        return estimate_sensitivity(self, self.ridge_omega2)
+        """l2 sensitivity of the ridge/OLS coefficient vector on the augmented design::
+
+            2*sqrt(zeta) / sqrt((1 - eta^2)*lambda_min - eta^2)
+          + (C_min - B/eta) * ||beta||
+
+        with lambda_min the smallest normalized-Gram eigenvalue plus the ridge term
+        omega^2 (adding omega^2 * I to the augmented Gram shifts its spectrum up by
+        exactly omega^2).  Requires (1 - eta^2)*lambda_min > eta^2; otherwise the
+        denominator is not positive and no finite calibration exists.
+        """
+        if self.ridge_omega2 < 0:
+            raise ValueError("ridge_omega2 must be nonnegative")
+        lam_eff = self.spectrum.lambda_min + self.ridge_omega2
+        denom_sq = (1.0 - self.eta2) * lam_eff - self.eta2
+        if denom_sq <= 0.0:
+            raise PrivacyPreconditionFailed(
+                f"estimate release needs (1 - eta^2)*lambda_min > eta^2; got "
+                f"eta^2={self.eta2:.6g}, effective lambda_min={lam_eff:.6g}. "
+                "Ridge stabilization (a positive ridge_omega2) raises the effective "
+                "eigenvalue when eta^2 < 1; with eta^2 >= 1 the norm bounds are too loose."
+            )
+        return (
+            2.0 * math.sqrt(self.zeta) / math.sqrt(denom_sq)
+            + (self.bounds.col_min_C - self.b_over_eta) * self.oracle.beta_norm_bound
+        )
 
     @cached_property
     def theta1_scale(self) -> float | None:
@@ -315,90 +364,8 @@ def sample_symmetric_offdiag_gaussian(p: int, variance: float, rng) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Sensitivity formulas
-# ---------------------------------------------------------------------------
-
-
-def pair_crossprod_sensitivity(ctx: SensitivityContext) -> float:
-    """l2 sensitivity of the feature-response product [X' Xt]^T y.
-
-    Termwise:
-
-        sqrt(zeta) * (2*sqrt(gamma) + eta*sqrt(3 + 2*lambda_max + lambda_min))
-      + ||beta|| * ( sqrt(2)*(eta/B - 1/C_min)*||X^T X||_F
-                   + 2*eta*B
-                   + (C_min - B/eta)*lambda_min
-                   + eta^2*(lambda_min + 1)*sqrt(C_min^2 + B^2) )
-
-    The first block covers the Gaussian part of the response via the
-    concentration constant zeta; the second covers the signal part through
-    the supplied bound on ||beta||.
-    """
-    eta = math.sqrt(ctx.eta2)
-    b = ctx.bounds.row_bound_B
-    c = ctx.bounds.col_min_C
-    lam_min = ctx.spectrum.lambda_min
-    lam_max = ctx.spectrum.lambda_max
-
-    noise_part = math.sqrt(ctx.zeta) * (
-        2.0 * math.sqrt(ctx.gamma) + eta * math.sqrt(3.0 + 2.0 * lam_max + lam_min)
-    )
-    signal_part = ctx.oracle.beta_norm_bound * (
-        math.sqrt(2.0) * (eta / b - 1.0 / c) * ctx.frobenius_sigma_raw
-        + 2.0 * eta * b
-        + (c - ctx.b_over_eta) * lam_min
-        + ctx.eta2 * (lam_min + 1.0) * math.sqrt(c * c + b * b)
-    )
-    return noise_part + signal_part
-
-
-def estimate_sensitivity(ctx: SensitivityContext, ridge_omega2: float = 0.0) -> float:
-    """l2 sensitivity of the ridge/OLS coefficient vector on the augmented design::
-
-        2*sqrt(zeta) / sqrt((1 - eta^2)*lambda_min - eta^2)
-      + (C_min - B/eta) * ||beta||
-
-    with lambda_min the smallest normalized-Gram eigenvalue plus any ridge
-    term (adding omega^2 * I to the augmented Gram shifts its spectrum up by
-    exactly omega^2).  Requires (1 - eta^2)*lambda_min > eta^2; otherwise the
-    denominator is not positive and no finite calibration exists.
-    """
-    if ridge_omega2 < 0:
-        raise ValueError("ridge_omega2 must be nonnegative")
-    lam_eff = ctx.spectrum.lambda_min + ridge_omega2
-    denom_sq = (1.0 - ctx.eta2) * lam_eff - ctx.eta2
-    if denom_sq <= 0.0:
-        raise PrivacyPreconditionFailed(
-            f"estimate release needs (1 - eta^2)*lambda_min > eta^2; got "
-            f"eta^2={ctx.eta2:.6g}, effective lambda_min={lam_eff:.6g}. "
-            "Ridge stabilization (a positive ridge_omega2) raises the effective "
-            "eigenvalue when eta^2 < 1; with eta^2 >= 1 the norm bounds are too loose."
-        )
-    return (
-        2.0 * math.sqrt(ctx.zeta) / math.sqrt(denom_sq)
-        + (ctx.bounds.col_min_C - ctx.b_over_eta) * ctx.oracle.beta_norm_bound
-    )
-
-
-# ---------------------------------------------------------------------------
 # Releases
 # ---------------------------------------------------------------------------
-
-
-def assemble_gram_noise(theta_1: float, theta_2: np.ndarray) -> np.ndarray:
-    """E = theta_1 * [[0, I], [I, 0]] + [[1, 1], [1, 1]] (x) theta_2.
-
-    theta_1 sits on the two off-diagonal identity blocks and the symmetric
-    zero-diagonal block theta_2 is tiled into all four blocks; that layout
-    matches which Gram entries a single row change can move, and it is
-    invariant in distribution under any original/knockoff column swap.
-    """
-    p = theta_2.shape[0]
-    e = np.tile(theta_2, (2, 2))
-    idx = np.arange(p)
-    e[idx, idx + p] += theta_1
-    e[idx + p, idx] += theta_1
-    return e
 
 
 @dataclass(frozen=True)
@@ -444,7 +411,7 @@ def release_pair(
     )
     e_vec = sample_gaussian_vector(2 * ks.p, scales["kappa2_sq"], _substream(seed, _LABEL_VECTOR))
     return PrivateRelease(
-        gram_noisy=ks.gram_g + assemble_gram_noise(theta_1, theta_2),
+        gram_noisy=ks.gram_g + paired_blocks(theta_2, theta_1),
         crossprod_noisy=ks.crossprod + e_vec,
         noise_scales=scales,
     )

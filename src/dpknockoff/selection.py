@@ -163,7 +163,7 @@ def knockoff_threshold(w: StatisticVector, q: float) -> SelectionReport:
     if not 0.0 < q < 1.0:
         raise PreconditionViolated(f"target FDR q must lie in (0,1), got {q}")
     wv = np.asarray(w.w, dtype=float)
-    candidates = np.unique(np.abs(wv))
+    candidates = np.sort(np.abs(wv))  # a repeated magnitude repeats its ratio
     candidates = candidates[candidates > 0.0]
     ordered = np.sort(wv[~np.isnan(wv)])  # NaN satisfies neither count
     n_neg = np.searchsorted(ordered, -candidates, side="right")

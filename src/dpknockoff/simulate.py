@@ -205,44 +205,40 @@ def _trial_outcome(cfg: SimConfig, n: int, n_idx: int, t: int):
 
 @functools.cache
 def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS in this process.
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or ().
 
-    Found through the libraries mapped into the process; empty where that
-    listing or the symbols are absent.
+    Looked up through numpy's linalg extension, whose symbol scope holds the
+    OpenBLAS numpy links; empty where that library or the symbols are absent.
     """
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return ()
-    controls = []
-    for path in paths:
-        if not path.startswith("/"):
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        getter, setter = (getattr(lib, name, None) for name in _BLAS_THREAD_SYMBOLS)
-        if getter is not None and setter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            controls.append((getter, setter))
-    return tuple(controls)
+    getter, setter = (getattr(lib, name, None) for name in _BLAS_THREAD_SYMBOLS)
+    if getter is None or setter is None:
+        return ()
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return getter, setter
 
 
 @contextlib.contextmanager
 def _single_blas_thread():
-    """Run the body with numpy's bundled OpenBLAS on one thread, then restore."""
+    """Run the body with numpy's bundled OpenBLAS on one thread, then restore.
+
+    Without the thread controls the body runs unpinned.
+    """
     controls = _blas_thread_controls()
-    previous = [getter() for getter, _ in controls]
-    for _, setter in controls:
-        setter(1)
+    if not controls:
+        yield
+        return
+    getter, setter = controls
+    previous = getter()
+    setter(1)
     try:
         yield
     finally:
-        for (_, setter), count in zip(controls, previous):
-            setter(count)
+        setter(previous)
 
 
 def run_sweep(cfg: SimConfig) -> SimulationReport:

@@ -31,10 +31,8 @@ from dpknockoff.knockoffs import (
 from dpknockoff.privacy import (
     STRICTNESS_BUMP,
     build_sensitivity_context,
-    estimate_sensitivity,
     gaussian_scale,
     laplace_scale,
-    pair_crossprod_sensitivity,
     release_estimate,
     release_pair,
     sample_gaussian_vector,
@@ -313,8 +311,8 @@ def test_criterion_07_sensitivity_oracles():
     hand_pair = _oracle_pair(1.0, 2.0, 1.0, 1.0, 4.0 * math.sqrt(2.0), 1.0, 1.0, 0.9, 2)
     hand_est = _oracle_estimate(1.0, 2.0, 1.0, 1.0, 1.0, 0.9, 2)
     ok = (
-        abs(pair_crossprod_sensitivity(ctx) / hand_pair - 1.0) <= 1e-10
-        and abs(estimate_sensitivity(ctx) / hand_est - 1.0) <= 1e-10
+        abs(ctx.crossprod_sensitivity / hand_pair - 1.0) <= 1e-10
+        and abs(ctx.estimate_sensitivity / hand_est - 1.0) <= 1e-10
         and abs(hand_pair - 24.465320306036865) <= 1e-9
         and abs(hand_est - 21.50697823897233) <= 1e-9
     )
@@ -340,13 +338,13 @@ def test_criterion_07_sensitivity_oracles():
             bnds.row_bound_B, bnds.col_min_C, spectrum.lambda_min, spectrum.lambda_max,
             ctx.frobenius_sigma_raw, beta_norm, sigma2, delta_2, p,
         )
-        worst = max(worst, abs(pair_crossprod_sensitivity(ctx) / want - 1.0))
+        worst = max(worst, abs(ctx.crossprod_sensitivity / want - 1.0))
         if (1.0 - ctx.eta2) * spectrum.lambda_min - ctx.eta2 > 0:
             want_est = _oracle_estimate(
                 bnds.row_bound_B, bnds.col_min_C, spectrum.lambda_min,
                 beta_norm, sigma2, delta_2, p,
             )
-            worst = max(worst, abs(estimate_sensitivity(ctx) / want_est - 1.0))
+            worst = max(worst, abs(ctx.estimate_sensitivity / want_est - 1.0))
             estimate_checked += 1
     ok = ok and worst <= 1e-10 and estimate_checked >= 25
     _criterion(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dpknockoff
-from dpknockoff import cli, privacy
+from dpknockoff import privacy
 from dpknockoff.cli import main
 
 
@@ -157,14 +157,14 @@ def test_calibrate_method2_evaluates_the_estimate_sensitivity_once(
     capsys, data_files, monkeypatch
 ):
     calls = []
-    real = privacy.estimate_sensitivity
+    prop = privacy.SensitivityContext.estimate_sensitivity
+    real = prop.func
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def spy(ctx):
+        calls.append(ctx)
+        return real(ctx)
 
-    monkeypatch.setattr(privacy, "estimate_sensitivity", spy)
-    monkeypatch.setattr(cli, "estimate_sensitivity", spy, raising=False)
+    monkeypatch.setattr(prop, "func", spy)
     xp, yp, bnorm = data_files
     code, out = _run_cli(capsys, [
         "calibrate", "--x", xp, "--y", yp, "--method", "2", *ESTIMATE_BUDGET,
@@ -345,7 +345,8 @@ def test_overflowing_response_is_cli_error(tmp_path, capsys):
 
 
 def test_run_loads_no_scipy(data_files):
-    # the package factors and solves on numpy's LAPACK; scipy must stay unloaded
+    # the package factors and solves on numpy's LAPACK; scipy must stay unloaded,
+    # and so must numpy.ma, whose lazy import (via np.unique) slowed the first threshold
     xp, yp, bnorm = data_files
     argv = ["run", "--x", xp, "--y", yp, "--method", "2", *ESTIMATE_BUDGET,
             "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0", "--seed", "1"]
@@ -354,7 +355,8 @@ def test_run_loads_no_scipy(data_files):
         "import dpknockoff, dpknockoff.cli\n"
         f"code = dpknockoff.cli.main({argv!r})\n"
         "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
-        "sys.stderr.write(json.dumps({'code': code, 'scipy': loaded}))\n"
+        "ma = 'numpy.ma' in sys.modules\n"
+        "sys.stderr.write(json.dumps({'code': code, 'scipy': loaded, 'numpy.ma': ma}))\n"
     )
     src = os.path.dirname(os.path.dirname(dpknockoff.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -362,7 +364,7 @@ def test_run_loads_no_scipy(data_files):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stderr) == {"code": 0, "scipy": []}
+    assert json.loads(proc.stderr) == {"code": 0, "scipy": [], "numpy.ma": False}
     assert len(json.loads(proc.stdout)["statistics"]) == 12
 
 

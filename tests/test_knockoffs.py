@@ -528,6 +528,33 @@ def _exact_schur(spectrum):
     return (vecs * (2.0 * s - s * s / evals)) @ vecs.T
 
 
+def test_paired_blocks_builds_g_bitwise_as_np_block():
+    # G = paired_blocks(S', -s) is np.block([[S', S' - sI], [S' - sI, S']]) bit
+    # for bit over the equivalence family, hostile spectra included
+    rng = np.random.default_rng(2025)
+    rhos = RHO_WELL_CONDITIONED + RHO_ILL_CONDITIONED + RHO_NEAR_SINGULAR
+    summaries = 0
+    for trial in range(400):
+        ds = _hostile_design(
+            int(rng.integers(2, 13)), int(rng.choice([2, 3, 10])), rng.uniform(-6.0, 6.0, 12),
+            rhos[trial % len(rhos)], bool(rng.integers(2)), int(rng.integers(2**32)),
+        )
+        try:
+            spectrum = gram_spectrum(ds)
+        except InvalidDesign:
+            continue
+        sigma, s = spectrum.sigma_prime, spectrum.lambda_min
+        off = sigma - s * np.eye(ds.p)
+        want = np.block([[sigma, off], [off, sigma]]).tobytes()
+        assert knockoffs.paired_blocks(sigma, -s).tobytes() == want
+        try:
+            assert knockoff_summary(ds, spectrum).gram_g.tobytes() == want
+        except (InvalidDesign, KnockoffInfeasible):
+            continue
+        summaries += 1
+    assert summaries >= 150
+
+
 def test_decorrelation_factors_the_schur_complement_or_refuses():
     # no ridge on the filter's path: C^T C is the Schur complement to
     # rounding, and a design whose complement rounds to singular is refused

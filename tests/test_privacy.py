@@ -18,16 +18,16 @@ from dpknockoff import (
 )
 from dpknockoff.design import NormBounds, compute_bounds
 from dpknockoff import privacy
-from dpknockoff.knockoffs import GramSpectrum, gram_spectrum, knockoff_summary, raw_gram_frobenius
+from dpknockoff.knockoffs import (
+    GramSpectrum, gram_spectrum, knockoff_summary, paired_blocks, raw_gram_frobenius,
+)
 from dpknockoff.privacy import (
     STRICTNESS_BUMP,
-    assemble_gram_noise,
+    SensitivityContext,
     build_sensitivity_context,
     delta2_floor,
-    estimate_sensitivity,
     gaussian_scale,
     laplace_scale,
-    pair_crossprod_sensitivity,
     release_estimate,
     release_pair,
     sample_gaussian_vector,
@@ -212,7 +212,7 @@ def test_gram_sensitivities_vanish_with_tiny_rows():
 
 def test_pair_sensitivity_hand_instance():
     ctx = _hand_context()
-    got = pair_crossprod_sensitivity(ctx)
+    got = ctx.crossprod_sensitivity
     want = oracle_pair_sensitivity(1.0, 2.0, 1.0, 1.0, 4.0 * math.sqrt(2.0), 1.0, 1.0, 0.9, 2)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(24.465320306036865, rel=1e-10)
@@ -220,7 +220,7 @@ def test_pair_sensitivity_hand_instance():
 
 def test_estimate_sensitivity_hand_instance():
     ctx = _hand_context()
-    got = estimate_sensitivity(ctx)
+    got = ctx.estimate_sensitivity
     want = oracle_estimate_sensitivity(1.0, 2.0, 1.0, 1.0, 1.0, 0.9, 2)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(21.50697823897233, rel=1e-10)
@@ -244,14 +244,14 @@ def test_sensitivities_match_oracle_on_random_contexts():
             spectrum.lambda_min, spectrum.lambda_max,
             ctx.frobenius_sigma_raw, beta_norm, sigma2, delta_2, p,
         )
-        assert pair_crossprod_sensitivity(ctx) == pytest.approx(want_pair, rel=1e-10)
+        assert ctx.crossprod_sensitivity == pytest.approx(want_pair, rel=1e-10)
         denom = (1.0 - ctx.eta2) * spectrum.lambda_min - ctx.eta2
         if denom > 0:
             want_est = oracle_estimate_sensitivity(
                 bounds.row_bound_B, bounds.col_min_C, spectrum.lambda_min,
                 beta_norm, sigma2, delta_2, p,
             )
-            assert estimate_sensitivity(ctx) == pytest.approx(want_est, rel=1e-10)
+            assert ctx.estimate_sensitivity == pytest.approx(want_est, rel=1e-10)
             checked_estimate += 1
     assert checked_estimate >= 25  # most random contexts must exercise the estimate path
 
@@ -264,7 +264,7 @@ def test_pair_sensitivity_zero_signal_reduction():
     ctx = build_sensitivity_context(bounds, oracle, spectrum, 4.0 * math.sqrt(2.0), budget)
     eta = math.sqrt(ctx.eta2)
     want = math.sqrt(ctx.zeta) * (2.0 * math.sqrt(ctx.gamma) + eta * math.sqrt(3.0 + 2.0 + 1.0))
-    assert pair_crossprod_sensitivity(ctx) == pytest.approx(want, rel=1e-12)
+    assert ctx.crossprod_sensitivity == pytest.approx(want, rel=1e-12)
 
 
 def test_pair_sensitivity_limit_small_eta():
@@ -274,7 +274,7 @@ def test_pair_sensitivity_limit_small_eta():
     oracle = ModelOracle(beta_norm_bound=0.0, sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.9)
     ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget)
-    assert pair_crossprod_sensitivity(ctx) == pytest.approx(
+    assert ctx.crossprod_sensitivity == pytest.approx(
         2.0 * math.sqrt(ctx.zeta * ctx.gamma), rel=1e-6
     )
 
@@ -286,9 +286,11 @@ def test_estimate_sensitivity_precondition():
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.9)
     ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget)
     with pytest.raises(PrivacyPreconditionFailed):
-        estimate_sensitivity(ctx)
+        ctx.estimate_sensitivity
     # ridge stabilization rescues it: effective lambda_min = 0.4 + 0.3 > 0.5
-    assert estimate_sensitivity(ctx, ridge_omega2=0.3) > 0
+    assert dataclasses.replace(ctx, ridge_omega2=0.3).estimate_sensitivity > 0
+    with pytest.raises(ValueError, match="^ridge_omega2 must be nonnegative$"):
+        dataclasses.replace(ctx, ridge_omega2=-0.1).estimate_sensitivity
 
 
 def test_estimate_sensitivity_limit():
@@ -297,7 +299,7 @@ def test_estimate_sensitivity_limit():
     oracle = ModelOracle(beta_norm_bound=0.0, sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.9)
     ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget)
-    assert estimate_sensitivity(ctx) == pytest.approx(2.0 * math.sqrt(ctx.zeta / 0.8), rel=1e-6)
+    assert ctx.estimate_sensitivity == pytest.approx(2.0 * math.sqrt(ctx.zeta / 0.8), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +312,7 @@ def test_assembled_noise_structure():
     p = 4
     theta_2 = sample_symmetric_offdiag_gaussian(p, 1.0, rng)
     theta_1 = 0.7
-    e = assemble_gram_noise(theta_1, theta_2)
+    e = paired_blocks(theta_2, theta_1)
     assert np.array_equal(e, e.T)
     # off-diagonal identity blocks carry theta_1 on their diagonals
     for i in range(p):
@@ -320,7 +322,34 @@ def test_assembled_noise_structure():
     assert np.array_equal(e[:p, :p], theta_2)
     assert np.array_equal(e[p:, p:], theta_2)
     assert np.array_equal(e[:p, p:] - theta_1 * np.eye(p), theta_2)
-    assert np.array_equal(assemble_gram_noise(0.0, np.zeros((p, p))), np.zeros((2 * p, 2 * p)))
+    assert np.array_equal(paired_blocks(np.zeros((p, p)), 0.0), np.zeros((2 * p, 2 * p)))
+
+
+def test_assembled_noise_is_its_definition_bitwise():
+    # E = theta_1 [[0, I], [I, 0]] + [[1, 1], [1, 1]] (x) theta_2, bit for bit
+    rng = np.random.default_rng(6)
+    for trial in range(300):
+        p = int(rng.integers(1, 40))
+        theta_2 = sample_symmetric_offdiag_gaussian(p, float(rng.uniform(0.0, 1e6)), rng)
+        theta_1 = (0.0, -0.0, float(rng.laplace(0.0, 10.0 ** rng.uniform(-300, 300))))[trial % 3]
+        swap = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(p))
+        want = theta_1 * swap + np.kron(np.ones((2, 2)), theta_2)
+        assert paired_blocks(theta_2, theta_1).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [
+    7, np.int64(7), np.random.SeedSequence(7).spawn(3)[2],
+    np.random.SeedSequence(7, spawn_key=(1, 2)),
+], ids=["int", "numpy-int", "spawned", "keyed"])
+def test_substream_extends_the_seed_spawn_key_by_its_label(seed):
+    if isinstance(seed, np.random.SeedSequence):
+        entropy, key = seed.entropy, seed.spawn_key
+    else:
+        entropy, key = seed, ()
+    for label in (0, 1, 2):
+        want = np.random.SeedSequence(entropy, spawn_key=(*key, label))
+        got = privacy._substream(seed, label).random(16)
+        assert got.tobytes() == np.random.default_rng(want).random(16).tobytes()
 
 
 def _release_inputs(n=200, p=10, seed=21):
@@ -358,7 +387,7 @@ def test_release_pair_recorded_scales():
         gaussian_scale(frob_sens, budget.eps_2, budget.delta), rel=1e-12
     )
     assert rel.noise_scales["kappa2_sq"] == pytest.approx(
-        gaussian_scale(pair_crossprod_sensitivity(ctx), budget.eps, budget.delta_1), rel=1e-12
+        gaussian_scale(ctx.crossprod_sensitivity, budget.eps, budget.delta_1), rel=1e-12
     )
     assert rel.total_privacy() == (
         pytest.approx(budget.eps + budget.eps_1 + budget.eps_2),
@@ -407,7 +436,7 @@ def test_release_estimate_zero_noise_matches_ols(zero_draws):
 def test_release_estimate_scales_and_ridge():
     ks, ctx, budget = _release_inputs()
     rel = release_estimate(ks, dataclasses.replace(ctx, ridge_omega2=0.5), seed=5)
-    sens = estimate_sensitivity(ctx, 0.5)
+    sens = dataclasses.replace(ctx, ridge_omega2=0.5).estimate_sensitivity
     assert rel.noise_scales["estimate_sensitivity"] == sens
     assert rel.noise_scales["kappa_sq"] == pytest.approx(
         gaussian_scale(sens, budget.eps, budget.delta_1), rel=1e-12
@@ -519,19 +548,22 @@ def test_calibrate_evaluates_each_pair_sensitivity_once(monkeypatch):
     # every fact read twice, and through both records: each formula runs once
     _, ctx, _ = _release_inputs()
     calls = []
-    for name in ("pair_crossprod_sensitivity", "estimate_sensitivity",
-                 "gaussian_scale", "laplace_scale"):
-        real = getattr(privacy, name)
-        monkeypatch.setattr(
-            privacy, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
-        )
+
+    def spy(name, real):
+        return lambda *a: calls.append(name) or real(*a)
+
+    for name in ("crossprod_sensitivity", "estimate_sensitivity"):
+        prop = getattr(SensitivityContext, name)
+        monkeypatch.setattr(prop, "func", spy(name, prop.func))
+    for name in ("gaussian_scale", "laplace_scale"):
+        monkeypatch.setattr(privacy, name, spy(name, getattr(privacy, name)))
     first = {name: getattr(ctx, name) for name in RECORD_FACTS}
     records = ctx.noise_scales("1"), ctx.noise_scales("2")
     for name in set(RECORD_FACTS) - {"eta2", "gamma"}:  # cached: the very same object
         assert getattr(ctx, name) is first[name], name
     assert records == (ctx.noise_scales("1"), ctx.noise_scales("2"))
     assert sorted(calls) == sorted([
-        "pair_crossprod_sensitivity", "estimate_sensitivity", "laplace_scale",
+        "crossprod_sensitivity", "estimate_sensitivity", "laplace_scale",
         "gaussian_scale", "gaussian_scale", "gaussian_scale",
     ])
 

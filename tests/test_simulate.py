@@ -212,18 +212,33 @@ def test_run_sweep_wraps_any_package_error(monkeypatch):
 
 
 def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy links {blas}, whose thread controls the sweep does not look up")
     controls = simulate._blas_thread_controls()
-    before = [get() for get, _ in controls]
+    assert controls, "numpy's scipy-openblas thread controls were not found"
+    get, set_ = controls
     seen = []
 
     def outcome(*args):
-        seen.append([get() for get, _ in controls])
+        seen.append(get())
         return (0.0, 0.0)
 
     monkeypatch.setattr(simulate, "_trial_outcome", outcome)
-    run_sweep(_cfg(trials=3, threads=2))
-    assert seen == [[1] * len(controls)] * 3
-    assert [get() for get, _ in controls] == before
+    before = get()
+    set_(2)  # so the pin shows on a one-core host too
+    try:
+        run_sweep(_cfg(trials=3, threads=2))
+        assert seen == [1] * 3
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_run_sweep_runs_unpinned_without_blas_controls(monkeypatch):
+    monkeypatch.setattr(simulate, "_blas_thread_controls", lambda: ())
+    report = run_sweep(_cfg(trials=2))
+    assert report.rows[0].trials == 2
 
 
 def test_run_sweep_global_null():
