@@ -17,10 +17,10 @@ import math
 import sys
 from dataclasses import replace
 
-from .design import ModelOracle, compute_bounds, load_dataset
+from .design import ModelOracle, _load_record, compute_bounds, load_dataset
 from .errors import DPKnockoffError, PrivacyPreconditionFailed, SweepAborted
 from .knockoffs import gram_spectrum, raw_gram_frobenius
-from .pipeline import METHODS, run_knockoff_filter
+from .pipeline import METHODS, _single_blas_thread, run_knockoff_filter
 from .privacy import PrivacyBudget, build_sensitivity_context, delta2_floor
 from .selection import STATISTIC_KINDS
 from .simulate import SimulationReport, read_config, run_sweep, write_plot_data, write_report
@@ -94,8 +94,10 @@ def _json_value(v):
     return v
 
 
+@_single_blas_thread()
 def cmd_calibrate(args) -> int:
-    dataset = load_dataset(args.x, args.y, has_header=args.header)
+    # the calibration reads X^T X, the largest row norm, n and p: no probe
+    dataset = _load_record(args.x, args.y, args.header, probe=False)
     spectrum = gram_spectrum(dataset)
     bounds = compute_bounds(dataset, args.row_bound)
     budget = _budget_from_args(args)
@@ -142,6 +144,7 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+@_single_blas_thread()
 def cmd_run(args) -> int:
     dataset = load_dataset(args.x, args.y, has_header=args.header)
     method = str(args.method)

@@ -21,9 +21,12 @@ calibration reads; it also keeps the spectrum of 2sI - s^2 S'^{-1} in
 [s, 2s), so one plain Cholesky gives C.  X' = X D is a diagonal rescaling of
 the raw design, so S' = D (X^T X) D and X'^T [y W] = D X^T [y W].
 :func:`gram_spectrum` and :func:`knockoff_summary` compute S', G and
-[X' Xt]^T y from the raw Gram and the raw products X^T y, X^T W and W^T y,
-without forming X' or the copy.  The explicit n x p copy they are tested
-against, and the decorrelation at any other s, live with the tests.
+[X' Xt]^T y from the dataset's p x p record alone: the raw Gram X^T X and
+the raw products X^T y, X^T W, W^T y and W^T W, each a sum over rows, so a
+design file can be streamed into them (see :func:`~dpknockoff.design.load_dataset`)
+and neither X, X', W nor the copy is formed.  The explicit n x p copy they
+are tested against, and the decorrelation at any other s, live with the
+tests.
 """
 
 from __future__ import annotations
@@ -34,12 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Dataset
+from .design import Dataset, _crossprod, _probe_generator
 from .errors import InvalidDesign, KnockoffInfeasible
 
-# Deterministic probe used to span the orthogonal complement; not a secret,
-# just a fixed arbitrary constant so the construction is reproducible.
-_PROBE_ENTROPY = 0x5D2B1
 # Default probes kept per (n, p, attempt); each holds an n x p array, so the
 # bound caps the memory the cache can pin.
 _PROBE_CACHE_SIZE = 4
@@ -121,8 +121,7 @@ def closed_form_gram_eigenvalues(spectrum: GramSpectrum) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=_PROBE_CACHE_SIZE)
 def _cached_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-    ss = np.random.SeedSequence(entropy=_PROBE_ENTROPY, spawn_key=(attempt,))
-    w = np.random.default_rng(ss).standard_normal((n, p))
+    w = _probe_generator(attempt).standard_normal((n, p))
     wtw = w.T @ w
     w.setflags(write=False)
     wtw.setflags(write=False)
@@ -188,14 +187,15 @@ def knockoff_summary(d: Dataset, spectrum: GramSpectrum) -> KnockoffSummary:
 
     G is the closed-form block matrix [[S', S'-sI], [S'-sI, S']] and the
     knockoff half of the product follows from the identity in the module
-    docstring, with X'^T y = D X^T y and X'^T W = D X^T W taken from the raw
-    design, so the only n-length work is X^T y, X^T W and W^T y.  A response
-    so large that X^T y or W^T y overflows raises :class:`InvalidDesign`.
+    docstring, with X'^T y = D X^T y and X'^T W = D X^T W taken from the
+    dataset's record, so no n-length work is left but forming X^T W and
+    W^T y for an in-memory record.  A response so large that X^T y or W^T y
+    overflows raises :class:`InvalidDesign`.
     """
     if d.n < 2 * d.p:
         raise KnockoffInfeasible(f"knockoff copy needs n >= 2p, got n={d.n}, p={d.p}")
     s = spectrum.lambda_min
-    xty = d.normalizer_d * _response_product(d.x, d.y)
+    xty = d.normalizer_d * _finite_response_product(d.xty)
     l_inv, sigma_inv_s, c_upper = _decorrelation(spectrum)
     uty = _complement_crossprod(d, xty, l_inv, spectrum.lambda_max / s)
     kty = xty - sigma_inv_s.T @ xty + c_upper.T @ uty
@@ -222,15 +222,25 @@ def paired_blocks(a: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
-def _response_product(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """a^T y, refusing a response whose products overflow double precision."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = a.T @ y
+def _finite_response_product(product: np.ndarray) -> np.ndarray:
+    """A product with the response, refused where it overflows double precision."""
     if not np.all(np.isfinite(product)):
         raise InvalidDesign(
             "products with the response overflow double precision; rescale the response y"
         )
     return product
+
+
+def _probe_products(d: Dataset, attempt: int) -> tuple:
+    """(X^T W, W^T y, W^T W) for the default probe W of retry ``attempt``.
+
+    An in-memory record forms them from its design and the cached probe; a
+    streamed record has them from its file.
+    """
+    if d.x is None:
+        return d.streamed_probe_products(attempt)
+    w, wtw = _default_probe(d.n, d.p, attempt)
+    return d.x.T @ w, _crossprod(w, d.y), wtw
 
 
 def _complement_crossprod(d: Dataset, xty, l_inv, cond: float) -> np.ndarray:
@@ -241,18 +251,17 @@ def _complement_crossprod(d: Dataset, xty, l_inv, cond: float) -> np.ndarray:
     S' = X'^T X', so P = Q Q^T with Q = X' L^{-T}, and ``xty`` is X'^T y.
     A diagonal of R at or below :func:`_rank_tol` puts the probe in the span.
     """
-    n, p = d.n, d.p
     qty = l_inv @ xty
     for attempt in range(2):
-        w, wtw = _default_probe(n, p, attempt)
-        qtw = l_inv @ (d.normalizer_d[:, None] * (d.x.T @ w))
+        xtw, wty, wtw = _probe_products(d, attempt)
+        qtw = l_inv @ (d.normalizer_d[:, None] * xtw)
         try:
             r_lower = np.linalg.cholesky(wtw - qtw.T @ qtw)  # R^T
         except np.linalg.LinAlgError:
             continue
-        if np.abs(np.diag(r_lower)).min() <= _rank_tol(n, cond):
+        if np.abs(np.diag(r_lower)).min() <= _rank_tol(d.n, cond):
             continue
-        return np.linalg.solve(r_lower, _response_product(w, d.y) - qtw.T @ qty)
+        return np.linalg.solve(r_lower, _finite_response_product(wty) - qtw.T @ qty)
     raise KnockoffInfeasible("probe matrix fell inside the design column span twice")
 
 

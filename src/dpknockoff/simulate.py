@@ -8,8 +8,6 @@ sweep is reproducible for any thread count.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import math
 import warnings
@@ -26,7 +24,7 @@ from .errors import (
     PrivacyPreconditionFailed,
     SweepAborted,
 )
-from .pipeline import METHODS, run_knockoff_filter
+from .pipeline import METHODS, _single_blas_thread, run_knockoff_filter
 from .privacy import PrivacyBudget
 from .selection import STATISTIC_KINDS, evaluate_selection
 
@@ -35,9 +33,6 @@ DELTA_RULES = ("two_p_over_n", "fixed")
 # A sweep aborts when more than this fraction of trials at one sample size
 # fail their privacy precondition.
 MAX_FAILURE_RATE = 0.05
-
-# Thread-count controls of the OpenBLAS bundled with numpy (the scipy-openblas64 build).
-_BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 
 
 @dataclass(frozen=True)
@@ -201,44 +196,6 @@ def _trial_outcome(cfg: SimConfig, n: int, n_idx: int, t: int):
     except (PrivacyPreconditionFailed, BoundViolation):
         return None
     return evaluate_selection(result.report, oracle)
-
-
-@functools.cache
-def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or ().
-
-    Looked up through numpy's linalg extension, whose symbol scope holds the
-    OpenBLAS numpy links; empty where that library or the symbols are absent.
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except OSError:
-        return ()
-    getter, setter = (getattr(lib, name, None) for name in _BLAS_THREAD_SYMBOLS)
-    if getter is None or setter is None:
-        return ()
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    return getter, setter
-
-
-@contextlib.contextmanager
-def _single_blas_thread():
-    """Run the body with numpy's bundled OpenBLAS on one thread, then restore.
-
-    Without the thread controls the body runs unpinned.
-    """
-    controls = _blas_thread_controls()
-    if not controls:
-        yield
-        return
-    getter, setter = controls
-    previous = getter()
-    setter(1)
-    try:
-        yield
-    finally:
-        setter(previous)
 
 
 def run_sweep(cfg: SimConfig) -> SimulationReport:

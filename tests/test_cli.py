@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dpknockoff
-from dpknockoff import privacy
+from dpknockoff import design, knockoffs, pipeline, privacy
 from dpknockoff.cli import main
 
 
@@ -559,3 +559,44 @@ def test_run_subprocess_writes_nothing_to_stderr(data_files):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(json.loads(proc.stdout)["statistics"]) == 12
+
+
+@pytest.mark.parametrize("command, budget", [
+    ("run", ["--method", "2", *ESTIMATE_BUDGET]),
+    ("calibrate", ["--method", "1", *PAIR_BUDGET]),
+])
+def test_run_and_calibrate_pin_blas_to_one_thread(capsys, data_files, monkeypatch, command, budget):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy links {blas}, whose thread controls the CLI does not look up")
+    controls = pipeline._blas_thread_controls()
+    assert controls, "numpy's scipy-openblas thread controls were not found"
+    get, set_ = controls
+    seen = []
+    real = design._design_sums
+    monkeypatch.setattr(design, "_design_sums", lambda *a: seen.append(get()) or real(*a))
+    xp, yp, bnorm = data_files
+    before = get()
+    set_(2)  # so the pin shows on a one-core host too
+    try:
+        code = main([command, "--x", xp, "--y", yp, *budget,
+                     "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0"])
+        assert code == 0 and seen == [1]
+        assert get() == 2
+    finally:
+        set_(before)
+    capsys.readouterr()
+
+
+def test_calibrate_draws_no_probe(capsys, data_files, monkeypatch):
+    draws = []
+    cached, generator = knockoffs._cached_probe, design._probe_generator
+    monkeypatch.setattr(knockoffs, "_cached_probe", lambda *a: draws.append(a) or cached(*a))
+    monkeypatch.setattr(design, "_probe_generator", lambda *a: draws.append(a) or generator(*a))
+    xp, yp, bnorm = data_files
+    argv = ["--x", xp, "--y", yp, "--method", "1", *PAIR_BUDGET,
+            "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0"]
+    assert main(["calibrate", *argv]) == 0 and draws == []
+    assert main(["run", *argv]) == 0 and draws == [(0,)]  # the spies do see a draw
+    capsys.readouterr()
+

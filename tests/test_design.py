@@ -15,8 +15,9 @@ from dpknockoff import (
     ParseError,
     load_dataset,
 )
-from dpknockoff import design
+from dpknockoff import design, knockoffs
 from dpknockoff.design import compute_bounds
+from dpknockoff.pipeline import run_knockoff_filter
 from dpknockoff.simulate import SimConfig, generate_trial
 from reference import normalize_columns
 
@@ -34,7 +35,8 @@ def test_load_dataset_infers_shape(tmp_path):
     yp = _write(tmp_path / "y.csv", "\n".join(f"{v:.12g}" for v in y))
     ds = load_dataset(xp, yp)
     assert ds.n == 100 and ds.p == 5
-    assert np.allclose(ds.x, x) and np.allclose(ds.y, y)
+    assert ds.x is None  # streamed: the record holds sums, not the design
+    assert np.allclose(ds.gram, x.T @ x) and np.allclose(ds.y, y)
 
 
 def test_load_dataset_header_row(tmp_path):
@@ -275,7 +277,9 @@ def test_dataset_arrays_are_read_only_on_every_path(tmp_path, builder):
         ds = load_dataset(*_write_design_csv(tmp_path, 40, 4))
     else:
         ds, _ = generate_trial(40, _trial_config(4), 3)
-    for array in (ds.x, ds.y, ds.gram, ds.col_norms, ds.normalizer_d):
+    assert (ds.x is None) == (builder == "load_dataset")
+    arrays = (ds.x, ds.y, ds.gram, ds.col_norms, ds.normalizer_d, ds.xty, *(ds.probe_sums or ()))
+    for array in (a for a in arrays if a is not None):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -332,6 +336,26 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def _streamed_rows(monkeypatch, path, skip=0):
+    """The rows one streaming pass sums, in order, and the children it forked."""
+    rows, children = [], []
+    add, fork = design._Sums._add, os.fork
+
+    def spy_add(sums, block):
+        rows.append(block.copy())
+        add(sums, block)
+
+    def spy_fork():
+        pid = fork()
+        children.extend([pid] if pid else [])
+        return pid
+
+    monkeypatch.setattr(design._Sums, "_add", spy_add)
+    monkeypatch.setattr(os, "fork", spy_fork)
+    design._stream(str(path), skip, None, None)
+    return np.concatenate(rows), len(children)
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -378,8 +402,8 @@ def test_split_parse_is_bit_identical_to_one_loadtxt(tmp_path, monkeypatch, case
     path = tmp_path / "x.csv"
     path.write_bytes(text.encode())
     _cpus(monkeypatch, cpus)
-    x = design._parse_in_parts(str(path), skip)
-    assert x is not None, "the split did not run"
+    x, children = _streamed_rows(monkeypatch, path, skip)
+    assert children > 0, "the split did not run"
     _assert_same_bits(x, _serial_design(str(path), skip))
     _assert_no_child_left()
 
@@ -396,12 +420,9 @@ def test_split_parse_with_a_cut_in_the_last_line(tmp_path, monkeypatch, cpus, ne
     path = tmp_path / "x.csv"
     path.write_bytes(text.encode())
     _cpus(monkeypatch, cpus)
-    x = design._parse_in_parts(str(path), 0)
-    serial = _serial_design(str(path))
-    if cpus == 2:
-        assert x is None
-        x = design._parse_design(str(path), 0)
-    _assert_same_bits(x, serial)
+    x, children = _streamed_rows(monkeypatch, path)
+    assert (children == 0) == (cpus == 2)  # one part: this process streams it alone
+    _assert_same_bits(x, _serial_design(str(path)))
     assert x.shape == (60, 3)
 
 
@@ -412,8 +433,9 @@ def test_split_parse_leaves_a_compressed_design_to_loadtxt(tmp_path, monkeypatch
     with gzip.open(path, "wt", encoding="utf-8") as f:
         f.write("\n".join(_rows(80, 3)) + "\n")
     _cpus(monkeypatch, 4)
-    assert design._parse_in_parts(str(path), 0) is None
-    _assert_same_bits(design._parse_design(str(path), 0), _serial_design(str(path)))
+    yp = _write(tmp_path / "y.csv", "\n".join(["1"] * 80) + "\n")
+    ds = load_dataset(str(path), yp)
+    _assert_same_bits(ds.x, _serial_design(str(path)))  # kept whole, in memory
 
 
 @needs_affinity
@@ -441,14 +463,14 @@ def _open_fds():
 
 def _parse_fails_in_children(monkeypatch, failure):
     parent = os.getpid()
-    real = design._parse_range
+    real = design._parse_part
 
-    def parse_range(*args):
+    def parse_part(*args):
         if os.getpid() != parent:
             raise failure
         return real(*args)
 
-    monkeypatch.setattr(design, "_parse_range", parse_range)
+    monkeypatch.setattr(design, "_parse_part", parse_part)
     # no SIGKILL: a child that escaped os._exit runs on into the test and is seen there
     monkeypatch.setattr(os, "kill", lambda pid, sig: None)
 
@@ -481,6 +503,129 @@ def test_load_dataset_leaves_no_child_or_descriptor_behind(tmp_path, monkeypatch
         (tmp_path / "escaped").touch()
         os._exit(0)
     assert not (tmp_path / "escaped").exists()
-    _assert_same_bits(ds.x, _serial_design(xp))
+    _assert_same_record(ds, _folded_record(_serial_design(xp), ds.y))
     _assert_no_child_left()
     assert _open_fds() == fds
+
+
+# -- the streamed record -----------------------------------------------------
+
+
+def _folded_record(x, y):
+    """The record streaming the rows of x sums, folded here in one piece."""
+    sums = design._Sums(y, 0)
+    sums.fold(x)
+    return Dataset._streamed(sums.finish(), y, None)
+
+
+def _record_arrays(ds):
+    return (ds.gram, ds.col_norms, ds.xty, ds.y, *ds.probe_sums)
+
+
+def _assert_same_record(a, b):
+    assert (a.n, a.p, a.row_norm_sq_max) == (b.n, b.p, b.row_norm_sq_max)
+    for u, v in zip(_record_arrays(a), _record_arrays(b), strict=True):
+        _assert_same_bits(u, v)
+
+
+def _hostile_design(kind):
+    rng = np.random.default_rng(("collinear", "spread", "n_2p").index(kind) + 40)
+    if kind == "collinear":  # every pair of columns near cos = 1 - 1e-9
+        z = rng.standard_normal((300, 6))
+        x = np.sqrt(1e-9) * z + rng.standard_normal((300, 1))
+    elif kind == "spread":  # column norms over 1e-6..1e6
+        x = rng.standard_normal((200, 8)) * np.logspace(-6, 6, 8) / np.sqrt(200)
+    else:
+        x = rng.standard_normal((40, 20))
+    return x, x[:, 0] + rng.standard_normal(x.shape[0])
+
+
+def _design_text(x, layout):
+    rows = [",".join(f"{v:.17g}" for v in row) for row in x]
+    if layout == "header":
+        return ",".join(f"c{j}" for j in range(x.shape[1])) + "\n" + "\n".join(rows) + "\n", 1
+    if layout == "crlf":
+        return "\r\n".join(rows) + "\r\n", 0
+    return _mixed_endings(rows), 0
+
+
+@needs_affinity
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("layout", ["header", "crlf", "mixed"])
+@pytest.mark.parametrize("kind", ["collinear", "spread", "n_2p"])
+def test_streamed_record_matches_the_in_memory_record(tmp_path, monkeypatch, kind, layout, cpus):
+    # small blocks, so every design spans several, and parts end inside them
+    monkeypatch.setattr(design, "_BLOCK_ROWS", 16)
+    x, y = _hostile_design(kind)
+    text, skip = _design_text(x, layout)
+    (tmp_path / "x.csv").write_bytes(text.encode())
+    yp = _write(tmp_path / "y.csv", ("resp\n" * skip) + "\n".join(f"{v:.17g}" for v in y))
+    _cpus(monkeypatch, cpus)
+    streamed = load_dataset(str(tmp_path / "x.csv"), yp, has_header=bool(skip))
+    assert streamed.x is None
+    # the same bits for every cut into parts: the sums see whole blocks in row order
+    _assert_same_record(streamed, _folded_record(x, y))
+
+    memory = Dataset.from_arrays(x, y)
+    assert streamed.row_norm_sq_max == memory.row_norm_sq_max  # a max is exact
+    w, _ = knockoffs._default_probe(*x.shape, 0)
+    # two sums of the same n terms in different orders differ by at most
+    # 2 gamma_n sum |a_i b_i| <= 2 n eps (|A|^T |B|), entrywise
+    n, eps = x.shape[0], np.finfo(float).eps
+    pairs = zip(
+        (streamed.gram, streamed.xty, *streamed.probe_sums),
+        (memory.gram, memory.xty, *knockoffs._probe_products(memory, 0)),
+        ((x, x), (x, y), (x, w), (w, y), (w, w)),
+    )
+    for got, want, (a, b) in pairs:
+        assert np.all(np.abs(got - want) <= 2 * n * eps * (np.abs(a).T @ np.abs(b)))
+    _assert_no_child_left()
+
+
+@needs_affinity
+def test_streaming_a_design_holds_no_design(tmp_path, monkeypatch):
+    n, p = 20_000, 50
+    xp, yp = _write_design_csv(tmp_path, n, p)
+    _cpus(monkeypatch, 1)
+    tracemalloc.start()
+    try:
+        ds = load_dataset(xp, yp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.x is None and ds.n == n
+    assert peak < 0.25 * 8 * n * p, f"peak {peak / (8 * n * p):.2f} x the design"
+
+
+def test_a_refused_first_probe_reads_the_file_once_more(tmp_path, monkeypatch):
+    rng = np.random.default_rng(44)
+    n, p = 3000, 12
+    x = rng.standard_normal((n, p))
+    y = x[:, :6] @ np.full(6, 0.3) + rng.standard_normal(n)
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(xp, x, delimiter=",", fmt="%.17g")
+    np.savetxt(yp, y, fmt="%.17g")
+    with gzip.open(tmp_path / "x.csv.gz", "wb") as f:
+        f.write(xp.read_bytes())
+    passes = []
+    stream = design._stream
+    monkeypatch.setattr(design, "_stream", lambda *args: passes.append(args[3]) or stream(*args))
+    streamed = load_dataset(str(xp), str(yp))
+    compressed = load_dataset(str(tmp_path / "x.csv.gz"), str(yp))
+    assert passes == [0]
+
+    rank_tol, tests = knockoffs._rank_tol, []
+
+    def refuse_every_first_probe(n, cond):
+        tests.append(n)
+        return np.inf if len(tests) % 2 else rank_tol(n, cond)
+
+    monkeypatch.setattr(knockoffs, "_rank_tol", refuse_every_first_probe)
+    memory = run_knockoff_filter(Dataset.from_arrays(x, y), q=0.2)
+    for ds in (streamed, compressed):
+        result = run_knockoff_filter(ds, q=0.2)
+        assert result.report.selected == memory.report.selected != frozenset()
+        assert np.allclose(result.report.w.w, memory.report.w.w, rtol=1e-9, atol=1e-12)
+    assert len(tests) == 6  # two probes per run
+    assert passes == [0, 1]  # one second pass, for the streamed record only
+

@@ -279,6 +279,7 @@ def test_knockoff_summary_infeasible_where_reference_is():
     tiny = Dataset(
         x=small, y=np.zeros(5), n=5, p=3,
         gram=small.T @ small, col_norms=norms, normalizer_d=1.0 / norms,
+        xty=np.zeros(3), row_norm_sq_max=float(np.max(np.sum(small**2, axis=1))),
     )
     with pytest.raises(KnockoffInfeasible):
         knockoff_summary(tiny, spectrum)

@@ -16,7 +16,7 @@ from dpknockoff import (
     run_sweep,
     write_report,
 )
-from dpknockoff import simulate
+from dpknockoff import pipeline, simulate
 from dpknockoff.simulate import (
     SimulationReport,
     budget_for,
@@ -215,7 +215,7 @@ def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if blas != "scipy-openblas":
         pytest.skip(f"numpy links {blas}, whose thread controls the sweep does not look up")
-    controls = simulate._blas_thread_controls()
+    controls = pipeline._blas_thread_controls()
     assert controls, "numpy's scipy-openblas thread controls were not found"
     get, set_ = controls
     seen = []
@@ -236,7 +236,7 @@ def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
 
 
 def test_run_sweep_runs_unpinned_without_blas_controls(monkeypatch):
-    monkeypatch.setattr(simulate, "_blas_thread_controls", lambda: ())
+    monkeypatch.setattr(pipeline, "_blas_thread_controls", lambda: ())
     report = run_sweep(_cfg(trials=2))
     assert report.rows[0].trials == 2
 
