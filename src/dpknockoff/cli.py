@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.add_argument("--seed", type=_nonnegative_int, default=None, help="override base_seed")
-    sim.add_argument("--threads", type=int, default=None, help="override thread count")
+    sim.add_argument("--threads", type=int, default=None,
+                     help="override worker processes, capped at the CPUs in the affinity mask")
     sim.add_argument(
         "--emit-plot-data", default=None, metavar="PATH",
         help="also write a plotting-oriented CSV to PATH",

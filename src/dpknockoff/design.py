@@ -13,6 +13,7 @@ which streams a design file into the record without holding the design.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import os
@@ -431,10 +432,7 @@ def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
 
     This process streams the first part in blocks while a forked child
     parses each other part whole; each child holds its rows until this
-    process reads them from its pipe, in row order.  A child only parses
-    and ends in ``os._exit``, so the threads this process may run
-    (OpenBLAS's) hold no lock it needs, and it never returns into the
-    caller's stack.  Any failure raises.
+    process reads them from its pipe, in row order.  Any failure raises.
     """
     cpus = len(os.sched_getaffinity(0))
     sums = _Sums(y, attempt)
@@ -446,19 +444,9 @@ def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
             f.readline()  # a cut falls just after a newline, or at the end of the file
             cuts.add(f.tell())
         bounds = [0, *sorted(cuts)]
-        readers, pids = [], []
-        try:
-            with warnings.catch_warnings():
-                # Python >= 3.12 warns that a process with threads forks; see above
-                warnings.simplefilter("ignore", DeprecationWarning)
-                for start, end in zip(bounds[1:], bounds[2:]):
-                    read_fd, write_fd = os.pipe()
-                    readers.append(open(read_fd, "rb"))
-                    with open(write_fd, "wb") as writer:  # this process's copy closes on leaving
-                        pid = os.fork()
-                        if pid == 0:
-                            _parse_in_child(f.fileno(), start, end, writer, readers)
-                    pids.append(pid)
+        parts = (functools.partial(_send_part, f.fileno(), start, end)
+                 for start, end in zip(bounds[1:], bounds[2:]))
+        with _forked(parts) as readers:
             with _text_range(f.fileno(), 0, bounds[1]) as text:
                 while True:
                     block = _parse_part(text, skip, _BLOCK_ROWS)
@@ -468,29 +456,59 @@ def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
                         break
             for reader in readers:
                 sums.fold_from(reader, *struct.unpack("2q", reader.read(16)))
-        except BaseException:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            for reader in readers:
-                reader.close()
-            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    if any(statuses):
-        raise ChildProcessError(f"a design part's child ended with wait status {max(statuses)}")
     return sums.finish()
 
 
-def _parse_in_child(fd: int, start: int, end: int, writer, readers) -> None:
-    """Body of a forked child: parse bytes [start, end), send shape and rows, os._exit."""
+def _send_part(fd: int, start: int, end: int, writer) -> None:
+    """Body of a forked child: parse bytes [start, end) and send its shape and rows."""
+    with _text_range(fd, start, end) as text:
+        part = _parse_part(text, 0)
+    writer.write(struct.pack("2q", *part.shape))
+    writer.write(part)
+
+
+@contextlib.contextmanager
+def _forked(bodies):
+    """Fork one child per body, each with its own pipe; yield the read ends.
+
+    A child runs ``body(writer)`` on its pipe's write end and ends in
+    ``os._exit``, status 0 only where the body returned, never returning into
+    the caller's stack; the threads this process may run (OpenBLAS's) hold
+    no lock a body needs.  Any exception here SIGKILLs every child.  On
+    leaving, every child is reaped, and a nonzero wait status raises.
+    """
+    readers, pids = [], []
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns that a process with threads forks; see above
+            warnings.simplefilter("ignore", DeprecationWarning)
+            for body in bodies:
+                read_fd, write_fd = os.pipe()
+                readers.append(open(read_fd, "rb"))
+                with open(write_fd, "wb") as writer:  # this process's copy closes on leaving
+                    pid = os.fork()
+                    if pid == 0:
+                        _run_child(body, writer, readers)
+                pids.append(pid)
+        yield readers
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    if any(statuses):
+        raise ChildProcessError(f"a forked child ended with wait status {max(statuses)}")
+
+
+def _run_child(body, writer, readers) -> None:
     status = 1
     try:
         for reader in readers:
             reader.close()
-        with _text_range(fd, start, end) as text:
-            part = _parse_part(text, 0)
-        writer.write(struct.pack("2q", *part.shape))
-        writer.write(part)
+        body(writer)
         writer.close()
         status = 0
     finally:

@@ -133,8 +133,8 @@ def _default_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray
 
     Both depend only on (n, p, attempt), so they are drawn on first use and
     kept in a small bounded cache; the arrays are read-only because every
-    caller shares them.  The lock keeps concurrent sweep trials from drawing
-    the same probe twice.
+    caller shares them.  The lock keeps callers on several threads from
+    drawing the same probe twice.
     """
     with _PROBE_LOCK:
         return _cached_probe(n, p, attempt)

@@ -122,9 +122,9 @@ def _single_blas_thread():
     """Run the body with numpy's bundled OpenBLAS on one thread, then restore.
 
     Sweeps and the ``run`` and ``calibrate`` commands run under it: their
-    products are small or run beside other work (sweep trials, the forked
-    parse), where more threads only spin.  Without the thread controls the
-    body runs unpinned.
+    products are small or run beside other work (forked sweep workers, the
+    forked parse), where more threads only spin.  Without the thread
+    controls the body runs unpinned.
     """
     controls = _blas_thread_controls()
     if not controls:

@@ -3,20 +3,20 @@
 Each trial draws a fresh Gaussian design, runs the full filter, and scores
 FDP and power against the known support.  Trials are independent work items
 with seeds derived purely from (base_seed, grid index, trial index), so a
-sweep is reproducible for any thread count.
+sweep is reproducible for any number of worker processes.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import os
+import pickle
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .design import Dataset, ModelOracle
+from .design import Dataset, ModelOracle, _forked
 from .errors import (
     BoundViolation,
     ConfigInvalid,
@@ -44,7 +44,9 @@ class SimConfig:
     (Laplace, Gram scalar) and ``eps_2`` (Gaussian, Gram block).  The delta
     rule fixes the total delta per trial: ``two_p_over_n`` sets it to 2p/n
     (split equally across the knobs the method uses), ``fixed`` uses
-    ``delta_value``.
+    ``delta_value``.  ``threads`` is the number of processes each sample
+    size's trials run on, this one and forked workers, capped at ``trials``
+    and at the CPUs in ``os.sched_getaffinity(0)``; 1 runs them in-process.
     """
 
     n_grid: tuple
@@ -201,31 +203,64 @@ def _trial_outcome(cfg: SimConfig, n: int, n_idx: int, t: int):
 def run_sweep(cfg: SimConfig) -> SimulationReport:
     """Run the full grid of sample sizes and aggregate FDR/power estimates.
 
-    Trials run on a bounded thread pool; results are collected by trial
-    index and aggregated in index order, so the report is a pure function of
-    (cfg, base_seed) regardless of thread count.  Each trial runs its linear
-    algebra on one BLAS thread: numpy's bundled OpenBLAS is pinned for
-    the sweep's duration, whatever ``threads`` is, so trial threads do not
-    oversubscribe the cores and every thread count computes the same bits.
-    Trials whose privacy precondition fails are excluded from the means and
-    counted under ``failures``.  A failure rate above MAX_FAILURE_RATE, or
-    any other package error in a trial (such as ``DeltaTooSmall``, which
-    depends only on (cfg, n) and so fails every trial), aborts the sweep with
-    :class:`SweepAborted`, which carries the rows of the sample sizes
-    already finished.
+    Each sample size's trials are shared by this process and workers forked
+    for it (see ``SimConfig.threads``) and placed by trial index, so the
+    report is a pure function of (cfg, base_seed) for any worker count.
+    numpy's bundled OpenBLAS is pinned to one thread for the sweep and the
+    workers inherit the pin, so trials do not oversubscribe the cores and
+    every worker count computes the same bits.  Trials whose privacy
+    precondition fails are excluded from the means and counted under
+    ``failures``.  A failure rate above MAX_FAILURE_RATE, or any other
+    package error in a trial (such as ``DeltaTooSmall``, which depends only
+    on (cfg, n) and so fails every trial), aborts the sweep with
+    :class:`SweepAborted`, which names the lowest failing trial's error and
+    carries the rows of the sample sizes already finished.
     """
     with _single_blas_thread():
         return _run_grid(cfg)
+
+
+def _cell_outcomes(cfg: SimConfig, n: int, n_idx: int) -> list:
+    """The outcomes of one sample size's trials, in trial order.
+
+    With w workers, this process runs the trials t = 0 (mod w) and worker k
+    those with t = k (mod w).  Each side stops at its first failing trial;
+    the failure with the lowest index is raised, as a serial loop raises it.
+    """
+    workers = min(cfg.threads, cfg.trials, len(os.sched_getaffinity(0)))
+
+    def share(first: int) -> list:  # (t, outcome), or (t, exception) last
+        done = []
+        for t in range(first, cfg.trials, workers):
+            try:
+                done.append((t, _trial_outcome(cfg, n, n_idx, t)))
+            except Exception as exc:
+                done.append((t, exc))
+                break
+        return done
+
+    sends = (lambda writer, k=k: writer.write(pickle.dumps(share(k))) for k in range(1, workers))
+    with _forked(sends) as readers:
+        done = share(0)
+        try:
+            for reader in readers:
+                done += pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise ChildProcessError(
+                f"a sweep worker at n={n} ended before it sent its trials") from exc
+    outcomes = dict(done)
+    failed = [t for t, o in done if isinstance(o, BaseException)]
+    if failed:
+        raise outcomes[min(failed)]
+    return [outcomes[t] for t in range(cfg.trials)]
 
 
 def _run_grid(cfg: SimConfig) -> SimulationReport:
     rows = []
     grid = sorted(set(cfg.n_grid))
     for n_idx, n in enumerate(grid):
-        trial = functools.partial(_trial_outcome, cfg, n, n_idx)
         try:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                outcomes = list(pool.map(trial, range(cfg.trials)))
+            outcomes = _cell_outcomes(cfg, n, n_idx)
         except DPKnockoffError as exc:
             raise SweepAborted(
                 f"a trial at n={n} failed with {type(exc).__name__}: {exc}", rows=rows

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -195,20 +197,114 @@ def test_overflowing_beta_norm_is_a_privacy_failure():
         run_sweep(cfg)
 
 
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _trial_index(kwargs):
+    """The trial index run_sweep seeds a trial's release with."""
+    return kwargs["seed"].spawn_key[1]
+
+
 def test_run_sweep_wraps_any_package_error(monkeypatch):
-    # a non-privacy error in a trial aborts with the finished rows, chained from it
+    # a non-privacy error in a trial aborts with the finished rows, chained from it;
+    # it fails only the odd trials, which forked workers run, and every CPU count
+    # names the lowest failing trial, as the serial loop does
     real = simulate.run_knockoff_filter
 
     def failing(dataset, **kwargs):
-        if dataset.n == 600:
-            raise SingularSystem("boom")
+        t = _trial_index(kwargs)
+        if dataset.n == 600 and t % 2:
+            raise SingularSystem(f"boom at trial {t}")
         return real(dataset, **kwargs)
 
     monkeypatch.setattr(simulate, "run_knockoff_filter", failing)
-    with pytest.raises(SweepAborted, match="n=600 failed with SingularSystem: boom") as info:
-        run_sweep(_cfg(n_grid=(400, 600), trials=3, threads=2))
-    assert isinstance(info.value.__cause__, SingularSystem)
-    assert [row.n for row in info.value.rows] == [400]
+    for cpus in (1, 4):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(
+            SweepAborted, match="n=600 failed with SingularSystem: boom at trial 1$"
+        ) as info:
+            run_sweep(_cfg(n_grid=(400, 600), trials=8, threads=4))
+        assert isinstance(info.value.__cause__, SingularSystem)
+        assert [row.n for row in info.value.rows] == [400]
+
+
+def _fails_in_workers(monkeypatch, fail):
+    """Run ``fail(t)`` in place of the filter on the trials a forked worker runs."""
+    parent, real = os.getpid(), simulate.run_knockoff_filter
+
+    def filter_(dataset, **kwargs):
+        if os.getpid() != parent:
+            fail(_trial_index(kwargs))
+        return real(dataset, **kwargs)
+
+    monkeypatch.setattr(simulate, "run_knockoff_filter", filter_)
+
+
+def _raise(exc):
+    raise exc
+
+
+def _unpicklable(t):
+    exc = SingularSystem(f"trial {t}")
+    exc.hook = lambda: None  # a lambda does not pickle
+    raise exc
+
+
+@pytest.mark.parametrize("fail, error, match", [
+    (lambda t: _raise(ValueError(f"not a package error at trial {t}")),
+     ValueError, "not a package error at trial 1$"),
+    (_unpicklable, ChildProcessError, "a sweep worker at n=400 ended before it sent its trials"),
+    (lambda t: os.kill(os.getpid(), signal.SIGKILL),
+     ChildProcessError, "a sweep worker at n=400 ended before it sent its trials"),
+    # the worker sends every trial, then exits with status 3
+    (lambda t: setattr(os, "_exit", lambda status, _exit=os._exit: _exit(3)),
+     ChildProcessError, "a forked child ended with wait status 768"),
+], ids=["non-package-error", "unpicklable-error", "worker-killed", "worker-exit-status"])
+def test_a_worker_failure_raises_in_the_parent(monkeypatch, fail, error, match):
+    _cpus(monkeypatch, 2)
+    _fails_in_workers(monkeypatch, fail)
+    with pytest.raises(error, match=match):
+        run_sweep(_cfg(trials=4, threads=2))
+
+
+def _interrupt_parent_share(monkeypatch):
+    parent, real = os.getpid(), simulate._trial_outcome
+
+    def outcome(cfg, n, n_idx, t):
+        if os.getpid() == parent and t == 3:  # its second trial, while the workers run
+            raise KeyboardInterrupt
+        return real(cfg, n, n_idx, t)
+
+    monkeypatch.setattr(simulate, "_trial_outcome", outcome)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc")
+@pytest.mark.parametrize("failure, error", [
+    (None, None),
+    (lambda mp: _fails_in_workers(mp, lambda t: _raise(SingularSystem("boom"))), SweepAborted),
+    (_interrupt_parent_share, KeyboardInterrupt),
+    (lambda mp: _fails_in_workers(mp, lambda t: os.kill(os.getpid(), signal.SIGKILL)),
+     ChildProcessError),
+], ids=["ok", "sweep-aborted", "parent-interrupt", "worker-killed"])
+def test_run_sweep_leaves_no_worker_or_descriptor_behind(tmp_path, monkeypatch, failure, error):
+    _cpus(monkeypatch, 3)
+    if failure is not None:
+        failure(monkeypatch)
+    parent, fds = os.getpid(), sorted(os.listdir("/proc/self/fd"))
+    raised = None
+    try:
+        run_sweep(_cfg(n_grid=(400, 500), trials=6, threads=3))
+    except BaseException as exc:  # KeyboardInterrupt included
+        raised = exc
+    if os.getpid() != parent:  # reached only by a worker that returned into this test
+        (tmp_path / "escaped").touch()
+        os._exit(0)
+    assert not (tmp_path / "escaped").exists()
+    assert raised is None if error is None else isinstance(raised, error)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
@@ -218,18 +314,20 @@ def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
     controls = pipeline._blas_thread_controls()
     assert controls, "numpy's scipy-openblas thread controls were not found"
     get, set_ = controls
-    seen = []
+    parent = os.getpid()
 
     def outcome(*args):
-        seen.append(get())
-        return (0.0, 0.0)
+        # as (fdp, power): the BLAS threads the trial saw, and whether a worker ran it
+        return (float(get()), float(os.getpid() != parent))
 
     monkeypatch.setattr(simulate, "_trial_outcome", outcome)
+    _cpus(monkeypatch, 2)
     before = get()
     set_(2)  # so the pin shows on a one-core host too
     try:
-        run_sweep(_cfg(trials=3, threads=2))
-        assert seen == [1] * 3
+        row = run_sweep(_cfg(trials=3, threads=2)).rows[0]
+        assert (row.fdr_hat, row.fdr_se) == (1.0, 0.0)
+        assert row.power_hat == pytest.approx(1 / 3)  # trial 1 ran in the forked worker
         assert get() == 2
     finally:
         set_(before)
@@ -255,15 +353,26 @@ def test_run_sweep_single_trial_se_zero():
     assert report.rows[0].fdr_se == 0.0 and report.rows[0].power_se == 0.0
 
 
-def test_run_sweep_deterministic_across_thread_counts(tmp_path):
-    reports = {}
-    for threads in (1, 4, 8):
-        cfg = _cfg(method="2", p=12, k=3, eps=0.3, trials=10, threads=threads,
-                   n_grid=(400, 500))
-        out = tmp_path / f"t{threads}.csv"
-        write_report(run_sweep(cfg), out)
-        reports[threads] = out.read_bytes()
-    assert reports[1] == reports[4] == reports[8]
+def test_run_sweep_deterministic_across_thread_counts(tmp_path, monkeypatch):
+    # 1-4 CPUs: more threads than CPUs, and fewer, and as many
+    reports = set()
+    for cpus in (1, 2, 3, 4):
+        _cpus(monkeypatch, cpus)
+        for threads in (1, 4, 8):
+            cfg = _cfg(method="2", p=12, k=3, eps=0.3, trials=10, threads=threads,
+                       n_grid=(400, 500))
+            out = tmp_path / f"c{cpus}t{threads}.csv"
+            write_report(run_sweep(cfg), out)
+            reports.add(out.read_bytes())
+    assert len(reports) == 1
+
+
+def test_trial_outcomes_are_placed_by_trial_index(monkeypatch):
+    monkeypatch.setattr(simulate, "_trial_outcome", lambda cfg, n, n_idx, t: (float(t), 0.0))
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        outcomes = simulate._cell_outcomes(_cfg(trials=7, threads=3), 400, 0)
+        assert outcomes == [(float(t), 0.0) for t in range(7)]
 
 
 def test_write_report_round_trip(tmp_path):
