@@ -18,12 +18,12 @@ import sys
 from dataclasses import replace
 
 from .design import ModelOracle, _load_record, compute_bounds, load_dataset
-from .errors import DPKnockoffError, PrivacyPreconditionFailed, SweepAborted
+from .errors import DPKnockoffError, PrivacyPreconditionFailed
 from .knockoffs import gram_spectrum, raw_gram_frobenius
 from .pipeline import METHODS, _single_blas_thread, run_knockoff_filter
 from .privacy import PrivacyBudget, build_sensitivity_context, delta2_floor
 from .selection import STATISTIC_KINDS
-from .simulate import SimulationReport, read_config, run_sweep, write_plot_data, write_report
+from .simulate import _write_sweep, read_config
 
 
 def _finite(text: str) -> float:
@@ -189,17 +189,7 @@ def cmd_run(args) -> int:
 def cmd_simulate(args) -> int:
     overrides = {"base_seed": args.seed, "threads": args.threads}
     cfg = replace(read_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
-    aborted = None
-    try:
-        report = run_sweep(cfg)
-    except SweepAborted as exc:
-        # keep the finished sample sizes, then report the abort
-        report, aborted = SimulationReport(rows=exc.rows), exc
-    write_report(report, args.out)
-    if args.emit_plot_data:
-        write_plot_data(report, args.emit_plot_data)
-    if aborted is not None:
-        raise aborted
+    _write_sweep(cfg, args.out, args.emit_plot_data)
     return 0
 
 

@@ -7,8 +7,11 @@ the probe W that spans the knockoffs' complement.  Normalization is the
 diagonal scaling X' = X D with D = diag(1/||x_j||), so everything the filter
 reads of X' follows from those sums: S' = D (X^T X) D, X'^T v = D X^T v, and
 ||x_j|| = sqrt((X^T X)_jj).  The filter never forms X'.  This module holds
-that record, its validation, the norm bounds, and the CSV ingestion path,
-which streams a design file into the record without holding the design.
+that record, its validation, the norm bounds, the probe W with its cache,
+and the CSV ingestion path, which streams a design file into the record
+without holding the design.  An in-memory design and a streamed one are
+summed by the same :class:`_Sums` and validated by the same builder, and
+:meth:`Dataset.probe_products` is the one source of the products with W.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import os
 import signal
 import stat
 import struct
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -50,6 +54,33 @@ def _probe_generator(attempt: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+# Default probes kept per (n, p, attempt); each holds an n x p array, so the
+# bound caps the memory the cache can pin.
+_PROBE_CACHE_SIZE = 4
+_PROBE_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def _cached_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    w = _probe_generator(attempt).standard_normal((n, p))
+    wtw = w.T @ w
+    w.setflags(write=False)
+    wtw.setflags(write=False)
+    return w, wtw
+
+
+def _default_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    """The default probe W for shape (n, p) and retry ``attempt``, with W^T W.
+
+    Both depend only on (n, p, attempt), so they are drawn on first use and
+    kept in a small bounded cache; the arrays are read-only because every
+    caller shares them.  The lock keeps callers on several threads from
+    drawing the same probe twice.
+    """
+    with _PROBE_LOCK:
+        return _cached_probe(n, p, attempt)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """The p x p record of one regression dataset: an n x p design X and a
@@ -60,17 +91,18 @@ class Dataset:
     D in X' = X D), X^T y, the largest squared row norm of X, and y.  It is
     validated at construction and immutable afterwards; every array is
     read-only.  Use :meth:`from_arrays` or :func:`load_dataset` instead of
-    the bare constructor.
+    the bare constructor.  Both sum the design with :class:`_Sums` and
+    validate the sums in :meth:`_summed`.
 
-    An in-memory record keeps its design as ``x``: :meth:`from_arrays`
-    copies the arrays it is given, so later writes to them do not reach it,
-    and :func:`~dpknockoff.simulate.generate_trial` hands over the arrays it
-    just drew.  Its probe products are formed from ``x`` when the filter
-    asks for them.  A record :func:`load_dataset` streamed from a regular
-    file has no ``x``: ``probe_sums`` holds (X^T W_0, W_0^T y, W_0^T W_0)
-    for the first probe, summed during the same pass, and ``design_file``
-    the (path, header lines) that :meth:`streamed_probe_products` reads again
-    for any other probe.
+    The products with the probe W are read through :meth:`probe_products`
+    alone.  An in-memory record keeps its design as ``x`` and forms them from
+    it when asked, not at build time: :meth:`from_arrays` copies the arrays
+    it is given, so later writes to them do not reach it, and
+    :func:`~dpknockoff.simulate.generate_trial` hands over the arrays it just
+    drew.  A record :func:`load_dataset` streamed from a regular file has no
+    ``x``: ``probe_sums`` holds (X^T W_0, W_0^T y, W_0^T W_0) for the first
+    probe, summed during the same pass, and ``design_file`` the
+    (path, header lines) that is read again for any other probe.
     """
 
     n: int
@@ -98,78 +130,65 @@ class Dataset:
     @classmethod
     def _owned(cls, x: np.ndarray, y: np.ndarray) -> "Dataset":
         """Validate a 2-D float x and 1-D float y, take ownership of both and
-        sum them in one block."""
+        sum x as one block; a refused shape forms no Gram."""
         n, p = x.shape
-        # a non-finite x_ij makes (X^T X)_jj non-finite, so x is scanned only
-        # where the Gram is not finite, or not formed because the shape is refused
-        gram = _raw_gram(x) if y.shape[0] == n and n >= 2 * p else None
-        col_norms = _validated_norms(n, p, gram, lambda: np.all(np.isfinite(x)), y)
-        return cls(
-            n=n, p=p, gram=gram, col_norms=col_norms, normalizer_d=1.0 / col_norms,
-            xty=_crossprod(x, y), row_norm_sq_max=float(np.einsum("ij,ij->i", x, x).max()),
-            y=y, x=x,
-        )
+        sums = _Sums(y, None)
+        if y.shape[0] == n and n >= 2 * p:
+            sums._add(x)
+        else:  # no Gram to check first, so x is scanned here
+            sums.n, sums.p, sums.x_finite = n, p, bool(np.all(np.isfinite(x)))
+        return cls._summed(sums, x=x)
 
     @classmethod
-    def _streamed(cls, sums: "_Sums", y: np.ndarray, design_file: tuple) -> "Dataset":
-        """Validate the sums streamed from a design file, in :meth:`_owned`'s order."""
-        col_norms = _validated_norms(sums.n, sums.p, sums.gram, lambda: sums.x_finite, y)
+    def _summed(cls, sums: "_Sums", **source) -> "Dataset":
+        """The record of a design's sums and response, with the design's
+        ``x`` or ``design_file`` as ``source``.
+
+        The checks run in a fixed order, so a record with several defects
+        names the first.  ``sums.gram`` is None where the shape was refused
+        before it was formed.
+        """
+        n, p, gram, y = sums.n, sums.p, sums.gram, sums.y
+        gram_finite = gram is not None and bool(np.all(np.isfinite(gram)))
+        if not (gram_finite or sums.x_finite) or not np.all(np.isfinite(y)):
+            raise InvalidDesign("design or response contains non-finite entries")
+        if y.shape[0] != n:
+            raise DimensionMismatch(f"response has {y.shape[0]} entries but design has {n} rows")
+        if n < 2 * p:
+            raise InvalidDesign(
+                f"n={n} < 2p={2 * p}: a knockoff copy needs at least twice as "
+                "many samples as features"
+            )
+        if not gram_finite:
+            raise InvalidDesign("X^T X overflows double precision; rescale the design columns")
+        col_norms = np.sqrt(np.diag(gram))
+        if np.any(col_norms < ZERO_COLUMN_TOL):
+            bad = int(np.argmin(col_norms))
+            raise InvalidDesign(f"column {bad} has (near-)zero norm; the Gram matrix would be singular")
         return cls(
-            n=sums.n, p=sums.p, gram=sums.gram, col_norms=col_norms,
-            normalizer_d=1.0 / col_norms, xty=sums.xty, row_norm_sq_max=sums.row_norm_sq_max,
-            y=y, design_file=design_file, probe_sums=sums.probe_products,
+            n=n, p=p, gram=gram, col_norms=col_norms, normalizer_d=1.0 / col_norms,
+            xty=sums.xty, row_norm_sq_max=sums.row_norm_sq_max, y=y,
+            probe_sums=sums.probe_products, **source,
         )
 
-    def streamed_probe_products(self, attempt: int) -> tuple:
-        """(X^T W, W^T y, W^T W) of a streamed record for the probe of ``attempt``.
+    def probe_products(self, attempt: int) -> tuple:
+        """(X^T W, W^T y, W^T W) for the default probe W of retry ``attempt``.
 
-        The first probe's were summed while the file was read; any other
-        probe reads the design file once more.
+        Stored products are returned as they are.  Otherwise an in-memory
+        record forms them from ``x`` and the cached probe, and a streamed
+        record reads its design file once more.
         """
         if attempt == 0 and self.probe_sums is not None:
             return self.probe_sums
+        if self.x is not None:
+            w, wtw = _default_probe(self.n, self.p, attempt)
+            with np.errstate(over="ignore", invalid="ignore"):  # W^T y is refused by its reader
+                return self.x.T @ w, w.T @ self.y, wtw
         path, skip = self.design_file
         sums = _design_sums(path, skip, self.y, attempt)
         if (sums.n, sums.p) != (self.n, self.p):
             raise ParseError(f"design file {path} changed while it was read")
         return sums.probe_products
-
-
-def _validated_norms(n: int, p: int, gram, x_finite, y: np.ndarray) -> np.ndarray:
-    """The column norms sqrt(diag(X^T X)) of a record the filter can use.
-
-    ``gram`` is None where the shape is refused before it is formed, and
-    ``x_finite()`` is asked only where the Gram is not finite.  The checks
-    run in a fixed order, so a record with several defects names the first.
-    """
-    gram_finite = gram is not None and bool(np.all(np.isfinite(gram)))
-    if not (gram_finite or x_finite()) or not np.all(np.isfinite(y)):
-        raise InvalidDesign("design or response contains non-finite entries")
-    if y.shape[0] != n:
-        raise DimensionMismatch(f"response has {y.shape[0]} entries but design has {n} rows")
-    if n < 2 * p:
-        raise InvalidDesign(
-            f"n={n} < 2p={2 * p}: a knockoff copy needs at least twice as "
-            "many samples as features"
-        )
-    if not gram_finite:
-        raise InvalidDesign("X^T X overflows double precision; rescale the design columns")
-    col_norms = np.sqrt(np.diag(gram))
-    if np.any(col_norms < ZERO_COLUMN_TOL):
-        bad = int(np.argmin(col_norms))
-        raise InvalidDesign(f"column {bad} has (near-)zero norm; the Gram matrix would be singular")
-    return col_norms
-
-
-def _raw_gram(x: np.ndarray) -> np.ndarray:
-    """X^T X; an overflow is left in place for the validation to refuse."""
-    return _crossprod(x, x)
-
-
-def _crossprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^T b; an overflow is left in place for its reader to refuse."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return a.T @ b
 
 
 # Rows per block of the streamed sums; the block buffer, one parsed block and
@@ -182,41 +201,40 @@ class _Sums:
     squared row norm and, for a probe ``attempt``, X^T W, W^T y and W^T W
     with the rows of W drawn alongside.
 
-    Rows are summed in blocks of ``_BLOCK_ROWS`` counted from the first row,
-    so the sums depend only on the rows, not on the parts they arrive in.
-    Products with y are skipped where y is missing or too short; such a
-    record is refused by its validation.
+    A streamed design is folded in blocks of ``_BLOCK_ROWS`` rows counted
+    from the first row, so the sums depend only on the rows, not on the
+    parts they arrive in; an in-memory design is added as one block.  A
+    non-finite x_ij makes (X^T X)_jj non-finite, so a block is scanned for
+    non-finite entries only where its Gram is not finite.  Products with y
+    are skipped where y is missing or too short; such a record is refused
+    by its validation.
     """
 
     def __init__(self, y: np.ndarray | None, attempt: int | None):
-        self.y, self.n, self.p, self.x_finite = y, 0, None, True
+        self.y, self.n, self.p, self.gram, self.x_finite = y, 0, None, None, True
         self._probe = None if attempt is None else _probe_generator(attempt)
-        self._filled = 0
+        self._pending, self._filled = None, 0
 
     def fold(self, rows: np.ndarray) -> None:
         """Add rows in order, through the block buffer."""
-        if len(rows):
-            self._columns(rows.shape[1])
         while len(rows):
             k = min(len(rows), _BLOCK_ROWS - self._filled)
-            self._pending[self._filled : self._filled + k] = rows[:k]
+            self._buffer(rows.shape[1])[self._filled : self._filled + k] = rows[:k]
             self._took(k)
             rows = rows[k:]
 
     def fold_from(self, reader, rows: int, cols: int) -> None:
         """Add ``rows`` rows of ``cols`` doubles read from ``reader`` into the block buffer."""
-        if rows:
-            self._columns(cols)
         while rows:
             k = min(rows, _BLOCK_ROWS - self._filled)
-            view = self._pending[self._filled : self._filled + k]
+            view = self._buffer(cols)[self._filled : self._filled + k]
             if reader.readinto(view) != view.nbytes:
                 raise EOFError("a design part's child sent fewer rows than it announced")
             self._took(k)
             rows -= k
 
     def finish(self) -> "_Sums":
-        if self.p is None:
+        if self._pending is None:
             raise ValueError("the design has no rows")
         if self._filled:
             self._add(self._pending[: self._filled])
@@ -228,14 +246,12 @@ class _Sums:
         """(X^T W, W^T y, W^T W), or None where no probe was drawn."""
         return None if self._probe is None else (self.xtw, self.wty, self.wtw)
 
-    def _columns(self, cols: int) -> None:
-        if self.p is None:
-            p = self.p = cols
-            self.gram, self.xty, self.row_norm_sq_max = np.zeros((p, p)), np.zeros(p), -np.inf
-            self.xtw, self.wty, self.wtw = np.zeros((p, p)), np.zeros(p), np.zeros((p, p))
-            self._pending = np.empty((_BLOCK_ROWS, p))
-        elif cols != self.p:
-            raise ValueError(f"a part has {cols} columns, the first part {self.p}")
+    def _buffer(self, cols: int) -> np.ndarray:
+        if self._pending is None:
+            self._pending = np.empty((_BLOCK_ROWS, cols))
+        elif cols != self._pending.shape[1]:
+            raise ValueError(f"a part has {cols} columns, the first part {self._pending.shape[1]}")
+        return self._pending
 
     def _took(self, k: int) -> None:
         self._filled += k
@@ -244,11 +260,16 @@ class _Sums:
             self._filled = 0
 
     def _add(self, block: np.ndarray) -> None:
+        """Add the next block of rows, unbuffered."""
+        if self.p is None:
+            p = self.p = block.shape[1]
+            self.gram, self.xty, self.row_norm_sq_max = np.zeros((p, p)), np.zeros(p), -np.inf
+            self.xtw, self.wty, self.wtw = np.zeros((p, p)), np.zeros(p), np.zeros((p, p))
         start, self.n = self.n, self.n + len(block)
         y = self.y[start : self.n] if self.y is not None and len(self.y) >= self.n else None
         with np.errstate(over="ignore", invalid="ignore"):
             gram = block.T @ block
-            if not np.all(np.isfinite(gram)):  # as in Dataset._owned: x is scanned only here
+            if not np.all(np.isfinite(gram)):
                 self.x_finite = self.x_finite and bool(np.all(np.isfinite(block)))
             self.gram += gram
             row_max = float(np.einsum("ij,ij->i", block, block).max())
@@ -368,7 +389,7 @@ def _load_record(x_path, y_path, has_header: bool, probe: bool) -> Dataset:
         raise y_error
     if sums is None:
         return Dataset._owned(x, y)
-    return Dataset._streamed(sums, y, (x_path, skip))
+    return Dataset._summed(sums, design_file=(x_path, skip))
 
 
 def _read_response(path, skip: int) -> np.ndarray:

@@ -24,26 +24,21 @@ the raw design, so S' = D (X^T X) D and X'^T [y W] = D X^T [y W].
 [X' Xt]^T y from the dataset's p x p record alone: the raw Gram X^T X and
 the raw products X^T y, X^T W, W^T y and W^T W, each a sum over rows, so a
 design file can be streamed into them (see :func:`~dpknockoff.design.load_dataset`)
-and neither X, X', W nor the copy is formed.  The explicit n x p copy they
-are tested against, and the decorrelation at any other s, live with the
-tests.
+and neither X, X' nor the copy is formed here.  The probe W and its
+products belong to the record: this module reads them only through
+:meth:`~dpknockoff.design.Dataset.probe_products`.  The explicit n x p copy
+they are tested against, and the decorrelation at any other s, live with
+the tests.
 """
 
 from __future__ import annotations
 
-import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Dataset, _crossprod, _probe_generator
+from .design import Dataset
 from .errors import InvalidDesign, KnockoffInfeasible
-
-# Default probes kept per (n, p, attempt); each holds an n x p array, so the
-# bound caps the memory the cache can pin.
-_PROBE_CACHE_SIZE = 4
-_PROBE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -119,27 +114,6 @@ def closed_form_gram_eigenvalues(spectrum: GramSpectrum) -> tuple[float, float]:
     )
 
 
-@functools.lru_cache(maxsize=_PROBE_CACHE_SIZE)
-def _cached_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-    w = _probe_generator(attempt).standard_normal((n, p))
-    wtw = w.T @ w
-    w.setflags(write=False)
-    wtw.setflags(write=False)
-    return w, wtw
-
-
-def _default_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-    """The default probe W for shape (n, p) and retry ``attempt``, with W^T W.
-
-    Both depend only on (n, p, attempt), so they are drawn on first use and
-    kept in a small bounded cache; the arrays are read-only because every
-    caller shares them.  The lock keeps callers on several threads from
-    drawing the same probe twice.
-    """
-    with _PROBE_LOCK:
-        return _cached_probe(n, p, attempt)
-
-
 def _rank_tol(n: int, cond: float) -> float:
     """Smallest accepted diagonal of the probe residual's triangular factor.
 
@@ -188,8 +162,8 @@ def knockoff_summary(d: Dataset, spectrum: GramSpectrum) -> KnockoffSummary:
     G is the closed-form block matrix [[S', S'-sI], [S'-sI, S']] and the
     knockoff half of the product follows from the identity in the module
     docstring, with X'^T y = D X^T y and X'^T W = D X^T W taken from the
-    dataset's record, so no n-length work is left but forming X^T W and
-    W^T y for an in-memory record.  A response so large that X^T y or W^T y
+    dataset's record and :meth:`~dpknockoff.design.Dataset.probe_products`;
+    ``d.x`` is never read.  A response so large that X^T y or W^T y
     overflows raises :class:`InvalidDesign`.
     """
     if d.n < 2 * d.p:
@@ -231,18 +205,6 @@ def _finite_response_product(product: np.ndarray) -> np.ndarray:
     return product
 
 
-def _probe_products(d: Dataset, attempt: int) -> tuple:
-    """(X^T W, W^T y, W^T W) for the default probe W of retry ``attempt``.
-
-    An in-memory record forms them from its design and the cached probe; a
-    streamed record has them from its file.
-    """
-    if d.x is None:
-        return d.streamed_probe_products(attempt)
-    w, wtw = _default_probe(d.n, d.p, attempt)
-    return d.x.T @ w, _crossprod(w, d.y), wtw
-
-
 def _complement_crossprod(d: Dataset, xty, l_inv, cond: float) -> np.ndarray:
     """U^T y for U = (I - P) W R^{-1}, from p x p algebra.
 
@@ -253,7 +215,7 @@ def _complement_crossprod(d: Dataset, xty, l_inv, cond: float) -> np.ndarray:
     """
     qty = l_inv @ xty
     for attempt in range(2):
-        xtw, wty, wtw = _probe_products(d, attempt)
+        xtw, wty, wtw = d.probe_products(attempt)
         qtw = l_inv @ (d.normalizer_d[:, None] * xtw)
         try:
             r_lower = np.linalg.cholesky(wtw - qtw.T @ qtw)  # R^T

@@ -8,6 +8,8 @@ sweep is reproducible for any number of worker processes.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
 import pickle
@@ -216,8 +218,7 @@ def run_sweep(cfg: SimConfig) -> SimulationReport:
     :class:`SweepAborted`, which names the lowest failing trial's error and
     carries the rows of the sample sizes already finished.
     """
-    with _single_blas_thread():
-        return _run_grid(cfg)
+    return SimulationReport(rows=tuple(_sweep_rows(cfg)))
 
 
 def _cell_outcomes(cfg: SimConfig, n: int, n_idx: int) -> list:
@@ -255,50 +256,52 @@ def _cell_outcomes(cfg: SimConfig, n: int, n_idx: int) -> list:
     return [outcomes[t] for t in range(cfg.trials)]
 
 
-def _run_grid(cfg: SimConfig) -> SimulationReport:
-    rows = []
-    grid = sorted(set(cfg.n_grid))
-    for n_idx, n in enumerate(grid):
-        try:
-            outcomes = _cell_outcomes(cfg, n, n_idx)
-        except DPKnockoffError as exc:
-            raise SweepAborted(
-                f"a trial at n={n} failed with {type(exc).__name__}: {exc}", rows=rows
-            ) from exc
+def _sweep_rows(cfg: SimConfig):
+    """:func:`run_sweep`'s rows, each yielded as its sample size finishes, in order of n."""
+    with _single_blas_thread():
+        rows = []
+        grid = sorted(set(cfg.n_grid))
+        for n_idx, n in enumerate(grid):
+            try:
+                outcomes = _cell_outcomes(cfg, n, n_idx)
+            except DPKnockoffError as exc:
+                raise SweepAborted(
+                    f"a trial at n={n} failed with {type(exc).__name__}: {exc}", rows=rows
+                ) from exc
 
-        kept = [o for o in outcomes if o is not None]
-        failures = cfg.trials - len(kept)
-        if failures > MAX_FAILURE_RATE * cfg.trials:
-            raise SweepAborted(
-                f"{failures}/{cfg.trials} trials failed their privacy precondition "
-                f"at n={n}; the norm bounds are too loose for this sample size",
-                rows=rows,
+            kept = [o for o in outcomes if o is not None]
+            failures = cfg.trials - len(kept)
+            if failures > MAX_FAILURE_RATE * cfg.trials:
+                raise SweepAborted(
+                    f"{failures}/{cfg.trials} trials failed their privacy precondition "
+                    f"at n={n}; the norm bounds are too loose for this sample size",
+                    rows=rows,
+                )
+            fdps = np.array([o[0] for o in kept])
+            powers = np.array([o[1] for o in kept])
+            if len(kept) > 1:
+                fdr_se = float(np.std(fdps, ddof=1) / math.sqrt(len(kept)))
+                power_se = float(np.std(powers, ddof=1) / math.sqrt(len(kept)))
+            else:
+                warnings.warn(f"only {len(kept)} trial(s) at n={n}; standard errors set to 0")
+                fdr_se = power_se = 0.0
+            eps_total, delta_total = budget_totals(cfg, n)
+            rows.append(
+                SimRow(
+                    n=n,
+                    method=cfg.method,
+                    stat=cfg.stat,
+                    trials=len(kept),
+                    fdr_hat=float(np.mean(fdps)),
+                    fdr_se=fdr_se,
+                    power_hat=float(np.mean(powers)),
+                    power_se=power_se,
+                    eps_total=eps_total,
+                    delta_total=delta_total,
+                    failures=failures,
+                )
             )
-        fdps = np.array([o[0] for o in kept])
-        powers = np.array([o[1] for o in kept])
-        if len(kept) > 1:
-            fdr_se = float(np.std(fdps, ddof=1) / math.sqrt(len(kept)))
-            power_se = float(np.std(powers, ddof=1) / math.sqrt(len(kept)))
-        else:
-            warnings.warn(f"only {len(kept)} trial(s) at n={n}; standard errors set to 0")
-            fdr_se = power_se = 0.0
-        eps_total, delta_total = budget_totals(cfg, n)
-        rows.append(
-            SimRow(
-                n=n,
-                method=cfg.method,
-                stat=cfg.stat,
-                trials=len(kept),
-                fdr_hat=float(np.mean(fdps)),
-                fdr_se=fdr_se,
-                power_hat=float(np.mean(powers)),
-                power_se=power_se,
-                eps_total=eps_total,
-                delta_total=delta_total,
-                failures=failures,
-            )
-        )
-    return SimulationReport(rows=tuple(rows))
+            yield rows[-1]
 
 
 def _fmt(value) -> str:
@@ -307,29 +310,47 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(report: SimulationReport, out_path, columns, values) -> None:
-    """One header line, then ``values(row)`` per row in order of n, 6 significant digits."""
-    lines = [",".join(columns)]
-    for row in sorted(report.rows, key=lambda r: r.n):
-        lines.append(",".join(_fmt(v) for v in values(row)))
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_csv(rows, outputs) -> None:
+    """Write one CSV per (path, columns, values) output: its header line,
+    then the line ``values(row)`` of each row as the row arrives, with 6
+    significant digits.  Each line is flushed as it is written, so the rows
+    written before a failure stay on disk."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                 for path, _, _ in outputs]
+        for row in itertools.chain([None], rows):  # None stands for the header line
+            for fh, (_, columns, values) in zip(files, outputs):
+                fh.write(",".join(columns if row is None else map(_fmt, values(row))) + "\n")
+                fh.flush()
 
 
 def write_report(report: SimulationReport, out_path) -> None:
     """Write the sweep report as CSV, one row per (n, method), one column per SimRow field."""
-    _write_csv(report, out_path, REPORT_COLUMNS, astuple)
+    _write_csv(sorted(report.rows, key=lambda r: r.n), [(out_path, REPORT_COLUMNS, astuple)])
 
 
 PLOT_COLUMNS = ("n", "log10_n", "method", "stat", "fdr_hat", "fdr_se", "power_hat", "power_se")
 
 
+def _plot_values(row: SimRow) -> tuple:
+    return (row.n, math.log10(row.n), row.method, row.stat,
+            row.fdr_hat, row.fdr_se, row.power_hat, row.power_se)
+
+
 def write_plot_data(report: SimulationReport, out_path) -> None:
     """Write a companion CSV shaped for plotting (log-scale sample size included)."""
-    _write_csv(report, out_path, PLOT_COLUMNS, lambda row: (
-        row.n, math.log10(row.n), row.method, row.stat,
-        row.fdr_hat, row.fdr_se, row.power_hat, row.power_se,
-    ))
+    _write_csv(sorted(report.rows, key=lambda r: r.n), [(out_path, PLOT_COLUMNS, _plot_values)])
+
+
+def _write_sweep(cfg: SimConfig, out_path, plot_path=None) -> None:
+    """Run the sweep into its report CSV and, given ``plot_path``, its plot
+    CSV, writing each row as its sample size finishes: the bytes of
+    :func:`write_report` and :func:`write_plot_data` on the same rows."""
+    outputs = [(out_path, REPORT_COLUMNS, astuple)]
+    if plot_path is not None:
+        outputs.append((plot_path, PLOT_COLUMNS, _plot_values))
+    with contextlib.closing(_sweep_rows(cfg)) as rows:  # unpins BLAS if a write fails
+        _write_csv(rows, outputs)
 
 
 # Config-file spelling of the SimConfig fields that are not spelled as named.

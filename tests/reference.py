@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpknockoff import knockoffs
+from dpknockoff import design, knockoffs
 from dpknockoff.design import ZERO_COLUMN_TOL, Dataset
 from dpknockoff.errors import InvalidDesign, KnockoffInfeasible, PreconditionViolated
 from dpknockoff.knockoffs import GramSpectrum, KnockoffSummary
@@ -146,7 +146,7 @@ def complement_basis(x_prime: np.ndarray, seed=None) -> np.ndarray:
 
     for attempt in range(2):
         if seed is None:
-            w, _ = knockoffs._default_probe(n, p, attempt)
+            w, _ = design._default_probe(n, p, attempt)
         else:
             w = _seeded_probe(seed, n, p, attempt)
         w = project_off(project_off(w))

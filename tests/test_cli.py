@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import dpknockoff
-from dpknockoff import design, knockoffs, pipeline, privacy
+from dpknockoff import design, pipeline, privacy, simulate
 from dpknockoff.cli import main
 
 
@@ -475,6 +476,42 @@ def test_simulate_keeps_finished_rows_on_any_package_error(tmp_path, capsys):
     assert len(lines) == 2 and lines[1].startswith("200,none,lcd,3,")
 
 
+@pytest.mark.parametrize("failing_n", [400, 800])
+@pytest.mark.parametrize("error", [
+    RuntimeError("not a package error"),
+    ChildProcessError("a sweep worker at n=800 ended before it sent its trials"),
+])
+def test_simulate_keeps_finished_cells_on_any_failure(tmp_path, capsys, monkeypatch, error, failing_n):
+    config = "p = 12\nk = 3\namplitude = 3.5\nsigma2 = 1.0\nq = 0.2\ntrials = 3\nbase_seed = 1\n"
+    for name, grid in (("one", "400"), ("two", "400, 800")):
+        (tmp_path / f"{name}.cfg").write_text(f"n_grid = {grid}\n" + config, encoding="utf-8")
+
+    def simulate_argv(name):
+        return ["simulate", "--config", str(tmp_path / f"{name}.cfg"), "--out",
+                str(tmp_path / f"{name}.csv"), "--emit-plot-data", str(tmp_path / f"{name}_plot.csv")]
+
+    assert main(simulate_argv("one")) == 0
+    real = simulate._cell_outcomes
+
+    def cell_outcomes(cfg, n, n_idx):
+        if n == failing_n:
+            raise error
+        return real(cfg, n, n_idx)
+
+    monkeypatch.setattr(simulate, "_cell_outcomes", cell_outcomes)
+    if isinstance(error, OSError):  # a killed sweep worker: an error line, exit 2
+        assert main(simulate_argv("two")) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+    else:
+        with pytest.raises(RuntimeError, match="not a package error"):
+            main(simulate_argv("two"))
+    for suffix in (".csv", "_plot.csv"):
+        finished = (tmp_path / f"one{suffix}").read_bytes()
+        if failing_n == 400:  # no cell finished: the header line alone
+            finished = finished[: finished.index(b"\n") + 1]
+        assert (tmp_path / f"two{suffix}").read_bytes() == finished
+
+
 def test_simulate_zero_amplitude_runs_the_global_null(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -590,13 +627,19 @@ def test_run_and_calibrate_pin_blas_to_one_thread(capsys, data_files, monkeypatc
 
 def test_calibrate_draws_no_probe(capsys, data_files, monkeypatch):
     draws = []
-    cached, generator = knockoffs._cached_probe, design._probe_generator
-    monkeypatch.setattr(knockoffs, "_cached_probe", lambda *a: draws.append(a) or cached(*a))
+    cached, generator = design._cached_probe, design._probe_generator
+    monkeypatch.setattr(design, "_cached_probe", lambda *a: draws.append(a) or cached(*a))
     monkeypatch.setattr(design, "_probe_generator", lambda *a: draws.append(a) or generator(*a))
     xp, yp, bnorm = data_files
-    argv = ["--x", xp, "--y", yp, "--method", "1", *PAIR_BUDGET,
-            "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0"]
-    assert main(["calibrate", *argv]) == 0 and draws == []
-    assert main(["run", *argv]) == 0 and draws == [(0,)]  # the spies do see a draw
+    with open(xp, "rb") as f, gzip.open(xp + ".gz", "wb") as g:
+        g.write(f.read())
+    # a plain file is streamed, with the probe rows drawn alongside the design's;
+    # a .gz file is parsed whole into an in-memory record, which asks the probe cache
+    for x, first_draw in ((xp, (0,)), (xp + ".gz", (300, 12, 0))):
+        draws.clear()
+        argv = ["--x", x, "--y", yp, "--method", "1", *PAIR_BUDGET,
+                "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0"]
+        assert main(["calibrate", *argv]) == 0 and draws == []
+        assert main(["run", *argv]) == 0 and draws[0] == first_draw  # the spies do see a draw
     capsys.readouterr()
 

@@ -130,10 +130,10 @@ def test_from_arrays_combined_defects_keep_their_order(value, y_len, p, error, m
 
 
 def test_from_arrays_refused_shape_forms_no_gram(monkeypatch):
-    def no_gram(x):
+    def no_gram(sums, x):
         raise AssertionError("a refused shape must not form X^T X")
 
-    monkeypatch.setattr(design, "_raw_gram", no_gram)
+    monkeypatch.setattr(design._Sums, "_add", no_gram)
     with pytest.raises(InvalidDesign, match="n=4 < 2p"):
         Dataset.from_arrays(np.ones((4, 3)), np.ones(4))
     with pytest.raises(DimensionMismatch):
@@ -515,7 +515,7 @@ def _folded_record(x, y):
     """The record streaming the rows of x sums, folded here in one piece."""
     sums = design._Sums(y, 0)
     sums.fold(x)
-    return Dataset._streamed(sums.finish(), y, None)
+    return Dataset._summed(sums.finish())
 
 
 def _record_arrays(ds):
@@ -568,13 +568,13 @@ def test_streamed_record_matches_the_in_memory_record(tmp_path, monkeypatch, kin
 
     memory = Dataset.from_arrays(x, y)
     assert streamed.row_norm_sq_max == memory.row_norm_sq_max  # a max is exact
-    w, _ = knockoffs._default_probe(*x.shape, 0)
+    w, _ = design._default_probe(*x.shape, 0)
     # two sums of the same n terms in different orders differ by at most
     # 2 gamma_n sum |a_i b_i| <= 2 n eps (|A|^T |B|), entrywise
     n, eps = x.shape[0], np.finfo(float).eps
     pairs = zip(
         (streamed.gram, streamed.xty, *streamed.probe_sums),
-        (memory.gram, memory.xty, *knockoffs._probe_products(memory, 0)),
+        (memory.gram, memory.xty, *memory.probe_products(0)),
         ((x, x), (x, y), (x, w), (w, y), (w, w)),
     )
     for got, want, (a, b) in pairs:

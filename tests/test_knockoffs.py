@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,10 +15,10 @@ from dpknockoff import (
     KnockoffInfeasible,
     PreconditionViolated,
 )
-from dpknockoff import knockoffs
+from dpknockoff import design, knockoffs
+from dpknockoff.design import _default_probe
 from dpknockoff.knockoffs import (
     GramSpectrum,
-    _default_probe,
     closed_form_gram_eigenvalues,
     gram_spectrum,
     knockoff_summary,
@@ -230,6 +231,16 @@ def test_knockoff_summary_spread_column_norms():
     _assert_summary_matches_reference(ds, spectrum)
 
 
+def test_knockoff_summary_reads_only_the_record():
+    # an in-memory record and a copy without x that holds its probe products
+    # as a streamed record does: the summary must not tell them apart
+    ds, spectrum = _design_and_response(np.random.default_rng(16).standard_normal((300, 8)), 17)
+    record = dataclasses.replace(ds, x=None, probe_sums=ds.probe_products(0))
+    want, got = knockoff_summary(ds, spectrum), knockoff_summary(record, spectrum)
+    assert got.gram_g.tobytes() == want.gram_g.tobytes()
+    assert got.crossprod.tobytes() == want.crossprod.tobytes()
+
+
 def test_knockoff_summary_retries_with_second_probe(monkeypatch):
     # a design spanning the first probe leaves no complement for it
     n, p = 80, 6
@@ -241,7 +252,7 @@ def test_knockoff_summary_retries_with_second_probe(monkeypatch):
         attempts.append(attempt)
         return _default_probe(n, p, attempt)
 
-    monkeypatch.setattr(knockoffs, "_default_probe", spy)
+    monkeypatch.setattr(design, "_default_probe", spy)
     _assert_summary_matches_reference(ds, spectrum)
     assert attempts == [0, 1, 0, 1]  # the summary, then the reference
 
