@@ -135,8 +135,8 @@ class Dataset:
         sums = _Sums(y, None)
         if y.shape[0] == n and n >= 2 * p:
             sums._add(x)
-        else:  # no Gram to check first, so x is scanned here
-            sums.n, sums.p, sums.x_finite = n, p, bool(np.all(np.isfinite(x)))
+        else:
+            sums._scan(x)
         return cls._summed(sums, x=x)
 
     @classmethod
@@ -164,7 +164,8 @@ class Dataset:
         col_norms = np.sqrt(np.diag(gram))
         if np.any(col_norms < ZERO_COLUMN_TOL):
             bad = int(np.argmin(col_norms))
-            raise InvalidDesign(f"column {bad} has (near-)zero norm; the Gram matrix would be singular")
+            raise InvalidDesign(
+                f"column {bad} has (near-)zero norm; the Gram matrix would be singular")
         return cls(
             n=n, p=p, gram=gram, col_norms=col_norms, normalizer_d=1.0 / col_norms,
             xty=sums.xty, row_norm_sq_max=sums.row_norm_sq_max, y=y,
@@ -182,8 +183,9 @@ class Dataset:
             return self.probe_sums
         if self.x is not None:
             w, wtw = _default_probe(self.n, self.p, attempt)
+            xtw = self.x.T @ w
             with np.errstate(over="ignore", invalid="ignore"):  # W^T y is refused by its reader
-                return self.x.T @ w, w.T @ self.y, wtw
+                return xtw, w.T @ self.y, wtw
         path, skip = self.design_file
         sums = _design_sums(path, skip, self.y, attempt)
         if (sums.n, sums.p) != (self.n, self.p):
@@ -258,6 +260,11 @@ class _Sums:
         if self._filled == _BLOCK_ROWS:
             self._add(self._pending)
             self._filled = 0
+
+    def _scan(self, block: np.ndarray) -> None:
+        """Record a refused design's shape, forming no Gram, and scan it for non-finite entries."""
+        self.n, self.p = block.shape
+        self.x_finite = bool(np.all(np.isfinite(block)))
 
     def _add(self, block: np.ndarray) -> None:
         """Add the next block of rows, unbuffered."""

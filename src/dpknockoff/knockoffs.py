@@ -108,10 +108,7 @@ def closed_form_gram_eigenvalues(spectrum: GramSpectrum) -> tuple[float, float]:
         lambda_max(G) = 2*lambda_max(S') - lambda_min(S'),
         lambda_min(G) = lambda_min(S').
     """
-    return (
-        2.0 * spectrum.lambda_max - spectrum.lambda_min,
-        spectrum.lambda_min,
-    )
+    return 2.0 * spectrum.lambda_max - spectrum.lambda_min, spectrum.lambda_min
 
 
 def _rank_tol(n: int, cond: float) -> float:

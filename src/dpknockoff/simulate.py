@@ -9,7 +9,6 @@ sweep is reproducible for any number of worker processes.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 import pickle
@@ -260,8 +259,7 @@ def _sweep_rows(cfg: SimConfig):
     """:func:`run_sweep`'s rows, each yielded as its sample size finishes, in order of n."""
     with _single_blas_thread():
         rows = []
-        grid = sorted(set(cfg.n_grid))
-        for n_idx, n in enumerate(grid):
+        for n_idx, n in enumerate(sorted(set(cfg.n_grid))):
             try:
                 outcomes = _cell_outcomes(cfg, n, n_idx)
             except DPKnockoffError as exc:
@@ -318,9 +316,12 @@ def _write_csv(rows, outputs) -> None:
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
                  for path, _, _ in outputs]
-        for row in itertools.chain([None], rows):  # None stands for the header line
-            for fh, (_, columns, values) in zip(files, outputs):
-                fh.write(",".join(columns if row is None else map(_fmt, values(row))) + "\n")
+        for fh, (_, columns, _) in zip(files, outputs):
+            fh.write(",".join(columns) + "\n")
+            fh.flush()
+        for row in rows:
+            for fh, (_, _, values) in zip(files, outputs):
+                fh.write(",".join(map(_fmt, values(row))) + "\n")
                 fh.flush()
 
 

@@ -634,12 +634,14 @@ def test_calibrate_draws_no_probe(capsys, data_files, monkeypatch):
     with open(xp, "rb") as f, gzip.open(xp + ".gz", "wb") as g:
         g.write(f.read())
     # a plain file is streamed, with the probe rows drawn alongside the design's;
-    # a .gz file is parsed whole into an in-memory record, which asks the probe cache
-    for x, first_draw in ((xp, (0,)), (xp + ".gz", (300, 12, 0))):
+    # a .gz file is parsed whole into an in-memory record, which asks the probe
+    # cache, emptied first so that its call draws the probe once
+    for x, expected in ((xp, [(0,)]), (xp + ".gz", [(300, 12, 0), (0,)])):
         draws.clear()
+        cached.cache_clear()
         argv = ["--x", x, "--y", yp, "--method", "1", *PAIR_BUDGET,
                 "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0"]
         assert main(["calibrate", *argv]) == 0 and draws == []
-        assert main(["run", *argv]) == 0 and draws[0] == first_draw  # the spies do see a draw
+        assert main(["run", *argv]) == 0 and draws == expected  # the spies do see a draw
     capsys.readouterr()
 
