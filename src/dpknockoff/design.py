@@ -91,8 +91,8 @@ class Dataset:
     D in X' = X D), X^T y, the largest squared row norm of X, and y.  It is
     validated at construction and immutable afterwards; every array is
     read-only.  Use :meth:`from_arrays` or :func:`load_dataset` instead of
-    the bare constructor.  Both sum the design with :class:`_Sums` and
-    validate the sums in :meth:`_summed`.
+    the bare constructor.  Both sum the design with :class:`_Sums`, under
+    its shape rule, and validate the sums in :meth:`_summed`.
 
     The products with the probe W are read through :meth:`probe_products`
     alone.  An in-memory record keeps its design as ``x`` and forms them from
@@ -130,13 +130,9 @@ class Dataset:
     @classmethod
     def _owned(cls, x: np.ndarray, y: np.ndarray) -> "Dataset":
         """Validate a 2-D float x and 1-D float y, take ownership of both and
-        sum x as one block; a refused shape forms no Gram."""
-        n, p = x.shape
+        sum x as one block, under :class:`_Sums`' shape rule."""
         sums = _Sums(y, None)
-        if y.shape[0] == n and n >= 2 * p:
-            sums._add(x)
-        else:
-            sums._scan(x)
+        sums._add(x)
         return cls._summed(sums, x=x)
 
     @classmethod
@@ -145,8 +141,8 @@ class Dataset:
         ``x`` or ``design_file`` as ``source``.
 
         The checks run in a fixed order, so a record with several defects
-        names the first.  ``sums.gram`` is None where the shape was refused
-        before it was formed.
+        names the first.  ``sums.gram`` is None where :class:`_Sums` refused
+        the shape; a shape check below then refuses the record.
         """
         n, p, gram, y = sums.n, sums.p, sums.gram, sums.y
         gram_finite = gram is not None and bool(np.all(np.isfinite(gram)))
@@ -159,6 +155,8 @@ class Dataset:
                 f"n={n} < 2p={2 * p}: a knockoff copy needs at least twice as "
                 "many samples as features"
             )
+        if not p:
+            raise InvalidDesign(f"the design has no columns ({n} x 0)")
         if not gram_finite:
             raise InvalidDesign("X^T X overflows double precision; rescale the design columns")
         col_norms = np.sqrt(np.diag(gram))
@@ -207,9 +205,15 @@ class _Sums:
     from the first row, so the sums depend only on the rows, not on the
     parts they arrive in; an in-memory design is added as one block.  A
     non-finite x_ij makes (X^T X)_jj non-finite, so a block is scanned for
-    non-finite entries only where its Gram is not finite.  Products with y
-    are skipped where y is missing or too short; such a record is refused
-    by its validation.
+    non-finite entries only where its Gram is not finite.
+
+    The shape rule: the sums are formed only while y is present and has at
+    least max(rows so far, 2p) entries, y's length standing in for the n a
+    stream learns at its last row.  Rows only accrue, so once the rule fails
+    ``gram`` stays None, each block is only counted and scanned for
+    non-finite entries, and validation refuses the record.  A response
+    longer than its design allows sums no larger than its own design's, as
+    p <= len(y) / 2.  The probe sums are allocated only with a probe.
     """
 
     def __init__(self, y: np.ndarray | None, attempt: int | None):
@@ -261,34 +265,32 @@ class _Sums:
             self._add(self._pending)
             self._filled = 0
 
-    def _scan(self, block: np.ndarray) -> None:
-        """Record a refused design's shape, forming no Gram, and scan it for non-finite entries."""
-        self.n, self.p = block.shape
-        self.x_finite = bool(np.all(np.isfinite(block)))
-
     def _add(self, block: np.ndarray) -> None:
-        """Add the next block of rows, unbuffered."""
-        if self.p is None:
-            p = self.p = block.shape[1]
-            self.gram, self.xty, self.row_norm_sq_max = np.zeros((p, p)), np.zeros(p), -np.inf
-            self.xtw, self.wty, self.wtw = np.zeros((p, p)), np.zeros(p), np.zeros((p, p))
+        """Add the next block of rows, unbuffered, under the shape rule."""
         start, self.n = self.n, self.n + len(block)
-        y = self.y[start : self.n] if self.y is not None and len(self.y) >= self.n else None
+        p = self.p = block.shape[1]
+        if self.y is None or len(self.y) < max(self.n, 2 * p):
+            self.gram = None
+            self.x_finite = self.x_finite and bool(np.all(np.isfinite(block)))
+            return
+        if self.gram is None:
+            self.gram, self.xty, self.row_norm_sq_max = np.zeros((p, p)), np.zeros(p), -np.inf
+            if self._probe is not None:
+                self.xtw, self.wty, self.wtw = np.zeros((p, p)), np.zeros(p), np.zeros((p, p))
+        y = self.y[start : self.n]
         with np.errstate(over="ignore", invalid="ignore"):
             gram = block.T @ block
             if not np.all(np.isfinite(gram)):
                 self.x_finite = self.x_finite and bool(np.all(np.isfinite(block)))
             self.gram += gram
-            row_max = float(np.einsum("ij,ij->i", block, block).max())
-            self.row_norm_sq_max = max(self.row_norm_sq_max, row_max)
-            if y is not None:
-                self.xty += block.T @ y
+            row_norms_sq = np.einsum("ij,ij->i", block, block)
+            self.row_norm_sq_max = float(row_norms_sq.max(initial=self.row_norm_sq_max))
+            self.xty += block.T @ y
             if self._probe is not None:
                 w = self._probe.standard_normal(block.shape)
                 self.xtw += block.T @ w
                 self.wtw += w.T @ w
-                if y is not None:
-                    self.wty += w.T @ y
+                self.wty += w.T @ y
 
 
 @dataclass(frozen=True)
@@ -309,9 +311,9 @@ class NormBounds:
             raise BoundViolation("norm bounds must be strictly positive")
         if self.row_bound_B >= self.col_min_C:
             raise BoundViolation(
-                f"row bound B={self.row_bound_B:g} must be strictly below the "
-                f"smallest column norm C_min={self.col_min_C:g}; otherwise the "
-                "row-influence ratio eta^2 = B^2/(C_min^2 - B^2) is undefined"
+                "row bound B must be strictly below the smallest column norm "
+                "C_min; otherwise the row-influence ratio eta^2 = "
+                "B^2/(C_min^2 - B^2) is undefined"
             )
 
 
@@ -585,13 +587,13 @@ def compute_bounds(d: Dataset, row_bound_override: float | None = None) -> NormB
     defaults to the observed largest row norm; ``row_bound_override``
     supplies a worst-case bound at or above it.  An override below it would
     calibrate for rows smaller than the data has, and raises
-    :class:`BoundViolation` naming both values.
+    :class:`BoundViolation` naming the override but not the private norm.
     """
     row_max = float(np.sqrt(d.row_norm_sq_max))
     b = row_max if row_bound_override is None else float(row_bound_override)
     if b < row_max:
         raise BoundViolation(
-            f"row bound B={b!r} is below the observed maximum row norm {row_max!r}; "
+            f"row bound B={b!r} is below the observed maximum row norm; "
             "the calibration must cover every row"
         )
     return NormBounds(row_bound_B=b, col_min_C=float(d.col_norms.min()))

@@ -73,8 +73,8 @@ class SimConfig:
         object.__setattr__(self, "method", str(self.method))
         if not self.n_grid:
             raise ConfigInvalid("n_grid must not be empty")
-        if not (self.p >= self.k >= 0):
-            raise ConfigInvalid(f"need p >= k >= 0, got p={self.p}, k={self.k}")
+        if not (self.p >= max(self.k, 1) and self.k >= 0):
+            raise ConfigInvalid(f"need p >= 1 and p >= k >= 0, got p={self.p}, k={self.k}")
         if any(n < 2 * self.p for n in self.n_grid):
             raise ConfigInvalid("every n in n_grid must satisfy n >= 2p")
         if not 0.0 < self.q < 1.0:

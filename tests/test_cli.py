@@ -190,9 +190,14 @@ def test_row_bound_below_the_data_is_cli_error(capsys, data_files, command, budg
     ])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith(
-        "error: row bound B=1.0 is below the observed maximum row norm "
-    ) and captured.err.count("\n") == 1
+    assert captured.err == (
+        "error: row bound B=1.0 is below the observed maximum row norm; "
+        "the calibration must cover every row\n"
+    )
+    # the observed norm is one individual's row norm: stderr does not carry it
+    x = np.loadtxt(xp, delimiter=",")
+    row_max = float(np.sqrt(np.einsum("ij,ij->i", x, x).max()))
+    assert repr(row_max) not in captured.err
 
 
 @pytest.mark.parametrize("extra", [
@@ -596,6 +601,24 @@ def test_run_subprocess_writes_nothing_to_stderr(data_files):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(json.loads(proc.stdout)["statistics"]) == 12
+
+
+def test_run_subprocess_refuses_a_short_wide_design_with_one_line(tmp_path):
+    # 6 x 3000 with a 6-line response: refused by its shape before any p x p sum
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    rng = np.random.default_rng(32)
+    np.savetxt(xp, rng.standard_normal((6, 3000)), delimiter=",", fmt="%.9g")
+    np.savetxt(yp, rng.standard_normal(6), fmt="%.9g")
+    src = os.path.dirname(os.path.dirname(dpknockoff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["-X", "dev", "-W", "error", "-m", "dpknockoff", "run", "--x", str(xp), "--y", str(yp)]
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: n=6 < 2p=6000: a knockoff copy needs at least twice as many samples as features\n"
+    )
 
 
 @pytest.mark.parametrize("command, budget", [

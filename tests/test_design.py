@@ -130,14 +130,36 @@ def test_from_arrays_combined_defects_keep_their_order(value, y_len, p, error, m
 
 
 def test_from_arrays_refused_shape_forms_no_gram(monkeypatch):
-    def no_gram(sums, x):
-        raise AssertionError("a refused shape must not form X^T X")
-
-    monkeypatch.setattr(design._Sums, "_add", no_gram)
+    summed, seen = Dataset._summed.__func__, []
+    monkeypatch.setattr(Dataset, "_summed", classmethod(
+        lambda cls, sums, **source: seen.append(sums) or summed(cls, sums, **source)))
     with pytest.raises(InvalidDesign, match="n=4 < 2p"):
         Dataset.from_arrays(np.ones((4, 3)), np.ones(4))
     with pytest.raises(DimensionMismatch):
         Dataset.from_arrays(np.ones((8, 3)), np.ones(7))
+    # the sums the builder validated hold no X^T X
+    assert [(sums.n, sums.p, sums.gram) for sums in seen] == [(4, 3, None), (8, 3, None)]
+
+
+def test_only_a_drawn_probe_allocates_probe_sums():
+    # an in-memory record and calibrate's load draw no probe, so hold no p x p probe sums
+    x = np.random.default_rng(8).standard_normal((40, 5))
+    for attempt in (None, 0):
+        sums = design._Sums(np.ones(40), attempt)
+        sums._add(x)
+        assert hasattr(sums, "xtw") == (attempt is not None)
+
+
+@pytest.mark.parametrize("shape, y_len, error, match", [
+    ((4, 0), 4, InvalidDesign, r"^the design has no columns \(4 x 0\)$"),
+    ((0, 0), 0, InvalidDesign, r"^the design has no columns \(0 x 0\)$"),
+    # no rows: the response's length or 2p refuses the shape
+    ((0, 3), 10, DimensionMismatch, "10 entries but design has 0 rows"),
+    ((0, 3), 0, InvalidDesign, "n=0 < 2p=6"),
+])
+def test_from_arrays_refuses_a_design_with_no_rows_or_columns(shape, y_len, error, match):
+    with pytest.raises(error, match=match):
+        Dataset.from_arrays(np.ones(shape), np.ones(y_len))
 
 
 def test_from_arrays_rejects_overflowing_gram():
@@ -211,9 +233,12 @@ def test_compute_bounds_override_violation():
 def test_compute_bounds_refuses_override_below_the_data(override):
     with pytest.raises(
         BoundViolation,
-        match=rf"B={override!r} is below the observed maximum row norm 1\.0;",
-    ):
+        match=rf"^row bound B={override!r} is below the observed maximum row norm; the "
+        "calibration must cover every row$",
+    ) as refused:
         compute_bounds(_block_design(), row_bound_override=override)
+    # the observed norm is one individual's row norm: the refusal does not name it
+    assert "norm 1.0" not in str(refused.value)
     # at or above the largest row norm, an override is a worst-case bound
     for b in (1.0, 1.5):
         assert compute_bounds(_block_design(), row_bound_override=b).row_bound_B == b
@@ -629,3 +654,65 @@ def test_a_refused_first_probe_reads_the_file_once_more(tmp_path, monkeypatch):
     assert len(tests) == 6  # two probes per run
     assert passes == [0, 1]  # one second pass, for the streamed record only
 
+
+# -- the shape rule: no p x p sum for a design that cannot be a record ------
+
+SHAPE_CASES = {
+    # name: (n, p, response entries, error, its text)
+    "short_and_wide": (6, 3000, 6, InvalidDesign, "n=6 < 2p=6000: a knockoff copy needs "
+                       "at least twice as many samples as features"),
+    "transposed": (40, 1000, 1000, DimensionMismatch,
+                   "response has 1000 entries but design has 40 rows"),
+    "short_response": (3000, 50, 2000, DimensionMismatch,
+                       "response has 2000 entries but design has 3000 rows"),
+}
+
+
+@pytest.fixture(scope="module")
+def shape_files(tmp_path_factory):
+    files = {}
+    for i, (name, (n, p, n_y, *_)) in enumerate(sorted(SHAPE_CASES.items())):
+        rng = np.random.default_rng(60 + i)
+        x, y = rng.standard_normal((n, p)), rng.standard_normal(n_y)
+        root = tmp_path_factory.mktemp(name)
+        xp, yp = root / "x.csv", root / "y.csv"
+        np.savetxt(xp, x, delimiter=",", fmt="%.9g")
+        np.savetxt(yp, y, fmt="%.9g")
+        with gzip.open(root / "x.csv.gz", "wb") as f:
+            f.write(xp.read_bytes())
+        files[name] = (x, y, str(xp), str(yp))
+    return files
+
+
+def _fail(*args):
+    raise OSError("the stream failed")
+
+
+@pytest.mark.parametrize("path", [
+    "from_arrays", "stream_1cpu", "stream_2cpus", "serial_fallback", "gz", "calibrate",
+])
+@pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+def test_a_refused_shape_forms_no_gram_on_any_path(shape_files, monkeypatch, case, path):
+    _, p, _, error, text = SHAPE_CASES[case]
+    x, y, xp, yp = shape_files[case]
+    _cpus(monkeypatch, 2 if path == "stream_2cpus" else 1)
+    if path == "serial_fallback":
+        monkeypatch.setattr(design, "_stream", _fail)
+    build = {
+        "from_arrays": functools.partial(Dataset.from_arrays, x, y),
+        "gz": functools.partial(load_dataset, xp + ".gz", yp),
+        "calibrate": functools.partial(design._load_record, xp, yp, False, probe=False),
+    }.get(path, functools.partial(load_dataset, xp, yp))
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as refused:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == text
+    # one p x p sum is 8 p^2 bytes; a response of at least 2p entries still
+    # allows sums over the rows it covers, so the bound is for a shorter one
+    if len(y) < 2 * p:
+        assert peak < 16 * p * p, f"peak {peak / (8 * p * p):.2f} x one p x p sum"
+    _assert_no_child_left()

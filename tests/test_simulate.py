@@ -56,6 +56,8 @@ def test_config_rejects_bad_values():
         _cfg(n_grid=())
     with pytest.raises(ConfigInvalid):
         _cfg(k=9)  # k > p
+    with pytest.raises(ConfigInvalid, match="need p >= 1"):
+        _cfg(p=0, k=0)  # no features: the filter has nothing to select from
     with pytest.raises(ConfigInvalid):
         _cfg(n_grid=(9,))  # n < 2p
     with pytest.raises(ConfigInvalid):
@@ -457,6 +459,16 @@ def test_read_config_round_trips_every_field(tmp_path):
     path = tmp_path / "every.cfg"
     path.write_text("\n".join(lines), encoding="utf-8")
     assert read_config(path) == cfg
+
+
+def test_read_config_refuses_a_design_with_no_columns(tmp_path):
+    path = tmp_path / "no_columns.cfg"
+    path.write_text(
+        "n_grid = 10\np = 0\nk = 0\namplitude = 0\nsigma2 = 1\nq = 0.2\ntrials = 2\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigInvalid, match="need p >= 1 and p >= k >= 0, got p=0, k=0"):
+        read_config(path)
 
 
 def test_read_config_keeps_the_config_spelling(tmp_path):
