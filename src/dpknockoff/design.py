@@ -8,8 +8,8 @@ diagonal scaling X' = X D with D = diag(1/||x_j||), so everything the filter
 reads of X' follows from those sums: S' = D (X^T X) D, X'^T v = D X^T v, and
 ||x_j|| = sqrt((X^T X)_jj).  The filter never forms X'.  This module holds
 that record, its validation, the norm bounds, the probe W with its cache,
-and the CSV ingestion path, which streams a design file into the record
-without holding the design.  An in-memory design and a streamed one are
+and the CSV ingestion path, which sums every design file in the same row
+blocks and streams a regular one without holding it.  Arrays and files are
 summed by the same :class:`_Sums` and validated by the same builder, and
 :meth:`Dataset.probe_products` is the one source of the products with W.
 """
@@ -99,10 +99,10 @@ class Dataset:
     it when asked, not at build time: :meth:`from_arrays` copies the arrays
     it is given, so later writes to them do not reach it, and
     :func:`~dpknockoff.simulate.generate_trial` hands over the arrays it just
-    drew.  A record :func:`load_dataset` streamed from a regular file has no
-    ``x``: ``probe_sums`` holds (X^T W_0, W_0^T y, W_0^T W_0) for the first
-    probe, summed during the same pass, and ``design_file`` the
-    (path, header lines) that is read again for any other probe.
+    drew.  A record :func:`load_dataset` builds holds in ``probe_sums``
+    (X^T W_0, W_0^T y, W_0^T W_0), summed in the same pass; any other probe
+    reads its ``design_file`` (path, header lines) again, or the rows of a
+    pipe, which can be read only once, kept as ``x``.
     """
 
     n: int
@@ -173,9 +173,9 @@ class Dataset:
     def probe_products(self, attempt: int) -> tuple:
         """(X^T W, W^T y, W^T W) for the default probe W of retry ``attempt``.
 
-        Stored products are returned as they are.  Otherwise an in-memory
-        record forms them from ``x`` and the cached probe, and a streamed
-        record reads its design file once more.
+        Stored products are returned as they are.  Otherwise a record with
+        ``x`` forms them from it and the cached probe, and a record without
+        reads its design file once more.
         """
         if attempt == 0 and self.probe_sums is not None:
             return self.probe_sums
@@ -191,8 +191,8 @@ class Dataset:
         return sums.probe_products
 
 
-# Rows per block of the streamed sums; the block buffer, one parsed block and
-# one block of W are all the n x p data a streaming pass holds.
+# Rows per block of a loaded design's sums (fewer for a shorter y); the block
+# buffer, one parsed block and one block of W are all a streaming pass holds.
 _BLOCK_ROWS = 1024
 
 
@@ -201,9 +201,11 @@ class _Sums:
     squared row norm and, for a probe ``attempt``, X^T W, W^T y and W^T W
     with the rows of W drawn alongside.
 
-    A streamed design is folded in blocks of ``_BLOCK_ROWS`` rows counted
-    from the first row, so the sums depend only on the rows, not on the
-    parts they arrive in; an in-memory design is added as one block.  A
+    A loaded design is folded in blocks of ``block_rows`` rows counted from
+    the first row, so the sums depend only on the rows, not on the parts
+    they arrive in; an in-memory array is added as one block.  A block is
+    ``_BLOCK_ROWS`` rows, or len(y) where fewer: a valid record has len(y)
+    rows, so its blocks are the same, and a refused one holds no more.  A
     non-finite x_ij makes (X^T X)_jj non-finite, so a block is scanned for
     non-finite entries only where its Gram is not finite.
 
@@ -213,31 +215,30 @@ class _Sums:
     ``gram`` stays None, each block is only counted and scanned for
     non-finite entries, and validation refuses the record.  A response
     longer than its design allows sums no larger than its own design's, as
-    p <= len(y) / 2.  The probe sums are allocated only with a probe.
+    p <= len(y) / 2.  A probe's generator and sums are made at the first sum.
     """
 
     def __init__(self, y: np.ndarray | None, attempt: int | None):
         self.y, self.n, self.p, self.gram, self.x_finite = y, 0, None, None, True
-        self._probe = None if attempt is None else _probe_generator(attempt)
-        self._pending, self._filled = None, 0
+        self._attempt, self._pending, self._filled = attempt, None, 0
+        self.block_rows = _BLOCK_ROWS if y is None else min(_BLOCK_ROWS, len(y))
 
     def fold(self, rows: np.ndarray) -> None:
         """Add rows in order, through the block buffer."""
         while len(rows):
-            k = min(len(rows), _BLOCK_ROWS - self._filled)
-            self._buffer(rows.shape[1])[self._filled : self._filled + k] = rows[:k]
-            self._took(k)
-            rows = rows[k:]
+            view = self._buffer(rows.shape[1])[self._filled : self._filled + len(rows)]
+            view[:] = rows[: len(view)]
+            self._took(len(view))
+            rows = rows[len(view) :]
 
     def fold_from(self, reader, rows: int, cols: int) -> None:
         """Add ``rows`` rows of ``cols`` doubles read from ``reader`` into the block buffer."""
         while rows:
-            k = min(rows, _BLOCK_ROWS - self._filled)
-            view = self._buffer(cols)[self._filled : self._filled + k]
+            view = self._buffer(cols)[self._filled : self._filled + rows]
             if reader.readinto(view) != view.nbytes:
                 raise EOFError("a design part's child sent fewer rows than it announced")
-            self._took(k)
-            rows -= k
+            self._took(len(view))
+            rows -= len(view)
 
     def finish(self) -> "_Sums":
         if self._pending is None:
@@ -250,18 +251,18 @@ class _Sums:
     @property
     def probe_products(self) -> tuple | None:
         """(X^T W, W^T y, W^T W), or None where no probe was drawn."""
-        return None if self._probe is None else (self.xtw, self.wty, self.wtw)
+        return None if self._attempt is None else (self.xtw, self.wty, self.wtw)
 
     def _buffer(self, cols: int) -> np.ndarray:
         if self._pending is None:
-            self._pending = np.empty((_BLOCK_ROWS, cols))
+            self._pending = np.empty((self.block_rows, cols))
         elif cols != self._pending.shape[1]:
             raise ValueError(f"a part has {cols} columns, the first part {self._pending.shape[1]}")
         return self._pending
 
     def _took(self, k: int) -> None:
         self._filled += k
-        if self._filled == _BLOCK_ROWS:
+        if self._filled == self.block_rows:
             self._add(self._pending)
             self._filled = 0
 
@@ -275,7 +276,8 @@ class _Sums:
             return
         if self.gram is None:
             self.gram, self.xty, self.row_norm_sq_max = np.zeros((p, p)), np.zeros(p), -np.inf
-            if self._probe is not None:
+            if self._attempt is not None:
+                self._probe = _probe_generator(self._attempt)
                 self.xtw, self.wty, self.wtw = np.zeros((p, p)), np.zeros(p), np.zeros((p, p))
         y = self.y[start : self.n]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -286,7 +288,7 @@ class _Sums:
             row_norms_sq = np.einsum("ij,ij->i", block, block)
             self.row_norm_sq_max = float(row_norms_sq.max(initial=self.row_norm_sq_max))
             self.xty += block.T @ y
-            if self._probe is not None:
+            if self._attempt is not None:
                 w = self._probe.standard_normal(block.shape)
                 self.xtw += block.T @ w
                 self.wtw += w.T @ w
@@ -365,40 +367,39 @@ def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
     :class:`ParseError` naming the file; the design file's errors come
     before the response file's.
 
-    A regular design file is streamed: its rows, exactly the rows one
-    ``np.loadtxt`` of the whole file returns, are summed block by block into
-    the record together with the rows of the first probe W, and no n x p
-    array is held.  Where ``os.sched_getaffinity`` lists more than one CPU
-    the file is cut into newline-aligned parts, one per CPU: this process
-    streams the first part and a forked child parses each other part, whose
-    rows this process reads from a pipe and sums in row order.  The sums do
-    not depend on the cut.  Any failure of the stream (a fork, a child, a
-    warning, a column count) falls back to one ``np.loadtxt`` of the whole
+    Every design is summed one way: its rows, exactly the rows one
+    ``np.loadtxt`` of the whole file returns, are summed in blocks of
+    ``_BLOCK_ROWS`` rows counted from row 0, together with the rows of the
+    first probe W, so a file gives the same record bits however it is read.
+    Only a pipe keeps its rows, for a second probe.  A regular file is
+    streamed and no n x p array is held.  Where ``os.sched_getaffinity``
+    lists more than one CPU the file is cut into newline-aligned parts, one
+    per CPU: this process streams the first part and a forked child parses
+    each other part, whose rows this process reads from a pipe and sums in
+    row order.  Any failure of the stream (a fork, a child, a warning, a
+    column count, the bytes of a compressed file, which ``np.loadtxt``
+    decompresses by name) falls back to one ``np.loadtxt`` of the whole
     file, so errors, warnings and row numbers are those of the serial parse.
-    A compressed name (which ``np.loadtxt`` decompresses) or anything but a
-    regular file (a pipe can be read only once) is parsed whole and kept as
-    an in-memory record.
     """
     return _load_record(x_path, y_path, has_header, probe=True)
 
 
 def _load_record(x_path, y_path, has_header: bool, probe: bool) -> Dataset:
-    """:func:`load_dataset`; without ``probe`` a streamed record sums no probe rows."""
+    """:func:`load_dataset`; without ``probe`` no probe rows are drawn or summed."""
     skip = 1 if has_header else 0
     try:
         y, y_error = _read_response(y_path, skip), None
     except Exception as exc:  # raised after the design file's own errors
         y, y_error = None, exc
-    x = sums = None
-    if _streamable(x_path):
-        sums = _design_sums(x_path, skip, y, 0 if probe else None)
-    else:
-        x = _read_table(x_path, "design", functools.partial(_loadtxt_csv, x_path, skip))
+    attempt = 0 if probe else None
+    if _regular(x_path):
+        sums, source = _design_sums(x_path, skip, y, attempt), {"design_file": (x_path, skip)}
+    else:  # a pipe can be read only once, so its rows are kept for a second probe
+        sums, x = _parsed(x_path, skip, y, attempt)
+        source = {"x": x}
     if y_error is not None:
         raise y_error
-    if sums is None:
-        return Dataset._owned(x, y)
-    return Dataset._summed(sums, design_file=(x_path, skip))
+    return Dataset._summed(sums, **source)
 
 
 def _read_response(path, skip: int) -> np.ndarray:
@@ -431,16 +432,20 @@ def _loadtxt_csv(source, skip: int, max_rows: int | None = None) -> np.ndarray:
     )
 
 
-# np.loadtxt opens a file with one of these suffixes through a decompressor
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-
-
-def _streamable(path) -> bool:
-    """A regular, uncompressed file; a path that cannot be stat'ed is left to np.loadtxt."""
+def _regular(path) -> bool:
+    """A regular file; a path that cannot be stat'ed is left to np.loadtxt."""
     try:
-        return not str(path).endswith(_COMPRESSED) and stat.S_ISREG(os.stat(path).st_mode)
+        return stat.S_ISREG(os.stat(path).st_mode)
     except OSError:
         return False
+
+
+def _parsed(path, skip: int, y, attempt: int | None) -> tuple[_Sums, np.ndarray]:
+    """One ``np.loadtxt`` of the whole design file, and its rows' sums in a stream's blocks."""
+    x = _read_table(path, "design", functools.partial(_loadtxt_csv, path, skip))
+    sums = _Sums(y, attempt)
+    sums.fold(x)
+    return sums.finish(), x
 
 
 def _design_sums(path, skip: int, y, attempt: int | None) -> _Sums:
@@ -452,9 +457,7 @@ def _design_sums(path, skip: int, y, attempt: int | None) -> _Sums:
     try:
         return _stream(path, skip, y, attempt)
     except Exception:
-        sums = _Sums(y, attempt)
-        sums.fold(_read_table(path, "design", functools.partial(_loadtxt_csv, path, skip)))
-        return sums.finish()
+        return _parsed(path, skip, y, attempt)[0]
 
 
 def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
@@ -479,10 +482,10 @@ def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
         with _forked(parts) as readers:
             with _text_range(f.fileno(), 0, bounds[1]) as text:
                 while True:
-                    block = _parse_part(text, skip, _BLOCK_ROWS)
+                    block = _parse_part(text, skip, sums.block_rows)
                     skip = 0
                     sums.fold(block)
-                    if len(block) < _BLOCK_ROWS:
+                    if len(block) < sums.block_rows:
                         break
             for reader in readers:
                 sums.fold_from(reader, *struct.unpack("2q", reader.read(16)))

@@ -221,10 +221,9 @@ class SensitivityContext:
         denom_sq = (1.0 - self.eta2) * lam_eff - self.eta2
         if denom_sq <= 0.0:
             raise PrivacyPreconditionFailed(
-                f"estimate release needs (1 - eta^2)*lambda_min > eta^2; got "
-                f"eta^2={self.eta2:.6g}, effective lambda_min={lam_eff:.6g}. "
-                "Ridge stabilization (a positive ridge_omega2) raises the effective "
-                "eigenvalue when eta^2 < 1; with eta^2 >= 1 the norm bounds are too loose."
+                "estimate release needs (1 - eta^2)*lambda_min > eta^2, with lambda_min "
+                "the effective eigenvalue. Ridge stabilization (a positive ridge_omega2) "
+                "raises it when eta^2 < 1; with eta^2 >= 1 the norm bounds are too loose."
             )
         return (
             2.0 * math.sqrt(self.zeta) / math.sqrt(denom_sq)

@@ -656,15 +656,40 @@ def test_calibrate_draws_no_probe(capsys, data_files, monkeypatch):
     xp, yp, bnorm = data_files
     with open(xp, "rb") as f, gzip.open(xp + ".gz", "wb") as g:
         g.write(f.read())
-    # a plain file is streamed, with the probe rows drawn alongside the design's;
-    # a .gz file is parsed whole into an in-memory record, which asks the probe
-    # cache, emptied first so that its call draws the probe once
-    for x, expected in ((xp, [(0,)]), (xp + ".gz", [(300, 12, 0), (0,)])):
+    # a plain file and a .gz file are summed alike, with the probe rows drawn
+    # alongside the design's; the probe cache, emptied first, is never asked
+    for x in (xp, xp + ".gz"):
         draws.clear()
         cached.cache_clear()
         argv = ["--x", x, "--y", yp, "--method", "1", *PAIR_BUDGET,
                 "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0"]
         assert main(["calibrate", *argv]) == 0 and draws == []
-        assert main(["run", *argv]) == 0 and draws == expected  # the spies do see a draw
+        assert main(["run", *argv]) == 0 and draws == [(0,)]  # the spies do see a draw
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [3000, 500])
+def test_every_design_input_prints_the_plain_files_bytes(
+    tmp_path, capsys, compressed_copies, fifo_of, n
+):
+    # compressed copies and a pipe give the plain file's record bit for bit,
+    # in blocks of 1024 rows above n = 1024 too, so every output is the same
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((n, 20))
+    y = x[:, :5] @ np.full(5, 0.5) + rng.standard_normal(n)
+    xp, yp = tmp_path / "x.csv", str(tmp_path / "y.csv")
+    np.savetxt(xp, x, delimiter=",", fmt="%.17g")
+    np.savetxt(yp, y, fmt="%.17g")
+    designs = [str(xp), *compressed_copies(xp)]
+    bounds = ["--beta-norm-bound", f"{np.sqrt(5) * 0.5}", "--sigma2-bound", "1.0"]
+    for argv in (
+        ["run"],
+        ["run", "--method", "2", "--seed", "7", *ESTIMATE_BUDGET, *bounds],
+        ["calibrate", "--method", "1", *PAIR_BUDGET, *bounds],
+    ):
+        outputs = []
+        for design_path in (*designs, fifo_of(xp)):
+            assert main([*argv, "--x", design_path, "--y", yp]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == outputs[:1] * len(outputs), argv
 

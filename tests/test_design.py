@@ -75,6 +75,14 @@ def test_load_dataset_parse_errors(tmp_path, payload):
         load_dataset(xp, yp)
 
 
+def test_the_design_files_error_comes_first_on_every_input(tmp_path, compressed_copies, fifo_of):
+    xp = _write(tmp_path / "x.csv", "1,2\n3,oops\n5,6\n")
+    yp = _write(tmp_path / "y.csv", "")  # refused too, but after the design
+    for path in (xp, *compressed_copies(xp), fifo_of(xp)):
+        with pytest.raises(ParseError, match=f"^could not parse design file {re.escape(path)}"):
+            load_dataset(path, yp)
+
+
 def test_load_dataset_refuses_several_values_per_response_line(tmp_path):
     # read row-major, a 15 x 2 response would pair each design row with an unrelated value
     rng = np.random.default_rng(7)
@@ -452,15 +460,18 @@ def test_split_parse_with_a_cut_in_the_last_line(tmp_path, monkeypatch, cpus, ne
 
 
 @needs_affinity
-def test_split_parse_leaves_a_compressed_design_to_loadtxt(tmp_path, monkeypatch):
-    # np.loadtxt decompresses a .gz by name; its bytes are not the design's lines
-    path = tmp_path / "x.csv.gz"
-    with gzip.open(path, "wt", encoding="utf-8") as f:
-        f.write("\n".join(_rows(80, 3)) + "\n")
+def test_split_parse_leaves_a_compressed_design_to_loadtxt(tmp_path, monkeypatch, compressed_copies):
+    # np.loadtxt decompresses by name; a compressed file's bytes fail the
+    # stream, and the serial parse folds the plain file's blocks
+    xp = _write(tmp_path / "x.csv", "\n".join(_rows(3000, 3)) + "\n")
+    yp = _write(tmp_path / "y.csv", "\n".join(["1"] * 3000) + "\n")
     _cpus(monkeypatch, 4)
-    yp = _write(tmp_path / "y.csv", "\n".join(["1"] * 80) + "\n")
-    ds = load_dataset(str(path), yp)
-    _assert_same_bits(ds.x, _serial_design(str(path)))  # kept whole, in memory
+    plain = load_dataset(xp, yp)
+    for path in compressed_copies(xp):
+        ds = load_dataset(path, yp)
+        assert ds.x is None and ds.design_file == (path, 0)
+        _assert_same_record(ds, plain)
+    _assert_no_child_left()
 
 
 @needs_affinity
@@ -622,7 +633,7 @@ def test_streaming_a_design_holds_no_design(tmp_path, monkeypatch):
     assert peak < 0.25 * 8 * n * p, f"peak {peak / (8 * n * p):.2f} x the design"
 
 
-def test_a_refused_first_probe_reads_the_file_once_more(tmp_path, monkeypatch):
+def test_a_refused_first_probe_reads_the_file_once_more(tmp_path, monkeypatch, fifo_of):
     rng = np.random.default_rng(44)
     n, p = 3000, 12
     x = rng.standard_normal((n, p))
@@ -632,12 +643,18 @@ def test_a_refused_first_probe_reads_the_file_once_more(tmp_path, monkeypatch):
     np.savetxt(yp, y, fmt="%.17g")
     with gzip.open(tmp_path / "x.csv.gz", "wb") as f:
         f.write(xp.read_bytes())
-    passes = []
-    stream = design._stream
-    monkeypatch.setattr(design, "_stream", lambda *args: passes.append(args[3]) or stream(*args))
+    fifo = fifo_of(xp)
+    passes, streams = [], []
+    design_sums, stream = design._design_sums, design._stream
+    monkeypatch.setattr(design, "_design_sums", lambda *a: passes.append(a[3]) or design_sums(*a))
+    monkeypatch.setattr(design, "_stream", lambda *a: streams.append(a[0]) or stream(*a))
     streamed = load_dataset(str(xp), str(yp))
     compressed = load_dataset(str(tmp_path / "x.csv.gz"), str(yp))
-    assert passes == [0]
+    piped = load_dataset(fifo, str(yp))
+    assert passes == [0, 0] and fifo not in streams  # a pipe is parsed whole, never streamed
+    _assert_same_bits(piped.x, x)  # kept for a second probe
+    for ds in (compressed, piped):
+        _assert_same_record(ds, streamed)
 
     rank_tol, tests = knockoffs._rank_tol, []
 
@@ -647,12 +664,12 @@ def test_a_refused_first_probe_reads_the_file_once_more(tmp_path, monkeypatch):
 
     monkeypatch.setattr(knockoffs, "_rank_tol", refuse_every_first_probe)
     memory = run_knockoff_filter(Dataset.from_arrays(x, y), q=0.2)
-    for ds in (streamed, compressed):
+    for ds in (streamed, compressed, piped):
         result = run_knockoff_filter(ds, q=0.2)
         assert result.report.selected == memory.report.selected != frozenset()
         assert np.allclose(result.report.w.w, memory.report.w.w, rtol=1e-9, atol=1e-12)
-    assert len(tests) == 6  # two probes per run
-    assert passes == [0, 1]  # one second pass, for the streamed record only
+    assert len(tests) == 8  # two probes per run
+    assert passes == [0, 0, 1, 1]  # one second pass over each file; the pipe's rows are kept
 
 
 # -- the shape rule: no p x p sum for a design that cannot be a record ------
@@ -689,15 +706,17 @@ def _fail(*args):
 
 
 @pytest.mark.parametrize("path", [
-    "from_arrays", "stream_1cpu", "stream_2cpus", "serial_fallback", "gz", "calibrate",
+    "from_arrays", "stream_1cpu", "stream_2cpus", "serial_fallback", "gz", "fifo", "calibrate",
 ])
 @pytest.mark.parametrize("case", sorted(SHAPE_CASES))
-def test_a_refused_shape_forms_no_gram_on_any_path(shape_files, monkeypatch, case, path):
+def test_a_refused_shape_forms_no_gram_on_any_path(shape_files, monkeypatch, fifo_of, case, path):
     _, p, _, error, text = SHAPE_CASES[case]
     x, y, xp, yp = shape_files[case]
     _cpus(monkeypatch, 2 if path == "stream_2cpus" else 1)
     if path == "serial_fallback":
         monkeypatch.setattr(design, "_stream", _fail)
+    if path == "fifo":
+        xp = fifo_of(xp)
     build = {
         "from_arrays": functools.partial(Dataset.from_arrays, x, y),
         "gz": functools.partial(load_dataset, xp + ".gz", yp),
@@ -715,4 +734,6 @@ def test_a_refused_shape_forms_no_gram_on_any_path(shape_files, monkeypatch, cas
     # allows sums over the rows it covers, so the bound is for a shorter one
     if len(y) < 2 * p:
         assert peak < 16 * p * p, f"peak {peak / (8 * p * p):.2f} x one p x p sum"
+    if case == "short_and_wide":  # six rows need no 1024-row block buffer
+        assert peak < 2e6, f"peak {peak / 1e6:.1f} MB"
     _assert_no_child_left()

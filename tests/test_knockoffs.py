@@ -385,6 +385,9 @@ def test_non_positive_definite_gram_raises_invalid_design():
     # unit diagonal like every S'; the leading 2 x 2 block is PD, the whole is not
     bad = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
     assert np.linalg.eigvalsh(bad)[0] < 0.0
+    # lambda_min is a fact of the private design: the message leaves it out
+    with pytest.raises(InvalidDesign, match="^normalized Gram matrix is numerically singular$"):
+        GramSpectrum.from_gram(bad)
     spectrum = GramSpectrum(bad, 0.5, 2.0, float(np.linalg.norm(bad)))
     ds, _ = _design_and_response(np.random.default_rng(27).standard_normal((40, 3)), 28)
     with pytest.raises(InvalidDesign):
@@ -597,7 +600,7 @@ def test_decorrelation_factors_the_schur_complement_or_refuses():
     assert factored >= 800 and refused >= 3
 
 
-def test_near_duplicate_column_is_refused_with_its_condition_number():
+def test_near_duplicate_column_is_refused_naming_the_check():
     n, p = 40, 4
     rng = np.random.default_rng(33)
     x = rng.standard_normal((n, p))
@@ -605,8 +608,13 @@ def test_near_duplicate_column_is_refused_with_its_condition_number():
     ds = Dataset.from_arrays(x, x[:, 0] + rng.standard_normal(n))
     spectrum = gram_spectrum(ds)
     assert 1e15 < spectrum.lambda_max / spectrum.lambda_min < 1e17
-    with pytest.raises(KnockoffInfeasible, match=r"cond\(S'\)=\d\.\d{3}e\+1[56]"):
+    # cond(S') is a fact of the private design, so the message leaves it out
+    with pytest.raises(KnockoffInfeasible) as refused:
         knockoff_summary(ds, spectrum)
+    assert str(refused.value) == (
+        "knockoff Schur complement 2sI - s^2 S'^-1 is numerically singular; "
+        "the design is too nearly collinear"
+    )
 
 
 def test_reference_classic_s_copy_has_singular_augmented_gram(monkeypatch):

@@ -285,8 +285,14 @@ def test_estimate_sensitivity_precondition():
     oracle = ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=0.9)
     ctx = build_sensitivity_context(bounds, oracle, spectrum, 1.0, budget)
-    with pytest.raises(PrivacyPreconditionFailed):
+    with pytest.raises(PrivacyPreconditionFailed) as refused:
         ctx.estimate_sensitivity
+    # eta^2 and lambda_min are facts of the private data: the message names the check
+    assert str(refused.value) == (
+        "estimate release needs (1 - eta^2)*lambda_min > eta^2, with lambda_min the "
+        "effective eigenvalue. Ridge stabilization (a positive ridge_omega2) raises it "
+        "when eta^2 < 1; with eta^2 >= 1 the norm bounds are too loose."
+    )
     # ridge stabilization rescues it: effective lambda_min = 0.4 + 0.3 > 0.5
     assert dataclasses.replace(ctx, ridge_omega2=0.3).estimate_sensitivity > 0
     with pytest.raises(ValueError, match="^ridge_omega2 must be nonnegative$"):
