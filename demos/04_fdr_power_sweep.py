@@ -10,7 +10,6 @@ It runs in a few seconds on two cores.
 """
 
 from dpknockoff import SimConfig, run_sweep, write_report
-from dpknockoff.simulate import write_plot_data
 
 GRID = (1000, 8000, 32000)
 TRIALS = 40
@@ -23,13 +22,12 @@ common = dict(
 
 for method, extra in (("1", dict(eps=0.1, eps_1=0.05, eps_2=0.05)), ("2", dict(eps=0.2))):
     cfg = SimConfig(method=method, **extra, **common)
-    report = run_sweep(cfg)
+    rows = run_sweep(cfg)
     print(f"method {method} (target FDR {cfg.q}):")
-    for row in report.rows:
+    for row in rows:
         print(f"  n={row.n:6d}  fdr={row.fdr_hat:.3f} (se {row.fdr_se:.3f})  "
               f"power={row.power_hat:.3f} (se {row.power_se:.3f})  "
               f"privacy=({row.eps_total:.3g}, {row.delta_total:.3g})")
     out = f"sweep_method{method}.csv"
-    write_report(report, out)
-    write_plot_data(report, f"sweep_method{method}_plot.csv")
+    write_report(rows, out, f"sweep_method{method}_plot.csv")
     print(f"  wrote {out}\n")

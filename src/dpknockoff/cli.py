@@ -12,6 +12,7 @@ Three subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from .knockoffs import gram_spectrum, raw_gram_frobenius
 from .pipeline import METHODS, _single_blas_thread, run_knockoff_filter
 from .privacy import PrivacyBudget, build_sensitivity_context, delta2_floor
 from .selection import STATISTIC_KINDS
-from .simulate import _write_sweep, read_config
+from .simulate import _sweep_rows, read_config, write_report
 
 
 def _finite(text: str) -> float:
@@ -166,12 +167,7 @@ def cmd_run(args) -> int:
         seed=args.seed,
     )
     report = result.report
-    if result.release is not None:
-        noise_scales = dict(result.release.noise_scales)
-        eps_total, delta_total = result.release.total_privacy()
-    else:
-        noise_scales = {}
-        eps_total, delta_total = 0.0, 0.0
+    eps_total, delta_total = result.release.total_privacy() if result.release else (0.0, 0.0)
     record = {
         "selected": sorted(report.selected),
         "threshold": _json_value(report.threshold_t),
@@ -179,7 +175,6 @@ def cmd_run(args) -> int:
         "statistic_kind": report.w.statistic_kind,
         "q": report.q,
         "method": method,
-        "noise_scales": noise_scales,
         "total_privacy": {"eps": eps_total, "delta": delta_total},
     }
     print(json.dumps(record, indent=2))
@@ -189,7 +184,8 @@ def cmd_run(args) -> int:
 def cmd_simulate(args) -> int:
     overrides = {"base_seed": args.seed, "threads": args.threads}
     cfg = replace(read_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
-    _write_sweep(cfg, args.out, args.emit_plot_data)
+    with contextlib.closing(_sweep_rows(cfg)) as rows:  # unpins BLAS if a write fails
+        write_report(rows, args.out, args.emit_plot_data)
     return 0
 
 

@@ -205,17 +205,18 @@ class _Sums:
     the first row, so the sums depend only on the rows, not on the parts
     they arrive in; an in-memory array is added as one block.  A block is
     ``_BLOCK_ROWS`` rows, or len(y) where fewer: a valid record has len(y)
-    rows, so its blocks are the same, and a refused one holds no more.  A
-    non-finite x_ij makes (X^T X)_jj non-finite, so a block is scanned for
-    non-finite entries only where its Gram is not finite.
+    rows, so its blocks are the same.  A non-finite x_ij makes (X^T X)_jj
+    non-finite, so a block is scanned for non-finite entries only where its
+    Gram is not finite.
 
     The shape rule: the sums are formed only while y is present and has at
     least max(rows so far, 2p) entries, y's length standing in for the n a
     stream learns at its last row.  Rows only accrue, so once the rule fails
-    ``gram`` stays None, each block is only counted and scanned for
-    non-finite entries, and validation refuses the record.  A response
-    longer than its design allows sums no larger than its own design's, as
-    p <= len(y) / 2.  A probe's generator and sums are made at the first sum.
+    ``gram`` stays None, validation refuses the record, and each later block
+    is ``_BLOCK_ROWS`` rows whatever len(y) is, only counted and scanned for
+    non-finite entries.  A response longer than its design allows sums no
+    larger than its own design's, as p <= len(y) / 2.  A probe's generator
+    and sums are made at the first sum.
     """
 
     def __init__(self, y: np.ndarray | None, attempt: int | None):
@@ -254,10 +255,10 @@ class _Sums:
         return None if self._attempt is None else (self.xtw, self.wty, self.wtw)
 
     def _buffer(self, cols: int) -> np.ndarray:
-        if self._pending is None:
-            self._pending = np.empty((self.block_rows, cols))
-        elif cols != self._pending.shape[1]:
+        if self._pending is not None and cols != self._pending.shape[1]:
             raise ValueError(f"a part has {cols} columns, the first part {self._pending.shape[1]}")
+        if self._pending is None or len(self._pending) < self.block_rows:  # first, or refused
+            self._pending = np.empty((self.block_rows, cols))
         return self._pending
 
     def _took(self, k: int) -> None:
@@ -271,7 +272,7 @@ class _Sums:
         start, self.n = self.n, self.n + len(block)
         p = self.p = block.shape[1]
         if self.y is None or len(self.y) < max(self.n, 2 * p):
-            self.gram = None
+            self.gram, self.block_rows = None, _BLOCK_ROWS
             self.x_finite = self.x_finite and bool(np.all(np.isfinite(block)))
             return
         if self.gram is None:
@@ -376,10 +377,11 @@ def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
     lists more than one CPU the file is cut into newline-aligned parts, one
     per CPU: this process streams the first part and a forked child parses
     each other part, whose rows this process reads from a pipe and sums in
-    row order.  Any failure of the stream (a fork, a child, a warning, a
-    column count, the bytes of a compressed file, which ``np.loadtxt``
-    decompresses by name) falls back to one ``np.loadtxt`` of the whole
-    file, so errors, warnings and row numbers are those of the serial parse.
+    row order.  A name ``np.loadtxt`` decompresses (``.gz``, ``.bz2``,
+    ``.xz``, ``.lzma``) is never streamed, whatever its bytes, and any
+    failure of the stream (a fork, a child, a warning, a column count) falls
+    back to one ``np.loadtxt`` of the whole file, so errors, warnings and
+    row numbers are those of the serial parse.
     """
     return _load_record(x_path, y_path, has_header, probe=True)
 
@@ -465,8 +467,11 @@ def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
 
     This process streams the first part in blocks while a forked child
     parses each other part whole; each child holds its rows until this
-    process reads them from its pipe, in row order.  Any failure raises.
+    process reads them from its pipe, in row order.  Any failure raises,
+    and a name that ``np.loadtxt`` would decompress is refused unread.
     """
+    if os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):  # numpy's openers
+        raise ValueError(f"np.loadtxt decompresses {path}; its bytes are not its rows")
     cpus = len(os.sched_getaffinity(0))
     sums = _Sums(y, attempt)
     with open(path, "rb") as f:
@@ -482,10 +487,11 @@ def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
         with _forked(parts) as readers:
             with _text_range(f.fileno(), 0, bounds[1]) as text:
                 while True:
-                    block = _parse_part(text, skip, sums.block_rows)
+                    rows = sums.block_rows  # grows where the shape rule fails
+                    block = _parse_part(text, skip, rows)
                     skip = 0
                     sums.fold(block)
-                    if len(block) < sums.block_rows:
+                    if len(block) < rows:
                         break
             for reader in readers:
                 sums.fold_from(reader, *struct.unpack("2q", reader.read(16)))

@@ -13,7 +13,7 @@ import math
 import os
 import pickle
 import warnings
-from dataclasses import MISSING, astuple, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
 
@@ -123,11 +123,6 @@ class SimRow:
     failures: int
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    rows: tuple = field(default_factory=tuple)
-
-
 REPORT_COLUMNS = tuple(f.name for f in fields(SimRow))
 
 
@@ -201,14 +196,15 @@ def _trial_outcome(cfg: SimConfig, n: int, n_idx: int, t: int):
     return evaluate_selection(result.report, oracle)
 
 
-def run_sweep(cfg: SimConfig) -> SimulationReport:
+def run_sweep(cfg: SimConfig) -> tuple[SimRow, ...]:
     """Run the full grid of sample sizes and aggregate FDR/power estimates.
 
-    Each sample size's trials are shared by this process and workers forked
-    for it (see ``SimConfig.threads``) and placed by trial index, so the
-    report is a pure function of (cfg, base_seed) for any worker count.
-    numpy's bundled OpenBLAS is pinned to one thread for the sweep and the
-    workers inherit the pin, so trials do not oversubscribe the cores and
+    Returns one :class:`SimRow` per sample size, in order of n, all computed
+    before it returns.  Each sample size's trials are shared by this process
+    and workers forked for it (see ``SimConfig.threads``) and placed by trial
+    index, so the rows are a pure function of (cfg, base_seed) for any worker
+    count.  numpy's bundled OpenBLAS is pinned to one thread for the sweep and
+    the workers inherit the pin, so trials do not oversubscribe the cores and
     every worker count computes the same bits.  Trials whose privacy
     precondition fails are excluded from the means and counted under
     ``failures``.  A failure rate above MAX_FAILURE_RATE, or any other
@@ -217,7 +213,7 @@ def run_sweep(cfg: SimConfig) -> SimulationReport:
     :class:`SweepAborted`, which names the lowest failing trial's error and
     carries the rows of the sample sizes already finished.
     """
-    return SimulationReport(rows=tuple(_sweep_rows(cfg)))
+    return tuple(_sweep_rows(cfg))
 
 
 def _cell_outcomes(cfg: SimConfig, n: int, n_idx: int) -> list:
@@ -308,11 +304,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(rows, outputs) -> None:
-    """Write one CSV per (path, columns, values) output: its header line,
-    then the line ``values(row)`` of each row as the row arrives, with 6
-    significant digits.  Each line is flushed as it is written, so the rows
-    written before a failure stay on disk."""
+PLOT_COLUMNS = ("n", "log10_n", "method", "stat", "fdr_hat", "fdr_se", "power_hat", "power_se")
+
+
+def _plot_values(row: SimRow) -> tuple:
+    return (row.n, math.log10(row.n), row.method, row.stat,
+            row.fdr_hat, row.fdr_se, row.power_hat, row.power_se)
+
+
+def write_report(rows, out_path, plot_path=None) -> None:
+    """Write sweep rows as CSV, one line per row in the order given, one
+    column per SimRow field, with 6 significant digits.  Given ``plot_path``,
+    also write a companion CSV shaped for plotting (log-scale sample size
+    included).  ``rows`` may be any iterable, such as rows still being
+    computed: both headers are written first, then each row's line to each
+    file as the row arrives, flushed, so the rows written before a failure
+    stay on disk."""
+    outputs = [(out_path, REPORT_COLUMNS, astuple)]
+    if plot_path is not None:
+        outputs.append((plot_path, PLOT_COLUMNS, _plot_values))
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
                  for path, _, _ in outputs]
@@ -323,35 +333,6 @@ def _write_csv(rows, outputs) -> None:
             for fh, (_, _, values) in zip(files, outputs):
                 fh.write(",".join(map(_fmt, values(row))) + "\n")
                 fh.flush()
-
-
-def write_report(report: SimulationReport, out_path) -> None:
-    """Write the sweep report as CSV, one row per (n, method), one column per SimRow field."""
-    _write_csv(sorted(report.rows, key=lambda r: r.n), [(out_path, REPORT_COLUMNS, astuple)])
-
-
-PLOT_COLUMNS = ("n", "log10_n", "method", "stat", "fdr_hat", "fdr_se", "power_hat", "power_se")
-
-
-def _plot_values(row: SimRow) -> tuple:
-    return (row.n, math.log10(row.n), row.method, row.stat,
-            row.fdr_hat, row.fdr_se, row.power_hat, row.power_se)
-
-
-def write_plot_data(report: SimulationReport, out_path) -> None:
-    """Write a companion CSV shaped for plotting (log-scale sample size included)."""
-    _write_csv(sorted(report.rows, key=lambda r: r.n), [(out_path, PLOT_COLUMNS, _plot_values)])
-
-
-def _write_sweep(cfg: SimConfig, out_path, plot_path=None) -> None:
-    """Run the sweep into its report CSV and, given ``plot_path``, its plot
-    CSV, writing each row as its sample size finishes: the bytes of
-    :func:`write_report` and :func:`write_plot_data` on the same rows."""
-    outputs = [(out_path, REPORT_COLUMNS, astuple)]
-    if plot_path is not None:
-        outputs.append((plot_path, PLOT_COLUMNS, _plot_values))
-    with contextlib.closing(_sweep_rows(cfg)) as rows:  # unpins BLAS if a write fails
-        _write_csv(rows, outputs)
 
 
 # Config-file spelling of the SimConfig fields that are not spelled as named.

@@ -65,7 +65,7 @@ def test_criterion_01_nonprivate_fdr_control():
         n_grid=(2000,), p=30, k=10, amplitude=3.5, sigma2=1.0, q=0.2,
         trials=500, method="none", stat="csm", base_seed=20260808, threads=2,
     )
-    row = run_sweep(cfg).rows[0]
+    row = run_sweep(cfg)[0]
     bound = 0.2 + 2.0 * row.fdr_se
     _criterion(
         1, row.fdr_hat <= bound,
@@ -91,15 +91,15 @@ def test_criterion_02_private_fdr_and_power_sweep():
     details = []
     ok = True
     for report, name in ((report1, "method 1"), (report2, "method 2")):
-        for row in report.rows:
+        for row in report:
             bound = 0.2 + 3.0 * row.fdr_se
             ok = ok and row.fdr_hat <= bound and row.failures == 0
             details.append(
                 f"{name} n={row.n}: fdr={row.fdr_hat:.4f} (bound {bound:.4f}) "
                 f"power={row.power_hat:.3f}"
             )
-    power1 = {row.n: row.power_hat for row in report1.rows}
-    power2 = {row.n: row.power_hat for row in report2.rows}
+    power1 = {row.n: row.power_hat for row in report1}
+    power2 = {row.n: row.power_hat for row in report2}
     superior = power2[100000] >= power1[100000]
     ok = ok and superior
     details.append(

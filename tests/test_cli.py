@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dpknockoff
-from dpknockoff import design, pipeline, privacy, simulate
+from dpknockoff import cli, design, pipeline, privacy, simulate
 from dpknockoff.cli import main
 
 
@@ -101,15 +101,21 @@ RUN_SCALE_KEYS = {
     }),
 ])
 def test_calibrate_agrees_with_run(capsys, data_files, method, budget, ridge, pairs):
+    # `run` prints no noise scales, so its release is read where the filter returns it
     xp, yp, bnorm = data_files
     common = [
         "--x", xp, "--y", yp, "--method", method, "--ridge", ridge, *budget,
         "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0",
     ]
     code_cal, out_cal = _run_cli(capsys, ["calibrate", *common])
-    code_run, out_run = _run_cli(capsys, ["run", *common, "--seed", "3"])
-    assert code_cal == code_run == 0
-    cal, scales = json.loads(out_cal), json.loads(out_run)["noise_scales"]
+    assert code_cal == 0
+    args = cli.build_parser().parse_args(["run", *common, "--seed", "3"])
+    result = dpknockoff.run_knockoff_filter(
+        dpknockoff.load_dataset(args.x, args.y), q=args.q, stat=args.stat, method=method,
+        budget=cli._budget_from_args(args), oracle=cli._oracle_from_args(args),
+        ridge_omega2=args.ridge, seed=args.seed,
+    )
+    cal, scales = json.loads(out_cal), result.release.noise_scales
     assert list(scales) == RUN_SCALE_KEYS[method]
     for cal_key, run_key in pairs.items():
         assert cal[cal_key] == scales[run_key], cal_key
@@ -240,7 +246,20 @@ def test_run_private_deterministic(capsys, data_files):
     assert out1 == out2
     record = json.loads(out1)
     assert record["total_privacy"]["eps"] == pytest.approx(0.2)
-    assert record["noise_scales"]["kappa_sq"] > 0
+
+
+@pytest.mark.parametrize("method, budget", [("none", []), ("1", PAIR_BUDGET), ("2", ESTIMATE_BUDGET)])
+def test_run_prints_only_the_public_release(capsys, data_files, method, budget):
+    # the noise scales are functions of B, C_min and lambda_min(S'): never printed
+    xp, yp, bnorm = data_files
+    code, out = _run_cli(capsys, [
+        "run", "--x", xp, "--y", yp, "--method", method, *budget,
+        "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0", "--seed", "3",
+    ])
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "selected", "threshold", "statistics", "statistic_kind", "q", "method", "total_privacy",
+    ]
 
 
 def test_run_missing_bounds_is_cli_error(capsys, data_files):

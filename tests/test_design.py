@@ -475,6 +475,25 @@ def test_split_parse_leaves_a_compressed_design_to_loadtxt(tmp_path, monkeypatch
 
 
 @needs_affinity
+def test_a_compressed_name_is_never_streamed(tmp_path, monkeypatch):
+    # np.loadtxt opens x.csv.gz through gzip whatever its bytes are, so plain
+    # text under that name fails as the serial parse fails, fork or no fork
+    xp = _write(tmp_path / "x.csv.gz", "\n".join(_rows(50, 3)) + "\n")
+    yp = _write(tmp_path / "y.csv", "1\n" * 50)
+    errors = []
+    for cpus, fork_fails in ((1, False), (2, False), (2, True)):
+        with monkeypatch.context() as m:
+            _cpus(m, cpus)
+            if fork_fails:
+                _fork_fails(m)
+            with pytest.raises(OSError) as info:
+                load_dataset(xp, yp)
+        errors.append((type(info.value), str(info.value)))
+    assert errors == [(gzip.BadGzipFile, errors[0][1])] * 3
+    _assert_no_child_left()
+
+
+@needs_affinity
 @pytest.mark.parametrize("bad_row", ["1.5,2.5", "1.5,oops,2.5", "1.5,2.5,3.5,4.5"])
 def test_split_parse_error_in_a_later_part_is_the_serial_error(tmp_path, monkeypatch, bad_row):
     rows = _rows(80, 3)
@@ -631,6 +650,38 @@ def test_streaming_a_design_holds_no_design(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert ds.x is None and ds.n == n
     assert peak < 0.25 * 8 * n * p, f"peak {peak / (8 * n * p):.2f} x the design"
+
+
+@needs_affinity
+@pytest.mark.parametrize("path", ["stream", "serial_fallback"])
+def test_a_short_response_is_refused_without_short_blocks(tmp_path, monkeypatch, path):
+    # once the shape rule has failed nothing is summed, so a 1-line response
+    # does not cut the design into 1-row parses and blocks
+    xp, _ = _write_design_csv(tmp_path, 20_000, 5)
+    _cpus(monkeypatch, 1)
+    if path == "serial_fallback":
+        monkeypatch.setattr(design, "_stream", _fail)
+    calls = {"parse": 0, "add": 0}
+    parse, add = design._parse_part, design._Sums._add
+
+    def count(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(design, "_parse_part", count("parse", parse))
+    monkeypatch.setattr(design._Sums, "_add", count("add", add))
+    counts = {}
+    for lines in (1, 100):
+        yp = _write(tmp_path / f"y{lines}.csv", "1\n" * lines)
+        calls.update(parse=0, add=0)
+        with pytest.raises(DimensionMismatch) as refused:
+            load_dataset(xp, yp)
+        assert str(refused.value) == f"response has {lines} entries but design has 20000 rows"
+        counts[lines] = dict(calls)
+    assert counts[1]["parse"] <= counts[100]["parse"]
+    assert counts[1]["add"] <= counts[100]["add"]
 
 
 def test_a_refused_first_probe_reads_the_file_once_more(tmp_path, monkeypatch, fifo_of):

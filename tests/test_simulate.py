@@ -19,13 +19,7 @@ from dpknockoff import (
     write_report,
 )
 from dpknockoff import pipeline, simulate
-from dpknockoff.simulate import (
-    SimulationReport,
-    budget_for,
-    budget_totals,
-    generate_trial,
-    write_plot_data,
-)
+from dpknockoff.simulate import SimRow, budget_for, budget_totals, generate_trial
 
 
 def _cfg(**overrides):
@@ -143,9 +137,9 @@ def test_generate_trial_pessimism_inflates_bounds():
 
 
 def test_run_sweep_nonprivate_report_fields():
-    report = run_sweep(_cfg(trials=6))
-    assert len(report.rows) == 1
-    row = report.rows[0]
+    rows = run_sweep(_cfg(trials=6))
+    assert isinstance(rows, tuple) and len(rows) == 1
+    row = rows[0]
     assert row.n == 400 and row.method == "none" and row.trials == 6
     assert 0.0 <= row.fdr_hat <= 1.0 and 0.0 <= row.power_hat <= 1.0
     assert row.failures == 0
@@ -155,10 +149,10 @@ def test_run_sweep_nonprivate_report_fields():
 def test_run_sweep_private_methods_run():
     # p must be large enough that delta_2 = 2p/(3n) clears the 2*exp(-p/2) floor
     r1 = run_sweep(_cfg(method="1", p=12, k=3, eps=0.3, eps_1=0.2, eps_2=0.2, trials=4))
-    assert r1.rows[0].eps_total == pytest.approx(0.7)
-    assert r1.rows[0].delta_total == pytest.approx(2.0 * 12 / 400)
+    assert r1[0].eps_total == pytest.approx(0.7)
+    assert r1[0].delta_total == pytest.approx(2.0 * 12 / 400)
     r2 = run_sweep(_cfg(method="2", p=12, k=3, eps=0.3, trials=4))
-    assert r2.rows[0].eps_total == pytest.approx(0.3)
+    assert r2[0].eps_total == pytest.approx(0.3)
 
 
 def test_run_sweep_aborts_on_systematic_failures():
@@ -327,7 +321,7 @@ def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
     before = get()
     set_(2)  # so the pin shows on a one-core host too
     try:
-        row = run_sweep(_cfg(trials=3, threads=2)).rows[0]
+        row = run_sweep(_cfg(trials=3, threads=2))[0]
         assert (row.fdr_hat, row.fdr_se) == (1.0, 0.0)
         assert row.power_hat == pytest.approx(1 / 3)  # trial 1 ran in the forked worker
         assert get() == 2
@@ -337,22 +331,20 @@ def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
 
 def test_run_sweep_runs_unpinned_without_blas_controls(monkeypatch):
     monkeypatch.setattr(pipeline, "_blas_thread_controls", lambda: ())
-    report = run_sweep(_cfg(trials=2))
-    assert report.rows[0].trials == 2
+    assert run_sweep(_cfg(trials=2))[0].trials == 2
 
 
 def test_run_sweep_global_null():
     # with no signal the realized FDP is bounded by q up to Monte Carlo error
-    report = run_sweep(_cfg(k=0, trials=60, q=0.2))
-    row = report.rows[0]
+    row = run_sweep(_cfg(k=0, trials=60, q=0.2))[0]
     assert row.power_hat == 0.0
     assert row.fdr_hat <= 0.2 + 3.0 * row.fdr_se
 
 
 def test_run_sweep_single_trial_se_zero():
     with pytest.warns(UserWarning):
-        report = run_sweep(_cfg(trials=1))
-    assert report.rows[0].fdr_se == 0.0 and report.rows[0].power_se == 0.0
+        row = run_sweep(_cfg(trials=1))[0]
+    assert row.fdr_se == 0.0 and row.power_se == 0.0
 
 
 def test_run_sweep_deterministic_across_thread_counts(tmp_path, monkeypatch):
@@ -378,9 +370,9 @@ def test_trial_outcomes_are_placed_by_trial_index(monkeypatch):
 
 
 def test_write_report_round_trip(tmp_path):
-    report = run_sweep(_cfg(trials=3, n_grid=(500, 400)))
+    rows = run_sweep(_cfg(trials=3, n_grid=(500, 400)))
     out = tmp_path / "report.csv"
-    write_report(report, out)
+    write_report(rows, out)
     lines = out.read_text().strip().split("\n")
     assert lines[0] == (
         "n,method,stat,trials,fdr_hat,fdr_se,power_hat,power_se,"
@@ -390,24 +382,69 @@ def test_write_report_round_trip(tmp_path):
     ns = [int(line.split(",")[0]) for line in lines[1:]]
     assert ns == sorted(ns)
     # values parse back at 6 significant digits
-    row = report.rows[0]
+    row = rows[0]
     parsed = lines[1].split(",")
     assert float(parsed[4]) == pytest.approx(row.fdr_hat, rel=1e-5, abs=1e-9)
 
 
 def test_write_report_empty(tmp_path):
     out = tmp_path / "empty.csv"
-    write_report(SimulationReport(rows=()), out)
-    assert out.read_text().strip().count("\n") == 0  # header only
+    write_report((), out)
+    assert out.read_text() == ",".join(simulate.REPORT_COLUMNS) + "\n"  # header only
 
 
 def test_write_plot_data(tmp_path):
-    report = run_sweep(_cfg(trials=3))
-    out = tmp_path / "plot.csv"
-    write_plot_data(report, out)
-    lines = out.read_text().strip().split("\n")
+    rows = run_sweep(_cfg(trials=3))
+    out, plot = tmp_path / "report.csv", tmp_path / "plot.csv"
+    write_report(rows, out, plot)
+    lines = plot.read_text().strip().split("\n")
     assert lines[0].startswith("n,log10_n,method,stat,")
     assert float(lines[1].split(",")[1]) == pytest.approx(math.log10(400), rel=1e-6)
+
+
+GOLDEN_ROWS = (
+    SimRow(n=400, method="2", stat="csm", trials=12, fdr_hat=0.123456789, fdr_se=0.0123456789,
+           power_hat=1.0, power_se=0.0, eps_total=0.3, delta_total=2 * 12 / 400, failures=0),
+    SimRow(n=100000, method="1", stat="lcd", trials=247, fdr_hat=1 / 3, fdr_se=1.5e-7,
+           power_hat=0.999999949, power_se=2 / 3, eps_total=0.7, delta_total=1e-3 / 3, failures=3),
+)
+
+
+def test_write_report_bytes_are_pinned(tmp_path):
+    # the bytes of the sweep CSV and its plot CSV, 6 significant digits
+    out, plot = tmp_path / "report.csv", tmp_path / "plot.csv"
+    write_report(GOLDEN_ROWS, out, plot)
+    assert out.read_bytes() == (
+        b"n,method,stat,trials,fdr_hat,fdr_se,power_hat,power_se,eps_total,delta_total,failures\n"
+        b"400,2,csm,12,0.123457,0.0123457,1,0,0.3,0.06,0\n"
+        b"100000,1,lcd,247,0.333333,1.5e-07,1,0.666667,0.7,0.000333333,3\n"
+    )
+    assert plot.read_bytes() == (
+        b"n,log10_n,method,stat,fdr_hat,fdr_se,power_hat,power_se\n"
+        b"400,2.60206,2,csm,0.123457,0.0123457,1,0\n"
+        b"100000,5,1,lcd,0.333333,1.5e-07,1,0.666667\n"
+    )
+
+
+def test_write_report_writes_rows_in_the_order_given(tmp_path):
+    out = tmp_path / "report.csv"
+    write_report(GOLDEN_ROWS[::-1], out)
+    assert [line.split(",")[0] for line in out.read_text().split("\n")[1:-1]] == ["100000", "400"]
+
+
+def test_write_report_keeps_the_rows_before_a_failure(tmp_path):
+    def rows():
+        yield GOLDEN_ROWS[0]
+        raise RuntimeError("the sweep stopped")
+
+    out, plot = tmp_path / "report.csv", tmp_path / "plot.csv"
+    with pytest.raises(RuntimeError, match="the sweep stopped"):
+        write_report(rows(), out, plot)
+    full_out, full_plot = tmp_path / "full.csv", tmp_path / "full_plot.csv"
+    write_report(GOLDEN_ROWS[:1], full_out, full_plot)
+    assert out.read_bytes() == full_out.read_bytes()
+    assert plot.read_bytes() == full_plot.read_bytes()
+    assert out.read_text().count("\n") == plot.read_text().count("\n") == 2
 
 
 # ---------------------------------------------------------------------------
