@@ -191,9 +191,12 @@ class Dataset:
         return sums.probe_products
 
 
-# Rows per block of a loaded design's sums (fewer for a shorter y); the block
-# buffer, one parsed block and one block of W are all a streaming pass holds.
+# Rows per block of a loaded design's sums (fewer for a shorter y); this process
+# holds the block buffer and one block of W while it folds a stream.
 _BLOCK_ROWS = 1024
+
+# Bytes per chunk of a streamed design file, about all a forked worker holds.
+_CHUNK_BYTES = 4 << 20
 
 
 class _Sums:
@@ -202,7 +205,7 @@ class _Sums:
     with the rows of W drawn alongside.
 
     A loaded design is folded in blocks of ``block_rows`` rows counted from
-    the first row, so the sums depend only on the rows, not on the parts
+    the first row, so the sums depend only on the rows, not on the chunks
     they arrive in; an in-memory array is added as one block.  A block is
     ``_BLOCK_ROWS`` rows, or len(y) where fewer: a valid record has len(y)
     rows, so its blocks are the same.  A non-finite x_ij makes (X^T X)_jj
@@ -237,7 +240,7 @@ class _Sums:
         while rows:
             view = self._buffer(cols)[self._filled : self._filled + rows]
             if reader.readinto(view) != view.nbytes:
-                raise EOFError("a design part's child sent fewer rows than it announced")
+                raise EOFError("a chunk's worker sent fewer rows than it announced")
             self._took(len(view))
             rows -= len(view)
 
@@ -256,7 +259,7 @@ class _Sums:
 
     def _buffer(self, cols: int) -> np.ndarray:
         if self._pending is not None and cols != self._pending.shape[1]:
-            raise ValueError(f"a part has {cols} columns, the first part {self._pending.shape[1]}")
+            raise ValueError(f"a chunk has {cols} columns, the first chunk {self._pending.shape[1]}")
         if self._pending is None or len(self._pending) < self.block_rows:  # first, or refused
             self._pending = np.empty((self.block_rows, cols))
         return self._pending
@@ -373,15 +376,15 @@ def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
     ``_BLOCK_ROWS`` rows counted from row 0, together with the rows of the
     first probe W, so a file gives the same record bits however it is read.
     Only a pipe keeps its rows, for a second probe.  A regular file is
-    streamed and no n x p array is held.  Where ``os.sched_getaffinity``
-    lists more than one CPU the file is cut into newline-aligned parts, one
-    per CPU: this process streams the first part and a forked child parses
-    each other part, whose rows this process reads from a pipe and sums in
-    row order.  A name ``np.loadtxt`` decompresses (``.gz``, ``.bz2``,
-    ``.xz``, ``.lzma``) is never streamed, whatever its bytes, and any
-    failure of the stream (a fork, a child, a warning, a column count) falls
-    back to one ``np.loadtxt`` of the whole file, so errors, warnings and
-    row numbers are those of the serial parse.
+    streamed and no process holds more than about one ``_CHUNK_BYTES`` chunk
+    of it: the file is cut into newline-aligned chunks, forked workers, one
+    per CPU in ``os.sched_getaffinity`` at most, each parse every w-th chunk,
+    and this process reads each chunk's rows from its worker's pipe and sums
+    them in row order.  A name ``np.loadtxt`` decompresses (``.gz``,
+    ``.bz2``, ``.xz``, ``.lzma``) is never streamed, whatever its bytes, and
+    any failure of the stream (a fork, a worker, a warning, a column count)
+    falls back to one ``np.loadtxt`` of the whole file, so errors, warnings
+    and row numbers are those of the serial parse.
     """
     return _load_record(x_path, y_path, has_header, probe=True)
 
@@ -428,10 +431,8 @@ def _read_table(path, kind: str, parse) -> np.ndarray:
     return table
 
 
-def _loadtxt_csv(source, skip: int, max_rows: int | None = None) -> np.ndarray:
-    return np.loadtxt(
-        source, delimiter=",", skiprows=skip, ndmin=2, dtype=float, max_rows=max_rows
-    )
+def _loadtxt_csv(source, skip: int) -> np.ndarray:
+    return np.loadtxt(source, delimiter=",", skiprows=skip, ndmin=2, dtype=float)
 
 
 def _regular(path) -> bool:
@@ -463,12 +464,13 @@ def _design_sums(path, skip: int, y, attempt: int | None) -> _Sums:
 
 
 def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
-    """Sums over the design file read in newline-aligned parts, one per CPU.
+    """Sums over the design file, parsed by forked workers in newline-aligned chunks.
 
-    This process streams the first part in blocks while a forked child
-    parses each other part whole; each child holds its rows until this
-    process reads them from its pipe, in row order.  Any failure raises,
-    and a name that ``np.loadtxt`` would decompress is refused unread.
+    The file is cut into chunks of about ``_CHUNK_BYTES``, a multiple of the
+    CPU count of them, and worker k of w parses chunks k, k + w, ...  This
+    process parses nothing: it folds chunk i's rows from worker i mod w, in
+    file order, and a worker blocked on its full pipe holds about one chunk's
+    rows.  Any failure raises; a name np.loadtxt would decompress is refused.
     """
     if os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):  # numpy's openers
         raise ValueError(f"np.loadtxt decompresses {path}; its bytes are not its rows")
@@ -476,34 +478,30 @@ def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
     sums = _Sums(y, attempt)
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
+        count = cpus * -(-size // (cpus * _CHUNK_BYTES))
         cuts = {size}
-        for k in range(1, cpus):
-            f.seek(size * k // cpus)
+        for k in range(1, count):
+            f.seek(size * k // count)
             f.readline()  # a cut falls just after a newline, or at the end of the file
             cuts.add(f.tell())
-        bounds = [0, *sorted(cuts)]
-        parts = (functools.partial(_send_part, f.fileno(), start, end)
-                 for start, end in zip(bounds[1:], bounds[2:]))
-        with _forked(parts) as readers:
-            with _text_range(f.fileno(), 0, bounds[1]) as text:
-                while True:
-                    rows = sums.block_rows  # grows where the shape rule fails
-                    block = _parse_part(text, skip, rows)
-                    skip = 0
-                    sums.fold(block)
-                    if len(block) < rows:
-                        break
-            for reader in readers:
+        chunks = list(zip([0, *sorted(cuts)], sorted(cuts)))
+        w = min(cpus, len(chunks))
+        bodies = (functools.partial(_send_chunks, f.fileno(), chunks[k::w], skip) for k in range(w))
+        with _forked(bodies) as readers:
+            for i in range(len(chunks)):
+                reader = readers[i % w]
                 sums.fold_from(reader, *struct.unpack("2q", reader.read(16)))
     return sums.finish()
 
 
-def _send_part(fd: int, start: int, end: int, writer) -> None:
-    """Body of a forked child: parse bytes [start, end) and send its shape and rows."""
-    with _text_range(fd, start, end) as text:
-        part = _parse_part(text, 0)
-    writer.write(struct.pack("2q", *part.shape))
-    writer.write(part)
+def _send_chunks(fd: int, chunks, skip: int, writer) -> None:
+    """Body of a forked worker: parse each chunk [start, end) in turn and send
+    its shape and rows; ``skip`` header lines are skipped where the file starts."""
+    for start, end in chunks:
+        with _text_range(fd, start, end) as text:
+            rows = _parse_part(text, skip if start == 0 else 0)
+        writer.write(struct.pack("2q", *rows.shape))
+        writer.write(rows)
 
 
 @contextlib.contextmanager
@@ -560,20 +558,18 @@ def _text_range(fd: int, start: int, end: int) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, end)))
 
 
-def _parse_part(text, skip: int, max_rows: int | None = None) -> np.ndarray:
-    """np.loadtxt of the next rows of a part; a part may hold none."""
+def _parse_part(text, skip: int) -> np.ndarray:
+    """np.loadtxt of one chunk; a chunk may hold no rows."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # any other warning fails the stream
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        # with max_rows, numpy notes a blank or comment line it does not count as a row
-        warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data", UserWarning)
-        return _loadtxt_csv(text, skip, max_rows)
+        return _loadtxt_csv(text, skip)
 
 
 class _ByteRange(io.RawIOBase):
     """Bytes [start, end) of an open file, read with ``os.preadv``.
 
-    A positional read moves no shared file offset, so the forked children
+    A positional read moves no shared file offset, so the forked workers
     read one inherited descriptor side by side.
     """
 

@@ -20,6 +20,7 @@ import numpy as np
 from .design import Dataset, ModelOracle, _forked
 from .errors import (
     BoundViolation,
+    BudgetInvalid,
     ConfigInvalid,
     DPKnockoffError,
     PrivacyPreconditionFailed,
@@ -100,10 +101,11 @@ class SimConfig:
             raise ConfigInvalid(f"base_seed must be nonnegative, got {self.base_seed}")
         if self.pessimism < 1.0:
             raise ConfigInvalid("pessimism factor must be >= 1")
-        if self.method == "1" and not (self.eps > 0 and self.eps_1 > 0 and self.eps_2 > 0):
-            raise ConfigInvalid("method 1 needs eps, eps_1 and eps_2 all positive")
-        if self.method == "2" and not self.eps > 0:
-            raise ConfigInvalid("method 2 needs a positive eps")
+        try:  # a budget that every trial at some n would refuse
+            for n in self.n_grid:
+                budget_totals(self, n)
+        except BudgetInvalid as exc:
+            raise ConfigInvalid(str(exc)) from exc
 
 
 @dataclass(frozen=True)

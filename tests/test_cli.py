@@ -461,6 +461,27 @@ def test_simulate_abort_is_cli_error(tmp_path, capsys):
     assert err.startswith("error: ") and "failed their privacy precondition" in err
 
 
+@pytest.mark.parametrize("budget, message", [
+    ("method = 2\neps = 1.5\n", "eps must lie in (0,1), got 1.5"),
+    ("method = 1\neps = 0.3\neps1 = inf\neps2 = 0.1\n", "eps_1 must be finite, got inf"),
+], ids=["eps", "eps_1"])
+def test_simulate_refuses_a_budget_every_trial_would_refuse(tmp_path, capsys, budget, message):
+    # refused with the config, before either report file is opened
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n_grid = 200, 400\np = 10\nk = 3\namplitude = 3.5\nsigma2 = 1.0\nq = 0.2\ntrials = 4\n"
+        + budget,
+        encoding="utf-8",
+    )
+    with pytest.raises(dpknockoff.ConfigInvalid) as refused:
+        simulate.read_config(cfg)
+    assert str(refused.value) == message
+    out, plot = tmp_path / "report.csv", tmp_path / "plot.csv"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out), "--emit-plot-data", str(plot)])
+    assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not plot.exists()
+
+
 def test_simulate_abort_keeps_finished_rows(tmp_path, capsys):
     # with the 2p/n rule, p=12 clears the delta_2 floor at n=400 but not at
     # n=4000, so the second cell aborts after the first has finished

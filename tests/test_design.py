@@ -1,11 +1,21 @@
+import contextlib
 import functools
 import gzip
+import itertools
 import os
 import re
+import subprocess
+import sys
+import tempfile
+import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpknockoff import (
     BoundViolation,
@@ -350,7 +360,7 @@ def test_building_a_dataset_holds_one_design(tmp_path, builder):
     assert peak < 1.5 * 8 * n * p, f"peak {peak / (8 * n * p):.2f} x the design"
 
 
-# -- the design parsed in forked, newline-aligned parts ---------------------
+# -- the design parsed by forked workers, in newline-aligned chunks ---------
 
 needs_affinity = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity"), reason="the split parse reads os.sched_getaffinity"
@@ -369,8 +379,13 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+# the default chunk size, then one that deals each worker many chunks, so that
+# headers, CRLF, lone CR and comment-only chunks cross chunk edges
+CHUNK_BYTES = (design._CHUNK_BYTES, 40)
+
+
 def _streamed_rows(monkeypatch, path, skip=0):
-    """The rows one streaming pass sums, in order, and the children it forked."""
+    """The rows one streaming pass sums, in order, and the workers it forked."""
     rows, children = [], []
     add, fork = design._Sums._add, os.fork
 
@@ -435,10 +450,13 @@ def test_split_parse_is_bit_identical_to_one_loadtxt(tmp_path, monkeypatch, case
     path = tmp_path / "x.csv"
     path.write_bytes(text.encode())
     _cpus(monkeypatch, cpus)
-    x, children = _streamed_rows(monkeypatch, path, skip)
-    assert children > 0, "the split did not run"
-    _assert_same_bits(x, _serial_design(str(path), skip))
-    _assert_no_child_left()
+    for chunk_bytes in CHUNK_BYTES:
+        with monkeypatch.context() as m:
+            m.setattr(design, "_CHUNK_BYTES", chunk_bytes)
+            x, children = _streamed_rows(m, path, skip)
+        assert children > 0, "the split did not run"
+        _assert_same_bits(x, _serial_design(str(path), skip))
+        _assert_no_child_left()
 
 
 @needs_affinity
@@ -453,10 +471,17 @@ def test_split_parse_with_a_cut_in_the_last_line(tmp_path, monkeypatch, cpus, ne
     path = tmp_path / "x.csv"
     path.write_bytes(text.encode())
     _cpus(monkeypatch, cpus)
-    x, children = _streamed_rows(monkeypatch, path)
-    assert (children == 0) == (cpus == 2)  # one part: this process streams it alone
-    _assert_same_bits(x, _serial_design(str(path)))
-    assert x.shape == (60, 3)
+    for chunk_bytes in CHUNK_BYTES:
+        with monkeypatch.context() as m:
+            m.setattr(design, "_CHUNK_BYTES", chunk_bytes)
+            x, children = _streamed_rows(m, path)
+        # one worker per chunk, up to the CPU count: at the default size the
+        # cuts that land in the last line merge into one chunk with it, and
+        # 40-byte chunks make each of the 60 lines a chunk of its own
+        chunks = (1 if cpus == 2 else 2) if chunk_bytes == design._CHUNK_BYTES else 60
+        assert children == min(cpus, chunks)
+        _assert_same_bits(x, _serial_design(str(path)))
+        assert x.shape == (60, 3)
 
 
 @needs_affinity
@@ -652,6 +677,41 @@ def test_streaming_a_design_holds_no_design(tmp_path, monkeypatch):
     assert peak < 0.25 * 8 * n * p, f"peak {peak / (8 * n * p):.2f} x the design"
 
 
+# one load in a fresh process on two CPUs; prints the peak RSS of its forked workers
+_WORKER_PEAK = """
+import os, resource, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from dpknockoff import load_dataset
+assert load_dataset(sys.argv[1], sys.argv[2]).n == int(sys.argv[3])
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024)  # KiB on Linux
+"""
+
+
+@needs_affinity
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+def test_a_workers_memory_does_not_grow_with_the_design(tmp_path):
+    # a worker holds about one chunk's rows whatever n is: allow that and as
+    # much again for the parser's buffers; a worker that held its share of
+    # the file would grow by (n / 2) p 8 bytes, 16 MB between these sizes
+    p = 50
+    rows = np.random.default_rng(12).standard_normal((1000, p))
+    block = "".join(",".join(f"{v:.5f}" for v in row) + "\n" for row in rows)
+    src = os.path.dirname(os.path.dirname(design.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    peaks = []
+    for n in (20_000, 100_000):
+        xp = _write(tmp_path / f"x{n}.csv", block * (n // 1000))
+        yp = _write(tmp_path / f"y{n}.csv", "1\n" * n)
+        proc = subprocess.run(
+            [sys.executable, "-c", _WORKER_PEAK, xp, yp, str(n)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout))
+    growth = peaks[1] - peaks[0]
+    assert growth < 2 * design._CHUNK_BYTES, f"workers grew by {growth / 1e6:.1f} MB"
+
+
 @needs_affinity
 @pytest.mark.parametrize("path", ["stream", "serial_fallback"])
 def test_a_short_response_is_refused_without_short_blocks(tmp_path, monkeypatch, path):
@@ -788,3 +848,142 @@ def test_a_refused_shape_forms_no_gram_on_any_path(shape_files, monkeypatch, fif
     if case == "short_and_wide":  # six rows need no 1024-row block buffer
         assert peak < 2e6, f"peak {peak / 1e6:.1f} MB"
     _assert_no_child_left()
+
+
+# -- one outcome per input on every ingest path -------------------------------
+
+_HOSTILE_TOKENS = ["nan", "inf", "-inf", "1e300", "-1e300", "0x1", "1_000", "", "abc", "1.5.2",
+                   "1e", "++1", "1,5"]
+
+
+def _number(rng):
+    v = rng.standard_normal() * 10.0 ** rng.integers(-3, 4)
+    forms = (str(int(v * 100)), f"{v:+.6f}", repr(float(v)), f"{v:.4e}", f"{v:.3E}", f"{v:.17g}")
+    return " " * rng.integers(3) + forms[rng.integers(len(forms))] + " " * rng.integers(2)
+
+
+@st.composite
+def _ingest_cases(draw, max_rows):
+    """(design text, response text, header lines) from a small grammar of design files.
+
+    The grammar's choices are drawn; the fields of each row come from a drawn
+    seed, so a case of any size costs a few draws.
+    """
+    p = draw(st.integers(1, 4))
+    short = draw(st.integers(0, 7)) == 7  # fewer rows than a record needs, now and then
+    n = draw(st.integers(1, 2 * p) if short else st.integers(2 * p, max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hostile = draw(st.sampled_from([0.0] * 6 + [0.01, 0.2]))  # share of hostile fields
+    ragged = draw(st.sampled_from([0.0] * 6 + [0.02]))  # share of rows one field off
+    extra = draw(st.sampled_from([0.0, 0.1, 0.4]))  # blank and comment lines per row
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    skip = int(draw(st.booleans()))
+    lines = [",".join(f"c{j}" for j in range(p))] * skip
+    for _ in range(n):
+        if rng.random() < extra:
+            lines.append(["", "# a comment line"][rng.integers(2)])
+        width = p + (rng.choice([-1, 1]) if rng.random() < ragged else 0)
+        fields = [
+            _HOSTILE_TOKENS[rng.integers(len(_HOSTILE_TOKENS))] if rng.random() < hostile
+            else _number(rng) for _ in range(max(width, 1))
+        ]
+        lines.append(",".join(fields) + ("  # trailing" if rng.random() < extra / 4 else ""))
+    ends = [["\n", "\r\n", "\r"][rng.integers(3)] if ending == "mixed" else ending for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if not draw(st.booleans()):  # no line end after the last line
+        text = text[: len(text) - len(ends[-1])]
+    n_y = max(n + draw(st.sampled_from([0] * 6 + [-1, 1, 2, -n])), 0)
+    y_text = "resp\n" * skip + "".join(f"{v:.17g}\n" for v in rng.standard_normal(n_y))
+    return text, y_text, skip
+
+
+def _outcome(load, *paths):
+    """The record's bits, or the error's class and message with ``paths`` named alike."""
+    try:
+        ds = load()
+    except Exception as exc:
+        message = str(exc)
+        for path in paths:
+            message = message.replace(path, "<design>")
+        return type(exc), message
+    arrays = (ds.gram, ds.col_norms, ds.xty, ds.y, *ds.probe_products(0))
+    return ds.n, ds.p, repr(ds.row_norm_sq_max), *(a.tobytes() for a in arrays)
+
+
+def _fifo_load(xp, yp, skip):
+    """load_dataset of a FIFO that a thread writes the design file's bytes into."""
+    fifo, data = xp + ".fifo", Path(xp).read_bytes()
+    os.mkfifo(fifo)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return _outcome(lambda: load_dataset(fifo, yp, has_header=bool(skip)), fifo)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive(), "the FIFO was never read"
+
+
+def _loadtxt_record(xp, yp, skip):
+    """The outcome of Dataset.from_arrays of one np.loadtxt of each file, where
+    the design parses to one block of rows; None elsewhere."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            x = np.loadtxt(xp, delimiter=",", skiprows=skip, ndmin=2, dtype=float)
+            y = np.loadtxt(yp, skiprows=skip, ndmin=2, dtype=float)
+        except ValueError:
+            return None
+    if not 0 < len(x) <= design._BLOCK_ROWS or not len(y):  # no rows: refused by file name
+        return None
+    return _outcome(functools.partial(Dataset.from_arrays, x, y.ravel()))
+
+
+def _check_ingest_paths(case):
+    text, y_text, skip = case
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as m:
+        xp, yp = os.path.join(root, "x.csv"), os.path.join(root, "y.csv")
+        Path(xp).write_bytes(text.encode())
+        Path(yp).write_bytes(y_text.encode())
+        with gzip.open(xp + ".gz", "wb") as f:
+            f.write(text.encode())
+        load = functools.partial(load_dataset, has_header=bool(skip))
+        outcomes = {}
+        for cpus, chunk_bytes in itertools.product((1, 2, 3, 4), CHUNK_BYTES):
+            _cpus(m, cpus)
+            m.setattr(design, "_CHUNK_BYTES", chunk_bytes)
+            outcomes[f"stream {cpus} cpus, {chunk_bytes}-byte chunks"] = _outcome(
+                lambda: load(xp, yp), xp)
+        outcomes["gz"] = _outcome(lambda: load(xp + ".gz", yp), xp + ".gz")
+        outcomes["fifo"] = _fifo_load(xp, yp, skip)
+        with pytest.MonkeyPatch.context() as fork:
+            _fork_fails(fork)
+            outcomes["fork fails"] = _outcome(lambda: load(xp, yp), xp)
+        m.setattr(design, "_stream", _fail)
+        serial = outcomes["serial fallback"] = _outcome(lambda: load(xp, yp), xp)
+        reference = _loadtxt_record(xp, yp, skip)
+        if reference is not None:
+            outcomes["from_arrays of np.loadtxt"] = reference
+    assert {k: v for k, v in outcomes.items() if v != serial} == {}
+    _assert_no_child_left()
+
+
+@needs_affinity
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="reads a design from a FIFO")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_ingest_cases(max_rows=40))
+def test_every_ingest_path_gives_one_outcome(case):
+    _check_ingest_paths(case)
+
+
+@pytest.mark.slow
+@needs_affinity
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="reads a design from a FIFO")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_ingest_cases(max_rows=3000))
+def test_every_ingest_path_gives_one_outcome_at_scale(case):
+    _check_ingest_paths(case)
