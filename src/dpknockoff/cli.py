@@ -12,16 +12,15 @@ Three subcommands:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
 from dataclasses import replace
 
-from .design import ModelOracle, _load_record, compute_bounds, load_dataset
+from .design import ModelOracle, _load_record, _single_blas_thread, compute_bounds, load_dataset
 from .errors import DPKnockoffError, PrivacyPreconditionFailed
 from .knockoffs import gram_spectrum, raw_gram_frobenius
-from .pipeline import METHODS, _single_blas_thread, run_knockoff_filter
+from .pipeline import METHODS, run_knockoff_filter
 from .privacy import PrivacyBudget, build_sensitivity_context, delta2_floor
 from .selection import STATISTIC_KINDS
 from .simulate import _sweep_rows, read_config, write_report
@@ -95,7 +94,6 @@ def _json_value(v):
     return v
 
 
-@_single_blas_thread()
 def cmd_calibrate(args) -> int:
     # the calibration reads X^T X, the largest row norm, n and p: no probe
     dataset = _load_record(args.x, args.y, args.header, probe=False)
@@ -145,7 +143,6 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-@_single_blas_thread()
 def cmd_run(args) -> int:
     dataset = load_dataset(args.x, args.y, has_header=args.header)
     method = str(args.method)
@@ -184,8 +181,7 @@ def cmd_run(args) -> int:
 def cmd_simulate(args) -> int:
     overrides = {"base_seed": args.seed, "threads": args.threads}
     cfg = replace(read_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
-    with contextlib.closing(_sweep_rows(cfg)) as rows:  # unpins BLAS if a write fails
-        write_report(rows, args.out, args.emit_plot_data)
+    write_report(_sweep_rows(cfg), args.out, args.emit_plot_data)
     return 0
 
 
@@ -231,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _single_blas_thread():  # every command's output, whatever BLAS threads were set
+            return args.func(args)
     except (DPKnockoffError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2

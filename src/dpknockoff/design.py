@@ -17,6 +17,7 @@ summed by the same :class:`_Sums` and validated by the same builder, and
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import io
 import os
@@ -384,7 +385,8 @@ def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
     ``.bz2``, ``.xz``, ``.lzma``) is never streamed, whatever its bytes, and
     any failure of the stream (a fork, a worker, a warning, a column count)
     falls back to one ``np.loadtxt`` of the whole file, so errors, warnings
-    and row numbers are those of the serial parse.
+    and row numbers are those of the serial parse.  Every route folds on one
+    OpenBLAS thread, so a library call gives the CLI's record bits.
     """
     return _load_record(x_path, y_path, has_header, probe=True)
 
@@ -444,11 +446,12 @@ def _regular(path) -> bool:
 
 
 def _parsed(path, skip: int, y, attempt: int | None) -> tuple[_Sums, np.ndarray]:
-    """One ``np.loadtxt`` of the whole design file, and its rows' sums in a stream's blocks."""
+    """One ``np.loadtxt`` of the whole design file, and its rows' sums folded as a stream's."""
     x = _read_table(path, "design", functools.partial(_loadtxt_csv, path, skip))
     sums = _Sums(y, attempt)
-    sums.fold(x)
-    return sums.finish(), x
+    with _single_blas_thread():
+        sums.fold(x)
+        return sums.finish(), x
 
 
 def _design_sums(path, skip: int, y, attempt: int | None) -> _Sums:
@@ -491,7 +494,7 @@ def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
             for i in range(len(chunks)):
                 reader = readers[i % w]
                 sums.fold_from(reader, *struct.unpack("2q", reader.read(16)))
-    return sums.finish()
+            return sums.finish()
 
 
 def _send_chunks(fd: int, chunks, skip: int, writer) -> None:
@@ -508,36 +511,82 @@ def _send_chunks(fd: int, chunks, skip: int, writer) -> None:
 def _forked(bodies):
     """Fork one child per body, each with its own pipe; yield the read ends.
 
-    A child runs ``body(writer)`` on its pipe's write end and ends in
+    numpy's OpenBLAS is pinned to one thread from before the first fork until
+    every child is reaped, for the children and the ``with`` body alike.  A
+    child runs ``body(writer)`` on its pipe's write end and ends in
     ``os._exit``, status 0 only where the body returned, never returning into
     the caller's stack; the threads this process may run (OpenBLAS's) hold
     no lock a body needs.  Any exception here SIGKILLs every child.  On
     leaving, every child is reaped, and a nonzero wait status raises.
     """
     readers, pids = [], []
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns that a process with threads forks; see above
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for body in bodies:
-                read_fd, write_fd = os.pipe()
-                readers.append(open(read_fd, "rb"))
-                with open(write_fd, "wb") as writer:  # this process's copy closes on leaving
-                    pid = os.fork()
-                    if pid == 0:
-                        _run_child(body, writer, readers)
-                pids.append(pid)
-        yield readers
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for reader in readers:
-            reader.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    with _single_blas_thread():
+        try:
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns that a process with threads forks; see above
+                warnings.simplefilter("ignore", DeprecationWarning)
+                for body in bodies:
+                    read_fd, write_fd = os.pipe()
+                    readers.append(open(read_fd, "rb"))
+                    with open(write_fd, "wb") as writer:  # this process's copy closes on leaving
+                        pid = os.fork()
+                        if pid == 0:
+                            _run_child(body, writer, readers)
+                    pids.append(pid)
+            yield readers
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for reader in readers:
+                reader.close()
+            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     if any(statuses):
         raise ChildProcessError(f"a forked child ended with wait status {max(statuses)}")
+
+
+# Thread-count controls of the OpenBLAS bundled with numpy (the scipy-openblas64 build).
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or ().
+
+    Looked up through numpy's linalg extension, whose symbol scope holds the
+    OpenBLAS numpy links; empty where that library or the symbols are absent.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        getter, setter = (getattr(lib, name) for name in _BLAS_THREAD_SYMBOLS)
+    except (OSError, AttributeError):
+        return ()
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return getter, setter
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, then restore.
+
+    Held by :func:`_forked` for its whole life, by the fold in :func:`_parsed`
+    and by ``cli.main`` around every command: small products, or products
+    beside forked work, where more threads only spin.  Without the thread
+    controls the body runs unpinned.
+    """
+    controls = _blas_thread_controls()
+    if not controls:
+        yield
+        return
+    getter, setter = controls
+    previous = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 def _run_child(body, writer, readers) -> None:

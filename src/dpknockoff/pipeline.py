@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .design import Dataset, ModelOracle, compute_bounds
 from .errors import BudgetInvalid, PreconditionViolated
@@ -27,10 +22,6 @@ from .selection import (
 )
 
 METHODS = ("none", "1", "2")
-
-# Thread-count controls of the OpenBLAS bundled with numpy (the scipy-openblas64 build).
-_BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
-
 
 @dataclass(frozen=True)
 class FilterResult:
@@ -97,43 +88,3 @@ def run_knockoff_filter(
     report = knockoff_threshold(w, q)
     return FilterResult(report=report, augmented=ks, release=release)
 
-
-@functools.cache
-def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or ().
-
-    Looked up through numpy's linalg extension, whose symbol scope holds the
-    OpenBLAS numpy links; empty where that library or the symbols are absent.
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except OSError:
-        return ()
-    getter, setter = (getattr(lib, name, None) for name in _BLAS_THREAD_SYMBOLS)
-    if getter is None or setter is None:
-        return ()
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    return getter, setter
-
-
-@contextlib.contextmanager
-def _single_blas_thread():
-    """Run the body with numpy's bundled OpenBLAS on one thread, then restore.
-
-    Sweeps and the ``run`` and ``calibrate`` commands run under it: their
-    products are small or run beside other work (forked sweep workers, the
-    forked parse), where more threads only spin.  Without the thread
-    controls the body runs unpinned.
-    """
-    controls = _blas_thread_controls()
-    if not controls:
-        yield
-        return
-    getter, setter = controls
-    previous = getter()
-    setter(1)
-    try:
-        yield
-    finally:
-        setter(previous)

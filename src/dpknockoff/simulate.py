@@ -26,7 +26,7 @@ from .errors import (
     PrivacyPreconditionFailed,
     SweepAborted,
 )
-from .pipeline import METHODS, _single_blas_thread, run_knockoff_filter
+from .pipeline import METHODS, run_knockoff_filter
 from .privacy import PrivacyBudget
 from .selection import STATISTIC_KINDS, evaluate_selection
 
@@ -82,10 +82,10 @@ class SimConfig:
             raise ConfigInvalid(f"q must lie in (0,1), got {self.q}")
         if self.trials < 1:
             raise ConfigInvalid("trials must be at least 1")
-        if self.sigma2 <= 0:
-            raise ConfigInvalid("sigma2 must be positive")
-        if self.amplitude < 0:
-            raise ConfigInvalid("amplitude must be nonnegative")
+        if not 0 < self.sigma2 < math.inf:  # also refuses nan
+            raise ConfigInvalid(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if not 0 <= self.amplitude < math.inf:
+            raise ConfigInvalid(f"amplitude must be nonnegative and finite, got {self.amplitude}")
         if self.method not in METHODS:
             raise ConfigInvalid(f"method must be one of {METHODS}")
         if self.stat not in STATISTIC_KINDS:
@@ -99,8 +99,8 @@ class SimConfig:
             raise ConfigInvalid("threads must be at least 1")
         if self.base_seed < 0:
             raise ConfigInvalid(f"base_seed must be nonnegative, got {self.base_seed}")
-        if self.pessimism < 1.0:
-            raise ConfigInvalid("pessimism factor must be >= 1")
+        if not 1.0 <= self.pessimism < math.inf:
+            raise ConfigInvalid(f"pessimism factor must be finite and >= 1, got {self.pessimism}")
         try:  # a budget that every trial at some n would refuse
             for n in self.n_grid:
                 budget_totals(self, n)
@@ -205,9 +205,10 @@ def run_sweep(cfg: SimConfig) -> tuple[SimRow, ...]:
     before it returns.  Each sample size's trials are shared by this process
     and workers forked for it (see ``SimConfig.threads``) and placed by trial
     index, so the rows are a pure function of (cfg, base_seed) for any worker
-    count.  numpy's bundled OpenBLAS is pinned to one thread for the sweep and
-    the workers inherit the pin, so trials do not oversubscribe the cores and
-    every worker count computes the same bits.  Trials whose privacy
+    count.  Each sample size runs under ``design._forked``, which pins numpy's
+    OpenBLAS to one thread for this process's share and its workers', so
+    trials do not oversubscribe the cores and any worker count computes the
+    same bits.  Trials whose privacy
     precondition fails are excluded from the means and counted under
     ``failures``.  A failure rate above MAX_FAILURE_RATE, or any other
     package error in a trial (such as ``DeltaTooSmall``, which depends only
@@ -255,49 +256,39 @@ def _cell_outcomes(cfg: SimConfig, n: int, n_idx: int) -> list:
 
 def _sweep_rows(cfg: SimConfig):
     """:func:`run_sweep`'s rows, each yielded as its sample size finishes, in order of n."""
-    with _single_blas_thread():
-        rows = []
-        for n_idx, n in enumerate(sorted(set(cfg.n_grid))):
-            try:
-                outcomes = _cell_outcomes(cfg, n, n_idx)
-            except DPKnockoffError as exc:
-                raise SweepAborted(
-                    f"a trial at n={n} failed with {type(exc).__name__}: {exc}", rows=rows
-                ) from exc
+    rows = []
+    for n_idx, n in enumerate(sorted(set(cfg.n_grid))):
+        try:
+            outcomes = _cell_outcomes(cfg, n, n_idx)
+        except DPKnockoffError as exc:
+            raise SweepAborted(
+                f"a trial at n={n} failed with {type(exc).__name__}: {exc}", rows=rows
+            ) from exc
 
-            kept = [o for o in outcomes if o is not None]
-            failures = cfg.trials - len(kept)
-            if failures > MAX_FAILURE_RATE * cfg.trials:
-                raise SweepAborted(
-                    f"{failures}/{cfg.trials} trials failed their privacy precondition "
-                    f"at n={n}; the norm bounds are too loose for this sample size",
-                    rows=rows,
-                )
-            fdps = np.array([o[0] for o in kept])
-            powers = np.array([o[1] for o in kept])
-            if len(kept) > 1:
-                fdr_se = float(np.std(fdps, ddof=1) / math.sqrt(len(kept)))
-                power_se = float(np.std(powers, ddof=1) / math.sqrt(len(kept)))
-            else:
-                warnings.warn(f"only {len(kept)} trial(s) at n={n}; standard errors set to 0")
-                fdr_se = power_se = 0.0
-            eps_total, delta_total = budget_totals(cfg, n)
-            rows.append(
-                SimRow(
-                    n=n,
-                    method=cfg.method,
-                    stat=cfg.stat,
-                    trials=len(kept),
-                    fdr_hat=float(np.mean(fdps)),
-                    fdr_se=fdr_se,
-                    power_hat=float(np.mean(powers)),
-                    power_se=power_se,
-                    eps_total=eps_total,
-                    delta_total=delta_total,
-                    failures=failures,
-                )
+        kept = [o for o in outcomes if o is not None]
+        failures = cfg.trials - len(kept)
+        if failures > MAX_FAILURE_RATE * cfg.trials:
+            raise SweepAborted(
+                f"{failures}/{cfg.trials} trials failed their privacy precondition "
+                f"at n={n}; the norm bounds are too loose for this sample size",
+                rows=rows,
             )
-            yield rows[-1]
+        fdps = np.array([o[0] for o in kept])
+        powers = np.array([o[1] for o in kept])
+        if len(kept) > 1:
+            fdr_se = float(np.std(fdps, ddof=1) / math.sqrt(len(kept)))
+            power_se = float(np.std(powers, ddof=1) / math.sqrt(len(kept)))
+        else:
+            warnings.warn(f"only {len(kept)} trial(s) at n={n}; standard errors set to 0")
+            fdr_se = power_se = 0.0
+        eps_total, delta_total = budget_totals(cfg, n)
+        rows.append(SimRow(
+            n=n, method=cfg.method, stat=cfg.stat, trials=len(kept),
+            fdr_hat=float(np.mean(fdps)), fdr_se=fdr_se,
+            power_hat=float(np.mean(powers)), power_se=power_se,
+            eps_total=eps_total, delta_total=delta_total, failures=failures,
+        ))
+        yield rows[-1]
 
 
 def _fmt(value) -> str:
@@ -314,6 +305,14 @@ def _plot_values(row: SimRow) -> tuple:
             row.fdr_hat, row.fdr_se, row.power_hat, row.power_se)
 
 
+def _same_file(a, b) -> bool:
+    """``a`` and ``b`` name one existing file, or resolve to one path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def write_report(rows, out_path, plot_path=None) -> None:
     """Write sweep rows as CSV, one line per row in the order given, one
     column per SimRow field, with 6 significant digits.  Given ``plot_path``,
@@ -321,9 +320,12 @@ def write_report(rows, out_path, plot_path=None) -> None:
     included).  ``rows`` may be any iterable, such as rows still being
     computed: both headers are written first, then each row's line to each
     file as the row arrives, flushed, so the rows written before a failure
-    stay on disk."""
+    stay on disk.  Two paths naming one file raise :class:`ConfigInvalid`
+    before either is opened or any row is read."""
     outputs = [(out_path, REPORT_COLUMNS, astuple)]
     if plot_path is not None:
+        if _same_file(out_path, plot_path):
+            raise ConfigInvalid(f"the report and the plot data would both go to {plot_path}")
         outputs.append((plot_path, PLOT_COLUMNS, _plot_values))
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dpknockoff
-from dpknockoff import cli, design, pipeline, privacy, simulate
+from dpknockoff import cli, design, privacy, simulate
 from dpknockoff.cli import main
 
 
@@ -482,6 +482,44 @@ def test_simulate_refuses_a_budget_every_trial_would_refuse(tmp_path, capsys, bu
     assert not out.exists() and not plot.exists()
 
 
+@pytest.mark.parametrize("knob, value, message", [
+    ("sigma2", "nan", "sigma2 must be positive and finite, got nan"),
+    ("amplitude", "inf", "amplitude must be nonnegative and finite, got inf"),
+    ("pessimism", "nan", "pessimism factor must be finite and >= 1, got nan"),
+])
+def test_simulate_refuses_a_non_finite_knob(tmp_path, capsys, knob, value, message):
+    # refused with the config, before either report file is opened
+    knobs = {"amplitude": "3.5", "sigma2": "1.0", knob: value}
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n_grid = 200\np = 10\nk = 3\nq = 0.2\ntrials = 4\n"
+        + "".join(f"{k} = {v}\n" for k, v in knobs.items()),
+        encoding="utf-8",
+    )
+    out, plot = tmp_path / "report.csv", tmp_path / "plot.csv"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out), "--emit-plot-data", str(plot)])
+    assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not plot.exists()
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+def test_simulate_refuses_one_file_for_both_outputs(tmp_path, capsys, existing):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "n_grid = 200\np = 10\nk = 3\namplitude = 3.5\nsigma2 = 1.0\nq = 0.2\ntrials = 4\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.csv"
+    if existing:
+        out.write_bytes(b"kept\n")
+    for plot in (out, tmp_path / "." / "out.csv"):
+        code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--emit-plot-data", str(plot)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: the report and the plot data would both go to {plot}\n")
+    assert out.read_bytes() == b"kept\n" if existing else not out.exists()
+
+
 def test_simulate_abort_keeps_finished_rows(tmp_path, capsys):
     # with the 2p/n rule, p=12 clears the delta_2 floor at n=400 but not at
     # n=4000, so the second cell aborts after the first has finished
@@ -669,7 +707,7 @@ def test_run_and_calibrate_pin_blas_to_one_thread(capsys, data_files, monkeypatc
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if blas != "scipy-openblas":
         pytest.skip(f"numpy links {blas}, whose thread controls the CLI does not look up")
-    controls = pipeline._blas_thread_controls()
+    controls = design._blas_thread_controls()
     assert controls, "numpy's scipy-openblas thread controls were not found"
     get, set_ = controls
     seen = []

@@ -850,6 +850,39 @@ def test_a_refused_shape_forms_no_gram_on_any_path(shape_files, monkeypatch, fif
     _assert_no_child_left()
 
 
+@needs_affinity
+@pytest.mark.parametrize("route", ["stream", "serial_fallback", "gz", "fifo"])
+def test_a_library_load_folds_on_one_blas_thread(tmp_path, monkeypatch, fifo_of, route):
+    # a library caller's load is pinned as the CLI's is: every fold runs on
+    # one thread and the record has the bits of a load under the CLI's pin
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy links {blas}, whose thread controls the load does not look up")
+    controls = design._blas_thread_controls()
+    assert controls, "numpy's scipy-openblas thread controls were not found"
+    get, set_ = controls
+    xp, yp = _write_design_csv(tmp_path, 3000, 20, seed=45)
+    if route == "serial_fallback":
+        monkeypatch.setattr(design, "_stream", _fail)
+    if route == "gz":
+        with open(xp, "rb") as f, gzip.open(xp + ".gz", "wb") as g:
+            g.write(f.read())
+    source = {"gz": lambda: xp + ".gz", "fifo": lambda: fifo_of(xp)}.get(route, lambda: xp)
+    seen, add = [], design._Sums._add
+    before = get()
+    set_(2)  # so the pin shows on a one-core host too
+    try:
+        with design._single_blas_thread():
+            pinned = load_dataset(source(), yp)
+        monkeypatch.setattr(design._Sums, "_add", lambda *a: seen.append(get()) or add(*a))
+        loaded = load_dataset(source(), yp)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+    finally:
+        set_(before)
+    _assert_same_record(loaded, pinned)
+
+
 # -- one outcome per input on every ingest path -------------------------------
 
 _HOSTILE_TOKENS = ["nan", "inf", "-inf", "1e300", "-1e300", "0x1", "1_000", "", "abc", "1.5.2",

@@ -18,7 +18,7 @@ from dpknockoff import (
     run_sweep,
     write_report,
 )
-from dpknockoff import pipeline, simulate
+from dpknockoff import design, simulate
 from dpknockoff.simulate import SimRow, budget_for, budget_totals, generate_trial
 
 
@@ -68,8 +68,28 @@ def test_config_rejects_bad_values():
         _cfg(method="2", delta_rule="fixed")  # missing delta_value
     with pytest.raises(ConfigInvalid):
         _cfg(pessimism=0.5)
+    for knob in ("sigma2", "amplitude", "pessimism"):
+        for value in (math.nan, math.inf):  # each would fail or skew every trial
+            with pytest.raises(ConfigInvalid, match=knob):
+                _cfg(**{knob: value})
     with pytest.raises(ConfigInvalid, match="base_seed"):
         _cfg(base_seed=-4)  # SeedSequence takes nonnegative entropy only
+
+
+def test_write_report_refuses_one_file_for_both_outputs(tmp_path):
+    # refused before either file is opened or a row is asked for
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"kept\n")
+
+    def rows():
+        raise AssertionError("a row was asked for")
+        yield
+
+    os.link(out, tmp_path / "link.csv")
+    for plot in (out, tmp_path / "." / "out.csv", tmp_path / "link.csv"):
+        with pytest.raises(ConfigInvalid, match="both go to"):
+            write_report(rows(), out, plot)
+    assert out.read_bytes() == b"kept\n"
 
 
 def test_budget_split_rules():
@@ -307,7 +327,7 @@ def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if blas != "scipy-openblas":
         pytest.skip(f"numpy links {blas}, whose thread controls the sweep does not look up")
-    controls = pipeline._blas_thread_controls()
+    controls = design._blas_thread_controls()
     assert controls, "numpy's scipy-openblas thread controls were not found"
     get, set_ = controls
     parent = os.getpid()
@@ -330,7 +350,7 @@ def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
 
 
 def test_run_sweep_runs_unpinned_without_blas_controls(monkeypatch):
-    monkeypatch.setattr(pipeline, "_blas_thread_controls", lambda: ())
+    monkeypatch.setattr(design, "_blas_thread_controls", lambda: ())
     assert run_sweep(_cfg(trials=2))[0].trials == 2
 
 
