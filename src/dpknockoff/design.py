@@ -174,12 +174,14 @@ class Dataset:
     def probe_products(self, attempt: int) -> tuple:
         """(X^T W, W^T y, W^T W) for the default probe W of retry ``attempt``.
 
-        Stored products are returned as they are.  Otherwise a record with
-        ``x`` forms them from it and the cached probe, and a record without
-        reads its design file once more.
+        Stored products are returned as they are.  Otherwise an in-memory
+        record forms them from ``x`` and the cached probe, a pipe's record
+        folds its kept rows as a file's are folded, and a file's reads it again.
         """
         if attempt == 0 and self.probe_sums is not None:
             return self.probe_sums
+        if self.x is not None and self.probe_sums is not None:
+            return _folded(self.x, self.y, attempt).probe_products
         if self.x is not None:
             w, wtw = _default_probe(self.n, self.p, attempt)
             xtw = self.x.T @ w
@@ -196,8 +198,8 @@ class Dataset:
 # holds the block buffer and one block of W while it folds a stream.
 _BLOCK_ROWS = 1024
 
-# Bytes per chunk of a streamed design file, about all a forked worker holds.
-_CHUNK_BYTES = 4 << 20
+# Bytes per chunk of a streamed design file; a forked worker holds one chunk's text and rows.
+_CHUNK_BYTES = 2 << 20
 
 
 class _Sums:
@@ -340,9 +342,9 @@ class ModelOracle:
     true_support: frozenset | None = None
 
     def __post_init__(self):
-        if self.beta_norm_bound < 0:
+        if not self.beta_norm_bound >= 0:  # refuses nan; +inf is refused at calibration
             raise ValueError("beta_norm_bound must be nonnegative")
-        if self.sigma2_bound <= 0:
+        if not self.sigma2_bound > 0:
             raise ValueError("sigma2_bound must be strictly positive")
         if self.true_beta is not None:
             beta = np.asarray(self.true_beta, dtype=float).ravel()
@@ -377,16 +379,17 @@ def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
     ``_BLOCK_ROWS`` rows counted from row 0, together with the rows of the
     first probe W, so a file gives the same record bits however it is read.
     Only a pipe keeps its rows, for a second probe.  A regular file is
-    streamed and no process holds more than about one ``_CHUNK_BYTES`` chunk
-    of it: the file is cut into newline-aligned chunks, forked workers, one
-    per CPU in ``os.sched_getaffinity`` at most, each parse every w-th chunk,
-    and this process reads each chunk's rows from its worker's pipe and sums
-    them in row order.  A name ``np.loadtxt`` decompresses (``.gz``,
-    ``.bz2``, ``.xz``, ``.lzma``) is never streamed, whatever its bytes, and
-    any failure of the stream (a fork, a worker, a warning, a column count)
-    falls back to one ``np.loadtxt`` of the whole file, so errors, warnings
-    and row numbers are those of the serial parse.  Every route folds on one
-    OpenBLAS thread, so a library call gives the CLI's record bits.
+    streamed: it is cut into newline-aligned chunks of about
+    ``_CHUNK_BYTES``; forked workers, one per CPU in ``os.sched_getaffinity``
+    at most, each read every w-th chunk with one ``os.pread`` and parse it,
+    holding its text and rows; this process reads each chunk's rows from its
+    worker's pipe and sums them in row order.  A name ``np.loadtxt``
+    decompresses (``.gz``, ``.bz2``, ``.xz``, ``.lzma``) is never streamed,
+    whatever its bytes, and any failure of the stream (a fork, a worker, a
+    short read, a warning, a column count) falls back to one ``np.loadtxt``
+    of the whole file, so errors, warnings and row numbers are those of the
+    serial parse.  Every route folds on one OpenBLAS thread, so a library
+    call gives the CLI's record bits.
     """
     return _load_record(x_path, y_path, has_header, probe=True)
 
@@ -446,12 +449,17 @@ def _regular(path) -> bool:
 
 
 def _parsed(path, skip: int, y, attempt: int | None) -> tuple[_Sums, np.ndarray]:
-    """One ``np.loadtxt`` of the whole design file, and its rows' sums folded as a stream's."""
+    """One ``np.loadtxt`` of the whole design file, and its rows' sums."""
     x = _read_table(path, "design", functools.partial(_loadtxt_csv, path, skip))
+    return _folded(x, y, attempt), x
+
+
+def _folded(x: np.ndarray, y, attempt: int | None) -> _Sums:
+    """The sums of a loaded design's rows, folded in blocks as a stream's."""
     sums = _Sums(y, attempt)
     with _single_blas_thread():
         sums.fold(x)
-        return sums.finish(), x
+        return sums.finish()
 
 
 def _design_sums(path, skip: int, y, attempt: int | None) -> _Sums:
@@ -472,8 +480,8 @@ def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
     The file is cut into chunks of about ``_CHUNK_BYTES``, a multiple of the
     CPU count of them, and worker k of w parses chunks k, k + w, ...  This
     process parses nothing: it folds chunk i's rows from worker i mod w, in
-    file order, and a worker blocked on its full pipe holds about one chunk's
-    rows.  Any failure raises; a name np.loadtxt would decompress is refused.
+    file order; a worker holds a chunk's text only while it parses it.  Any
+    failure raises; a name np.loadtxt would decompress is refused.
     """
     if os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):  # numpy's openers
         raise ValueError(f"np.loadtxt decompresses {path}; its bytes are not its rows")
@@ -498,11 +506,17 @@ def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
 
 
 def _send_chunks(fd: int, chunks, skip: int, writer) -> None:
-    """Body of a forked worker: parse each chunk [start, end) in turn and send
-    its shape and rows; ``skip`` header lines are skipped where the file starts."""
+    """Body of a forked worker: read each chunk [start, end) with one
+    ``os.pread``, which moves no shared file offset, parse it and send its
+    shape and rows; ``skip`` header lines are skipped where the file starts.
+    A short read raises, so the load falls back to the serial parse."""
     for start, end in chunks:
-        with _text_range(fd, start, end) as text:
-            rows = _parse_part(text, skip if start == 0 else 0)
+        data = os.pread(fd, end - start, start)
+        if len(data) != end - start:
+            raise EOFError(f"read {len(data)} of the {end - start} bytes of a chunk")
+        # the default encoding and universal newlines: what np.loadtxt opens a path with
+        rows = _parse_part(io.TextIOWrapper(io.BytesIO(data)), skip if start == 0 else 0)
+        del data  # the next read holds no two chunks' text
         writer.write(struct.pack("2q", *rows.shape))
         writer.write(rows)
 
@@ -571,7 +585,7 @@ def _blas_thread_controls() -> tuple:
 def _single_blas_thread():
     """Run the body with numpy's bundled OpenBLAS on one thread, then restore.
 
-    Held by :func:`_forked` for its whole life, by the fold in :func:`_parsed`
+    Held by :func:`_forked` for its whole life, by the fold in :func:`_folded`
     and by ``cli.main`` around every command: small products, or products
     beside forked work, where more threads only spin.  Without the thread
     controls the body runs unpinned.
@@ -601,37 +615,12 @@ def _run_child(body, writer, readers) -> None:
         os._exit(status)
 
 
-def _text_range(fd: int, start: int, end: int) -> io.TextIOWrapper:
-    """Bytes [start, end) of a file, decoded and split into lines as for the whole file."""
-    # the default encoding and universal newlines: what np.loadtxt opens a path with
-    return io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, end)))
-
-
 def _parse_part(text, skip: int) -> np.ndarray:
     """np.loadtxt of one chunk; a chunk may hold no rows."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # any other warning fails the stream
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         return _loadtxt_csv(text, skip)
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes [start, end) of an open file, read with ``os.preadv``.
-
-    A positional read moves no shared file offset, so the forked workers
-    read one inherited descriptor side by side.
-    """
-
-    def __init__(self, fd: int, start: int, end: int):
-        self._fd, self._pos, self._end = fd, start, end
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = os.preadv(self._fd, [memoryview(buffer)[: self._end - self._pos]], self._pos)
-        self._pos += n
-        return n
 
 
 def compute_bounds(d: Dataset, row_bound_override: float | None = None) -> NormBounds:

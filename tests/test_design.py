@@ -22,6 +22,7 @@ from dpknockoff import (
     Dataset,
     DimensionMismatch,
     InvalidDesign,
+    ModelOracle,
     ParseError,
     load_dataset,
 )
@@ -233,6 +234,18 @@ def _block_design():
     x[:4, 0] = [1.0, -1.0, 1.0, -1.0]
     x[4:, 1] = [1.0, -1.0, 1.0, -1.0]
     return Dataset.from_arrays(x, np.zeros(8))
+
+
+@pytest.mark.parametrize("beta_norm, sigma2, match", [
+    (-1.0, 1.0, "beta_norm_bound must be nonnegative"),
+    (np.nan, 1.0, "beta_norm_bound must be nonnegative"),
+    (1.0, 0.0, "sigma2_bound must be strictly positive"),
+    (1.0, -1.0, "sigma2_bound must be strictly positive"),
+    (1.0, np.nan, "sigma2_bound must be strictly positive"),
+])
+def test_model_oracle_refuses_a_bad_bound(beta_norm, sigma2, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=sigma2)
 
 
 def test_compute_bounds_block_design():
@@ -541,6 +554,27 @@ def _open_fds():
     return sorted(os.listdir("/proc/self/fd"))
 
 
+@needs_affinity
+def test_a_workers_short_read_falls_back_to_the_serial_parse(tmp_path, monkeypatch):
+    xp, yp = _write_design_csv(tmp_path, 400, 5)
+    _cpus(monkeypatch, 2)
+    pread, parsed, fallbacks = os.pread, design._parsed, []
+
+    def short_pread(fd, size, offset):
+        return pread(fd, size, offset)[:-1]  # drops the chunk's last byte
+
+    def spy_parsed(*args):
+        fallbacks.append(args[0])
+        return parsed(*args)
+
+    monkeypatch.setattr(os, "pread", short_pread)
+    monkeypatch.setattr(design, "_parsed", spy_parsed)
+    ds = load_dataset(xp, yp)
+    assert fallbacks == [xp]
+    _assert_same_record(ds, _folded_record(_serial_design(xp), ds.y))
+    _assert_no_child_left()
+
+
 def _parse_fails_in_children(monkeypatch, failure):
     parent = os.getpid()
     real = design._parse_part
@@ -775,10 +809,14 @@ def test_a_refused_first_probe_reads_the_file_once_more(tmp_path, monkeypatch, f
 
     monkeypatch.setattr(knockoffs, "_rank_tol", refuse_every_first_probe)
     memory = run_knockoff_filter(Dataset.from_arrays(x, y), q=0.2)
-    for ds in (streamed, compressed, piped):
-        result = run_knockoff_filter(ds, q=0.2)
-        assert result.report.selected == memory.report.selected != frozenset()
-        assert np.allclose(result.report.w.w, memory.report.w.w, rtol=1e-9, atol=1e-12)
+    reports = [run_knockoff_filter(ds, q=0.2).report for ds in (streamed, compressed, piped)]
+    for report in reports:
+        assert report.selected == memory.report.selected != frozenset()
+        assert np.allclose(report.w.w, memory.report.w.w, rtol=1e-9, atol=1e-12)
+    # a loaded design's second probe is folded in blocks on every path: the same bits
+    for report in reports[1:]:
+        _assert_same_bits(report.w.w, reports[0].w.w)
+        assert report.threshold_t == reports[0].threshold_t
     assert len(tests) == 8  # two probes per run
     assert passes == [0, 0, 1, 1]  # one second pass over each file; the pipe's rows are kept
 

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from dpknockoff import (
     BoundViolation,
     BudgetInvalid,
+    DPKnockoffError,
     Dataset,
     DeltaTooSmall,
     ModelOracle,
@@ -648,3 +651,106 @@ def test_row_bound_close_to_c_min_is_finite_or_refused(p, n_factor, log_scales, 
         except PrivacyPreconditionFailed:
             continue
         assert np.all(np.isfinite(result.report.w.w))
+
+
+# ---------------------------------------------------------------------------
+# Neighbour audit: what replacing one row moves, against its sensitivity
+# ---------------------------------------------------------------------------
+
+_AUDIT_BUDGET = PrivacyBudget(eps=0.5, delta_1=0.05, delta_2=0.5, eps_1=0.3, eps_2=0.3, delta=0.05)
+
+
+def _outcome(call):
+    """``(call(), None)``, or ``(None, refusal)``: the package error it raised
+    with the raise statement that refused it."""
+    try:
+        return call(), None
+    except DPKnockoffError as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return None, (exc, (type(exc), frame.filename, frame.lineno))
+
+
+def _calibrations(ds, spectrum, oracle, row_bound):
+    """The calibration ``dpknockoff calibrate`` runs: the context, or None, and
+    the refusal of each step (building the context, then each method's scales)."""
+    ctx, refused = _outcome(lambda: build_sensitivity_context(
+        compute_bounds(ds, row_bound), oracle, spectrum, raw_gram_frobenius(ds), _AUDIT_BUDGET))
+    if ctx is None:
+        return None, [refused]
+    return ctx, [None, *(_outcome(functools.partial(ctx.noise_scales, m))[1] for m in "12")]
+
+
+def _neighbour_row(direction, x, i, sigma_prime, col_norms, rng):
+    p = x.shape[1]
+    if direction == "random":
+        return rng.standard_normal(p)
+    if direction == "column":
+        return np.eye(p)[rng.integers(p)]
+    if direction == "bottom":  # D r along the bottom eigenvector of S'
+        return np.linalg.eigh(sigma_prime)[1][:, 0] * col_norms
+    return -x[i]
+
+
+def _audit_neighbours(p, n_factor, rho, log_scales, fractions, seed):
+    # one tall design, equicorrelated with columns scaled by 0.5..2, and one
+    # neighbour per direction: a row replaced by one of norm frac * B <= B,
+    # its response redrawn from the model
+    rng = np.random.default_rng(seed)
+    n = n_factor * p
+    z, common = rng.standard_normal((n, p)), rng.standard_normal((n, 1))
+    x = (np.sqrt(1.0 - rho) * z + np.sqrt(rho) * common) * 2.0 ** np.asarray(log_scales[:p])
+    beta = np.zeros(p)
+    beta[: p // 2] = 1.0
+    y = x @ beta + rng.standard_normal(n)
+    oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
+    ds = Dataset.from_arrays(x, y)
+    b = math.sqrt(ds.row_norm_sq_max)
+    spectrum = gram_spectrum(ds)
+    calibration = _calibrations(ds, spectrum, oracle, b)
+    for direction, frac in zip(("random", "column", "bottom", "negative"), fractions):
+        i = int(rng.integers(n))
+        row = _neighbour_row(direction, x, i, spectrum.sigma_prime, ds.col_norms, rng)
+        x2, y2 = x.copy(), y.copy()
+        x2[i] = row * (frac * b / np.linalg.norm(row))
+        y2[i] = x2[i] @ beta + rng.standard_normal()
+        ds2 = Dataset.from_arrays(x2, y2)
+        spectrum2 = gram_spectrum(ds2)
+        d_lambda = abs(spectrum2.lambda_min - spectrum.lambda_min)
+        d_frob = float(np.linalg.norm(spectrum2.sigma_prime - spectrum.sigma_prime))
+        calibration2 = _calibrations(ds2, spectrum2, oracle, b)
+        for ctx, _ in (calibration, calibration2):
+            if ctx is None:  # B >= C_min: refused, nothing calibrated
+                continue
+            assert d_lambda <= ctx.lambda_min_sensitivity, (direction, d_lambda)
+            assert d_frob <= ctx.gram_frobenius_sensitivity, (direction, d_frob)
+        # a refusal names its check, never a value of the data it refused
+        for one, two in zip(calibration[1], calibration2[1]):
+            if one is not None and two is not None and one[1] == two[1]:
+                assert str(one[0]) == str(two[0])
+
+
+_NEIGHBOUR_DESIGNS = given(
+    p=st.integers(4, 12),
+    n_factor=st.integers(20, 100),
+    rho=st.floats(0.0, 0.6),
+    log_scales=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+    fractions=st.lists(st.floats(0.5, 1.0), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@_NEIGHBOUR_DESIGNS
+def test_one_replaced_row_moves_the_gram_within_its_sensitivities(
+    p, n_factor, rho, log_scales, fractions, seed,
+):
+    _audit_neighbours(p, n_factor, rho, log_scales, fractions, seed)
+
+
+@pytest.mark.slow
+@settings(max_examples=5000, deadline=None, derandomize=True)
+@_NEIGHBOUR_DESIGNS
+def test_one_replaced_row_moves_the_gram_within_its_sensitivities_at_scale(
+    p, n_factor, rho, log_scales, fractions, seed,
+):
+    _audit_neighbours(p, n_factor, rho, log_scales, fractions, seed)
