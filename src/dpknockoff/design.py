@@ -8,9 +8,9 @@ diagonal scaling X' = X D with D = diag(1/||x_j||), so everything the filter
 reads of X' follows from those sums: S' = D (X^T X) D, X'^T v = D X^T v, and
 ||x_j|| = sqrt((X^T X)_jj).  The filter never forms X'.  This module holds
 that record, its validation, the norm bounds, the probe W with its cache,
-and the CSV ingestion path, which sums every design file in the same row
-blocks and streams a regular one without holding it.  Arrays and files are
-summed by the same :class:`_Sums` and validated by the same builder, and
+and the CSV ingestion path, which streams a regular design file without
+holding it.  Arrays and files are summed by the same :class:`_Sums`, in the
+same row blocks, and validated by the same builder, and
 :meth:`Dataset.probe_products` is the one source of the products with W.
 """
 
@@ -64,14 +64,14 @@ _PROBE_LOCK = threading.Lock()
 @functools.lru_cache(maxsize=_PROBE_CACHE_SIZE)
 def _cached_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
     w = _probe_generator(attempt).standard_normal((n, p))
-    wtw = w.T @ w
+    wtw = _block_sum(w, w)
     w.setflags(write=False)
     wtw.setflags(write=False)
     return w, wtw
 
 
 def _default_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-    """The default probe W for shape (n, p) and retry ``attempt``, with W^T W.
+    """The default probe W for shape (n, p) and retry ``attempt``, with W^T W in blocks.
 
     Both depend only on (n, p, attempt), so they are drawn on first use and
     kept in a small bounded cache; the arrays are read-only because every
@@ -93,7 +93,7 @@ class Dataset:
     validated at construction and immutable afterwards; every array is
     read-only.  Use :meth:`from_arrays` or :func:`load_dataset` instead of
     the bare constructor.  Both sum the design with :class:`_Sums`, under
-    its shape rule, and validate the sums in :meth:`_summed`.
+    its shape and block rules, and validate the sums in :meth:`_summed`.
 
     The products with the probe W are read through :meth:`probe_products`
     alone.  An in-memory record keeps its design as ``x`` and forms them from
@@ -102,8 +102,8 @@ class Dataset:
     :func:`~dpknockoff.simulate.generate_trial` hands over the arrays it just
     drew.  A record :func:`load_dataset` builds holds in ``probe_sums``
     (X^T W_0, W_0^T y, W_0^T W_0), summed in the same pass; any other probe
-    reads its ``design_file`` (path, header lines) again, or the rows of a
-    pipe, which can be read only once, kept as ``x``.
+    reads its ``design_file`` (path, header lines) again, or is formed from
+    the rows of a pipe, which can be read only once, kept as ``x``.
     """
 
     n: int
@@ -126,15 +126,13 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, x, y) -> "Dataset":
-        return cls._owned(np.array(x, dtype=float, ndmin=2), np.array(y, dtype=float).ravel())
+        return cls._owned(np.array(x, float, order="C", ndmin=2), np.array(y, float).ravel())
 
     @classmethod
     def _owned(cls, x: np.ndarray, y: np.ndarray) -> "Dataset":
         """Validate a 2-D float x and 1-D float y, take ownership of both and
-        sum x as one block, under :class:`_Sums`' shape rule."""
-        sums = _Sums(y, None)
-        sums._add(x)
-        return cls._summed(sums, x=x)
+        sum x in a loaded design's blocks (:func:`_folded`), on the caller's BLAS threads."""
+        return cls._summed(_folded(x, y, None), x=x)
 
     @classmethod
     def _summed(cls, sums: "_Sums", **source) -> "Dataset":
@@ -174,19 +172,17 @@ class Dataset:
     def probe_products(self, attempt: int) -> tuple:
         """(X^T W, W^T y, W^T W) for the default probe W of retry ``attempt``.
 
-        Stored products are returned as they are.  Otherwise an in-memory
-        record forms them from ``x`` and the cached probe, a pipe's record
-        folds its kept rows as a file's are folded, and a file's reads it again.
+        Stored products are returned as they are.  A record that holds its
+        rows (in memory, or a pipe's) sums them with the cached probe in
+        :class:`_Sums`' blocks, to a loaded design's bits; a file's record
+        reads the file again.
         """
         if attempt == 0 and self.probe_sums is not None:
             return self.probe_sums
-        if self.x is not None and self.probe_sums is not None:
-            return _folded(self.x, self.y, attempt).probe_products
         if self.x is not None:
             w, wtw = _default_probe(self.n, self.p, attempt)
-            xtw = self.x.T @ w
             with np.errstate(over="ignore", invalid="ignore"):  # W^T y is refused by its reader
-                return xtw, w.T @ self.y, wtw
+                return _block_sum(self.x, w), _block_sum(w, self.y), wtw
         path, skip = self.design_file
         sums = _design_sums(path, skip, self.y, attempt)
         if (sums.n, sums.p) != (self.n, self.p):
@@ -194,9 +190,16 @@ class Dataset:
         return sums.probe_products
 
 
-# Rows per block of a loaded design's sums (fewer for a shorter y); this process
+# Rows per block of a design's sums (fewer for a shorter y); this process
 # holds the block buffer and one block of W while it folds a stream.
 _BLOCK_ROWS = 1024
+
+
+def _block_sum(a: np.ndarray, b: np.ndarray):
+    """a^T b summed over blocks of ``_BLOCK_ROWS`` rows from row 0, in :class:`_Sums`' order."""
+    starts = range(0, len(a), _BLOCK_ROWS)
+    return sum(a[i : i + _BLOCK_ROWS].T @ b[i : i + _BLOCK_ROWS] for i in starts)
+
 
 # Bytes per chunk of a streamed design file; a forked worker holds one chunk's text and rows.
 _CHUNK_BYTES = 2 << 20
@@ -207,13 +210,14 @@ class _Sums:
     squared row norm and, for a probe ``attempt``, X^T W, W^T y and W^T W
     with the rows of W drawn alongside.
 
-    A loaded design is folded in blocks of ``block_rows`` rows counted from
-    the first row, so the sums depend only on the rows, not on the chunks
-    they arrive in; an in-memory array is added as one block.  A block is
-    ``_BLOCK_ROWS`` rows, or len(y) where fewer: a valid record has len(y)
-    rows, so its blocks are the same.  A non-finite x_ij makes (X^T X)_jj
-    non-finite, so a block is scanned for non-finite entries only where its
-    Gram is not finite.
+    Every design is summed in blocks of ``block_rows`` rows counted from the
+    first row, so the sums depend only on the rows, not on the chunks they
+    arrive in or on whether they are held in memory: a stream's through the
+    block buffer, rows in memory as views (:func:`_folded`).  A block is
+    ``_BLOCK_ROWS`` rows, or len(y) where fewer but not 0: a valid record
+    has len(y) rows, so its blocks are the same.  A non-finite x_ij makes
+    (X^T X)_jj non-finite, so a block is scanned for non-finite entries only
+    where its Gram is not finite.
 
     The shape rule: the sums are formed only while y is present and has at
     least max(rows so far, 2p) entries, y's length standing in for the n a
@@ -228,15 +232,7 @@ class _Sums:
     def __init__(self, y: np.ndarray | None, attempt: int | None):
         self.y, self.n, self.p, self.gram, self.x_finite = y, 0, None, None, True
         self._attempt, self._pending, self._filled = attempt, None, 0
-        self.block_rows = _BLOCK_ROWS if y is None else min(_BLOCK_ROWS, len(y))
-
-    def fold(self, rows: np.ndarray) -> None:
-        """Add rows in order, through the block buffer."""
-        while len(rows):
-            view = self._buffer(rows.shape[1])[self._filled : self._filled + len(rows)]
-            view[:] = rows[: len(view)]
-            self._took(len(view))
-            rows = rows[len(view) :]
+        self.block_rows = _BLOCK_ROWS if y is None else min(_BLOCK_ROWS, len(y)) or _BLOCK_ROWS
 
     def fold_from(self, reader, rows: int, cols: int) -> None:
         """Add ``rows`` rows of ``cols`` doubles read from ``reader`` into the block buffer."""
@@ -375,21 +371,21 @@ def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
     before the response file's.
 
     Every design is summed one way: its rows, exactly the rows one
-    ``np.loadtxt`` of the whole file returns, are summed in blocks of
-    ``_BLOCK_ROWS`` rows counted from row 0, together with the rows of the
-    first probe W, so a file gives the same record bits however it is read.
-    Only a pipe keeps its rows, for a second probe.  A regular file is
-    streamed: it is cut into newline-aligned chunks of about
-    ``_CHUNK_BYTES``; forked workers, one per CPU in ``os.sched_getaffinity``
-    at most, each read every w-th chunk with one ``os.pread`` and parse it,
-    holding its text and rows; this process reads each chunk's rows from its
-    worker's pipe and sums them in row order.  A name ``np.loadtxt``
-    decompresses (``.gz``, ``.bz2``, ``.xz``, ``.lzma``) is never streamed,
-    whatever its bytes, and any failure of the stream (a fork, a worker, a
-    short read, a warning, a column count) falls back to one ``np.loadtxt``
-    of the whole file, so errors, warnings and row numbers are those of the
-    serial parse.  Every route folds on one OpenBLAS thread, so a library
-    call gives the CLI's record bits.
+    ``np.loadtxt`` of the whole file returns, are summed in :class:`_Sums`'
+    blocks with the rows of the first probe W, so a file gives the same
+    record bits however it is read.  Only a pipe keeps its rows, for a
+    second probe.  A regular file is streamed: it is cut into newline-aligned
+    chunks of about ``_CHUNK_BYTES``; forked workers, one per CPU in
+    ``os.sched_getaffinity`` at most, each read every w-th chunk with one
+    ``os.pread`` and parse it, holding its text and rows; this process reads
+    each chunk's rows from its worker's pipe and sums them in row order.  A
+    name ``np.loadtxt`` decompresses (``.gz``, ``.bz2``, ``.xz``, ``.lzma``)
+    is never streamed, whatever its bytes, and any failure of the stream (a
+    fork, a worker, a short read, a warning, a column count) falls back to
+    one ``np.loadtxt`` of the whole file, so errors, warnings and row numbers
+    are those of the serial parse.  Every route folds on one OpenBLAS thread,
+    so a library call gives the CLI's record bits, which are those of
+    :meth:`Dataset.from_arrays` of the same rows under the same pin.
     """
     return _load_record(x_path, y_path, has_header, probe=True)
 
@@ -449,17 +445,19 @@ def _regular(path) -> bool:
 
 
 def _parsed(path, skip: int, y, attempt: int | None) -> tuple[_Sums, np.ndarray]:
-    """One ``np.loadtxt`` of the whole design file, and its rows' sums."""
+    """One ``np.loadtxt`` of the whole design file, and its rows' sums on one BLAS thread."""
     x = _read_table(path, "design", functools.partial(_loadtxt_csv, path, skip))
-    return _folded(x, y, attempt), x
+    with _single_blas_thread():
+        return _folded(x, y, attempt), x
 
 
 def _folded(x: np.ndarray, y, attempt: int | None) -> _Sums:
-    """The sums of a loaded design's rows, folded in blocks as a stream's."""
+    """The sums of rows held in memory, added as views in the blocks a stream's buffer holds."""
     sums = _Sums(y, attempt)
-    with _single_blas_thread():
-        sums.fold(x)
-        return sums.finish()
+    sums._add(x[: sums.block_rows])  # a design with no rows still sets p
+    while sums.n < len(x):  # the rows added so far: a failed shape rule resizes the blocks
+        sums._add(x[sums.n : sums.n + sums.block_rows])
+    return sums
 
 
 def _design_sums(path, skip: int, y, attempt: int | None) -> _Sums:
@@ -585,17 +583,19 @@ def _blas_thread_controls() -> tuple:
 def _single_blas_thread():
     """Run the body with numpy's bundled OpenBLAS on one thread, then restore.
 
-    Held by :func:`_forked` for its whole life, by the fold in :func:`_folded`
+    Held by :func:`_forked` for its whole life, by the fold in :func:`_parsed`
     and by ``cli.main`` around every command: small products, or products
     beside forked work, where more threads only spin.  Without the thread
-    controls the body runs unpinned.
+    controls, or where OpenBLAS runs one thread already (a nested pin, any pin
+    in a forked child), no control is called: OpenBLAS's fork handler stops its
+    thread server and the next set call restarts it, whose idle thread spins on
+    a core; a pin per sweep trial doubled sweep time (2 cores, n = 1e3, p = 50).
     """
-    controls = _blas_thread_controls()
-    if not controls:
+    getter, setter = _blas_thread_controls() or (None, None)
+    previous = getter() if getter else 1
+    if previous == 1:
         yield
         return
-    getter, setter = controls
-    previous = getter()
     setter(1)
     try:
         yield

@@ -70,7 +70,9 @@ class SimConfig:
     pessimism: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(_count("n_grid", n) for n in self.n_grid))
+        for name in ("p", "k", "trials", "threads", "base_seed"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         object.__setattr__(self, "method", str(self.method))
         if not self.n_grid:
             raise ConfigInvalid("n_grid must not be empty")
@@ -106,6 +108,14 @@ class SimConfig:
                 budget_totals(self, n)
         except BudgetInvalid as exc:
             raise ConfigInvalid(str(exc)) from exc
+
+
+def _count(name: str, value) -> int:
+    """An integral ``value`` (1e5, 10.0) as an int; any other is refused naming its field."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
+        if int(value) == value:
+            return int(value)
+    raise ConfigInvalid(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)

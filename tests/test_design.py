@@ -24,6 +24,7 @@ from dpknockoff import (
     InvalidDesign,
     ModelOracle,
     ParseError,
+    PrivacyBudget,
     load_dataset,
 )
 from dpknockoff import design, knockoffs
@@ -175,6 +176,8 @@ def test_only_a_drawn_probe_allocates_probe_sums():
     # no rows: the response's length or 2p refuses the shape
     ((0, 3), 10, DimensionMismatch, "10 entries but design has 0 rows"),
     ((0, 3), 0, InvalidDesign, "n=0 < 2p=6"),
+    # an empty response cuts the rows into full blocks, not endless empty ones
+    ((5, 0), 0, DimensionMismatch, "0 entries but design has 5 rows"),
 ])
 def test_from_arrays_refuses_a_design_with_no_rows_or_columns(shape, y_len, error, match):
     with pytest.raises(error, match=match):
@@ -626,14 +629,13 @@ def test_load_dataset_leaves_no_child_or_descriptor_behind(tmp_path, monkeypatch
 
 
 def _folded_record(x, y):
-    """The record streaming the rows of x sums, folded here in one piece."""
-    sums = design._Sums(y, 0)
-    sums.fold(x)
-    return Dataset._summed(sums.finish())
+    """The record streaming the rows of x sums, summed here from memory on one BLAS thread."""
+    with design._single_blas_thread():
+        return Dataset._summed(design._folded(x, y, 0))
 
 
 def _record_arrays(ds):
-    return (ds.gram, ds.col_norms, ds.xty, ds.y, *ds.probe_sums)
+    return (ds.gram, ds.col_norms, ds.xty, ds.y, *ds.probe_products(0))
 
 
 def _assert_same_record(a, b):
@@ -667,9 +669,14 @@ def _design_text(x, layout):
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 @pytest.mark.parametrize("layout", ["header", "crlf", "mixed"])
 @pytest.mark.parametrize("kind", ["collinear", "spread", "n_2p"])
-def test_streamed_record_matches_the_in_memory_record(tmp_path, monkeypatch, kind, layout, cpus):
-    # small blocks, so every design spans several, and parts end inside them
+def test_streamed_record_matches_the_in_memory_record(
+    tmp_path, monkeypatch, request, kind, layout, cpus
+):
+    # small blocks, so every design spans several, and parts end inside them;
+    # the cached probe's W^T W is summed in them too, so the cache starts and ends empty
     monkeypatch.setattr(design, "_BLOCK_ROWS", 16)
+    design._cached_probe.cache_clear()
+    request.addfinalizer(design._cached_probe.cache_clear)
     x, y = _hostile_design(kind)
     text, skip = _design_text(x, layout)
     (tmp_path / "x.csv").write_bytes(text.encode())
@@ -679,21 +686,40 @@ def test_streamed_record_matches_the_in_memory_record(tmp_path, monkeypatch, kin
     assert streamed.x is None
     # the same bits for every cut into parts: the sums see whole blocks in row order
     _assert_same_record(streamed, _folded_record(x, y))
-
-    memory = Dataset.from_arrays(x, y)
-    assert streamed.row_norm_sq_max == memory.row_norm_sq_max  # a max is exact
-    w, _ = design._default_probe(*x.shape, 0)
-    # two sums of the same n terms in different orders differ by at most
-    # 2 gamma_n sum |a_i b_i| <= 2 n eps (|A|^T |B|), entrywise
-    n, eps = x.shape[0], np.finfo(float).eps
-    pairs = zip(
-        (streamed.gram, streamed.xty, *streamed.probe_sums),
-        (memory.gram, memory.xty, *memory.probe_products(0)),
-        ((x, x), (x, y), (x, w), (w, y), (w, w)),
-    )
-    for got, want, (a, b) in pairs:
-        assert np.all(np.abs(got - want) <= 2 * n * eps * (np.abs(a).T @ np.abs(b)))
+    # and the in-memory record of the same rows, its probe products formed
+    # from the cached probe, is summed in the same blocks: the same bits
+    with design._single_blas_thread():
+        _assert_same_record(streamed, Dataset.from_arrays(x, y))
     _assert_no_child_left()
+
+
+@needs_affinity
+def test_one_set_of_rows_gives_one_record(tmp_path):
+    # above one 1024-row block, an in-memory record of a file's rows and the
+    # loaded record are summed in the same blocks, probes and filter alike
+    rng = np.random.default_rng(47)
+    n, p = 3000, 20
+    x = rng.standard_normal((n, p))
+    xp, yp = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
+    np.savetxt(xp, x, delimiter=",", fmt="%.10g")
+    np.savetxt(yp, x[:, :5] @ np.full(5, 0.5) + rng.standard_normal(n), fmt="%.10g")
+    oracle = ModelOracle(beta_norm_bound=np.sqrt(5) * 0.5, sigma2_bound=1.0)
+    budget = PrivacyBudget(eps=0.2, delta_1=0.02, delta_2=0.02)
+    with design._single_blas_thread():
+        memory = Dataset.from_arrays(np.loadtxt(xp, delimiter=","), np.loadtxt(yp))
+        loaded = load_dataset(xp, yp)
+        _assert_same_record(memory, loaded)
+        # the rows, not their memory order: a Fortran-ordered design is summed as C rows
+        _assert_same_record(Dataset.from_arrays(np.asfortranarray(memory.x), memory.y), loaded)
+        for u, v in zip(memory.probe_products(1), loaded.probe_products(1), strict=True):
+            _assert_same_bits(u, v)
+        for method in ("none", "2"):
+            w_memory, w_loaded = (
+                run_knockoff_filter(
+                    ds, q=0.2, method=method, budget=budget, oracle=oracle, seed=5
+                ).report.w.w for ds in (memory, loaded)
+            )
+            _assert_same_bits(w_memory, w_loaded)
 
 
 @needs_affinity
@@ -1001,7 +1027,7 @@ def _fifo_load(xp, yp, skip):
 
 def _loadtxt_record(xp, yp, skip):
     """The outcome of Dataset.from_arrays of one np.loadtxt of each file, where
-    the design parses to one block of rows; None elsewhere."""
+    both parse to rows; None elsewhere."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -1009,7 +1035,7 @@ def _loadtxt_record(xp, yp, skip):
             y = np.loadtxt(yp, skiprows=skip, ndmin=2, dtype=float)
         except ValueError:
             return None
-    if not 0 < len(x) <= design._BLOCK_ROWS or not len(y):  # no rows: refused by file name
+    if not len(x) or not len(y):  # no rows: refused by file name
         return None
     return _outcome(functools.partial(Dataset.from_arrays, x, y.ravel()))
 

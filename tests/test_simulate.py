@@ -76,6 +76,24 @@ def test_config_rejects_bad_values():
         _cfg(base_seed=-4)  # SeedSequence takes nonnegative entropy only
 
 
+def test_config_takes_integral_counts_as_ints():
+    cfg = _cfg(n_grid=(1e3, 400.0), p=5.0, k=np.int64(2), trials=2.0, threads=1.0, base_seed=7.0)
+    assert cfg.n_grid == (1000, 400)
+    counts = (*cfg.n_grid, cfg.p, cfg.k, cfg.trials, cfg.threads, cfg.base_seed)
+    assert all(type(c) is int for c in counts)
+    assert [row.trials for row in run_sweep(cfg)] == [2, 2]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_grid", (400.7,)), ("n_grid", (400, math.nan)), ("p", 10.5), ("k", math.nan),
+    ("trials", 2.5), ("trials", math.inf), ("threads", 1.5), ("base_seed", 1.5),
+])
+def test_config_refuses_a_non_integral_count(name, value):
+    # each was cut to an int, or passed construction and failed in the sweep
+    with pytest.raises(ConfigInvalid, match=f"^{name} must be a whole number"):
+        _cfg(**{name: value})
+
+
 def test_write_report_refuses_one_file_for_both_outputs(tmp_path):
     # refused before either file is opened or a row is asked for
     out = tmp_path / "out.csv"
@@ -352,6 +370,35 @@ def test_run_sweep_pins_blas_to_one_thread(monkeypatch):
 def test_run_sweep_runs_unpinned_without_blas_controls(monkeypatch):
     monkeypatch.setattr(design, "_blas_thread_controls", lambda: ())
     assert run_sweep(_cfg(trials=2))[0].trials == 2
+
+
+def _counting_blas_controls(monkeypatch, threads=4):
+    """Fake OpenBLAS thread controls, running ``threads`` threads; returns the set calls."""
+    running, sets = [threads], []
+
+    def set_(count):
+        sets.append(count)
+        running[0] = count
+
+    monkeypatch.setattr(design, "_blas_thread_controls", lambda: (lambda: running[0], set_))
+    return sets
+
+
+def test_a_nested_blas_pin_makes_no_call(monkeypatch):
+    # OpenBLAS's fork handler stops its thread server and a set call restarts
+    # it, so a pin where one thread runs already (nested, or in a forked child) sets nothing
+    sets = _counting_blas_controls(monkeypatch)
+    with design._single_blas_thread():
+        with design._single_blas_thread():
+            assert sets == [1]
+    assert sets == [1, 4]
+
+
+def test_a_one_process_sweep_pins_once_per_cell(monkeypatch):
+    sets = _counting_blas_controls(monkeypatch)
+    rows = run_sweep(_cfg(n_grid=(400, 600), trials=5))
+    assert [row.trials for row in rows] == [5, 5]
+    assert sets == [1, 4, 1, 4]  # around each cell, never around a trial
 
 
 def test_run_sweep_global_null():
