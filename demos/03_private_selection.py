@@ -46,6 +46,6 @@ for label, kwargs in runs:
     print(f"{label:32s} selected={sorted(result.report.selected)}")
     print(f"{'':32s} fdp={fdp:.3f} power={power:.3f}")
     if result.release is not None:
-        eps_total, delta_total = result.release.total_privacy()
+        eps_total, delta_total = result.release.total_privacy
         print(f"{'':32s} privacy cost = ({eps_total:.3g}, {delta_total:.3g})")
     print()

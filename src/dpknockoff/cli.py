@@ -164,7 +164,7 @@ def cmd_run(args) -> int:
         seed=args.seed,
     )
     report = result.report
-    eps_total, delta_total = result.release.total_privacy() if result.release else (0.0, 0.0)
+    eps_total, delta_total = result.release.total_privacy if result.release else (0.0, 0.0)
     record = {
         "selected": sorted(report.selected),
         "threshold": _json_value(report.threshold_t),

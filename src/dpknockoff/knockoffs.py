@@ -75,13 +75,12 @@ class GramSpectrum:
 class KnockoffSummary:
     """The augmented Gram G and the product [X' Xt]^T y, without the copy.
 
-    Everything the releases and the statistics read of an augmented design
-    built at s = lambda_min(S'); no n x p array is held.
+    What the releases and the statistics read of the augmented design at
+    s = lambda_min(S'); exact functions of the data, so never part of a result.
     """
 
     gram_g: np.ndarray
     crossprod: np.ndarray
-    spectrum: GramSpectrum
 
     @property
     def p(self) -> int:
@@ -169,9 +168,7 @@ def knockoff_summary(d: Dataset, spectrum: GramSpectrum) -> KnockoffSummary:
     uty = _complement_crossprod(d, xty, l_inv, spectrum.lambda_max / s)
     kty = xty - sigma_inv_s.T @ xty + c_upper.T @ uty
     return KnockoffSummary(
-        gram_g=paired_blocks(spectrum.sigma_prime, -s),
-        crossprod=np.concatenate([xty, kty]),
-        spectrum=spectrum,
+        gram_g=paired_blocks(spectrum.sigma_prime, -s), crossprod=np.concatenate([xty, kty])
     )
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .design import Dataset, ModelOracle, compute_bounds
 from .errors import BudgetInvalid, PreconditionViolated
-from .knockoffs import KnockoffSummary, gram_spectrum, knockoff_summary, raw_gram_frobenius
+from .knockoffs import gram_spectrum, knockoff_summary, raw_gram_frobenius
 from .privacy import (
     PrivacyBudget,
     PrivateRelease,
@@ -25,10 +25,9 @@ METHODS = ("none", "1", "2")
 
 @dataclass(frozen=True)
 class FilterResult:
-    """Everything produced by one run of the filter."""
+    """One run's public record: the selection and, for a private method, its release."""
 
     report: SelectionReport
-    augmented: KnockoffSummary
     release: PrivateRelease | None = None
 
 
@@ -86,5 +85,5 @@ def run_knockoff_filter(
 
     w = compute_statistics(estimate, stat)
     report = knockoff_threshold(w, q)
-    return FilterResult(report=report, augmented=ks, release=release)
+    return FilterResult(report=report, release=release)
 

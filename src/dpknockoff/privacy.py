@@ -17,9 +17,9 @@ noise is calibrated at the dataset at hand, not over all possible datasets.
 
 :class:`SensitivityContext` is the one calibration record: each
 sensitivity formula and noise scale is one of its cached properties,
-evaluated once, and a non-finite one is refused.  Both releases carry its
-``noise_scales(method)`` as ``PrivateRelease.noise_scales``; ``dpknockoff
-calibrate`` prints the same record's fields.
+evaluated once, and a non-finite one is refused; ``dpknockoff calibrate``
+prints its fields.  A release holds only its noisy quantities and their
+public (eps, delta) cost, never a scale or sensitivity of the data.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ class PrivacyBudget:
             if v is not None and not 0.0 < v < math.inf:
                 need = "finite" if v > 0.0 else "strictly positive"
                 raise BudgetInvalid(f"{name} must be {need}, got {v}")
+        if self.eps_2 is not None and self.eps_2 >= 1.0:  # the Gaussian mechanism's domain
+            raise BudgetInvalid(f"eps_2 must lie in (0,1), got {self.eps_2}")
 
     def totals(self, method: str) -> tuple[float, float]:
         """Composed (eps, delta) cost of a method ``"1"`` (pair) or ``"2"`` (estimate) release."""
@@ -215,8 +217,9 @@ class SensitivityContext:
         exactly omega^2).  Requires (1 - eta^2)*lambda_min > eta^2; otherwise the
         denominator is not positive and no finite calibration exists.
         """
-        if self.ridge_omega2 < 0:
-            raise ValueError("ridge_omega2 must be nonnegative")
+        if not 0.0 <= self.ridge_omega2 < math.inf:  # also refuses nan
+            need = "nonnegative" if self.ridge_omega2 < 0 else "finite"
+            raise ValueError(f"ridge_omega2 must be {need}")
         lam_eff = self.spectrum.lambda_min + self.ridge_omega2
         denom_sq = (1.0 - self.eta2) * lam_eff - self.eta2
         if denom_sq <= 0.0:
@@ -369,21 +372,18 @@ def sample_symmetric_offdiag_gaussian(p: int, variance: float, rng) -> np.ndarra
 
 @dataclass(frozen=True)
 class PrivateRelease:
-    """A released private quantity plus its noise-scale record.
+    """A released private quantity and its composed (eps, delta) cost.
 
     A pair release populates the noisy Gram matrix and noisy
     feature-response product, an estimate release the noisy coefficient
-    vector.  ``noise_scales`` is :meth:`SensitivityContext.noise_scales` of
-    the release's method.
+    vector.  ``total_privacy`` is the budget's ``totals`` of the release's
+    method; the noise scales stay on the calibration record.
     """
 
-    noise_scales: dict
+    total_privacy: tuple[float, float]
     gram_noisy: np.ndarray | None = None
     crossprod_noisy: np.ndarray | None = None
     estimate_noisy: np.ndarray | None = None
-
-    def total_privacy(self) -> tuple[float, float]:
-        return self.noise_scales["eps_total"], self.noise_scales["delta_total"]
 
 
 def release_pair(
@@ -412,7 +412,7 @@ def release_pair(
     return PrivateRelease(
         gram_noisy=ks.gram_g + paired_blocks(theta_2, theta_1),
         crossprod_noisy=ks.crossprod + e_vec,
-        noise_scales=scales,
+        total_privacy=ctx.budget.totals("1"),
     )
 
 
@@ -434,4 +434,4 @@ def release_estimate(
     scales = ctx.noise_scales("2")
     estimate = estimate_coefficients(ks.gram_g, ks.crossprod, ridge_omega2=ctx.ridge_omega2)
     e_vec = sample_gaussian_vector(2 * ks.p, scales["kappa_sq"], _substream(seed, _LABEL_VECTOR))
-    return PrivateRelease(noise_scales=scales, estimate_noisy=estimate + e_vec)
+    return PrivateRelease(total_privacy=ctx.budget.totals("2"), estimate_noisy=estimate + e_vec)

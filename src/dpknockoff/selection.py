@@ -101,10 +101,9 @@ def estimate_coefficients(
     is used as-is, indefinite or not, so the estimate stays a pure function
     of the released pair.
     """
-    if lam < 0:
-        raise ValueError("lasso penalty must be nonnegative")
-    if ridge_omega2 < 0:
-        raise ValueError("ridge term must be nonnegative")
+    for name, value in (("lasso penalty", lam), ("ridge term", ridge_omega2)):
+        if not 0.0 <= value < np.inf:  # also refuses nan
+            raise ValueError(f"{name} must be {'nonnegative' if value < 0 else 'finite'}")
     if lam > 0 and ridge_omega2 > 0:
         raise PreconditionViolated(
             "the lasso path takes no ridge term; set either lam or ridge_omega2, not both"

@@ -27,7 +27,7 @@ from .errors import (
     SweepAborted,
 )
 from .pipeline import METHODS, run_knockoff_filter
-from .privacy import PrivacyBudget
+from .privacy import PrivacyBudget, delta2_floor
 from .selection import STATISTIC_KINDS, evaluate_selection
 
 DELTA_RULES = ("two_p_over_n", "fixed")
@@ -103,9 +103,14 @@ class SimConfig:
             raise ConfigInvalid(f"base_seed must be nonnegative, got {self.base_seed}")
         if not 1.0 <= self.pessimism < math.inf:
             raise ConfigInvalid(f"pessimism factor must be finite and >= 1, got {self.pessimism}")
+        floor = delta2_floor(self.p)
         try:  # a budget that every trial at some n would refuse
             for n in self.n_grid:
                 budget_totals(self, n)
+                budget = budget_for(self, n)
+                if budget is not None and budget.delta_2 <= floor:
+                    raise ConfigInvalid(f"at n={n}, delta_2={budget.delta_2:g} must exceed "
+                                        f"2*exp(-p/2)={floor:.3e}")
         except BudgetInvalid as exc:
             raise ConfigInvalid(str(exc)) from exc
 
@@ -221,10 +226,11 @@ def run_sweep(cfg: SimConfig) -> tuple[SimRow, ...]:
     same bits.  Trials whose privacy
     precondition fails are excluded from the means and counted under
     ``failures``.  A failure rate above MAX_FAILURE_RATE, or any other
-    package error in a trial (such as ``DeltaTooSmall``, which depends only
-    on (cfg, n) and so fails every trial), aborts the sweep with
-    :class:`SweepAborted`, which names the lowest failing trial's error and
-    carries the rows of the sample sizes already finished.
+    package error in a trial (such as ``InvalidDesign`` from an overflowing
+    response), aborts the sweep with :class:`SweepAborted`, which names the
+    lowest failing trial's error and carries the rows of the sample sizes
+    already finished.  :class:`SimConfig` refuses a budget that every trial
+    would refuse, such as a delta_2 at or below its floor, before any runs.
     """
     return tuple(_sweep_rows(cfg))
 

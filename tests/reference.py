@@ -90,9 +90,7 @@ class AugmentedDesign:
 
     def summary(self, y) -> KnockoffSummary:
         """The summary the releases and statistics read, from the explicit copy."""
-        return KnockoffSummary(
-            gram_g=self.gram_g, crossprod=self.crossprod(y), spectrum=self.spectrum
-        )
+        return KnockoffSummary(gram_g=self.gram_g, crossprod=self.crossprod(y))
 
 
 def choose_s(spectrum: GramSpectrum, mode: str = "private_recommended") -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dpknockoff
-from dpknockoff import cli, design, privacy, simulate
+from dpknockoff import cli, design, pipeline, privacy, simulate
 from dpknockoff.cli import main
 
 
@@ -100,8 +100,9 @@ RUN_SCALE_KEYS = {
         "method2_sensitivity": "estimate_sensitivity",
     }),
 ])
-def test_calibrate_agrees_with_run(capsys, data_files, method, budget, ridge, pairs):
-    # `run` prints no noise scales, so its release is read where the filter returns it
+def test_calibrate_agrees_with_run(monkeypatch, capsys, data_files, method, budget, ridge, pairs):
+    # neither `run` nor its result holds the noise scales, so the record the
+    # filter calibrated is caught where the pipeline builds it
     xp, yp, bnorm = data_files
     common = [
         "--x", xp, "--y", yp, "--method", method, "--ridge", ridge, *budget,
@@ -109,17 +110,24 @@ def test_calibrate_agrees_with_run(capsys, data_files, method, budget, ridge, pa
     ]
     code_cal, out_cal = _run_cli(capsys, ["calibrate", *common])
     assert code_cal == 0
+    built = []
+    real = pipeline.build_sensitivity_context
+    monkeypatch.setattr(
+        pipeline, "build_sensitivity_context", lambda *a, **k: built.append(real(*a, **k)) or built[-1]
+    )
     args = cli.build_parser().parse_args(["run", *common, "--seed", "3"])
     result = dpknockoff.run_knockoff_filter(
         dpknockoff.load_dataset(args.x, args.y), q=args.q, stat=args.stat, method=method,
         budget=cli._budget_from_args(args), oracle=cli._oracle_from_args(args),
         ridge_omega2=args.ridge, seed=args.seed,
     )
-    cal, scales = json.loads(out_cal), result.release.noise_scales
+    (ctx,) = built
+    cal, scales = json.loads(out_cal), ctx.noise_scales(method)
     assert list(scales) == RUN_SCALE_KEYS[method]
     for cal_key, run_key in pairs.items():
         assert cal[cal_key] == scales[run_key], cal_key
     assert (cal["total_eps"], cal["total_delta"]) == (scales["eps_total"], scales["delta_total"])
+    assert result.release.total_privacy == (cal["total_eps"], cal["total_delta"])
 
 
 @pytest.mark.parametrize("knobs, theta1, kappa1", [
@@ -313,6 +321,18 @@ def test_out_of_range_knob_is_usage_error(capsys, data_files, command, flag, val
     assert f"error: argument {flag}: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, method", [("run", "1"), ("run", "2"), ("calibrate", "2")])
+def test_eps2_at_or_above_one_is_cli_error(capsys, data_files, command, method):
+    # eps_2 is the Gaussian mechanism's epsilon, refused wherever it is given
+    xp, yp, bnorm = data_files
+    code = main([
+        command, "--x", xp, "--y", yp, "--method", method,
+        *(PAIR_BUDGET if method == "1" else ESTIMATE_BUDGET), "--eps2", "1.5",
+        "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0",
+    ])
+    assert (code, capsys.readouterr().err) == (2, "error: eps_2 must lie in (0,1), got 1.5\n")
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--eps1", "inf", "eps_1 must be finite, got inf"),
     ("--eps1", "nan", "eps_1 must be strictly positive, got nan"),
@@ -464,7 +484,10 @@ def test_simulate_abort_is_cli_error(tmp_path, capsys):
 @pytest.mark.parametrize("budget, message", [
     ("method = 2\neps = 1.5\n", "eps must lie in (0,1), got 1.5"),
     ("method = 1\neps = 0.3\neps1 = inf\neps2 = 0.1\n", "eps_1 must be finite, got inf"),
-], ids=["eps", "eps_1"])
+    ("method = 1\neps = 0.3\neps1 = 0.1\neps2 = 1.5\n", "eps_2 must lie in (0,1), got 1.5"),
+    ("method = 1\neps = 0.3\neps1 = 0.1\neps2 = 0.1\ndelta_rule = fixed\ndelta_value = 0.03\n",
+     "at n=200, delta_2=0.01 must exceed 2*exp(-p/2)=1.348e-02"),
+], ids=["eps", "eps_1", "eps_2", "delta_2"])
 def test_simulate_refuses_a_budget_every_trial_would_refuse(tmp_path, capsys, budget, message):
     # refused with the config, before either report file is opened
     cfg = tmp_path / "sweep.cfg"
@@ -521,12 +544,12 @@ def test_simulate_refuses_one_file_for_both_outputs(tmp_path, capsys, existing):
 
 
 def test_simulate_abort_keeps_finished_rows(tmp_path, capsys):
-    # with the 2p/n rule, p=12 clears the delta_2 floor at n=400 but not at
-    # n=4000, so the second cell aborts after the first has finished
+    # X^T y grows as n * amplitude: 4e307 at n=400, but it overflows at n=4000,
+    # so the second cell aborts after the first has finished
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
-        "n_grid = 400, 4000\np = 12\nk = 3\namplitude = 3.5\nsigma2 = 1.0\n"
-        "q = 0.2\ntrials = 5\nmethod = 2\nstat = csm\neps = 0.3\nbase_seed = 1\n",
+        "n_grid = 400, 4000\np = 12\nk = 3\namplitude = 1e305\nsigma2 = 1.0\n"
+        "q = 0.2\ntrials = 5\nstat = csm\nbase_seed = 1\n",
         encoding="utf-8",
     )
     out = tmp_path / "report.csv"
@@ -537,7 +560,7 @@ def test_simulate_abort_keeps_finished_rows(tmp_path, capsys):
     assert err.startswith("error: ") and "at n=4000" in err
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("n,method,stat,trials,")
-    assert len(lines) == 2 and lines[1].startswith("400,2,csm,5,")
+    assert len(lines) == 2 and lines[1].startswith("400,none,csm,5,")
     assert len(plot.read_text().strip().split("\n")) == 2
 
 

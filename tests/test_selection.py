@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,12 @@ def test_estimate_coefficients_validation():
         estimate_coefficients(a, c, lam=-1.0)
     with pytest.raises(ValueError):
         estimate_coefficients(a, c, ridge_omega2=-1.0)
+    # a nan knob would fall through to OLS, an infinite one zero the estimate
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^lasso penalty must be finite$"):
+            estimate_coefficients(a, c, lam=bad)
+        with pytest.raises(ValueError, match="^ridge term must be finite$"):
+            estimate_coefficients(a, c, ridge_omega2=bad)
     # the lasso has no ridge term, so the pair is refused rather than half-ignored
     with pytest.raises(PreconditionViolated):
         estimate_coefficients(a, c, lam=0.1, ridge_omega2=0.5)
@@ -368,14 +376,18 @@ def _private_filter_inputs():
 
 
 @pytest.mark.parametrize("method", ["none", "1", "2"])
-def test_pipeline_uses_s_equal_lambda_min(method):
+def test_pipeline_uses_s_equal_lambda_min(monkeypatch, method):
     # the calibration's gamma = 2*lambda_max - lambda_min assumes s = lambda_min(S')
     ds, oracle, budget = _private_filter_inputs()
-    result = run_knockoff_filter(ds, q=0.2, method=method, budget=budget, oracle=oracle, seed=1)
+    built = []
+    real = pipeline.knockoff_summary
+    monkeypatch.setattr(pipeline, "knockoff_summary", lambda *a, **k: built.append(real(*a, **k)) or built[-1])
+    run_knockoff_filter(ds, q=0.2, method=method, budget=budget, oracle=oracle, seed=1)
     spectrum, p = gram_spectrum(ds), ds.p
     off = spectrum.sigma_prime - spectrum.lambda_min * np.eye(p)
-    assert np.array_equal(result.augmented.gram_g[:p, p:], off)
-    assert np.array_equal(result.augmented.gram_g[p:, :p], off)
+    (ks,) = built
+    assert np.array_equal(ks.gram_g[:p, p:], off)
+    assert np.array_equal(ks.gram_g[p:, :p], off)
 
 
 @pytest.mark.parametrize("method", ["none", "1"])
@@ -385,6 +397,19 @@ def test_pipeline_rejects_lasso_with_ridge(method):
         run_knockoff_filter(
             ds, q=0.2, method=method, budget=budget, oracle=oracle, lam=0.5, ridge_omega2=0.5
         )
+
+
+# method 2 refuses any lasso penalty (test_pipeline_rejects_lasso_under_method_2)
+@pytest.mark.parametrize("method, knob", [
+    ("none", "lam"), ("1", "lam"), ("none", "ridge_omega2"), ("1", "ridge_omega2"),
+    ("2", "ridge_omega2"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pipeline_refuses_a_non_finite_penalty(method, knob, bad):
+    ds, oracle, budget = _private_filter_inputs()
+    with pytest.raises(ValueError, match="must be finite$"):
+        run_knockoff_filter(ds, q=0.2, method=method, budget=budget, oracle=oracle,
+                            seed=1, **{knob: bad})
 
 
 def test_pipeline_rejects_lasso_under_method_2():

@@ -8,7 +8,6 @@ import pytest
 
 from dpknockoff import (
     ConfigInvalid,
-    DeltaTooSmall,
     PrivacyPreconditionFailed,
     SimConfig,
     SingularSystem,
@@ -111,24 +110,25 @@ def test_write_report_refuses_one_file_for_both_outputs(tmp_path):
 
 
 def test_budget_split_rules():
-    cfg1 = _cfg(method="1", eps=0.1, eps_1=0.05, eps_2=0.05)
+    # p = 20: at p = 5 no n >= 2p clears the delta_2 floor 2*exp(-p/2) under 2p/n
+    cfg1 = _cfg(method="1", p=20, eps=0.1, eps_1=0.05, eps_2=0.05)
     b1 = budget_for(cfg1, 400)
-    d = 2.0 * 5 / 400 / 3.0
+    d = 2.0 * 20 / 400 / 3.0
     assert b1.delta == pytest.approx(d) and b1.delta_1 == pytest.approx(d)
     assert b1.delta_2 == pytest.approx(d)
-    assert budget_totals(cfg1, 400) == (pytest.approx(0.2), pytest.approx(2.0 * 5 / 400))
+    assert budget_totals(cfg1, 400) == (pytest.approx(0.2), pytest.approx(2.0 * 20 / 400))
 
-    cfg2 = _cfg(method="2", eps=0.2)
+    cfg2 = _cfg(method="2", p=20, eps=0.2)
     b2 = budget_for(cfg2, 400)
-    assert b2.delta_1 == pytest.approx(2.0 * 5 / 400 / 2.0)
-    assert budget_totals(cfg2, 400) == (pytest.approx(0.2), pytest.approx(2.0 * 5 / 400))
+    assert b2.delta_1 == pytest.approx(2.0 * 20 / 400 / 2.0)
+    assert budget_totals(cfg2, 400) == (pytest.approx(0.2), pytest.approx(2.0 * 20 / 400))
 
     cfg0 = _cfg(method="none")
     assert budget_for(cfg0, 400) is None
     assert budget_totals(cfg0, 400) == (0.0, 0.0)
 
-    cfg_fixed = _cfg(method="2", eps=0.2, delta_rule="fixed", delta_value=0.01)
-    assert budget_for(cfg_fixed, 400).delta_1 == pytest.approx(0.005)
+    cfg_fixed = _cfg(method="2", eps=0.2, delta_rule="fixed", delta_value=0.4)
+    assert budget_for(cfg_fixed, 400).delta_1 == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +202,20 @@ def test_run_sweep_aborts_on_systematic_failures():
     assert info.value.rows == ()
 
 
-def test_run_sweep_aborts_on_delta2_below_its_floor():
-    # delta_2 = 2p/(3n) depends only on (cfg, n): at p=10, n=1000 it is 0.0067
-    # against a floor of 2*exp(-5) = 0.0135, so the sweep aborts naming the
-    # floor instead of counting every trial as a privacy failure
-    cfg = _cfg(n_grid=(200, 1000), p=10, k=3, method="1", eps=0.3, eps_1=0.2, eps_2=0.2,
-               trials=4)
-    with pytest.raises(
-        SweepAborted, match=r"n=1000 failed with DeltaTooSmall: .* must exceed 2\*exp\(-p/2\)"
-    ) as info:
-        run_sweep(cfg)
-    assert isinstance(info.value.__cause__, DeltaTooSmall)
-    assert [row.n for row in info.value.rows] == [200]
+@pytest.mark.parametrize("method, delta_2", [("1", "0.00666667"), ("2", "0.01")])
+def test_config_refuses_delta2_at_or_below_its_floor(method, delta_2):
+    # delta_2 = 2p/(3n) or p/n depends only on (cfg, n): at p=10, n=1000 it is
+    # below the floor 2*exp(-5) = 0.0135, where every trial would raise
+    # DeltaTooSmall, so the config is refused naming n, delta_2 and the floor
+    with pytest.raises(ConfigInvalid) as refused:
+        _cfg(n_grid=(200, 1000), p=10, k=3, method=method, eps=0.3, eps_1=0.2, eps_2=0.2)
+    assert str(refused.value) == f"at n=1000, delta_2={delta_2} must exceed 2*exp(-p/2)=1.348e-02"
+    # the floor is exclusive, as the calibration's own check is
+    at_floor = 2.0 * math.exp(-5.0)
+    with pytest.raises(ConfigInvalid, match="must exceed 2"):
+        _cfg(p=10, method="2", eps=0.3, delta_rule="fixed", delta_value=2.0 * at_floor)
+    cfg = _cfg(p=10, method="2", eps=0.3, delta_rule="fixed", delta_value=2.0 * at_floor * 1.01)
+    assert budget_for(cfg, 400).delta_2 > at_floor
 
 
 @pytest.mark.filterwarnings("error")
@@ -525,7 +527,7 @@ def test_read_config_round_trip(tmp_path):
         """
         # sweep at two sample sizes
         n_grid = 400, 800
-        p = 5
+        p = 20
         k = 2
         amplitude = 3.0
         sigma2 = 1.0
@@ -549,7 +551,7 @@ def test_read_config_round_trips_every_field(tmp_path):
     cfg = SimConfig(
         n_grid=(400, 800), p=12, k=3, amplitude=2.5, sigma2=1.5, q=0.1, trials=4,
         method="1", stat="csm", eps=0.3, eps_1=0.2, eps_2=0.1, delta_rule="fixed",
-        delta_value=0.01, base_seed=9, threads=2, pessimism=1.5,
+        delta_value=0.03, base_seed=9, threads=2, pessimism=1.5,
     )
     fields = dataclasses.fields(SimConfig)
     # every field differs from its default, so a dropped key would show
