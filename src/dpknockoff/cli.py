@@ -88,10 +88,13 @@ def _oracle_from_args(args):
     return ModelOracle(beta_norm_bound=args.beta_norm_bound, sigma2_bound=args.sigma2_bound)
 
 
-def _json_value(v):
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    return v
+def _print_record(record: dict) -> None:
+    """Print a command's record as JSON, a non-finite float as its name ("inf"):
+    RFC 8259 JSON has no Infinity or NaN.  Only a top-level value can be
+    non-finite; ``allow_nan`` refuses any other rather than print it."""
+    named = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in record.items()}
+    print(json.dumps(named, indent=2, allow_nan=False))
 
 
 def cmd_calibrate(args) -> int:
@@ -139,7 +142,7 @@ def cmd_calibrate(args) -> int:
         "total_eps": eps_total,
         "total_delta": delta_total,
     }
-    print(json.dumps(record, indent=2))
+    _print_record(record)
     return 0
 
 
@@ -167,14 +170,14 @@ def cmd_run(args) -> int:
     eps_total, delta_total = result.release.total_privacy if result.release else (0.0, 0.0)
     record = {
         "selected": sorted(report.selected),
-        "threshold": _json_value(report.threshold_t),
+        "threshold": report.threshold_t,
         "statistics": [float(v) for v in report.w.w],
         "statistic_kind": report.w.statistic_kind,
         "q": report.q,
         "method": method,
         "total_privacy": {"eps": eps_total, "delta": delta_total},
     }
-    print(json.dumps(record, indent=2))
+    _print_record(record)
     return 0
 
 
@@ -232,7 +235,3 @@ def main(argv=None) -> int:
     except (DPKnockoffError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,7 +24,6 @@ import os
 import signal
 import stat
 import struct
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -55,31 +54,21 @@ def _probe_generator(attempt: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-# Default probes kept per (n, p, attempt); each holds an n x p array, so the
-# bound caps the memory the cache can pin.
-_PROBE_CACHE_SIZE = 4
-_PROBE_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=_PROBE_CACHE_SIZE)
-def _cached_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-    w = _probe_generator(attempt).standard_normal((n, p))
-    wtw = _block_sum(w, w)
-    w.setflags(write=False)
-    wtw.setflags(write=False)
-    return w, wtw
-
-
+# Default probes are kept per (n, p, attempt); each holds an n x p array, so
+# the bound caps the memory the cache can pin.
+@functools.lru_cache(maxsize=4)
 def _default_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
     """The default probe W for shape (n, p) and retry ``attempt``, with W^T W in blocks.
 
     Both depend only on (n, p, attempt), so they are drawn on first use and
     kept in a small bounded cache; the arrays are read-only because every
-    caller shares them.  The lock keeps callers on several threads from
-    drawing the same probe twice.
+    caller shares them.
     """
-    with _PROBE_LOCK:
-        return _cached_probe(n, p, attempt)
+    w = _probe_generator(attempt).standard_normal((n, p))
+    wtw = _block_sum(w, w)
+    w.setflags(write=False)
+    wtw.setflags(write=False)
+    return w, wtw
 
 
 @dataclass(frozen=True)

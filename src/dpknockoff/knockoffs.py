@@ -117,14 +117,6 @@ def _rank_tol(n: int, cond: float) -> float:
     return 4.0 * np.sqrt(cond * np.finfo(float).eps * n)
 
 
-def _lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """L^{-1} for a lower Cholesky factor L of A, so A^{-1} = L^{-T} L^{-1}.
-
-    One solve on the factor serves every later product with A^{-1}.
-    """
-    return np.linalg.solve(lower, np.eye(lower.shape[0]))
-
-
 def _decorrelation(spectrum: GramSpectrum):
     """Factor S' and return (L^{-1} for its Cholesky factor L, s S'^{-1}, C).
 
@@ -136,7 +128,7 @@ def _decorrelation(spectrum: GramSpectrum):
     s = spectrum.lambda_min
     p = spectrum.sigma_prime.shape[0]
     try:
-        l_inv = _lower_inverse(np.linalg.cholesky(spectrum.sigma_prime))
+        l_inv = np.linalg.inv(np.linalg.cholesky(spectrum.sigma_prime))
     except np.linalg.LinAlgError as exc:
         raise InvalidDesign("normalized Gram matrix is not positive definite") from exc
     sigma_inv_s = s * (l_inv.T @ l_inv)  # S'^{-1} * sI, via the factorization

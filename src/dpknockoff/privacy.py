@@ -341,20 +341,14 @@ def sample_gaussian_vector(dim: int, variance: float, seed=None) -> np.ndarray:
     """i.i.d. N(0, variance) vector; zero variance gives an exact zero vector."""
     if variance < 0:
         raise ValueError("variance must be nonnegative")
-    if variance == 0.0:
-        return np.zeros(dim)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.normal(0.0, math.sqrt(variance), size=dim)
+    return np.random.default_rng(seed).normal(0.0, math.sqrt(variance), size=dim)
 
 
 def sample_laplace_vector(dim: int, scale: float, seed=None) -> np.ndarray:
     """i.i.d. Laplace(scale) vector; zero scale gives an exact zero vector."""
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    if scale == 0.0:
-        return np.zeros(dim)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.laplace(0.0, scale, size=dim)
+    return np.random.default_rng(seed).laplace(0.0, scale, size=dim)
 
 
 def sample_symmetric_offdiag_gaussian(p: int, variance: float, rng) -> np.ndarray:

@@ -135,7 +135,7 @@ def complement_basis(x_prime: np.ndarray, seed=None) -> np.ndarray:
     # (cheaper than a tall QR); fall back to QR if the Gram is not PD
     gram = x_prime.T @ x_prime
     try:
-        q1 = x_prime @ knockoffs._lower_inverse(np.linalg.cholesky((gram + gram.T) / 2.0)).T
+        q1 = x_prime @ np.linalg.inv(np.linalg.cholesky((gram + gram.T) / 2.0)).T
     except np.linalg.LinAlgError:
         q1, _ = np.linalg.qr(x_prime)
 
@@ -171,7 +171,7 @@ def _orthonormalize_tall(w: np.ndarray, rank_tol: float):
             return None
         if np.abs(np.diag(lower)).min() <= rank_tol:
             return None
-        w = w @ knockoffs._lower_inverse(lower).T  # w R^{-1} with R = L^T
+        w = w @ np.linalg.inv(lower).T  # w R^{-1} with R = L^T
     return w
 
 
@@ -189,7 +189,7 @@ def decorrelation(spectrum: GramSpectrum, s: float):
         return sigma_inv_s, c_upper
     p = spectrum.sigma_prime.shape[0]
     try:
-        l_inv = knockoffs._lower_inverse(np.linalg.cholesky(spectrum.sigma_prime))
+        l_inv = np.linalg.inv(np.linalg.cholesky(spectrum.sigma_prime))
     except np.linalg.LinAlgError as exc:
         raise InvalidDesign("normalized Gram matrix is not positive definite") from exc
     sigma_inv_s = s * (l_inv.T @ l_inv)

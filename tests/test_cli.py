@@ -168,6 +168,41 @@ def test_calibrate_method2_failed_precondition_prints_nulls(capsys, data_files):
     assert record["total_delta"] == pytest.approx(0.04)
 
 
+def _strict_json(text):
+    """The record ``text`` holds; a bare Infinity or NaN, which RFC 8259 JSON lacks, raises."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_records_print_a_non_finite_float_as_its_name(capsys, data_files):
+    xp, yp, bnorm = data_files
+    data = ["--x", xp, "--y", yp]
+    # 12 statistics cannot reach q = 0.01: no threshold exists
+    code, out = _run_cli(capsys, ["run", *data, "--q", "0.01"])
+    assert code == 0 and _strict_json(out)["threshold"] == "inf"
+    # method 2 prints the pair release's facts unchecked: eps_2 = 1e-300 overflows kappa_1^2
+    code, out = _run_cli(capsys, [
+        "calibrate", *data, "--method", "2", "--eps", "0.2", "--eps1", "0.1", "--eps2", "1e-300",
+        "--delta", "0.1", "--delta1", "0.02", "--delta2", "0.02",
+        "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0",
+    ])
+    record = _strict_json(out)
+    assert code == 0 and record["kappa1_sq"] == "inf" and record["kappa2_sq_or_kappa_sq"] > 0
+    # with B just below C_min method 2 has no calibration to check, and
+    # ||beta|| <= 1e308 overflows the cross-product sensitivity
+    code, out = _run_cli(capsys, [
+        "calibrate", *data, "--method", "2", *ESTIMATE_BUDGET,
+        "--row-bound", repr(record["col_min_C"] * (1 - 1e-9)),
+        "--beta-norm-bound", "1e308", "--sigma2-bound", "1.0",
+    ])
+    record = _strict_json(out)
+    assert code == 0 and record["method1_sensitivity"] == "inf"
+    assert record["method2_sensitivity"] is None
+
+
 def test_calibrate_method2_evaluates_the_estimate_sensitivity_once(
     capsys, data_files, monkeypatch
 ):
@@ -751,8 +786,8 @@ def test_run_and_calibrate_pin_blas_to_one_thread(capsys, data_files, monkeypatc
 
 def test_calibrate_draws_no_probe(capsys, data_files, monkeypatch):
     draws = []
-    cached, generator = design._cached_probe, design._probe_generator
-    monkeypatch.setattr(design, "_cached_probe", lambda *a: draws.append(a) or cached(*a))
+    cached, generator = design._default_probe, design._probe_generator
+    monkeypatch.setattr(design, "_default_probe", lambda *a: draws.append(a) or cached(*a))
     monkeypatch.setattr(design, "_probe_generator", lambda *a: draws.append(a) or generator(*a))
     xp, yp, bnorm = data_files
     with open(xp, "rb") as f, gzip.open(xp + ".gz", "wb") as g:

@@ -1,9 +1,11 @@
 import contextlib
 import functools
 import gzip
+import io
 import itertools
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -249,6 +251,16 @@ def _block_design():
 def test_model_oracle_refuses_a_bad_bound(beta_norm, sigma2, match):
     with pytest.raises(ValueError, match=f"^{match}$"):
         ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=sigma2)
+
+
+@pytest.mark.parametrize("beta_norm, support, match", [
+    (4.9, None, "beta_norm_bound=4.9 is below the true coefficient norm 5"),
+    (5.0, {0, 2}, "true_support does not match the nonzeros of true_beta"),
+])
+def test_model_oracle_refuses_a_truth_it_does_not_describe(beta_norm, support, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=1.0,
+                    true_beta=np.array([3.0, 4.0, 0.0]), true_support=support)
 
 
 def test_compute_bounds_block_design():
@@ -578,6 +590,48 @@ def test_a_workers_short_read_falls_back_to_the_serial_parse(tmp_path, monkeypat
     _assert_no_child_left()
 
 
+@needs_affinity
+def test_a_worker_that_sends_fewer_rows_than_announced_falls_back(tmp_path, monkeypatch):
+    xp, yp = _write_design_csv(tmp_path, 400, 5)
+    _cpus(monkeypatch, 2)
+
+    def send_half(fd, chunks, skip, writer):
+        # announces its first chunk's shape, sends half of its rows and ends
+        start, end = chunks[0]
+        rows = _serial_design(io.BytesIO(os.pread(fd, end - start, start)), skip)
+        writer.write(struct.pack("2q", *rows.shape))
+        writer.write(rows[: len(rows) // 2])
+
+    monkeypatch.setattr(design, "_send_chunks", send_half)
+    with pytest.raises(EOFError, match="^a chunk's worker sent fewer rows than it announced$"):
+        design._stream(xp, 0, None, 0)
+    parsed, fallbacks = design._parsed, []
+    monkeypatch.setattr(design, "_parsed", lambda *a: fallbacks.append(a[0]) or parsed(*a))
+    ds = load_dataset(xp, yp)
+    assert fallbacks == [xp]
+    _assert_same_record(ds, _folded_record(_serial_design(xp), ds.y))
+    _assert_no_child_left()
+
+
+@needs_affinity
+def test_a_width_change_at_a_chunk_cut_is_the_serial_error(tmp_path, monkeypatch):
+    # 12 rows of 5 fields, then 9 of 6: the one cut two CPUs make ends the
+    # line holding byte 114 of 228, which is where the width changes, so each
+    # chunk parses alone and only the fold sees two widths
+    xp = _write(tmp_path / "x.csv", "1,2,3,4,5\n" * 12 + "1,2,3,4,5,6\n" * 9)
+    yp = _write(tmp_path / "y.csv", "1\n" * 21)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="^a chunk has 6 columns, the first chunk 5$"):
+        design._stream(xp, 0, None, 0)
+    with pytest.raises(ParseError) as streamed:
+        load_dataset(xp, yp)
+    monkeypatch.setattr(design, "_stream", _fail)
+    with pytest.raises(ParseError) as serial:
+        load_dataset(xp, yp)
+    assert str(streamed.value) == str(serial.value)
+    _assert_no_child_left()
+
+
 def _parse_fails_in_children(monkeypatch, failure):
     parent = os.getpid()
     real = design._parse_part
@@ -675,8 +729,8 @@ def test_streamed_record_matches_the_in_memory_record(
     # small blocks, so every design spans several, and parts end inside them;
     # the cached probe's W^T W is summed in them too, so the cache starts and ends empty
     monkeypatch.setattr(design, "_BLOCK_ROWS", 16)
-    design._cached_probe.cache_clear()
-    request.addfinalizer(design._cached_probe.cache_clear)
+    design._default_probe.cache_clear()
+    request.addfinalizer(design._default_probe.cache_clear)
     x, y = _hostile_design(kind)
     text, skip = _design_text(x, layout)
     (tmp_path / "x.csv").write_bytes(text.encode())
@@ -845,6 +899,19 @@ def test_a_refused_first_probe_reads_the_file_once_more(tmp_path, monkeypatch, f
         assert report.threshold_t == reports[0].threshold_t
     assert len(tests) == 8  # two probes per run
     assert passes == [0, 0, 1, 1]  # one second pass over each file; the pipe's rows are kept
+
+
+def test_a_design_file_that_changed_after_the_load_is_refused_at_its_second_probe(
+    tmp_path, monkeypatch
+):
+    xp, yp = _write_design_csv(tmp_path, 400, 5)
+    ds = load_dataset(xp, yp)
+    with open(xp, "a", encoding="utf-8") as f:
+        f.write("0.5,0.5,0.5,0.5,0.5\n" * 3)
+    # every probe is refused, so the filter asks the file for a second one
+    monkeypatch.setattr(knockoffs, "_rank_tol", lambda n, cond: np.inf)
+    with pytest.raises(ParseError, match=f"^design file {re.escape(xp)} changed while it was read$"):
+        run_knockoff_filter(ds, q=0.2)
 
 
 # -- the shape rule: no p x p sum for a design that cannot be a record ------

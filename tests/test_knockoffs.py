@@ -336,9 +336,10 @@ def _scipy_complement_basis(x_prime):
 
 
 def _assert_solves_match_scipy(a, b, tol):
-    """S^{-1} b and L^{-1} b (R^{-T} b with R = L^T) through the inverse factor."""
+    """S^{-1} b and L^{-1} b (R^{-T} b with R = L^T) through the inverse factor
+    the decorrelation returns."""
     lower = np.linalg.cholesky(a)
-    l_inv = knockoffs._lower_inverse(lower)
+    l_inv = knockoffs._decorrelation(GramSpectrum.from_gram(a))[0]
     reference = cho_solve(cho_factor(a, lower=True), b)
     assert _rel_gap(l_inv.T @ (l_inv @ b), reference) <= tol
     assert _rel_gap(l_inv @ b, solve_triangular(lower.T, b, lower=False, trans="T")) <= tol
@@ -356,7 +357,7 @@ def test_lower_inverse_matches_scipy_well_conditioned(p, rhs_cols):
     n = 4 * p
     ds, spectrum = _design_and_response(rng.standard_normal((n, p)), p)
     xty = ds.normalizer_d * (ds.x.T @ ds.y)
-    l_inv = knockoffs._lower_inverse(np.linalg.cholesky(spectrum.sigma_prime))
+    l_inv = knockoffs._decorrelation(spectrum)[0]
     got = knockoffs._complement_crossprod(ds, xty, l_inv, spectrum.lambda_max / spectrum.lambda_min)
     assert _rel_gap(got, _scipy_complement_crossprod(ds, xty, spectrum.sigma_prime)) <= 1e-12
     w = rng.standard_normal((n, p))
@@ -513,7 +514,12 @@ def test_cached_probe_is_read_only():
     assert _default_probe(50, 4, 0)[0] is w
 
 
-def test_probe_cache_draws_once_under_concurrent_trials():
+def test_concurrent_probe_draws_agree_and_are_cached(request):
+    # the cache holds no lock, so concurrent first calls may each draw the
+    # probe; every draw has the same bits and is read-only, and once one is
+    # cached, later calls share it
+    _default_probe.cache_clear()
+    request.addfinalizer(_default_probe.cache_clear)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -522,7 +528,13 @@ def test_probe_cache_draws_once_under_concurrent_trials():
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert all(w is results[0][0] and wtw is results[0][1] for w, wtw in results)
+    w0, wtw0 = results[0]
+    for w, wtw in results:
+        assert not w.flags.writeable and not wtw.flags.writeable
+        assert w.tobytes() == w0.tobytes() and wtw.tobytes() == wtw0.tobytes()
+    later = _default_probe(20_011, 7, 0)
+    assert any(later[0] is w and later[1] is wtw for w, wtw in results)
+    assert _default_probe(20_011, 7, 0)[0] is later[0]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from dpknockoff.privacy import (
     sample_laplace_vector,
     sample_symmetric_offdiag_gaussian,
 )
-from dpknockoff.selection import estimate_coefficients
+from dpknockoff.selection import compute_statistics, estimate_coefficients, knockoff_threshold
 
 # ---------------------------------------------------------------------------
 # Independent termwise oracles.  These re-derive the sensitivity values step
@@ -139,8 +139,8 @@ def test_samplers_deterministic_and_degenerate():
     a = sample_gaussian_vector(16, 4.0, seed=42)
     b = sample_gaussian_vector(16, 4.0, seed=42)
     assert np.array_equal(a, b)
-    assert np.array_equal(sample_gaussian_vector(8, 0.0, seed=1), np.zeros(8))
-    assert np.array_equal(sample_laplace_vector(8, 0.0, seed=1), np.zeros(8))
+    for zeros in (sample_gaussian_vector(8, 0.0, seed=1), sample_laplace_vector(8, 0.0, seed=1)):
+        assert np.array_equal(zeros, np.zeros(8)) and not np.signbit(zeros).any()  # +0.0
     with pytest.raises(ValueError):
         sample_gaussian_vector(8, -1.0, seed=1)
     with pytest.raises(ValueError):
@@ -643,6 +643,17 @@ def test_private_result_holds_no_exact_fact_of_the_data(method):
     for got in arrays:
         for hidden in hidden_arrays:
             assert got.shape != hidden.shape or got.tobytes() != hidden.tobytes()
+    # the selection is post-processing of the release: recomputed from the
+    # release alone, with the run's public knobs, it is the report bit for bit
+    release = result.release
+    if method == "1":
+        estimate = estimate_coefficients(release.gram_noisy, release.crossprod_noisy)
+    else:
+        estimate = release.estimate_noisy
+    report = knockoff_threshold(compute_statistics(estimate, "lcd"), 0.2)
+    assert report.w.w.tobytes() == result.report.w.w.tobytes()
+    assert (report.selected, report.threshold_t) == (
+        result.report.selected, result.report.threshold_t)
 
 
 @pytest.mark.filterwarnings("error")

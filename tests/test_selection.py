@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpknockoff import (
+    BudgetInvalid,
     Dataset,
     InvalidDesign,
     MissingTruth,
@@ -373,6 +374,16 @@ def _private_filter_inputs():
     oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05, eps_1=0.2, eps_2=0.2, delta=0.05)
     return ds, oracle, budget
+
+
+@pytest.mark.parametrize("method", ["1", "2"])
+@pytest.mark.parametrize("missing", ["budget", "oracle"])
+def test_pipeline_private_methods_need_a_budget_and_an_oracle(method, missing):
+    ds, oracle, budget = _private_filter_inputs()
+    knobs = {"budget": budget, "oracle": oracle, missing: None}
+    message = "^private methods need a privacy budget and a model oracle$"
+    with pytest.raises(BudgetInvalid, match=message):
+        run_knockoff_filter(ds, q=0.2, method=method, seed=1, **knobs)
 
 
 @pytest.mark.parametrize("method", ["none", "1", "2"])

@@ -65,6 +65,10 @@ def test_config_rejects_bad_values():
         _cfg(method="1")  # missing eps split
     with pytest.raises(ConfigInvalid):
         _cfg(method="2", delta_rule="fixed")  # missing delta_value
+    with pytest.raises(ConfigInvalid, match="^delta_rule must be one of"):
+        _cfg(delta_rule="three_p_over_n")
+    with pytest.raises(ConfigInvalid, match="^threads must be at least 1$"):
+        _cfg(threads=0)
     with pytest.raises(ConfigInvalid):
         _cfg(pessimism=0.5)
     for knob in ("sigma2", "amplitude", "pessimism"):
