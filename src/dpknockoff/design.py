@@ -62,7 +62,7 @@ def _default_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray
 
     Both depend only on (n, p, attempt), so they are drawn on first use and
     kept in a small bounded cache; the arrays are read-only because every
-    caller shares them.
+    caller shares them.  Concurrent first calls may each draw the same bits.
     """
     w = _probe_generator(attempt).standard_normal((n, p))
     wtw = _block_sum(w, w)
