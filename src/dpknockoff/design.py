@@ -11,7 +11,7 @@ that record, its validation, the norm bounds, the probe W with its cache,
 and the CSV ingestion path, which streams a regular design file without
 holding it.  Arrays and files are summed by the same :class:`_Sums`, in the
 same row blocks, and validated by the same builder, and
-:meth:`Dataset.probe_products` is the one source of the products with W.
+:meth:`Dataset.probe_products` is the one source of products with W - X m.
 """
 
 from __future__ import annotations
@@ -44,27 +44,18 @@ ZERO_COLUMN_TOL = 1e-12
 _PROBE_ENTROPY = 0x5D2B1
 
 
-def _probe_generator(attempt: int) -> np.random.Generator:
-    """The generator the default probe W of retry ``attempt`` is drawn from.
-
-    W is its first n x p standard normals in row order, so drawing W a block
-    of rows at a time gives the same bits as drawing it whole.
-    """
-    ss = np.random.SeedSequence(entropy=_PROBE_ENTROPY, spawn_key=(attempt,))
-    return np.random.default_rng(ss)
+def _probe_generator() -> np.random.Generator:
+    """The generator of the probe W: its first n x p standard normals in row
+    order, so W drawn a block of rows at a time has the bits of W drawn whole."""
+    return np.random.default_rng(np.random.SeedSequence(_PROBE_ENTROPY, spawn_key=(0,)))
 
 
-# Default probes are kept per (n, p, attempt); each holds an n x p array, so
-# the bound caps the memory the cache can pin.
+# Each cached probe holds an n x p array, so the bound caps the memory the cache pins.
 @functools.lru_cache(maxsize=4)
-def _default_probe(n: int, p: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-    """The default probe W for shape (n, p) and retry ``attempt``, with W^T W in blocks.
-
-    Both depend only on (n, p, attempt), so they are drawn on first use and
-    kept in a small bounded cache; the arrays are read-only because every
-    caller shares them.  Concurrent first calls may each draw the same bits.
-    """
-    w = _probe_generator(attempt).standard_normal((n, p))
+def _default_probe(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe W of shape (n, p) and W^T W summed in blocks, cached and read-only
+    as every caller shares them.  Concurrent first calls may each draw the same bits."""
+    w = _probe_generator().standard_normal((n, p))
     wtw = _block_sum(w, w)
     w.setflags(write=False)
     wtw.setflags(write=False)
@@ -90,9 +81,9 @@ class Dataset:
     it is given, so later writes to them do not reach it, and
     :func:`~dpknockoff.simulate.generate_trial` hands over the arrays it just
     drew.  A record :func:`load_dataset` builds holds in ``probe_sums``
-    (X^T W_0, W_0^T y, W_0^T W_0), summed in the same pass; any other probe
-    reads its ``design_file`` (path, header lines) again, or is formed from
-    the rows of a pipe, which can be read only once, kept as ``x``.
+    (X^T W, W^T y, W^T W), summed in the same pass; those with W - X m read
+    its ``design_file`` (path, header lines) again, or a pipe's rows, read
+    only once and kept as ``x``.
     """
 
     n: int
@@ -158,23 +149,27 @@ class Dataset:
             probe_sums=sums.probe_products, **source,
         )
 
-    def probe_products(self, attempt: int) -> tuple:
-        """(X^T W, W^T y, W^T W) for the default probe W of retry ``attempt``.
+    def probe_products(self, m: np.ndarray | None = None) -> tuple:
+        """(X^T Z, Z^T y, Z^T Z) for the probe Z = W - X m, or Z = W without ``m``.
 
-        Stored products are returned as they are.  A record that holds its
-        rows (in memory, or a pipe's) sums them with the cached probe in
-        :class:`_Sums`' blocks, to a loaded design's bits; a file's record
-        reads the file again.
+        W's are stored, or formed from held rows with the cached probe in
+        :class:`_Sums`' blocks, to a loaded design's bits.  :class:`_Sums`
+        forms Z's from held rows, or from one more read of the design file,
+        whose X^T X, X^T y and largest squared row norm must be the record's.
         """
-        if attempt == 0 and self.probe_sums is not None:
+        if m is None and self.probe_sums is not None:
             return self.probe_sums
-        if self.x is not None:
-            w, wtw = _default_probe(self.n, self.p, attempt)
+        if m is None and self.x is not None:
+            w, wtw = _default_probe(self.n, self.p)
             with np.errstate(over="ignore", invalid="ignore"):  # W^T y is refused by its reader
                 return _block_sum(self.x, w), _block_sum(w, self.y), wtw
+        if self.x is not None:
+            return _folded(self.x, self.y, m).probe_products
         path, skip = self.design_file
-        sums = _design_sums(path, skip, self.y, attempt)
-        if (sums.n, sums.p) != (self.n, self.p):
+        sums = _design_sums(path, skip, self.y, 0 if m is None else m)
+        if (sums.n, sums.p) != (self.n, self.p) or (
+            sums.row_norm_sq_max, sums.gram.tobytes(), sums.xty.tobytes()
+        ) != (self.row_norm_sq_max, self.gram.tobytes(), self.xty.tobytes()):
             raise ParseError(f"design file {path} changed while it was read")
         return sums.probe_products
 
@@ -196,8 +191,8 @@ _CHUNK_BYTES = 2 << 20
 
 class _Sums:
     """Running sums over the rows of a design: X^T X, X^T y, the largest
-    squared row norm and, for a probe ``attempt``, X^T W, W^T y and W^T W
-    with the rows of W drawn alongside.
+    squared row norm and, unless ``m`` is None, X^T Z, Z^T y and Z^T Z for
+    Z = W - X m, with the rows of W drawn alongside (m = 0 sums W itself).
 
     Every design is summed in blocks of ``block_rows`` rows counted from the
     first row, so the sums depend only on the rows, not on the chunks they
@@ -218,9 +213,9 @@ class _Sums:
     and sums are made at the first sum.
     """
 
-    def __init__(self, y: np.ndarray | None, attempt: int | None):
+    def __init__(self, y: np.ndarray | None, m):
         self.y, self.n, self.p, self.gram, self.x_finite = y, 0, None, None, True
-        self._attempt, self._pending, self._filled = attempt, None, 0
+        self._m, self._pending, self._filled = m, None, 0
         self.block_rows = _BLOCK_ROWS if y is None else min(_BLOCK_ROWS, len(y)) or _BLOCK_ROWS
 
     def fold_from(self, reader, rows: int, cols: int) -> None:
@@ -242,8 +237,8 @@ class _Sums:
 
     @property
     def probe_products(self) -> tuple | None:
-        """(X^T W, W^T y, W^T W), or None where no probe was drawn."""
-        return None if self._attempt is None else (self.xtw, self.wty, self.wtw)
+        """(X^T Z, Z^T y, Z^T Z), or None where no probe was drawn."""
+        return None if self._m is None else (self.xtw, self.wty, self.wtw)
 
     def _buffer(self, cols: int) -> np.ndarray:
         if self._pending is not None and cols != self._pending.shape[1]:
@@ -268,8 +263,8 @@ class _Sums:
             return
         if self.gram is None:
             self.gram, self.xty, self.row_norm_sq_max = np.zeros((p, p)), np.zeros(p), -np.inf
-            if self._attempt is not None:
-                self._probe = _probe_generator(self._attempt)
+            if self._m is not None:
+                self._probe = _probe_generator()
                 self.xtw, self.wty, self.wtw = np.zeros((p, p)), np.zeros(p), np.zeros((p, p))
         y = self.y[start : self.n]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -280,8 +275,10 @@ class _Sums:
             row_norms_sq = np.einsum("ij,ij->i", block, block)
             self.row_norm_sq_max = float(row_norms_sq.max(initial=self.row_norm_sq_max))
             self.xty += block.T @ y
-            if self._attempt is not None:
+            if self._m is not None:
                 w = self._probe.standard_normal(block.shape)
+                if np.ndim(self._m):
+                    w -= block @ self._m
                 self.xtw += block.T @ w
                 self.wtw += w.T @ w
                 self.wty += w.T @ y
@@ -361,9 +358,9 @@ def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
 
     Every design is summed one way: its rows, exactly the rows one
     ``np.loadtxt`` of the whole file returns, are summed in :class:`_Sums`'
-    blocks with the rows of the first probe W, so a file gives the same
-    record bits however it is read.  Only a pipe keeps its rows, for a
-    second probe.  A regular file is streamed: it is cut into newline-aligned
+    blocks with the rows of the probe W, so a file gives the same record
+    bits however it is read.  Only a pipe keeps its rows, for a refined
+    probe.  A regular file is streamed: it is cut into newline-aligned
     chunks of about ``_CHUNK_BYTES``; forked workers, one per CPU in
     ``os.sched_getaffinity`` at most, each read every w-th chunk with one
     ``os.pread`` and parse it, holding its text and rows; this process reads
@@ -386,11 +383,11 @@ def _load_record(x_path, y_path, has_header: bool, probe: bool) -> Dataset:
         y, y_error = _read_response(y_path, skip), None
     except Exception as exc:  # raised after the design file's own errors
         y, y_error = None, exc
-    attempt = 0 if probe else None
+    m = 0 if probe else None
     if _regular(x_path):
-        sums, source = _design_sums(x_path, skip, y, attempt), {"design_file": (x_path, skip)}
-    else:  # a pipe can be read only once, so its rows are kept for a second probe
-        sums, x = _parsed(x_path, skip, y, attempt)
+        sums, source = _design_sums(x_path, skip, y, m), {"design_file": (x_path, skip)}
+    else:  # a pipe can be read only once, so its rows are kept for a refined probe
+        sums, x = _parsed(x_path, skip, y, m)
         source = {"x": x}
     if y_error is not None:
         raise y_error
@@ -433,35 +430,35 @@ def _regular(path) -> bool:
         return False
 
 
-def _parsed(path, skip: int, y, attempt: int | None) -> tuple[_Sums, np.ndarray]:
+def _parsed(path, skip: int, y, m) -> tuple[_Sums, np.ndarray]:
     """One ``np.loadtxt`` of the whole design file, and its rows' sums on one BLAS thread."""
     x = _read_table(path, "design", functools.partial(_loadtxt_csv, path, skip))
     with _single_blas_thread():
-        return _folded(x, y, attempt), x
+        return _folded(x, y, m), x
 
 
-def _folded(x: np.ndarray, y, attempt: int | None) -> _Sums:
+def _folded(x: np.ndarray, y, m) -> _Sums:
     """The sums of rows held in memory, added as views in the blocks a stream's buffer holds."""
-    sums = _Sums(y, attempt)
+    sums = _Sums(y, m)
     sums._add(x[: sums.block_rows])  # a design with no rows still sets p
     while sums.n < len(x):  # the rows added so far: a failed shape rule resizes the blocks
         sums._add(x[sums.n : sums.n + sums.block_rows])
     return sums
 
 
-def _design_sums(path, skip: int, y, attempt: int | None) -> _Sums:
+def _design_sums(path, skip: int, y, m) -> _Sums:
     """The record's sums over a regular design file, streamed.
 
     Any failure of the stream re-reads the file with one ``np.loadtxt``,
     whose rows give the same sums and whose errors are the serial parse's.
     """
     try:
-        return _stream(path, skip, y, attempt)
+        return _stream(path, skip, y, m)
     except Exception:
-        return _parsed(path, skip, y, attempt)[0]
+        return _parsed(path, skip, y, m)[0]
 
 
-def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
+def _stream(path, skip: int, y, m) -> _Sums:
     """Sums over the design file, parsed by forked workers in newline-aligned chunks.
 
     The file is cut into chunks of about ``_CHUNK_BYTES``, a multiple of the
@@ -473,7 +470,7 @@ def _stream(path, skip: int, y, attempt: int | None) -> _Sums:
     if os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):  # numpy's openers
         raise ValueError(f"np.loadtxt decompresses {path}; its bytes are not its rows")
     cpus = len(os.sched_getaffinity(0))
-    sums = _Sums(y, attempt)
+    sums = _Sums(y, m)
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         count = cpus * -(-size // (cpus * _CHUNK_BYTES))

@@ -24,8 +24,8 @@ the raw design, so S' = D (X^T X) D and X'^T [y W] = D X^T [y W].
 [X' Xt]^T y from the dataset's p x p record alone: the raw Gram X^T X and
 the raw products X^T y, X^T W, W^T y and W^T W, each a sum over rows, so a
 design file can be streamed into them (see :func:`~dpknockoff.design.load_dataset`)
-and neither X, X' nor the copy is formed here.  The probe W and its
-products belong to the record: this module reads them only through
+and neither X, X' nor the copy is formed here.  The products with the probe
+W, or with its refinement, are read only through the record's
 :meth:`~dpknockoff.design.Dataset.probe_products`.  The explicit n x p copy
 they are tested against, and the decorrelation at any other s, live with
 the tests.
@@ -192,23 +192,26 @@ def _finite_response_product(product: np.ndarray) -> np.ndarray:
 def _complement_crossprod(d: Dataset, xty, l_inv, cond: float) -> np.ndarray:
     """U^T y for U = (I - P) W R^{-1}, from p x p algebra.
 
-    With W the default probe and R^T R = W^T (I - P) W, U^T y equals
+    With W the probe and R^T R = W^T (I - P) W, U^T y equals
     R^{-T} W^T (I - P) y.  ``l_inv`` is L^{-1} for the Cholesky factor L of
     S' = X'^T X', so P = Q Q^T with Q = X' L^{-T}, and ``xty`` is X'^T y.
-    A diagonal of R at or below :func:`_rank_tol` puts the probe in the span.
+    Where rounding (near cond(S') eps n) makes the Cholesky or :func:`_rank_tol`
+    refuse R, it is formed again from Z = W - X m, X m = P W, whose Gram form
+    has no cond(S') factor ("twice is enough", Giraud, Langou & Rozloznik
+    2005); refused at _rank_tol(n, 1), W lies in the span.
     """
-    qty = l_inv @ xty
-    for attempt in range(2):
-        xtw, wty, wtw = d.probe_products(attempt)
+    qty, m = l_inv @ xty, None
+    for tol in (_rank_tol(d.n, cond), _rank_tol(d.n, 1.0)):
+        xtw, wty, wtw = d.probe_products(m)
         qtw = l_inv @ (d.normalizer_d[:, None] * xtw)
         try:
             r_lower = np.linalg.cholesky(wtw - qtw.T @ qtw)  # R^T
         except np.linalg.LinAlgError:
-            continue
-        if np.abs(np.diag(r_lower)).min() <= _rank_tol(d.n, cond):
-            continue
-        return np.linalg.solve(r_lower, _finite_response_product(wty) - qtw.T @ qty)
-    raise KnockoffInfeasible("probe matrix fell inside the design column span twice")
+            r_lower = None
+        if r_lower is not None and np.abs(np.diag(r_lower)).min() > tol:
+            return np.linalg.solve(r_lower, _finite_response_product(wty) - qtw.T @ qty)
+        m = d.normalizer_d[:, None] * (l_inv.T @ qtw)  # X m = X' L^{-T} Q^T W = P W
+    raise KnockoffInfeasible("probe matrix lies inside the design column span")
 
 
 def raw_gram_frobenius(d: Dataset) -> float:

@@ -112,20 +112,21 @@ def choose_s(spectrum: GramSpectrum, mode: str = "private_recommended") -> float
     raise ValueError(f"unknown s mode {mode!r}; expected one of {S_MODES}")
 
 
-def _seeded_probe(seed, n: int, p: int, attempt: int) -> np.ndarray:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
+def _seeded_probe(seed, n: int, p: int) -> np.ndarray:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     return np.random.default_rng(ss).standard_normal((n, p))
 
 
 def complement_basis(x_prime: np.ndarray, seed=None) -> np.ndarray:
     """Orthonormal n x p basis of a subspace orthogonal to col(x_prime).
 
-    A pseudorandom probe matrix is projected off the design's column span
+    A pseudorandom probe matrix W is projected off the design's column span
     (twice, which keeps the residual orthogonal at working precision even
-    for tall matrices) and then orthonormalized.  With the default
-    ``seed=None`` the probe is the package's, so the basis is the one the
-    filter's summary implies.  Passing a seed selects an alternative
-    (equally valid) basis.
+    for tall matrices) and then orthonormalized.  A diagonal of its
+    triangular factor at or below ``_rank_tol(n, 1)`` puts W in the span,
+    which is refused.  With the default ``seed=None`` the probe is the
+    package's, so the basis is the one the filter's summary implies.
+    Passing a seed selects an alternative (equally valid) basis.
     """
     n, p = x_prime.shape
     if n < 2 * p:
@@ -138,21 +139,13 @@ def complement_basis(x_prime: np.ndarray, seed=None) -> np.ndarray:
         q1 = x_prime @ np.linalg.inv(np.linalg.cholesky((gram + gram.T) / 2.0)).T
     except np.linalg.LinAlgError:
         q1, _ = np.linalg.qr(x_prime)
-
-    def project_off(w):
-        return w - q1 @ (q1.T @ w)
-
-    for attempt in range(2):
-        if seed is None:
-            w, _ = design._default_probe(n, p, attempt)
-        else:
-            w = _seeded_probe(seed, n, p, attempt)
-        w = project_off(project_off(w))
-        # the filter's rank rule, so both refuse the same probes
-        u = _orthonormalize_tall(w, knockoffs._rank_tol(n, np.linalg.cond(gram)))
-        if u is not None:
-            return u
-    raise KnockoffInfeasible("probe matrix fell inside the design column span twice")
+    w = design._default_probe(n, p)[0] if seed is None else _seeded_probe(seed, n, p)
+    for _ in range(2):
+        w = w - q1 @ (q1.T @ w)
+    u = _orthonormalize_tall(w, knockoffs._rank_tol(n, 1.0))
+    if u is None:
+        raise KnockoffInfeasible("probe matrix lies inside the design column span")
+    return u
 
 
 def _orthonormalize_tall(w: np.ndarray, rank_tol: float):

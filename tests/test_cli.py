@@ -800,7 +800,7 @@ def test_calibrate_draws_no_probe(capsys, data_files, monkeypatch):
         argv = ["--x", x, "--y", yp, "--method", "1", *PAIR_BUDGET,
                 "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0"]
         assert main(["calibrate", *argv]) == 0 and draws == []
-        assert main(["run", *argv]) == 0 and draws == [(0,)]  # the spies do see a draw
+        assert main(["run", *argv]) == 0 and draws == [()]  # the spies do see a draw
     capsys.readouterr()
 
 

@@ -166,10 +166,10 @@ def test_from_arrays_refused_shape_forms_no_gram(monkeypatch):
 def test_only_a_drawn_probe_allocates_probe_sums():
     # an in-memory record and calibrate's load draw no probe, so hold no p x p probe sums
     x = np.random.default_rng(8).standard_normal((40, 5))
-    for attempt in (None, 0):
-        sums = design._Sums(np.ones(40), attempt)
+    for m in (None, 0):
+        sums = design._Sums(np.ones(40), m)
         sums._add(x)
-        assert hasattr(sums, "xtw") == (attempt is not None)
+        assert hasattr(sums, "xtw") == (m is not None)
 
 
 @pytest.mark.parametrize("shape, y_len, error, match", [
@@ -689,7 +689,7 @@ def _folded_record(x, y):
 
 
 def _record_arrays(ds):
-    return (ds.gram, ds.col_norms, ds.xty, ds.y, *ds.probe_products(0))
+    return (ds.gram, ds.col_norms, ds.xty, ds.y, *ds.probe_products())
 
 
 def _assert_same_record(a, b):
@@ -741,9 +741,14 @@ def test_streamed_record_matches_the_in_memory_record(
     # the same bits for every cut into parts: the sums see whole blocks in row order
     _assert_same_record(streamed, _folded_record(x, y))
     # and the in-memory record of the same rows, its probe products formed
-    # from the cached probe, is summed in the same blocks: the same bits
+    # from the cached probe, is summed in the same blocks: the same bits,
+    # and so are the refined probe's, from the rows or from the file again
+    m = np.random.default_rng(49).standard_normal((x.shape[1], x.shape[1]))
     with design._single_blas_thread():
-        _assert_same_record(streamed, Dataset.from_arrays(x, y))
+        memory = Dataset.from_arrays(x, y)
+        _assert_same_record(streamed, memory)
+        for u, v in zip(memory.probe_products(m), streamed.probe_products(m), strict=True):
+            _assert_same_bits(u, v)
     _assert_no_child_left()
 
 
@@ -765,7 +770,8 @@ def test_one_set_of_rows_gives_one_record(tmp_path):
         _assert_same_record(memory, loaded)
         # the rows, not their memory order: a Fortran-ordered design is summed as C rows
         _assert_same_record(Dataset.from_arrays(np.asfortranarray(memory.x), memory.y), loaded)
-        for u, v in zip(memory.probe_products(1), loaded.probe_products(1), strict=True):
+        m = rng.standard_normal((p, p))
+        for u, v in zip(memory.probe_products(m), loaded.probe_products(m), strict=True):
             _assert_same_bits(u, v)
         for method in ("none", "2"):
             w_memory, w_loaded = (
@@ -877,7 +883,7 @@ def test_a_refused_first_probe_reads_the_file_once_more(tmp_path, monkeypatch, f
     compressed = load_dataset(str(tmp_path / "x.csv.gz"), str(yp))
     piped = load_dataset(fifo, str(yp))
     assert passes == [0, 0] and fifo not in streams  # a pipe is parsed whole, never streamed
-    _assert_same_bits(piped.x, x)  # kept for a second probe
+    _assert_same_bits(piped.x, x)  # kept for a refined probe
     for ds in (compressed, piped):
         _assert_same_record(ds, streamed)
 
@@ -893,12 +899,13 @@ def test_a_refused_first_probe_reads_the_file_once_more(tmp_path, monkeypatch, f
     for report in reports:
         assert report.selected == memory.report.selected != frozenset()
         assert np.allclose(report.w.w, memory.report.w.w, rtol=1e-9, atol=1e-12)
-    # a loaded design's second probe is folded in blocks on every path: the same bits
+    # a loaded design's refined probe is folded in blocks on every path: the same bits
     for report in reports[1:]:
         _assert_same_bits(report.w.w, reports[0].w.w)
         assert report.threshold_t == reports[0].threshold_t
-    assert len(tests) == 8  # two probes per run
-    assert passes == [0, 0, 1, 1]  # one second pass over each file; the pipe's rows are kept
+    assert len(tests) == 8  # two passes per run
+    # one more pass over each file, for W - X m; the pipe's rows are kept
+    assert [np.shape(m) for m in passes] == [(), (), (p, p), (p, p)]
 
 
 def test_a_design_file_that_changed_after_the_load_is_refused_at_its_second_probe(
@@ -908,7 +915,19 @@ def test_a_design_file_that_changed_after_the_load_is_refused_at_its_second_prob
     ds = load_dataset(xp, yp)
     with open(xp, "a", encoding="utf-8") as f:
         f.write("0.5,0.5,0.5,0.5,0.5\n" * 3)
-    # every probe is refused, so the filter asks the file for a second one
+    # every pass is refused, so the filter reads the file again to refine the probe
+    monkeypatch.setattr(knockoffs, "_rank_tol", lambda n, cond: np.inf)
+    with pytest.raises(ParseError, match=f"^design file {re.escape(xp)} changed while it was read$"):
+        run_knockoff_filter(ds, q=0.2)
+
+
+def test_a_design_file_rewritten_with_its_shape_is_refused_at_the_refinement(
+    tmp_path, monkeypatch
+):
+    # n and p are the record's; its X^T X, X^T y and largest row norm are not
+    xp, yp = _write_design_csv(tmp_path, 400, 5)
+    ds = load_dataset(xp, yp)
+    np.savetxt(xp, np.random.default_rng(1).standard_normal((400, 5)), delimiter=",", fmt="%.6f")
     monkeypatch.setattr(knockoffs, "_rank_tol", lambda n, cond: np.inf)
     with pytest.raises(ParseError, match=f"^design file {re.escape(xp)} changed while it was read$"):
         run_knockoff_filter(ds, q=0.2)
@@ -1070,7 +1089,7 @@ def _outcome(load, *paths):
         for path in paths:
             message = message.replace(path, "<design>")
         return type(exc), message
-    arrays = (ds.gram, ds.col_norms, ds.xty, ds.y, *ds.probe_products(0))
+    arrays = (ds.gram, ds.col_norms, ds.xty, ds.y, *ds.probe_products())
     return ds.n, ds.p, repr(ds.row_norm_sq_max), *(a.tobytes() for a in arrays)
 
 

@@ -15,7 +15,7 @@ from dpknockoff import (
     KnockoffInfeasible,
     PreconditionViolated,
 )
-from dpknockoff import design, knockoffs
+from dpknockoff import knockoffs
 from dpknockoff.design import _default_probe
 from dpknockoff.knockoffs import (
     GramSpectrum,
@@ -234,26 +234,35 @@ def test_knockoff_summary_reads_only_the_record():
     # an in-memory record and a copy without x that holds its probe products
     # as a streamed record does: the summary must not tell them apart
     ds, spectrum = _design_and_response(np.random.default_rng(16).standard_normal((300, 8)), 17)
-    record = dataclasses.replace(ds, x=None, probe_sums=ds.probe_products(0))
+    record = dataclasses.replace(ds, x=None, probe_sums=ds.probe_products())
     want, got = knockoff_summary(ds, spectrum), knockoff_summary(record, spectrum)
     assert got.gram_g.tobytes() == want.gram_g.tobytes()
     assert got.crossprod.tobytes() == want.crossprod.tobytes()
 
 
-def test_knockoff_summary_retries_with_second_probe(monkeypatch):
-    # a design spanning the first probe leaves no complement for it
-    n, p = 80, 6
-    x = np.array(_default_probe(n, p, 0)[0])
-    ds, spectrum = _design_and_response(x, 20)
-    attempts = []
+def test_a_refused_first_pass_is_refined_to_the_reference(monkeypatch):
+    # the Gram form of R refused, the filter forms it again from Z = W - X m
+    ds, spectrum = _design_and_response(np.random.default_rng(20).standard_normal((80, 6)), 20)
+    rank_tol, conds, projections = knockoffs._rank_tol, [], []
+    probe_products = Dataset.probe_products
 
-    def spy(n, p, attempt):
-        attempts.append(attempt)
-        return _default_probe(n, p, attempt)
+    def refuse_the_first_pass(n, cond):
+        conds.append(cond)
+        return np.inf if len(conds) == 1 else rank_tol(n, cond)
 
-    monkeypatch.setattr(design, "_default_probe", spy)
+    def spy(ds, m=None):
+        projections.append(m)
+        return probe_products(ds, m)
+
+    monkeypatch.setattr(knockoffs, "_rank_tol", refuse_the_first_pass)
+    monkeypatch.setattr(Dataset, "probe_products", spy)
     _assert_summary_matches_reference(ds, spectrum)
-    assert attempts == [0, 1, 0, 1]  # the summary, then the reference
+    # the filter's two passes, then the reference's one rank rule
+    assert conds == [spectrum.lambda_max / spectrum.lambda_min, 1.0, 1.0]
+    assert projections[0] is None and projections[1].shape == (6, 6) and len(projections) == 2
+
+
+IN_SPAN = "^probe matrix lies inside the design column span$"
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.99])
@@ -263,24 +272,23 @@ def test_probe_in_span_is_refused_above_the_rounding_floor(rho):
     n, p = 8, 4
     rng = np.random.default_rng(3)
     z = rng.standard_normal((n, p))
-    z[:, :2] = _default_probe(n, p, 0)[0][:, :2]
-    z[:, 2:] = _default_probe(n, p, 1)[0][:, :2]
+    z[:, :] = _default_probe(n, p)[0]  # every column of W; z's draw keeps rng's order
     x = (np.sqrt(1.0 - rho) * z + np.sqrt(rho) * rng.standard_normal((n, 1))) * [1, 1, 100, 1]
     ds, spectrum = _design_and_response(x, 22)
-    with pytest.raises(KnockoffInfeasible, match="twice"):
+    with pytest.raises(KnockoffInfeasible, match=IN_SPAN):
         knockoff_summary(ds, spectrum)
 
 
 def test_knockoff_summary_infeasible_where_reference_is():
     n, p = 80, 6
-    # half of each probe inside the design span: both attempts fail
-    x = np.hstack([_default_probe(n, p, 0)[0][:, :3], _default_probe(n, p, 1)[0][:, :3]])
+    # the probe's columns span the design: both passes of the filter fail
+    x = np.array(_default_probe(n, p)[0])
     ds, spectrum = _design_and_response(x, 21)
     for build in (
         lambda: build_knockoffs(normalize_columns(ds), spectrum.lambda_min, spectrum=spectrum),
         lambda: knockoff_summary(ds, spectrum),
     ):
-        with pytest.raises(KnockoffInfeasible, match="twice"):
+        with pytest.raises(KnockoffInfeasible, match=IN_SPAN):
             build()
 
     # n < 2p, on a bare Dataset (from_arrays itself refuses it)
@@ -318,9 +326,9 @@ def _scipy_orthonormalize_tall(w):
 
 
 def _scipy_complement_crossprod(ds, xty, sigma_prime):
-    """U^T y for the first default probe, solved with cho_solve/solve_triangular."""
+    """U^T y for the default probe, solved with cho_solve/solve_triangular."""
     cho = cho_factor(sigma_prime, lower=True)
-    w, wtw = _default_probe(ds.n, ds.p, 0)
+    w, wtw = _default_probe(ds.n, ds.p)
     xtw = ds.normalizer_d[:, None] * (ds.x.T @ w)
     r = np.linalg.cholesky(wtw - xtw.T @ cho_solve(cho, xtw)).T
     return solve_triangular(r, w.T @ ds.y - xtw.T @ cho_solve(cho, xty), lower=False, trans="T")
@@ -329,7 +337,7 @@ def _scipy_complement_crossprod(ds, xty, sigma_prime):
 def _scipy_complement_basis(x_prime):
     """The default complement basis, projecting with cho_solve."""
     cho = cho_factor(x_prime.T @ x_prime, lower=True)
-    w = _default_probe(*x_prime.shape, 0)[0]
+    w = _default_probe(*x_prime.shape)[0]
     for _ in range(2):
         w = w - x_prime @ cho_solve(cho, x_prime.T @ w)
     return _scipy_orthonormalize_tall(w)
@@ -434,19 +442,16 @@ RHO_ILL_CONDITIONED = [0.999, 0.9999, 0.99999, 0.999999, 0.9999999]
 COND_GAP_FACTOR = 50.0
 
 
-def _probe_residual_factor(ds, cond):
-    """max(1, n / sigma_min((I - P) W)^2) for the probe the filter keeps.
+def _probe_residual_factor(ds):
+    """max(1, n / sigma_min((I - P) W)^2) for the probe W.
 
     The filter forms R^T R = W^T (I - P) W in p x p products, so its rounding
     in U^T y grows with this factor as well as with cond(S'); it is large
     only when n is close to 2p.
     """
     q, _ = np.linalg.qr(normalize_columns(ds).x_prime)
-    for attempt in range(2):
-        w, _ = _default_probe(ds.n, ds.p, attempt)
-        smin = np.linalg.svd(w - q @ (q.T @ w), compute_uv=False)[-1]
-        if smin > knockoffs._rank_tol(ds.n, cond):
-            break
+    w, _ = _default_probe(ds.n, ds.p)
+    smin = np.linalg.svd(w - q @ (q.T @ w), compute_uv=False)[-1]
     return max(1.0, ds.n / smin**2)
 
 
@@ -463,11 +468,9 @@ def _hostile_design(p, n_factor, log_scales, rho, plant_probes, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, p))
     if plant_probes:
-        # half of each default probe inside the design span: the filter
-        # and the reference must give up with the same error
-        half = p // 2
-        z[:, :half] = _default_probe(n, p, 0)[0][:, :half]
-        z[:, half:2 * half] = _default_probe(n, p, 1)[0][:, :half]
+        # columns of the probe inside the design span: the filter and the
+        # reference must give up with the same error
+        z[:, : p // 2 * 2] = _default_probe(n, p)[0][:, : p // 2 * 2]
     x = np.sqrt(1.0 - rho) * z + np.sqrt(rho) * rng.standard_normal((n, 1))
     x *= 10.0 ** np.asarray(log_scales[:p])
     y = x[:, 0] / np.linalg.norm(x[:, 0]) + rng.standard_normal(n)
@@ -497,7 +500,7 @@ def test_filter_path_matches_explicit_reference(p, n_factor, log_scales, rho, pl
     if rho in RHO_ILL_CONDITIONED:
         cond = ref_spectrum.lambda_max / ref_spectrum.lambda_min
         tol = COND_GAP_FACTOR * cond * np.finfo(float).eps
-        cross_tol = tol * _probe_residual_factor(ds, cond)
+        cross_tol = tol * _probe_residual_factor(ds)
     assert _rel_gap(spectrum.sigma_prime, ref_spectrum.sigma_prime) <= tol
     for field in ("lambda_min", "lambda_max", "frobenius_norm"):
         assert getattr(spectrum, field) == pytest.approx(getattr(ref_spectrum, field), rel=tol)
@@ -506,12 +509,70 @@ def test_filter_path_matches_explicit_reference(p, n_factor, log_scales, rho, pl
     assert frob == pytest.approx(ref_frob, rel=tol)
 
 
+RHO_CENSUS = [0.99999, 0.999999, 0.9999999]
+
+
+def _census(monkeypatch, designs, seed):
+    """Run the filter and the reference on hostile designs drawn from ``designs``,
+    a list of (n / p, probe columns planted), and tally their outcomes.
+
+    Returns the counts of designs, refusals, planted refusals and refined
+    summaries, and the worst relative gap of a refined [X' Xt]^T y to the
+    reference, alone and in units of the equivalence test's bound.
+    """
+    refined = []
+    probe_products = Dataset.probe_products
+    monkeypatch.setattr(
+        Dataset, "probe_products", lambda ds, m=None: refined.append(m) or probe_products(ds, m)
+    )
+    rng = np.random.default_rng(seed)
+    tally = dict(designs=0, refused=0, planted_refused=0, refined=0, worst_gap=0.0, worst=0.0)
+    for trial, (n_factor, plant) in enumerate(designs):
+        ds = _hostile_design(
+            int(rng.integers(2, 13)), n_factor, rng.uniform(-6.0, 6.0, 12),
+            RHO_CENSUS[trial % len(RHO_CENSUS)], plant, int(rng.integers(2**32)),
+        )
+        refined.clear()
+        new, new_error = _outcome(_filter_path, ds)
+        ref, ref_error = _outcome(_reference_path, ds)
+        tally["designs"] += 1
+        if plant:
+            assert new_error is ref_error is KnockoffInfeasible
+            tally["planted_refused"] += 1
+            continue
+        assert new_error is not KnockoffInfeasible and ref_error is not KnockoffInfeasible
+        assert new_error is ref_error
+        if new_error is not None:
+            tally["refused"] += 1
+        elif refined[-1] is not None:
+            spectrum, ks, _ = new
+            cond = spectrum.lambda_max / spectrum.lambda_min
+            bound = COND_GAP_FACTOR * cond * np.finfo(float).eps * _probe_residual_factor(ds)
+            gap = _rel_gap(ks.crossprod, ref[1].crossprod)
+            assert gap <= bound
+            tally["refined"] += 1
+            tally["worst_gap"] = max(tally["worst_gap"], gap)
+            tally["worst"] = max(tally["worst"], gap / bound)
+    return tally
+
+
+@pytest.mark.slow
+def test_census_refines_every_rounding_refusal_and_refuses_only_planted_probes(monkeypatch):
+    # n = 2p, cond(S') up to about 1e9 and column norms over 1e-6..1e6, where the
+    # first Gram form is refused by rounding; n = 3p and 10p are controls
+    designs = [(2, False)] * 10_000 + [(3, False)] * 1000 + [(10, False)] * 1000
+    designs += [(n_factor, True) for n_factor in (2, 3, 10) for _ in range(500)]
+    tally = _census(monkeypatch, designs, seed=2026)
+    assert tally["designs"] == 13_500 and tally["planted_refused"] == 1500
+    assert tally["refined"] >= 5
+
+
 def test_cached_probe_is_read_only():
-    w, wtw = _default_probe(50, 4, 0)
+    w, wtw = _default_probe(50, 4)
     assert not w.flags.writeable and not wtw.flags.writeable
     with pytest.raises(ValueError):
         w[0, 0] = 1.0
-    assert _default_probe(50, 4, 0)[0] is w
+    assert _default_probe(50, 4)[0] is w
 
 
 def test_concurrent_probe_draws_agree_and_are_cached(request):
@@ -524,7 +585,7 @@ def test_concurrent_probe_draws_agree_and_are_cached(request):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(_default_probe, 20_011, 7, 0) for _ in range(32)]
+            futures = [pool.submit(_default_probe, 20_011, 7) for _ in range(32)]
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -532,9 +593,9 @@ def test_concurrent_probe_draws_agree_and_are_cached(request):
     for w, wtw in results:
         assert not w.flags.writeable and not wtw.flags.writeable
         assert w.tobytes() == w0.tobytes() and wtw.tobytes() == wtw0.tobytes()
-    later = _default_probe(20_011, 7, 0)
+    later = _default_probe(20_011, 7)
     assert any(later[0] is w and later[1] is wtw for w, wtw in results)
-    assert _default_probe(20_011, 7, 0)[0] is later[0]
+    assert _default_probe(20_011, 7)[0] is later[0]
 
 
 # ---------------------------------------------------------------------------
