@@ -15,15 +15,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .design import ModelOracle, _load_record, _single_blas_thread, compute_bounds, load_dataset
-from .errors import DPKnockoffError, PrivacyPreconditionFailed
+from .errors import DPKnockoffError, PreconditionViolated, PrivacyPreconditionFailed
 from .knockoffs import gram_spectrum, raw_gram_frobenius
 from .pipeline import METHODS, run_knockoff_filter
 from .privacy import PrivacyBudget, build_sensitivity_context, delta2_floor
 from .selection import STATISTIC_KINDS
-from .simulate import _sweep_rows, read_config, write_report
+from .simulate import _spelling, _sweep_rows, read_config, write_report
 
 
 def _finite(text: str) -> float:
@@ -61,25 +61,18 @@ def _add_data_flags(parser):
 
 
 def _add_budget_flags(parser):
-    parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--eps1", type=float, default=None)
-    parser.add_argument("--eps2", type=float, default=None)
-    parser.add_argument("--delta", type=float, default=None)
-    parser.add_argument("--delta1", type=float, default=None)
-    parser.add_argument("--delta2", type=float, default=None)
+    for f in fields(PrivacyBudget):  # --eps1 for eps_1, as a sweep config spells it
+        parser.add_argument(f"--{_spelling(f.name)}", type=float)
     parser.add_argument("--beta-norm-bound", type=_nonnegative, default=None)
     parser.add_argument("--sigma2-bound", type=_positive, default=None)
 
 
 def _budget_from_args(args) -> PrivacyBudget:
-    return PrivacyBudget(
-        eps=args.eps,
-        delta_1=args.delta1,
-        delta_2=args.delta2,
-        eps_1=args.eps1,
-        eps_2=args.eps2,
-        delta=args.delta,
-    )
+    budget = PrivacyBudget(**{f.name: getattr(args, _spelling(f.name))
+                              for f in fields(PrivacyBudget)})
+    if args.method == "1":
+        budget.totals("1")  # refuses the pair release's unset knobs
+    return budget
 
 
 def _oracle_from_args(args):
@@ -98,13 +91,13 @@ def _print_record(record: dict) -> None:
 
 
 def cmd_calibrate(args) -> int:
+    budget, oracle = _budget_from_args(args), _oracle_from_args(args)  # before any file is read
     # the calibration reads X^T X, the largest row norm, n and p: no probe
     dataset = _load_record(args.x, args.y, args.header, probe=False)
     spectrum = gram_spectrum(dataset)
     bounds = compute_bounds(dataset, args.row_bound)
-    budget = _budget_from_args(args)
     ctx = build_sensitivity_context(
-        bounds, _oracle_from_args(args), spectrum, raw_gram_frobenius(dataset), budget, args.ridge
+        bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget, args.ridge
     )
     try:
         m2_sens = ctx.estimate_sensitivity
@@ -114,7 +107,7 @@ def cmd_calibrate(args) -> int:
     method = str(args.method)
     kappa = None  # without a finite estimate calibration, method 2 prints only its cost
     if method == "1" or m2_sens is not None:
-        ctx.noise_scales(method)  # refuses unset knobs and non-finite scales
+        ctx.noise_scales(method)  # refuses non-finite scales
         kappa = ctx.kappa2_sq if method == "1" else ctx.kappa_sq
     eps_total, delta_total = budget.totals(method)
 
@@ -147,18 +140,17 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    budget = oracle = None
+    if args.method != "none":  # the arguments are refused before any file is read
+        budget, oracle = _budget_from_args(args), _oracle_from_args(args)
+    if not 0.0 < args.q < 1.0:  # knockoff_threshold's refusal
+        raise PreconditionViolated(f"target FDR q must lie in (0,1), got {args.q}")
     dataset = load_dataset(args.x, args.y, has_header=args.header)
-    method = str(args.method)
-    budget = None
-    oracle = None
-    if method != "none":
-        budget = _budget_from_args(args)
-        oracle = _oracle_from_args(args)
     result = run_knockoff_filter(
         dataset,
         q=args.q,
         stat=args.stat,
-        method=method,
+        method=args.method,
         budget=budget,
         oracle=oracle,
         lam=getattr(args, "lambda"),
@@ -174,7 +166,7 @@ def cmd_run(args) -> int:
         "statistics": [float(v) for v in report.w.w],
         "statistic_kind": report.w.statistic_kind,
         "q": report.q,
-        "method": method,
+        "method": args.method,
         "total_privacy": {"eps": eps_total, "delta": delta_total},
     }
     _print_record(record)

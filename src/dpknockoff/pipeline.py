@@ -61,6 +61,8 @@ def run_knockoff_filter(
         raise PreconditionViolated(
             "method 2 releases the ridge/OLS estimate; a lasso penalty does not apply"
         )
+    if method != "none" and (budget is None or oracle is None):
+        raise BudgetInvalid("private methods need a privacy budget and a model oracle")
     spectrum = gram_spectrum(dataset)
     ks = knockoff_summary(dataset, spectrum)
 
@@ -68,8 +70,6 @@ def run_knockoff_filter(
     if method == "none":
         estimate = estimate_coefficients(ks.gram_g, ks.crossprod, lam, ridge_omega2)
     else:
-        if budget is None or oracle is None:
-            raise BudgetInvalid("private methods need a privacy budget and a model oracle")
         bounds = compute_bounds(dataset, row_bound_override)
         ctx = build_sensitivity_context(
             bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget, ridge_omega2

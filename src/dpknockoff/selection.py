@@ -53,7 +53,7 @@ def _soft_threshold(z: float, t: float) -> float:
     return 0.0
 
 
-def _lasso_gram_cd(gram, crossprod, lam, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWEEPS):
+def _lasso_gram_cd(a, c, lam):
     """Minimize b^T A b - 2 c^T b + lam * ||b||_1 by cyclic coordinate descent.
 
     This is the Gram-form of the l1-penalized least-squares objective (equal
@@ -61,16 +61,15 @@ def _lasso_gram_cd(gram, crossprod, lam, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWE
     directly.  Zero initialization, cyclic order; each coordinate update is
     the soft threshold of the partial residual at lam/2.  A noisy indefinite
     A makes the objective non-convex: updates may diverge, which surfaces as
-    NonConvergence rather than being repaired.
+    NonConvergence rather than being repaired.  A sweep moving no coordinate
+    more than LASSO_TOL stops it; LASSO_MAX_SWEEPS caps the sweeps (read per call).
     """
-    a = np.asarray(gram, dtype=float)
-    c = np.asarray(crossprod, dtype=float).ravel()
     m = c.shape[0]
     b = np.zeros(m)
     resid = c.copy()  # c - a @ b, maintained incrementally
     diag = np.diagonal(a).copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_sweeps):
+        for _ in range(LASSO_MAX_SWEEPS):
             max_change = 0.0
             for j in range(m):
                 old = b[j]
@@ -83,15 +82,14 @@ def _lasso_gram_cd(gram, crossprod, lam, tol=LASSO_TOL, max_sweeps=LASSO_MAX_SWE
                     max_change = max(max_change, abs(step))
             if not np.isfinite(max_change):
                 raise NonConvergence("coordinate updates diverged; objective may be non-convex")
-            if max_change <= tol:
+            if max_change <= LASSO_TOL:
                 return b
-    raise NonConvergence(
-        f"coordinate descent did not reach tolerance {tol:g} within {max_sweeps} sweeps"
-    )
+    raise NonConvergence(f"coordinate descent did not reach tolerance {LASSO_TOL:g} "
+                         f"within {LASSO_MAX_SWEEPS} sweeps")
 
 
 def estimate_coefficients(
-    gram, crossprod, lam: float = 0.0, ridge_omega2: float = 0.0, tol=LASSO_TOL
+    gram, crossprod, lam: float = 0.0, ridge_omega2: float = 0.0
 ) -> np.ndarray:
     """Length-2p coefficient vector from a (possibly noisy) Gram and product.
 
@@ -111,7 +109,7 @@ def estimate_coefficients(
     gram = np.asarray(gram, dtype=float)
     crossprod = np.asarray(crossprod, dtype=float).ravel()
     if lam > 0:
-        return _lasso_gram_cd(gram, crossprod, lam, tol=tol)
+        return _lasso_gram_cd(gram, crossprod, lam)
     if ridge_omega2 > 0:
         gram = gram + ridge_omega2 * np.eye(gram.shape[0])
     try:

@@ -12,6 +12,7 @@ import contextlib
 import math
 import os
 import pickle
+import re
 import warnings
 from dataclasses import MISSING, astuple, dataclass, fields
 
@@ -48,7 +49,8 @@ class SimConfig:
     (split equally across the knobs the method uses), ``fixed`` uses
     ``delta_value``.  ``threads`` is the number of processes each sample
     size's trials run on, this one and forked workers, capped at ``trials``
-    and at the CPUs in ``os.sched_getaffinity(0)``; 1 runs them in-process.
+    and at the CPUs in ``os.sched_getaffinity(0)`` (``os.cpu_count()`` where
+    that does not exist); 1 runs them in-process.
     """
 
     n_grid: tuple
@@ -242,7 +244,8 @@ def _cell_outcomes(cfg: SimConfig, n: int, n_idx: int) -> list:
     those with t = k (mod w).  Each side stops at its first failing trial;
     the failure with the lowest index is raised, as a serial loop raises it.
     """
-    workers = min(cfg.threads, cfg.trials, len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.threads, cfg.trials, cpus or 1)
 
     def share(first: int) -> list:  # (t, outcome), or (t, exception) last
         done = []
@@ -355,8 +358,9 @@ def write_report(rows, out_path, plot_path=None) -> None:
                 fh.flush()
 
 
-# Config-file spelling of the SimConfig fields that are not spelled as named.
-_CONFIG_SPELLING = {"eps_1": "eps1", "eps_2": "eps2"}
+def _spelling(name: str) -> str:
+    """A field's config key and CLI flag: an underscore before a final digit is dropped."""
+    return re.sub(r"_(?=\d$)", "", name)
 
 
 def _parse_value(annotation: str, text: str):
@@ -374,11 +378,11 @@ def read_config(path) -> SimConfig:
     """Parse a flat key=value config file into a SimConfig.
 
     Lines look like ``key = value``; '#' starts a comment.  ``n_grid`` is a
-    comma-separated list of sample sizes.  Keys are the SimConfig fields
-    (with ``eps1``/``eps2`` for the split epsilons); a field without a
+    comma-separated list of sample sizes.  Keys are the SimConfig fields as
+    :func:`_spelling` spells them (``eps1`` for ``eps_1``); a field without a
     default is required.
     """
-    by_key = {_CONFIG_SPELLING.get(f.name, f.name): f for f in fields(SimConfig)}
+    by_key = {_spelling(f.name): f for f in fields(SimConfig)}
     raw = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

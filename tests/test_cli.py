@@ -325,6 +325,22 @@ def test_run_missing_budget_is_cli_error(capsys, data_files):
     assert "required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--method", "1"], "eps is required for every release"),
+    (["run", "--q", "1.5"], "target FDR q must lie in (0,1), got 1.5"),
+    (["calibrate", "--method", "1"], "eps is required for every release"),
+    (["run", "--method", "1", *PAIR_BUDGET],
+     "--beta-norm-bound and --sigma2-bound are required here"),
+    (["calibrate", *ESTIMATE_BUDGET, "--beta-norm-bound", "1", "--sigma2-bound", "1"],
+     "pair release needs eps, eps_1, eps_2, delta, delta_1, delta_2; missing eps_1, eps_2, delta"),
+], ids=["run_without_budget", "run_q", "calibrate_without_eps", "run_without_oracle",
+        "calibrate_with_a_part_budget"])
+def test_an_argument_error_comes_before_any_file_error(tmp_path, capsys, argv, message):
+    missing = str(tmp_path / "missing.csv")
+    assert main([*argv, "--x", missing, "--y", missing]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("run", "--lambda", "-1"),
     ("run", "--lambda", "nan"),
@@ -430,13 +446,17 @@ def test_run_loads_no_scipy(data_files):
     xp, yp, bnorm = data_files
     argv = ["run", "--x", xp, "--y", yp, "--method", "2", *ESTIMATE_BUDGET,
             "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0", "--seed", "1"]
+    # numpy.random is drawn in per call: imported with the package, it added 6 MB of
+    # RSS and moved a sweep of small trials into more page faults per trial
     script = (
         "import json, sys\n"
         "import dpknockoff, dpknockoff.cli\n"
+        "random = 'numpy.random' in sys.modules\n"
         f"code = dpknockoff.cli.main({argv!r})\n"
         "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
         "ma = 'numpy.ma' in sys.modules\n"
-        "sys.stderr.write(json.dumps({'code': code, 'scipy': loaded, 'numpy.ma': ma}))\n"
+        "sys.stderr.write(json.dumps({'code': code, 'scipy': loaded, 'numpy.ma': ma,\n"
+        "                            'numpy.random at import': random}))\n"
     )
     src = os.path.dirname(os.path.dirname(dpknockoff.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -444,7 +464,9 @@ def test_run_loads_no_scipy(data_files):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stderr) == {"code": 0, "scipy": [], "numpy.ma": False}
+    assert json.loads(proc.stderr) == {
+        "code": 0, "scipy": [], "numpy.ma": False, "numpy.random at import": False,
+    }
     assert len(json.loads(proc.stdout)["statistics"]) == 12
 
 
@@ -698,7 +720,7 @@ def test_response_with_several_values_per_line_is_cli_error(tmp_path, capsys, co
     xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
     np.savetxt(xp, rng.standard_normal((30, 3)), delimiter=",")
     np.savetxt(yp, rng.standard_normal((15, 2)))
-    argv = [command, "--x", str(xp), "--y", str(yp), "--eps", "1", "--delta", "0.1",
+    argv = [command, "--x", str(xp), "--y", str(yp), *PAIR_BUDGET,
             "--beta-norm-bound", "1", "--sigma2-bound", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
@@ -716,7 +738,7 @@ def test_empty_input_file_is_cli_error_naming_it(tmp_path, capsys, data_files, c
     blank = tmp_path / "empty.csv"
     blank.write_text("", encoding="utf-8")
     xp, yp = (str(blank), yp) if empty == "x" else (xp, str(blank))
-    argv = [command, "--x", xp, "--y", yp, "--eps", "1", "--delta", "0.1",
+    argv = [command, "--x", xp, "--y", yp, *PAIR_BUDGET,
             "--beta-norm-bound", "1", "--sigma2-bound", "1"]
     assert main(argv) == 2
     kind = "design" if empty == "x" else "response"

@@ -290,6 +290,13 @@ def test_compute_bounds_refuses_override_below_the_data(override):
         assert compute_bounds(_block_design(), row_bound_override=b).row_bound_B == b
 
 
+@pytest.mark.parametrize("b, c", [(0.0, 2.0), (-1.0, 2.0), (np.nan, 2.0),
+                                  (1.0, 0.0), (1.0, -2.0), (1.0, np.nan)])
+def test_norm_bounds_refuse_a_bound_not_strictly_positive(b, c):
+    with pytest.raises(BoundViolation, match="^norm bounds must be strictly positive$"):
+        design.NormBounds(row_bound_B=b, col_min_C=c)
+
+
 def test_compute_bounds_duplicate_max_row():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((50, 4)) * 0.1
@@ -1031,6 +1038,19 @@ def test_a_library_load_folds_on_one_blas_thread(tmp_path, monkeypatch, fifo_of,
     finally:
         set_(before)
     _assert_same_record(loaded, pinned)
+
+
+def test_blas_thread_controls_are_empty_without_their_symbols(monkeypatch):
+    # a numpy linked to another BLAS: no controls, and a pin runs its body untouched
+    design._blas_thread_controls.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(design, "_BLAS_THREAD_SYMBOLS", ("no_such_get", "no_such_set"))
+            assert design._blas_thread_controls() == ()
+            with design._single_blas_thread():  # calls no control
+                pass
+    finally:
+        design._blas_thread_controls.cache_clear()  # the real controls are cached again
 
 
 # -- one outcome per input on every ingest path -------------------------------

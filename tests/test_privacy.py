@@ -128,6 +128,15 @@ def test_laplace_scale():
         laplace_scale(1.0, 0.0)
 
 
+@pytest.mark.parametrize("scale", [
+    lambda sensitivity: gaussian_scale(sensitivity, 0.5, 0.1),
+    lambda sensitivity: laplace_scale(sensitivity, 0.5),
+], ids=["gaussian", "laplace"])
+def test_scales_refuse_a_negative_sensitivity(scale):
+    with pytest.raises(ValueError, match="^sensitivity must be nonnegative$"):
+        scale(-1.0)
+
+
 def test_gaussian_scale_monotonicity():
     base = gaussian_scale(1.0, 0.5, 0.05)
     assert gaussian_scale(2.0, 0.5, 0.05) > base

@@ -100,6 +100,15 @@ def test_lasso_nonconvergence_on_divergent_objective():
         estimate_coefficients(a, np.array([1.0, -1.0]), lam=0.1)
 
 
+def test_lasso_sweep_cap_is_nonconvergence(monkeypatch):
+    # a coupled system moves both coordinates in its first sweep, so one sweep cannot stop
+    monkeypatch.setattr("dpknockoff.selection.LASSO_MAX_SWEEPS", 1)
+    a = np.array([[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(NonConvergence, match="^coordinate descent did not reach tolerance "
+                                             "1e-08 within 1 sweeps$"):
+        estimate_coefficients(a, np.array([1.0, 1.0]), lam=0.1)
+
+
 def test_estimate_coefficients_validation():
     a, c = np.eye(2), np.array([1.0, 1.0])
     with pytest.raises(ValueError):
@@ -378,9 +387,11 @@ def _private_filter_inputs():
 
 @pytest.mark.parametrize("method", ["1", "2"])
 @pytest.mark.parametrize("missing", ["budget", "oracle"])
-def test_pipeline_private_methods_need_a_budget_and_an_oracle(method, missing):
+def test_pipeline_private_methods_need_a_budget_and_an_oracle(monkeypatch, method, missing):
     ds, oracle, budget = _private_filter_inputs()
     knobs = {"budget": budget, "oracle": oracle, missing: None}
+    # refused before the spectrum, the first work on the design
+    monkeypatch.setattr(pipeline, "gram_spectrum", lambda *a: pytest.fail("spectrum computed"))
     message = "^private methods need a privacy budget and a model oracle$"
     with pytest.raises(BudgetInvalid, match=message):
         run_knockoff_filter(ds, q=0.2, method=method, seed=1, **knobs)

@@ -434,6 +434,16 @@ def test_run_sweep_deterministic_across_thread_counts(tmp_path, monkeypatch):
     assert len(reports) == 1
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_sweep_runs_without_sched_getaffinity(monkeypatch, threads):
+    # as on macOS: the worker cap falls back to the CPU count
+    cfg = _cfg(method="2", p=12, k=3, eps=0.3, trials=10, threads=threads, n_grid=(400, 500))
+    rows = run_sweep(cfg)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # threads = 2 forks a worker on any host
+    assert run_sweep(cfg) == rows
+
+
 def test_trial_outcomes_are_placed_by_trial_index(monkeypatch):
     monkeypatch.setattr(simulate, "_trial_outcome", lambda cfg, n, n_idx, t: (float(t), 0.0))
     for cpus in (1, 2, 3):
