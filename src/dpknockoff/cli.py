@@ -20,7 +20,7 @@ from dataclasses import fields, replace
 from .design import ModelOracle, _load_record, _single_blas_thread, compute_bounds, load_dataset
 from .errors import DPKnockoffError, PreconditionViolated, PrivacyPreconditionFailed
 from .knockoffs import gram_spectrum, raw_gram_frobenius
-from .pipeline import METHODS, run_knockoff_filter
+from .pipeline import METHODS, _check_arguments, run_knockoff_filter
 from .privacy import PrivacyBudget, build_sensitivity_context, delta2_floor
 from .selection import STATISTIC_KINDS
 from .simulate import _spelling, _sweep_rows, read_config, write_report
@@ -67,6 +67,11 @@ def _add_budget_flags(parser):
     parser.add_argument("--sigma2-bound", type=_positive, default=None)
 
 
+# the argparse dests only a private run reads: the budget, the oracle, B and the release seed
+_PRIVATE_DESTS = (*(_spelling(f.name) for f in fields(PrivacyBudget)),
+                  "beta_norm_bound", "sigma2_bound", "row_bound", "seed")
+
+
 def _budget_from_args(args) -> PrivacyBudget:
     budget = PrivacyBudget(**{f.name: getattr(args, _spelling(f.name))
                               for f in fields(PrivacyBudget)})
@@ -104,12 +109,10 @@ def cmd_calibrate(args) -> int:
     except PrivacyPreconditionFailed:
         m2_sens = None
 
-    method = str(args.method)
     kappa = None  # without a finite estimate calibration, method 2 prints only its cost
-    if method == "1" or m2_sens is not None:
-        ctx.noise_scales(method)  # refuses non-finite scales
-        kappa = ctx.kappa2_sq if method == "1" else ctx.kappa_sq
-    eps_total, delta_total = budget.totals(method)
+    if args.method == "1" or m2_sens is not None:  # noise_scales refuses non-finite scales
+        kappa = ctx.noise_scales(args.method)["kappa2_sq" if args.method == "1" else "kappa_sq"]
+    eps_total, delta_total = budget.totals(args.method)
 
     record = {
         "n": dataset.n,
@@ -140,11 +143,14 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    budget = oracle = None
-    if args.method != "none":  # the arguments are refused before any file is read
+    budget = oracle = None  # every argument is refused before any file is read
+    if args.method != "none":
         budget, oracle = _budget_from_args(args), _oracle_from_args(args)
-    if not 0.0 < args.q < 1.0:  # knockoff_threshold's refusal
-        raise PreconditionViolated(f"target FDR q must lie in (0,1), got {args.q}")
+    elif given := [d for d in _PRIVATE_DESTS if getattr(args, d) is not None]:
+        raise PreconditionViolated(f"--{given[0].replace('_', '-')} is ignored under "
+                                   "--method none; choose --method 1 or 2 for a private run")
+    lam = getattr(args, "lambda")
+    _check_arguments(args.method, args.q, lam, args.ridge, budget, oracle)
     dataset = load_dataset(args.x, args.y, has_header=args.header)
     result = run_knockoff_filter(
         dataset,
@@ -153,7 +159,7 @@ def cmd_run(args) -> int:
         method=args.method,
         budget=budget,
         oracle=oracle,
-        lam=getattr(args, "lambda"),
+        lam=lam,
         ridge_omega2=args.ridge,
         row_bound_override=args.row_bound,
         seed=args.seed,

@@ -314,14 +314,13 @@ class ModelOracle:
 
     The privacy calibration needs an upper bound on ||beta||_2 and on the
     noise variance sigma^2; the library never estimates either.  Simulations
-    additionally carry the true coefficient vector and its support so that
-    per-trial FDP and power can be scored.
+    additionally carry the true coefficient vector, whose support scores
+    per-trial FDP and power.
     """
 
     beta_norm_bound: float
     sigma2_bound: float
     true_beta: np.ndarray | None = None
-    true_support: frozenset | None = None
 
     def __post_init__(self):
         if not self.beta_norm_bound >= 0:  # refuses nan; +inf is refused at calibration
@@ -337,13 +336,13 @@ class ModelOracle:
                     f"beta_norm_bound={self.beta_norm_bound:g} is below the "
                     f"true coefficient norm {norm:g}"
                 )
-            support = frozenset(int(j) for j in np.flatnonzero(beta))
-            if self.true_support is None:
-                object.__setattr__(self, "true_support", support)
-            elif frozenset(self.true_support) != support:
-                raise ValueError("true_support does not match the nonzeros of true_beta")
-        elif self.true_support is not None:
-            object.__setattr__(self, "true_support", frozenset(int(j) for j in self.true_support))
+
+    @property
+    def true_support(self) -> frozenset | None:
+        """The indices of the nonzeros of ``true_beta``; None without it."""
+        if self.true_beta is None:
+            return None
+        return frozenset(int(j) for j in np.flatnonzero(self.true_beta))
 
 
 def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
@@ -362,7 +361,7 @@ def load_dataset(x_path, y_path, has_header: bool = False) -> Dataset:
     bits however it is read.  Only a pipe keeps its rows, for a refined
     probe.  A regular file is streamed: it is cut into newline-aligned
     chunks of about ``_CHUNK_BYTES``; forked workers, one per CPU in
-    ``os.sched_getaffinity`` at most, each read every w-th chunk with one
+    :func:`_cpus` at most, each read every w-th chunk with one
     ``os.pread`` and parse it, holding its text and rows; this process reads
     each chunk's rows from its worker's pipe and sums them in row order.  A
     name ``np.loadtxt`` decompresses (``.gz``, ``.bz2``, ``.xz``, ``.lzma``)
@@ -469,7 +468,7 @@ def _stream(path, skip: int, y, m) -> _Sums:
     """
     if os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):  # numpy's openers
         raise ValueError(f"np.loadtxt decompresses {path}; its bytes are not its rows")
-    cpus = len(os.sched_getaffinity(0))
+    cpus = _cpus()
     sums = _Sums(y, m)
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -503,6 +502,11 @@ def _send_chunks(fd: int, chunks, skip: int, writer) -> None:
         del data  # the next read holds no two chunks' text
         writer.write(struct.pack("2q", *rows.shape))
         writer.write(rows)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else (macOS) ``os.cpu_count()`` or 1."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @contextlib.contextmanager

@@ -16,6 +16,8 @@ from .privacy import (
 )
 from .selection import (
     SelectionReport,
+    _check_penalties,
+    _check_q,
     compute_statistics,
     estimate_coefficients,
     knockoff_threshold,
@@ -29,6 +31,23 @@ class FilterResult:
 
     report: SelectionReport
     release: PrivateRelease | None = None
+
+
+def _check_arguments(method, q, lam, ridge_omega2, budget, oracle) -> str:
+    """Refuse :func:`run_knockoff_filter`'s arguments before it reads the data,
+    each with the message of the function that reads it; the method as a str."""
+    method = str(method)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_q(q)
+    if method == "2" and lam != 0.0:
+        raise PreconditionViolated(
+            "method 2 releases the ridge/OLS estimate; a lasso penalty does not apply"
+        )
+    if method != "none" and (budget is None or oracle is None):
+        raise BudgetInvalid("private methods need a privacy budget and a model oracle")
+    _check_penalties(lam, ridge_omega2)
+    return method
 
 
 def run_knockoff_filter(
@@ -54,15 +73,7 @@ def run_knockoff_filter(
     takes no ridge term and does not apply to method ``"2"``'s released
     ridge/OLS vector; asking for either raises :class:`PreconditionViolated`.
     """
-    method = str(method)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "2" and lam != 0.0:
-        raise PreconditionViolated(
-            "method 2 releases the ridge/OLS estimate; a lasso penalty does not apply"
-        )
-    if method != "none" and (budget is None or oracle is None):
-        raise BudgetInvalid("private methods need a privacy budget and a model oracle")
+    method = _check_arguments(method, q, lam, ridge_omega2, budget, oracle)
     spectrum = gram_spectrum(dataset)
     ks = knockoff_summary(dataset, spectrum)
 

@@ -88,6 +88,17 @@ def _lasso_gram_cd(a, c, lam):
                          f"within {LASSO_MAX_SWEEPS} sweeps")
 
 
+def _check_penalties(lam: float, ridge_omega2: float) -> None:
+    """:func:`estimate_coefficients`' refusals of its penalty and ridge term."""
+    for name, value in (("lasso penalty", lam), ("ridge term", ridge_omega2)):
+        if not 0.0 <= value < np.inf:  # also refuses nan
+            raise ValueError(f"{name} must be {'nonnegative' if value < 0 else 'finite'}")
+    if lam > 0 and ridge_omega2 > 0:
+        raise PreconditionViolated(
+            "the lasso path takes no ridge term; set either lam or ridge_omega2, not both"
+        )
+
+
 def estimate_coefficients(
     gram, crossprod, lam: float = 0.0, ridge_omega2: float = 0.0
 ) -> np.ndarray:
@@ -99,13 +110,7 @@ def estimate_coefficients(
     is used as-is, indefinite or not, so the estimate stays a pure function
     of the released pair.
     """
-    for name, value in (("lasso penalty", lam), ("ridge term", ridge_omega2)):
-        if not 0.0 <= value < np.inf:  # also refuses nan
-            raise ValueError(f"{name} must be {'nonnegative' if value < 0 else 'finite'}")
-    if lam > 0 and ridge_omega2 > 0:
-        raise PreconditionViolated(
-            "the lasso path takes no ridge term; set either lam or ridge_omega2, not both"
-        )
+    _check_penalties(lam, ridge_omega2)
     gram = np.asarray(gram, dtype=float)
     crossprod = np.asarray(crossprod, dtype=float).ravel()
     if lam > 0:
@@ -147,6 +152,12 @@ def compute_statistics(estimate, kind: str = "lcd") -> StatisticVector:
     return StatisticVector(w=w, statistic_kind=kind, estimate=est)
 
 
+def _check_q(q: float) -> None:
+    """:func:`knockoff_threshold`'s refusal of its target FDR."""
+    if not 0.0 < q < 1.0:
+        raise PreconditionViolated(f"target FDR q must lie in (0,1), got {q}")
+
+
 def knockoff_threshold(w: StatisticVector, q: float) -> SelectionReport:
     """Data-dependent threshold T controlling the FDR at level q.
 
@@ -157,8 +168,7 @@ def knockoff_threshold(w: StatisticVector, q: float) -> SelectionReport:
     come from binary searches in the sorted statistics, so the scan costs
     O(p log p).
     """
-    if not 0.0 < q < 1.0:
-        raise PreconditionViolated(f"target FDR q must lie in (0,1), got {q}")
+    _check_q(q)
     wv = np.asarray(w.w, dtype=float)
     candidates = np.sort(np.abs(wv))  # a repeated magnitude repeats its ratio
     candidates = candidates[candidates > 0.0]
@@ -178,9 +188,9 @@ def evaluate_selection(report: SelectionReport, truth: ModelOracle) -> tuple[flo
     selected); power is the fraction of the true support recovered (0 when
     the support is empty).
     """
-    if truth.true_support is None:
-        raise MissingTruth("evaluation requires an oracle with a true support set")
     support = truth.true_support
+    if support is None:
+        raise MissingTruth("evaluation requires an oracle with a true support set")
     selected = report.selected
     n_sel = len(selected)
     false_hits = sum(1 for j in selected if j not in support)

@@ -18,7 +18,7 @@ from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
 
-from .design import Dataset, ModelOracle, _forked
+from .design import Dataset, ModelOracle, _cpus, _forked
 from .errors import (
     BoundViolation,
     BudgetInvalid,
@@ -49,8 +49,7 @@ class SimConfig:
     (split equally across the knobs the method uses), ``fixed`` uses
     ``delta_value``.  ``threads`` is the number of processes each sample
     size's trials run on, this one and forked workers, capped at ``trials``
-    and at the CPUs in ``os.sched_getaffinity(0)`` (``os.cpu_count()`` where
-    that does not exist); 1 runs them in-process.
+    and at the CPUs this process may run on (``design._cpus``); 1 runs them in-process.
     """
 
     n_grid: tuple
@@ -151,9 +150,8 @@ def generate_trial(n: int, cfg: SimConfig, trial_seed) -> tuple[Dataset, ModelOr
     Design entries are i.i.d. standard normal; the first k coefficients
     equal +amplitude (fixed support, common sign; amplitude 0 is the global
     null) and the response follows the linear model with noise variance
-    sigma2.  The returned oracle holds the exact coefficient norm and the
-    true variance, each inflated by the pessimism factor; its support is
-    read from the nonzeros of beta.
+    sigma2.  The returned oracle holds beta, and as its bounds the exact
+    norm of beta and the true variance, each inflated by the pessimism factor.
     """
     rng = np.random.default_rng(trial_seed)
     x = rng.standard_normal((n, cfg.p))
@@ -244,8 +242,7 @@ def _cell_outcomes(cfg: SimConfig, n: int, n_idx: int) -> list:
     those with t = k (mod w).  Each side stops at its first failing trial;
     the failure with the lowest index is raised, as a serial loop raises it.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cfg.threads, cfg.trials, cpus or 1)
+    workers = min(cfg.threads, cfg.trials, _cpus())
 
     def share(first: int) -> list:  # (t, outcome), or (t, exception) last
         done = []

@@ -250,15 +250,13 @@ def test_row_bound_below_the_data_is_cli_error(capsys, data_files, command, budg
 
 
 @pytest.mark.parametrize("extra", [
-    ["--method", "2", *ESTIMATE_BUDGET, "--lambda", "0.5"],
+    ["--method", "2", *ESTIMATE_BUDGET, "--beta-norm-bound", "1", "--sigma2-bound", "1",
+     "--lambda", "0.5"],
     ["--method", "none", "--lambda", "0.5", "--ridge", "0.5"],
 ])
 def test_run_refuses_ignored_knobs(capsys, data_files, extra):
-    xp, yp, bnorm = data_files
-    code = main([
-        "run", "--x", xp, "--y", yp, *extra,
-        "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0",
-    ])
+    xp, yp, _ = data_files
+    code = main(["run", "--x", xp, "--y", yp, *extra])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -295,9 +293,10 @@ def test_run_private_deterministic(capsys, data_files):
 def test_run_prints_only_the_public_release(capsys, data_files, method, budget):
     # the noise scales are functions of B, C_min and lambda_min(S'): never printed
     xp, yp, bnorm = data_files
+    private = ["--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0", "--seed", "3"]
     code, out = _run_cli(capsys, [
         "run", "--x", xp, "--y", yp, "--method", method, *budget,
-        "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0", "--seed", "3",
+        *(private if method != "none" else []),
     ])
     assert code == 0
     assert list(json.loads(out)) == [
@@ -325,6 +324,12 @@ def test_run_missing_budget_is_cli_error(capsys, data_files):
     assert "required" in capsys.readouterr().err
 
 
+# the flags only a private run reads, each with a valid value; --method none refuses every one
+NONE_IGNORES = [(f"--{name}", "0.1") for name in ("eps", "delta1", "delta2", "eps1", "eps2", "delta")]
+NONE_IGNORES += [("--beta-norm-bound", "1"), ("--sigma2-bound", "1"), ("--row-bound", "10"),
+                 ("--seed", "3")]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--method", "1"], "eps is required for every release"),
     (["run", "--q", "1.5"], "target FDR q must lie in (0,1), got 1.5"),
@@ -333,8 +338,17 @@ def test_run_missing_budget_is_cli_error(capsys, data_files):
      "--beta-norm-bound and --sigma2-bound are required here"),
     (["calibrate", *ESTIMATE_BUDGET, "--beta-norm-bound", "1", "--sigma2-bound", "1"],
      "pair release needs eps, eps_1, eps_2, delta, delta_1, delta_2; missing eps_1, eps_2, delta"),
+    (["run", "--method", "2", *ESTIMATE_BUDGET, "--beta-norm-bound", "1", "--sigma2-bound", "1",
+      "--lambda", "0.5"],
+     "method 2 releases the ridge/OLS estimate; a lasso penalty does not apply"),
+    (["run", "--lambda", "0.5", "--ridge", "0.5"],
+     "the lasso path takes no ridge term; set either lam or ridge_omega2, not both"),
+    *[(["run", flag, value],
+       f"{flag} is ignored under --method none; choose --method 1 or 2 for a private run")
+      for flag, value in NONE_IGNORES],
 ], ids=["run_without_budget", "run_q", "calibrate_without_eps", "run_without_oracle",
-        "calibrate_with_a_part_budget"])
+        "calibrate_with_a_part_budget", "run_method2_lasso", "run_lasso_with_ridge",
+        *[f"run_none_with_{flag[2:]}" for flag, _ in NONE_IGNORES]])
 def test_an_argument_error_comes_before_any_file_error(tmp_path, capsys, argv, message):
     missing = str(tmp_path / "missing.csv")
     assert main([*argv, "--x", missing, "--y", missing]) == 2
@@ -720,7 +734,7 @@ def test_response_with_several_values_per_line_is_cli_error(tmp_path, capsys, co
     xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
     np.savetxt(xp, rng.standard_normal((30, 3)), delimiter=",")
     np.savetxt(yp, rng.standard_normal((15, 2)))
-    argv = [command, "--x", str(xp), "--y", str(yp), *PAIR_BUDGET,
+    argv = [command, "--x", str(xp), "--y", str(yp), "--method", "1", *PAIR_BUDGET,
             "--beta-norm-bound", "1", "--sigma2-bound", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
@@ -738,7 +752,7 @@ def test_empty_input_file_is_cli_error_naming_it(tmp_path, capsys, data_files, c
     blank = tmp_path / "empty.csv"
     blank.write_text("", encoding="utf-8")
     xp, yp = (str(blank), yp) if empty == "x" else (xp, str(blank))
-    argv = [command, "--x", xp, "--y", yp, *PAIR_BUDGET,
+    argv = [command, "--x", xp, "--y", yp, "--method", "1", *PAIR_BUDGET,
             "--beta-norm-bound", "1", "--sigma2-bound", "1"]
     assert main(argv) == 2
     kind = "design" if empty == "x" else "response"

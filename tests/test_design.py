@@ -253,14 +253,9 @@ def test_model_oracle_refuses_a_bad_bound(beta_norm, sigma2, match):
         ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=sigma2)
 
 
-@pytest.mark.parametrize("beta_norm, support, match", [
-    (4.9, None, "beta_norm_bound=4.9 is below the true coefficient norm 5"),
-    (5.0, {0, 2}, "true_support does not match the nonzeros of true_beta"),
-])
-def test_model_oracle_refuses_a_truth_it_does_not_describe(beta_norm, support, match):
-    with pytest.raises(ValueError, match=f"^{match}$"):
-        ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=1.0,
-                    true_beta=np.array([3.0, 4.0, 0.0]), true_support=support)
+def test_model_oracle_refuses_a_truth_it_does_not_describe():
+    with pytest.raises(ValueError, match="^beta_norm_bound=4.9 is below the true coefficient norm 5$"):
+        ModelOracle(beta_norm_bound=4.9, sigma2_bound=1.0, true_beta=np.array([3.0, 4.0, 0.0]))
 
 
 def test_compute_bounds_block_design():
@@ -397,11 +392,6 @@ def test_building_a_dataset_holds_one_design(tmp_path, builder):
 
 # -- the design parsed by forked workers, in newline-aligned chunks ---------
 
-needs_affinity = pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity"), reason="the split parse reads os.sched_getaffinity"
-)
-
-
 def _serial_design(path, skip=0):
     return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, dtype=float)
 
@@ -477,7 +467,6 @@ SPLIT_CASES = {
 }
 
 
-@needs_affinity
 @pytest.mark.parametrize("cpus", [2, 3, 4])
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_split_parse_is_bit_identical_to_one_loadtxt(tmp_path, monkeypatch, case, cpus):
@@ -494,7 +483,6 @@ def test_split_parse_is_bit_identical_to_one_loadtxt(tmp_path, monkeypatch, case
         _assert_no_child_left()
 
 
-@needs_affinity
 @pytest.mark.parametrize("newline", ["\n", ""])
 @pytest.mark.parametrize("cpus", [2, 3, 4])
 def test_split_parse_with_a_cut_in_the_last_line(tmp_path, monkeypatch, cpus, newline):
@@ -519,7 +507,32 @@ def test_split_parse_with_a_cut_in_the_last_line(tmp_path, monkeypatch, cpus, ne
         assert x.shape == (60, 3)
 
 
-@needs_affinity
+def test_the_stream_forks_without_sched_getaffinity(tmp_path, monkeypatch):
+    # macOS has no affinity mask: the stream counts os.cpu_count()'s CPUs
+    # instead of raising into the serial fallback
+    text, skip = SPLIT_CASES["header"]
+    path = _write(tmp_path / "x.csv", text)
+    y = np.linspace(-1.0, 1.0, 80)
+    forks, fork = [], os.fork
+
+    def spy_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", spy_fork)
+    monkeypatch.setattr(design, "_CHUNK_BYTES", 40)
+    streamed = design._stream(path, skip, y, 0)
+    assert len(forks) == 2
+    _assert_no_child_left()
+    serial = design._parsed(path, skip, y, 0)[0]
+    for a, b in zip((streamed.gram, streamed.xty, *streamed.probe_products),
+                    (serial.gram, serial.xty, *serial.probe_products)):
+        _assert_same_bits(a, b)
+    assert streamed.row_norm_sq_max == serial.row_norm_sq_max
+
+
 def test_split_parse_leaves_a_compressed_design_to_loadtxt(tmp_path, monkeypatch, compressed_copies):
     # np.loadtxt decompresses by name; a compressed file's bytes fail the
     # stream, and the serial parse folds the plain file's blocks
@@ -534,7 +547,6 @@ def test_split_parse_leaves_a_compressed_design_to_loadtxt(tmp_path, monkeypatch
     _assert_no_child_left()
 
 
-@needs_affinity
 def test_a_compressed_name_is_never_streamed(tmp_path, monkeypatch):
     # np.loadtxt opens x.csv.gz through gzip whatever its bytes are, so plain
     # text under that name fails as the serial parse fails, fork or no fork
@@ -553,7 +565,6 @@ def test_a_compressed_name_is_never_streamed(tmp_path, monkeypatch):
     _assert_no_child_left()
 
 
-@needs_affinity
 @pytest.mark.parametrize("bad_row", ["1.5,2.5", "1.5,oops,2.5", "1.5,2.5,3.5,4.5"])
 def test_split_parse_error_in_a_later_part_is_the_serial_error(tmp_path, monkeypatch, bad_row):
     rows = _rows(80, 3)
@@ -576,7 +587,6 @@ def _open_fds():
     return sorted(os.listdir("/proc/self/fd"))
 
 
-@needs_affinity
 def test_a_workers_short_read_falls_back_to_the_serial_parse(tmp_path, monkeypatch):
     xp, yp = _write_design_csv(tmp_path, 400, 5)
     _cpus(monkeypatch, 2)
@@ -597,7 +607,6 @@ def test_a_workers_short_read_falls_back_to_the_serial_parse(tmp_path, monkeypat
     _assert_no_child_left()
 
 
-@needs_affinity
 def test_a_worker_that_sends_fewer_rows_than_announced_falls_back(tmp_path, monkeypatch):
     xp, yp = _write_design_csv(tmp_path, 400, 5)
     _cpus(monkeypatch, 2)
@@ -620,7 +629,6 @@ def test_a_worker_that_sends_fewer_rows_than_announced_falls_back(tmp_path, monk
     _assert_no_child_left()
 
 
-@needs_affinity
 def test_a_width_change_at_a_chunk_cut_is_the_serial_error(tmp_path, monkeypatch):
     # 12 rows of 5 fields, then 9 of 6: the one cut two CPUs make ends the
     # line holding byte 114 of 228, which is where the width changes, so each
@@ -660,7 +668,6 @@ def _fork_fails(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
-@needs_affinity
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc")
 @pytest.mark.parametrize("failure", [
     None,
@@ -726,7 +733,6 @@ def _design_text(x, layout):
     return _mixed_endings(rows), 0
 
 
-@needs_affinity
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 @pytest.mark.parametrize("layout", ["header", "crlf", "mixed"])
 @pytest.mark.parametrize("kind", ["collinear", "spread", "n_2p"])
@@ -759,7 +765,6 @@ def test_streamed_record_matches_the_in_memory_record(
     _assert_no_child_left()
 
 
-@needs_affinity
 def test_one_set_of_rows_gives_one_record(tmp_path):
     # above one 1024-row block, an in-memory record of a file's rows and the
     # loaded record are summed in the same blocks, probes and filter alike
@@ -789,7 +794,6 @@ def test_one_set_of_rows_gives_one_record(tmp_path):
             _assert_same_bits(w_memory, w_loaded)
 
 
-@needs_affinity
 def test_streaming_a_design_holds_no_design(tmp_path, monkeypatch):
     n, p = 20_000, 50
     xp, yp = _write_design_csv(tmp_path, n, p)
@@ -814,7 +818,6 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024)  # KiB on L
 """
 
 
-@needs_affinity
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
 def test_a_workers_memory_does_not_grow_with_the_design(tmp_path):
     # a worker holds about one chunk's rows whatever n is: allow that and as
@@ -839,7 +842,6 @@ def test_a_workers_memory_does_not_grow_with_the_design(tmp_path):
     assert growth < 2 * design._CHUNK_BYTES, f"workers grew by {growth / 1e6:.1f} MB"
 
 
-@needs_affinity
 @pytest.mark.parametrize("path", ["stream", "serial_fallback"])
 def test_a_short_response_is_refused_without_short_blocks(tmp_path, monkeypatch, path):
     # once the shape rule has failed nothing is summed, so a 1-line response
@@ -1007,7 +1009,6 @@ def test_a_refused_shape_forms_no_gram_on_any_path(shape_files, monkeypatch, fif
     _assert_no_child_left()
 
 
-@needs_affinity
 @pytest.mark.parametrize("route", ["stream", "serial_fallback", "gz", "fifo"])
 def test_a_library_load_folds_on_one_blas_thread(tmp_path, monkeypatch, fifo_of, route):
     # a library caller's load is pinned as the CLI's is: every fold runs on
@@ -1175,7 +1176,6 @@ def _check_ingest_paths(case):
     _assert_no_child_left()
 
 
-@needs_affinity
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="reads a design from a FIFO")
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_ingest_cases(max_rows=40))
@@ -1184,7 +1184,6 @@ def test_every_ingest_path_gives_one_outcome(case):
 
 
 @pytest.mark.slow
-@needs_affinity
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="reads a design from a FIFO")
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_ingest_cases(max_rows=3000))

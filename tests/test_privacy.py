@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom
+from scipy.stats import beta as beta_dist, binom
 
 from dpknockoff import (
     BoundViolation,
@@ -870,3 +870,82 @@ def test_one_replaced_row_moves_the_gram_within_its_sensitivities():
 @pytest.mark.slow
 def test_one_replaced_row_moves_the_gram_within_its_sensitivities_at_scale():
     _audit_neighbour_designs(5000)
+
+
+# -- the realized privacy loss: releases on two neighbours, each calibrated at its own data --
+
+# releases drawn per side: half choose the event, half bound its rates
+_LOSS_DRAWS = 4000
+_LOSS_BUDGETS = {  # the acceptance sweep's budgets at n = 1000, p = 50: totals (0.2, 0.1)
+    "1": PrivacyBudget(eps=0.1, eps_1=0.05, eps_2=0.05, delta=1 / 30, delta_1=1 / 30, delta_2=1 / 30),
+    "2": PrivacyBudget(eps=0.2, delta_1=0.05, delta_2=0.05),
+}
+
+
+def _clopper_pearson(k, n):
+    """The two-sided 95% Clopper-Pearson interval of a binomial rate k / n."""
+    lo = beta_dist.ppf(0.025, k, n - k + 1) if k else 0.0
+    hi = beta_dist.ppf(0.975, k + 1, n - k) if k < n else 1.0
+    return lo, hi
+
+
+def _eps_lower_bound(a, b, delta):
+    """A lower bound on eps from draws ``a`` and ``b`` of one statistic on neighbours.
+
+    (eps, delta) privacy bounds every event: P_a(E) <= e^eps P_b(E) + delta, and
+    with a and b swapped.  The event {s * stat > t}, its sign s, threshold t and
+    the order of the pair are chosen on the first half of the draws; the second
+    half bounds P_a(E) from below and P_b(E) from above (Clopper-Pearson, 95%).
+    """
+    h = len(a) // 2
+
+    def rate(u, s, t):
+        return np.mean(s * u > s * t)
+
+    pooled = np.concatenate([a[:h], b[:h]])
+    events = [(s, t, u, v) for t in np.quantile(pooled, np.linspace(0.01, 0.99, 99))
+              for s in (1, -1) for u, v in ((a, b), (b, a))]
+    s, t, u, v = max(events, key=lambda e: (rate(e[2][:h], *e[:2]) - delta)
+                     / max(rate(e[3][:h], *e[:2]), 1 / h))
+    lo = _clopper_pearson(int(np.sum(s * u[h:] > s * t)), len(u) - h)[0]
+    hi = _clopper_pearson(int(np.sum(s * v[h:] > s * t)), len(v) - h)[1]
+    return math.log((lo - delta) / hi) if lo > delta else 0.0
+
+
+@pytest.mark.parametrize("method", ["1", "2"])
+def test_a_public_row_bound_keeps_the_realized_loss_within_the_claim(method):
+    # an iid design and its neighbour with the largest-norm row replaced by
+    # the median-norm row; B = 10 is public and lies above every row of both
+    # (compute_bounds refuses it otherwise).  With the default B, the largest
+    # row norm, this audit reads eps >= 4.6 for method 1.
+    n, p, k = 1000, 50, 15
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, p))
+    beta = np.zeros(p)
+    beta[:k] = 4.5
+    y = x @ beta + rng.standard_normal(n)
+    largest, median = np.argsort(np.einsum("ij,ij->i", x, x))[[-1, n // 2]]
+    x2, y2 = x.copy(), y.copy()
+    x2[largest], y2[largest] = x[median], y[median]
+    oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
+    budget = _LOSS_BUDGETS[method]
+    sides = []
+    for ds in (Dataset.from_arrays(x, y), Dataset.from_arrays(x2, y2)):
+        spectrum = gram_spectrum(ds)
+        ctx = build_sensitivity_context(compute_bounds(ds, 10.0), oracle, spectrum,
+                                        raw_gram_frobenius(ds), budget)
+        sides.append((knockoff_summary(ds, spectrum), ctx))
+    exact = [estimate_coefficients(ks.gram_g, ks.crossprod) for ks, _ in sides]
+    upper = np.triu_indices(p, 1)
+
+    def statistic(ks, ctx, seed):
+        if method == "1":  # the off-diagonal variance of the released top-left Gram block
+            return np.var(release_pair(ks, ctx, seed=seed).gram_noisy[:p, :p][upper])
+        # the projection onto the difference of the two exact estimates
+        return release_estimate(ks, ctx, seed=seed).estimate_noisy @ (exact[1] - exact[0])
+
+    seeds = np.arange(2 * _LOSS_DRAWS).reshape(2, -1)  # fresh release seeds on each side
+    draws = [np.array([statistic(ks, ctx, int(s)) for s in side_seeds])
+             for (ks, ctx), side_seeds in zip(sides, seeds)]
+    eps, delta = budget.totals(method)
+    assert _eps_lower_bound(*draws, delta) <= eps

@@ -330,7 +330,7 @@ def test_evaluate_selection_counts():
     # force a specific selected set through a fresh report object
     report = type(report)(selected=frozenset({0, 1}), threshold_t=1.0, q=0.5, w=w)
     truth = ModelOracle(beta_norm_bound=5.0, sigma2_bound=1.0,
-                        true_support=frozenset({0, 3}))
+                        true_beta=np.array([1.0, 0.0, 0.0, 1.0]))  # support {0, 3}
     fdp, power = evaluate_selection(report, truth)
     assert fdp == pytest.approx(0.5)
     assert power == pytest.approx(0.5)
@@ -338,7 +338,7 @@ def test_evaluate_selection_counts():
 
 def test_evaluate_selection_empty_and_perfect():
     w = _stat_vec([1.0, -1.0])
-    truth = ModelOracle(beta_norm_bound=5.0, sigma2_bound=1.0, true_support=frozenset({0}))
+    truth = ModelOracle(beta_norm_bound=5.0, sigma2_bound=1.0, true_beta=np.array([1.0, 0.0]))
     empty = type(knockoff_threshold(w, 0.5))(
         selected=frozenset(), threshold_t=np.inf, q=0.5, w=w
     )
@@ -360,8 +360,9 @@ def test_evaluate_selection_always_in_unit_interval():
         p = int(rng.integers(1, 10))
         w = _stat_vec(rng.standard_normal(p))
         report = knockoff_threshold(w, float(rng.uniform(0.05, 0.95)))
-        support = frozenset(int(j) for j in rng.choice(p, size=rng.integers(0, p + 1), replace=False))
-        truth = ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0, true_support=support)
+        beta = np.zeros(p)
+        beta[rng.choice(p, size=rng.integers(0, p + 1), replace=False)] = 0.1
+        truth = ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0, true_beta=beta)
         fdp, power = evaluate_selection(report, truth)
         assert 0.0 <= fdp <= 1.0 and 0.0 <= power <= 1.0
 
