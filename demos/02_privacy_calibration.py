@@ -12,9 +12,9 @@ from dataclasses import replace
 import numpy as np
 
 from dpknockoff import Dataset, ModelOracle, PrivacyBudget
-from dpknockoff.design import compute_bounds
-from dpknockoff.knockoffs import gram_spectrum, raw_gram_frobenius
-from dpknockoff.privacy import build_sensitivity_context, delta2_floor
+from dpknockoff.knockoffs import gram_spectrum
+from dpknockoff.pipeline import _calibration
+from dpknockoff.privacy import delta2_floor
 
 rng = np.random.default_rng(7)
 n, p, k = 5000, 20, 5
@@ -24,13 +24,14 @@ beta[:k] = 3.0
 y = x @ beta + rng.standard_normal(n)
 dataset = Dataset.from_arrays(x, y)
 
-spectrum = gram_spectrum(dataset)
-bounds = compute_bounds(dataset)
 oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
 budget = PrivacyBudget(eps=0.1, delta_1=0.01, delta_2=0.01,
                        eps_1=0.05, eps_2=0.05, delta=0.01)
 
-ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget)
+# the filter's calibration of a dataset: its norm bounds B and C_min, the
+# spectrum of S' and ||X^T X||_F, at a budget (no ridge term, B observed)
+ctx = _calibration(dataset, gram_spectrum(dataset), oracle, budget, 0.0, None)
+bounds = ctx.bounds
 print(f"row bound B            = {bounds.row_bound_B:.4f}")
 print(f"min column norm C_min  = {bounds.col_min_C:.4f}")
 print(f"eta^2                  = {ctx.eta2:.6f}")

@@ -17,11 +17,11 @@ import math
 import sys
 from dataclasses import fields, replace
 
-from .design import ModelOracle, _load_record, _single_blas_thread, compute_bounds, load_dataset
+from .design import ModelOracle, _load_record, _single_blas_thread, load_dataset
 from .errors import DPKnockoffError, PreconditionViolated, PrivacyPreconditionFailed
-from .knockoffs import gram_spectrum, raw_gram_frobenius
-from .pipeline import METHODS, _check_arguments, run_knockoff_filter
-from .privacy import PrivacyBudget, build_sensitivity_context, delta2_floor
+from .knockoffs import gram_spectrum
+from .pipeline import METHODS, _calibration, _check_arguments, run_knockoff_filter
+from .privacy import PrivacyBudget, delta2_floor
 from .selection import STATISTIC_KINDS
 from .simulate import _spelling, _sweep_rows, read_config, write_report
 
@@ -99,11 +99,8 @@ def cmd_calibrate(args) -> int:
     budget, oracle = _budget_from_args(args), _oracle_from_args(args)  # before any file is read
     # the calibration reads X^T X, the largest row norm, n and p: no probe
     dataset = _load_record(args.x, args.y, args.header, probe=False)
-    spectrum = gram_spectrum(dataset)
-    bounds = compute_bounds(dataset, args.row_bound)
-    ctx = build_sensitivity_context(
-        bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget, args.ridge
-    )
+    ctx = _calibration(dataset, gram_spectrum(dataset), oracle, budget, args.ridge, args.row_bound)
+    spectrum, bounds = ctx.spectrum, ctx.bounds
     try:
         m2_sens = ctx.estimate_sensitivity
     except PrivacyPreconditionFailed:
@@ -150,7 +147,8 @@ def cmd_run(args) -> int:
         raise PreconditionViolated(f"--{given[0].replace('_', '-')} is ignored under "
                                    "--method none; choose --method 1 or 2 for a private run")
     lam = getattr(args, "lambda")
-    _check_arguments(args.method, args.q, lam, args.ridge, budget, oracle)
+    _check_arguments(
+        args.method, args.q, args.stat, lam, args.ridge, budget, oracle, args.row_bound)
     dataset = load_dataset(args.x, args.y, has_header=args.header)
     result = run_knockoff_filter(
         dataset,

@@ -212,8 +212,3 @@ def _complement_crossprod(d: Dataset, xty, l_inv, cond: float) -> np.ndarray:
             return np.linalg.solve(r_lower, _finite_response_product(wty) - qtw.T @ qty)
         m = d.normalizer_d[:, None] * (l_inv.T @ qtw)  # X m = X' L^{-T} Q^T W = P W
     raise KnockoffInfeasible("probe matrix lies inside the design column span")
-
-
-def raw_gram_frobenius(d: Dataset) -> float:
-    """Frobenius norm of the unnormalized Gram X^T X."""
-    return float(np.linalg.norm(d.gram, "fro"))

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .design import Dataset, ModelOracle, compute_bounds
 from .errors import BudgetInvalid, PreconditionViolated
-from .knockoffs import gram_spectrum, knockoff_summary, raw_gram_frobenius
+from .knockoffs import gram_spectrum, knockoff_summary
 from .privacy import (
     PrivacyBudget,
     PrivateRelease,
@@ -18,6 +20,7 @@ from .selection import (
     SelectionReport,
     _check_penalties,
     _check_q,
+    _check_stat,
     compute_statistics,
     estimate_coefficients,
     knockoff_threshold,
@@ -33,19 +36,26 @@ class FilterResult:
     release: PrivateRelease | None = None
 
 
-def _check_arguments(method, q, lam, ridge_omega2, budget, oracle) -> str:
+def _check_arguments(method, q, stat, lam, ridge_omega2, budget, oracle, row_bound_override) -> str:
     """Refuse :func:`run_knockoff_filter`'s arguments before it reads the data,
-    each with the message of the function that reads it; the method as a str."""
+    each with the message of the function that reads it; the method as a str.
+    Method "none" ignores an oracle and a seed, which a sweep passes for every
+    method, and refuses a budget or a row bound."""
     method = str(method)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     _check_q(q)
+    _check_stat(stat)
     if method == "2" and lam != 0.0:
         raise PreconditionViolated(
             "method 2 releases the ridge/OLS estimate; a lasso penalty does not apply"
         )
     if method != "none" and (budget is None or oracle is None):
         raise BudgetInvalid("private methods need a privacy budget and a model oracle")
+    for name, value in (("budget", budget), ("row_bound_override", row_bound_override)):
+        if method == "none" and value is not None:
+            raise PreconditionViolated(f"{name} is ignored under method none; "
+                                       "choose method 1 or 2 for a private run")
     _check_penalties(lam, ridge_omega2)
     return method
 
@@ -73,28 +83,34 @@ def run_knockoff_filter(
     takes no ridge term and does not apply to method ``"2"``'s released
     ridge/OLS vector; asking for either raises :class:`PreconditionViolated`.
     """
-    method = _check_arguments(method, q, lam, ridge_omega2, budget, oracle)
+    method = _check_arguments(
+        method, q, stat, lam, ridge_omega2, budget, oracle, row_bound_override)
     spectrum = gram_spectrum(dataset)
-    ks = knockoff_summary(dataset, spectrum)
+    ks = knockoff_summary(dataset, spectrum)  # KnockoffInfeasible before any BoundViolation
+    ctx = None if method == "none" else _calibration(
+        dataset, spectrum, oracle, budget, ridge_omega2, row_bound_override)
+    return _select(ks, ctx, method, q, stat, lam, ridge_omega2, seed)
 
+
+def _calibration(dataset, spectrum, oracle, budget, ridge_omega2, row_bound_override):
+    """The one calibration of a dataset at a budget; ||X^T X||_F is computed here."""
+    bounds = compute_bounds(dataset, row_bound_override)
+    frobenius = np.linalg.norm(dataset.gram, "fro")
+    return build_sensitivity_context(bounds, oracle, spectrum, frobenius, budget, ridge_omega2)
+
+
+def _select(ks, ctx, method, q, stat, lam, ridge_omega2, seed) -> FilterResult:
+    """One release of ``ks`` at ``ctx`` (None under "none"): its estimate, W and threshold."""
     release = None
     if method == "none":
         estimate = estimate_coefficients(ks.gram_g, ks.crossprod, lam, ridge_omega2)
-    else:
-        bounds = compute_bounds(dataset, row_bound_override)
-        ctx = build_sensitivity_context(
-            bounds, oracle, spectrum, raw_gram_frobenius(dataset), budget, ridge_omega2
+    elif method == "1":
+        release = release_pair(ks, ctx, seed=seed)
+        estimate = estimate_coefficients(
+            release.gram_noisy, release.crossprod_noisy, lam, ridge_omega2
         )
-        if method == "1":
-            release = release_pair(ks, ctx, seed=seed)
-            estimate = estimate_coefficients(
-                release.gram_noisy, release.crossprod_noisy, lam, ridge_omega2
-            )
-        else:
-            release = release_estimate(ks, ctx, seed=seed)
-            estimate = release.estimate_noisy
-
-    w = compute_statistics(estimate, stat)
-    report = knockoff_threshold(w, q)
+    else:
+        release = release_estimate(ks, ctx, seed=seed)
+        estimate = release.estimate_noisy
+    report = knockoff_threshold(compute_statistics(estimate, stat), q)
     return FilterResult(report=report, release=release)
-

@@ -123,6 +123,12 @@ def estimate_coefficients(
         raise SingularSystem("estimation system is numerically singular") from exc
 
 
+def _check_stat(kind: str) -> None:
+    """:func:`compute_statistics`' refusal of its statistic kind."""
+    if kind not in STATISTIC_KINDS:
+        raise ValueError(f"unknown statistic kind {kind!r}; expected one of {STATISTIC_KINDS}")
+
+
 def compute_statistics(estimate, kind: str = "lcd") -> StatisticVector:
     """Fold a length-2p estimate into p statistics.
 
@@ -132,8 +138,7 @@ def compute_statistics(estimate, kind: str = "lcd") -> StatisticVector:
     estimate raises :class:`SingularSystem`: its statistics would fall
     through the threshold as an empty selection.
     """
-    if kind not in STATISTIC_KINDS:
-        raise ValueError(f"unknown statistic kind {kind!r}; expected one of {STATISTIC_KINDS}")
+    _check_stat(kind)
     est = np.asarray(estimate, dtype=float).ravel()
     if est.shape[0] % 2 != 0:
         raise ValueError("estimate must have even length 2p")

@@ -21,13 +21,13 @@ from dpknockoff import (
     run_sweep,
     write_report,
 )
-from dpknockoff.design import NormBounds, compute_bounds
+from dpknockoff.design import NormBounds
 from dpknockoff.knockoffs import (
     GramSpectrum,
     closed_form_gram_eigenvalues,
     gram_spectrum,
-    raw_gram_frobenius,
 )
+from dpknockoff.pipeline import _calibration
 from dpknockoff.privacy import (
     STRICTNESS_BUMP,
     build_sensitivity_context,
@@ -188,11 +188,10 @@ def test_criterion_05_antisymmetry(monkeypatch):
     nd = normalize_columns(ds)
     spectrum = gram_spectrum(ds)
     ad = build_knockoffs(nd, spectrum.lambda_min, spectrum=spectrum)
-    bounds = compute_bounds(ds)
     oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.4, delta_1=0.1, delta_2=0.1,
                            eps_1=0.3, eps_2=0.3, delta=0.1)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(ds), budget)
+    ctx = _calibration(ds, spectrum, oracle, budget, 0.0, None)
     swap_sets = [[2], list(range(p))]
     worst = 0.0
 
@@ -329,10 +328,10 @@ def test_criterion_07_sensitivity_oracles():
         x = np.random.default_rng(9000 + trial).standard_normal((n, p))
         ds = Dataset.from_arrays(x, np.zeros(n))
         spectrum = gram_spectrum(ds)
-        bnds = compute_bounds(ds)
         mo = ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=sigma2)
         bud = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=delta_2)
-        ctx = build_sensitivity_context(bnds, mo, spectrum, raw_gram_frobenius(ds), bud)
+        ctx = _calibration(ds, spectrum, mo, bud, 0.0, None)
+        bnds = ctx.bounds
         want = _oracle_pair(
             bnds.row_bound_B, bnds.col_min_C, spectrum.lambda_min, spectrum.lambda_max,
             ctx.frobenius_sigma_raw, beta_norm, sigma2, delta_2, p,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dpknockoff
-from dpknockoff import cli, design, pipeline, privacy, simulate
+from dpknockoff import cli, design, knockoffs, pipeline, privacy, simulate
 from dpknockoff.cli import main
 
 
@@ -837,6 +837,25 @@ def test_calibrate_draws_no_probe(capsys, data_files, monkeypatch):
                 "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0"]
         assert main(["calibrate", *argv]) == 0 and draws == []
         assert main(["run", *argv]) == 0 and draws == [()]  # the spies do see a draw
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("method, budget", [("1", PAIR_BUDGET), ("2", ESTIMATE_BUDGET)])
+def test_calibrate_is_the_filters_calibration_without_a_summary(
+    capsys, data_files, monkeypatch, method, budget
+):
+    # the record calibrate prints is built by the filter's one calibration
+    # owner, called once, and no knockoff summary is formed for it
+    assert cli._calibration is pipeline._calibration
+    calls = []
+    monkeypatch.setattr(cli, "_calibration",
+                        lambda *a: calls.append(a) or pipeline._calibration(*a))
+    for module in (knockoffs, pipeline):
+        monkeypatch.setattr(module, "knockoff_summary", lambda *a: pytest.fail("summary formed"))
+    xp, yp, bnorm = data_files
+    argv = ["--x", xp, "--y", yp, "--method", method, *budget,
+            "--beta-norm-bound", f"{bnorm}", "--sigma2-bound", "1.0"]
+    assert main(["calibrate", *argv]) == 0 and len(calls) == 1
     capsys.readouterr()
 
 

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion from a scratch working directory."""
+"""Every demo script runs to completion from a scratch working directory,
+with every warning an error (pytest's own warning filter stays in this process)."""
 
 import os
 import subprocess
@@ -22,7 +23,7 @@ def test_demo_runs(demo, tmp_path):
     src = os.path.dirname(os.path.dirname(dpknockoff.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
-        timeout=300,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

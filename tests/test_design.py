@@ -788,7 +788,8 @@ def test_one_set_of_rows_gives_one_record(tmp_path):
         for method in ("none", "2"):
             w_memory, w_loaded = (
                 run_knockoff_filter(
-                    ds, q=0.2, method=method, budget=budget, oracle=oracle, seed=5
+                    ds, q=0.2, method=method, budget=None if method == "none" else budget,
+                    oracle=oracle, seed=5,
                 ).report.w.w for ds in (memory, loaded)
             )
             _assert_same_bits(w_memory, w_loaded)

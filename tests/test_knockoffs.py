@@ -13,7 +13,9 @@ from dpknockoff import (
     Dataset,
     InvalidDesign,
     KnockoffInfeasible,
+    ModelOracle,
     PreconditionViolated,
+    PrivacyBudget,
 )
 from dpknockoff import knockoffs
 from dpknockoff.design import _default_probe
@@ -22,8 +24,8 @@ from dpknockoff.knockoffs import (
     closed_form_gram_eigenvalues,
     gram_spectrum,
     knockoff_summary,
-    raw_gram_frobenius,
 )
+from dpknockoff.pipeline import _calibration
 from reference import (
     NormalizedDesign,
     _orthonormalize_tall,
@@ -185,7 +187,9 @@ def test_raw_gram_frobenius_matches_direct_product():
     x = rng.standard_normal((60, 4)) * rng.uniform(0.5, 3.0, size=4)
     ds = Dataset.from_arrays(x, np.zeros(60))
     direct = float(np.linalg.norm(x.T @ x, "fro"))
-    assert raw_gram_frobenius(ds) == pytest.approx(direct, rel=1e-10)
+    ctx = _calibration(ds, gram_spectrum(ds), ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0),
+                       PrivacyBudget(eps=0.5, delta_1=0.05, delta_2=0.5), 0.0, None)
+    assert ctx.frobenius_sigma_raw == pytest.approx(direct, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +424,7 @@ def test_orthonormalize_tall_refuses_rank_deficient_residual():
 def _filter_path(ds):
     """What run_knockoff_filter computes: S' = D G D and the raw-product summary."""
     spectrum = gram_spectrum(ds)
-    return spectrum, knockoff_summary(ds, spectrum), raw_gram_frobenius(ds)
+    return spectrum, knockoff_summary(ds, spectrum), float(np.linalg.norm(ds.gram, "fro"))
 
 
 def _reference_path(ds):

@@ -21,11 +21,10 @@ from dpknockoff import (
     PrivacyPreconditionFailed,
     run_knockoff_filter,
 )
-from dpknockoff.design import NormBounds, compute_bounds
+from dpknockoff.design import NormBounds
 from dpknockoff import privacy
-from dpknockoff.knockoffs import (
-    GramSpectrum, gram_spectrum, knockoff_summary, paired_blocks, raw_gram_frobenius,
-)
+from dpknockoff.knockoffs import GramSpectrum, gram_spectrum, knockoff_summary, paired_blocks
+from dpknockoff.pipeline import _calibration
 from dpknockoff.privacy import (
     STRICTNESS_BUMP,
     SensitivityContext,
@@ -80,13 +79,11 @@ def _context_from_design(n, p, seed, beta_norm=1.0, sigma2=1.0, delta_2=0.05):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p))
     ds = Dataset.from_arrays(x, np.zeros(n))
-    spectrum = gram_spectrum(ds)
-    bounds = compute_bounds(ds)
     oracle = ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=sigma2)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=delta_2,
                            eps_1=0.1, eps_2=0.1, delta=0.05)
-    ctx = build_sensitivity_context(bounds, oracle, spectrum, raw_gram_frobenius(ds), budget)
-    return ctx, bounds, spectrum
+    ctx = _calibration(ds, gram_spectrum(ds), oracle, budget, 0.0, None)
+    return ctx, ctx.bounds, ctx.spectrum
 
 
 def _hand_context():
@@ -394,9 +391,7 @@ def _release_inputs():
     ds, oracle = _release_dataset()
     spectrum = gram_spectrum(ds)
     ks = knockoff_summary(ds, spectrum)
-    ctx = build_sensitivity_context(
-        compute_bounds(ds), oracle, spectrum, raw_gram_frobenius(ds), _RELEASE_BUDGET
-    )
+    ctx = _calibration(ds, spectrum, oracle, _RELEASE_BUDGET, 0.0, None)
     return ks, ctx, _RELEASE_BUDGET
 
 
@@ -738,8 +733,8 @@ def _outcome(call):
 def _calibrations(ds, spectrum, oracle, row_bound):
     """The calibration ``dpknockoff calibrate`` runs: the context, or None, and
     the refusal of each step (building the context, then each method's scales)."""
-    ctx, refused = _outcome(lambda: build_sensitivity_context(
-        compute_bounds(ds, row_bound), oracle, spectrum, raw_gram_frobenius(ds), _AUDIT_BUDGET))
+    ctx, refused = _outcome(
+        lambda: _calibration(ds, spectrum, oracle, _AUDIT_BUDGET, 0.0, row_bound))
     if ctx is None:
         return None, [refused]
     return ctx, [None, *(_outcome(functools.partial(ctx.noise_scales, m))[1] for m in "12")]
@@ -932,8 +927,7 @@ def test_a_public_row_bound_keeps_the_realized_loss_within_the_claim(method):
     sides = []
     for ds in (Dataset.from_arrays(x, y), Dataset.from_arrays(x2, y2)):
         spectrum = gram_spectrum(ds)
-        ctx = build_sensitivity_context(compute_bounds(ds, 10.0), oracle, spectrum,
-                                        raw_gram_frobenius(ds), budget)
+        ctx = _calibration(ds, spectrum, oracle, budget, 0.0, 10.0)
         sides.append((knockoff_summary(ds, spectrum), ctx))
     exact = [estimate_coefficients(ks.gram_g, ks.crossprod) for ks, _ in sides]
     upper = np.triu_indices(p, 1)

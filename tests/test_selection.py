@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -399,12 +400,60 @@ def test_pipeline_private_methods_need_a_budget_and_an_oracle(monkeypatch, metho
 
 
 @pytest.mark.parametrize("method", ["none", "1", "2"])
+def test_pipeline_refuses_an_unknown_statistic_before_the_data(monkeypatch, method):
+    ds, oracle, budget = _private_filter_inputs()
+    budget = None if method == "none" else budget
+    monkeypatch.setattr(pipeline, "gram_spectrum", lambda *a: pytest.fail("spectrum computed"))
+    message = r"^unknown statistic kind 'bogus'; expected one of \('lcd', 'csm'\)$"
+    with pytest.raises(ValueError, match=message):
+        run_knockoff_filter(ds, q=0.2, stat="bogus", method=method, budget=budget, oracle=oracle)
+    with pytest.raises(ValueError, match=message):  # the message compute_statistics gives
+        compute_statistics(np.zeros(4), "bogus")
+
+
+@pytest.mark.parametrize("knob", ["budget", "row_bound_override"])
+def test_pipeline_method_none_refuses_a_budget_and_a_row_bound(monkeypatch, knob):
+    # method none releases nothing: a budget would be silently unspent
+    ds, oracle, budget = _private_filter_inputs()
+    monkeypatch.setattr(pipeline, "gram_spectrum", lambda *a: pytest.fail("spectrum computed"))
+    value = {"budget": budget, "row_bound_override": 100.0}[knob]
+    message = f"^{knob} is ignored under method none; choose method 1 or 2 for a private run$"
+    with pytest.raises(PreconditionViolated, match=message):
+        run_knockoff_filter(ds, q=0.2, oracle=oracle, seed=1, **{knob: value})
+
+
+@pytest.mark.parametrize("method", ["none", "1", "2"])
+def test_select_makes_one_release_per_call_of_one_summary(method):
+    # one (summary, calibration) pair serves several releases, each the filter's at its seed
+    ds, oracle, budget = _private_filter_inputs()
+    budget = None if method == "none" else budget
+    spectrum = gram_spectrum(ds)
+    ks = pipeline.knockoff_summary(ds, spectrum)
+    ctx = None if method == "none" else pipeline._calibration(
+        ds, spectrum, oracle, budget, 0.0, None)
+    for seed in (1, 2, 3):
+        got = pipeline._select(ks, ctx, method, 0.2, "lcd", 0.0, 0.0, seed)
+        want = run_knockoff_filter(ds, q=0.2, method=method, budget=budget, oracle=oracle,
+                                   seed=seed)
+        assert got.report.w.w.tobytes() == want.report.w.w.tobytes()
+        assert (got.report.threshold_t, got.report.selected) == (
+            want.report.threshold_t, want.report.selected)
+        if method == "none":
+            assert got.release is want.release is None
+            continue
+        for field in dataclasses.fields(want.release):
+            a, b = getattr(got.release, field.name), getattr(want.release, field.name)
+            assert a is b is None or np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+
+@pytest.mark.parametrize("method", ["none", "1", "2"])
 def test_pipeline_uses_s_equal_lambda_min(monkeypatch, method):
     # the calibration's gamma = 2*lambda_max - lambda_min assumes s = lambda_min(S')
     ds, oracle, budget = _private_filter_inputs()
     built = []
     real = pipeline.knockoff_summary
     monkeypatch.setattr(pipeline, "knockoff_summary", lambda *a, **k: built.append(real(*a, **k)) or built[-1])
+    budget = None if method == "none" else budget
     run_knockoff_filter(ds, q=0.2, method=method, budget=budget, oracle=oracle, seed=1)
     spectrum, p = gram_spectrum(ds), ds.p
     off = spectrum.sigma_prime - spectrum.lambda_min * np.eye(p)
@@ -416,6 +465,7 @@ def test_pipeline_uses_s_equal_lambda_min(monkeypatch, method):
 @pytest.mark.parametrize("method", ["none", "1"])
 def test_pipeline_rejects_lasso_with_ridge(method):
     ds, oracle, budget = _private_filter_inputs()
+    budget = None if method == "none" else budget
     with pytest.raises(PreconditionViolated, match="ridge"):
         run_knockoff_filter(
             ds, q=0.2, method=method, budget=budget, oracle=oracle, lam=0.5, ridge_omega2=0.5
@@ -430,6 +480,7 @@ def test_pipeline_rejects_lasso_with_ridge(method):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_pipeline_refuses_a_non_finite_penalty(method, knob, bad):
     ds, oracle, budget = _private_filter_inputs()
+    budget = None if method == "none" else budget
     with pytest.raises(ValueError, match="must be finite$"):
         run_knockoff_filter(ds, q=0.2, method=method, budget=budget, oracle=oracle,
                             seed=1, **{knob: bad})

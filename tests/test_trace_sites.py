@@ -81,5 +81,6 @@ def test_filter_calls_each_pipeline_site(monkeypatch, method):
     ds = Dataset.from_arrays(x, x[:, 0] + rng.standard_normal(400))
     budget = PrivacyBudget(eps=0.5, delta_1=0.05, delta_2=0.5, eps_1=0.3, eps_2=0.3, delta=0.05)
     oracle = ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0)
+    budget = None if method == "none" else budget
     pipeline.run_knockoff_filter(ds, q=0.2, method=method, budget=budget, oracle=oracle, seed=1)
     assert sorted(calls) == sorted(CALLED_BY_METHOD[method])
