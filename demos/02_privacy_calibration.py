@@ -29,8 +29,11 @@ budget = PrivacyBudget(eps=0.1, delta_1=0.01, delta_2=0.01,
                        eps_1=0.05, eps_2=0.05, delta=0.01)
 
 # the filter's calibration of a dataset: its norm bounds B and C_min, the
-# spectrum of S' and ||X^T X||_F, at a budget (no ridge term, B observed)
-ctx = _calibration(dataset, gram_spectrum(dataset), oracle, budget, 0.0, None)
+# spectrum of S' and ||X^T X||_F, at a budget (no ridge term, B observed).
+# _calibration is the package's internal helper, the one `dpknockoff
+# calibrate` calls; its name may change without notice, and the command
+# prints the same record as JSON.
+ctx = _calibration(dataset, gram_spectrum(dataset), oracle, budget)
 bounds = ctx.bounds
 print(f"row bound B            = {bounds.row_bound_B:.4f}")
 print(f"min column norm C_min  = {bounds.col_min_C:.4f}")

@@ -100,7 +100,6 @@ def cmd_calibrate(args) -> int:
     # the calibration reads X^T X, the largest row norm, n and p: no probe
     dataset = _load_record(args.x, args.y, args.header, probe=False)
     ctx = _calibration(dataset, gram_spectrum(dataset), oracle, budget, args.ridge, args.row_bound)
-    spectrum, bounds = ctx.spectrum, ctx.bounds
     try:
         m2_sens = ctx.estimate_sensitivity
     except PrivacyPreconditionFailed:
@@ -114,13 +113,13 @@ def cmd_calibrate(args) -> int:
     record = {
         "n": dataset.n,
         "p": dataset.p,
-        "lambda_min": spectrum.lambda_min,
-        "lambda_max": spectrum.lambda_max,
-        "s": spectrum.lambda_min,
+        "lambda_min": ctx.spectrum.lambda_min,
+        "lambda_max": ctx.spectrum.lambda_max,
+        "s": ctx.spectrum.lambda_min,
         "g_lambda_max": ctx.gamma,
-        "g_lambda_min": spectrum.lambda_min,
-        "row_bound_B": bounds.row_bound_B,
-        "col_min_C": bounds.col_min_C,
+        "g_lambda_min": ctx.spectrum.lambda_min,
+        "row_bound_B": ctx.bounds.row_bound_B,
+        "col_min_C": ctx.bounds.col_min_C,
         "eta2": ctx.eta2,
         "zeta": ctx.zeta,
         "gamma": ctx.gamma,

@@ -92,11 +92,14 @@ def run_knockoff_filter(
     return _select(ks, ctx, method, q, stat, lam, ridge_omega2, seed)
 
 
-def _calibration(dataset, spectrum, oracle, budget, ridge_omega2, row_bound_override):
-    """The one calibration of a dataset at a budget; ||X^T X||_F is computed here."""
-    bounds = compute_bounds(dataset, row_bound_override)
-    frobenius = np.linalg.norm(dataset.gram, "fro")
-    return build_sensitivity_context(bounds, oracle, spectrum, frobenius, budget, ridge_omega2)
+def _calibration(dataset, spectrum, oracle, budget, ridge_omega2=0.0, row_bound_override=None):
+    """The one calibration of a dataset at a budget (by default no ridge term, B observed)."""
+    return build_sensitivity_context(compute_bounds(dataset, row_bound_override), oracle,
+                                     spectrum, _gram_frobenius(dataset), budget, ridge_omega2)
+
+
+def _gram_frobenius(dataset) -> float:
+    return float(np.linalg.norm(dataset.gram, "fro"))  # ||X^T X||_F, which needs no bounds
 
 
 def _select(ks, ctx, method, q, stat, lam, ridge_omega2, seed) -> FilterResult:
@@ -107,8 +110,7 @@ def _select(ks, ctx, method, q, stat, lam, ridge_omega2, seed) -> FilterResult:
     elif method == "1":
         release = release_pair(ks, ctx, seed=seed)
         estimate = estimate_coefficients(
-            release.gram_noisy, release.crossprod_noisy, lam, ridge_omega2
-        )
+            release.gram_noisy, release.crossprod_noisy, lam, ridge_omega2)
     else:
         release = release_estimate(ks, ctx, seed=seed)
         estimate = release.estimate_noisy

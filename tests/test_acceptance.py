@@ -191,7 +191,7 @@ def test_criterion_05_antisymmetry(monkeypatch):
     oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
     budget = PrivacyBudget(eps=0.4, delta_1=0.1, delta_2=0.1,
                            eps_1=0.3, eps_2=0.3, delta=0.1)
-    ctx = _calibration(ds, spectrum, oracle, budget, 0.0, None)
+    ctx = _calibration(ds, spectrum, oracle, budget)
     swap_sets = [[2], list(range(p))]
     worst = 0.0
 
@@ -330,7 +330,7 @@ def test_criterion_07_sensitivity_oracles():
         spectrum = gram_spectrum(ds)
         mo = ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=sigma2)
         bud = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=delta_2)
-        ctx = _calibration(ds, spectrum, mo, bud, 0.0, None)
+        ctx = _calibration(ds, spectrum, mo, bud)
         bnds = ctx.bounds
         want = _oracle_pair(
             bnds.row_bound_B, bnds.col_min_C, spectrum.lambda_min, spectrum.lambda_max,

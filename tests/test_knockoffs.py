@@ -25,7 +25,7 @@ from dpknockoff.knockoffs import (
     gram_spectrum,
     knockoff_summary,
 )
-from dpknockoff.pipeline import _calibration
+from dpknockoff.pipeline import _calibration, _gram_frobenius
 from reference import (
     NormalizedDesign,
     _orthonormalize_tall,
@@ -187,9 +187,10 @@ def test_raw_gram_frobenius_matches_direct_product():
     x = rng.standard_normal((60, 4)) * rng.uniform(0.5, 3.0, size=4)
     ds = Dataset.from_arrays(x, np.zeros(60))
     direct = float(np.linalg.norm(x.T @ x, "fro"))
+    assert _gram_frobenius(ds) == pytest.approx(direct, rel=1e-10)
     ctx = _calibration(ds, gram_spectrum(ds), ModelOracle(beta_norm_bound=1.0, sigma2_bound=1.0),
-                       PrivacyBudget(eps=0.5, delta_1=0.05, delta_2=0.5), 0.0, None)
-    assert ctx.frobenius_sigma_raw == pytest.approx(direct, rel=1e-10)
+                       PrivacyBudget(eps=0.5, delta_1=0.05, delta_2=0.5))
+    assert ctx.frobenius_sigma_raw == _gram_frobenius(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +425,7 @@ def test_orthonormalize_tall_refuses_rank_deficient_residual():
 def _filter_path(ds):
     """What run_knockoff_filter computes: S' = D G D and the raw-product summary."""
     spectrum = gram_spectrum(ds)
-    return spectrum, knockoff_summary(ds, spectrum), float(np.linalg.norm(ds.gram, "fro"))
+    return spectrum, knockoff_summary(ds, spectrum), _gram_frobenius(ds)
 
 
 def _reference_path(ds):

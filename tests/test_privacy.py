@@ -82,7 +82,7 @@ def _context_from_design(n, p, seed, beta_norm=1.0, sigma2=1.0, delta_2=0.05):
     oracle = ModelOracle(beta_norm_bound=beta_norm, sigma2_bound=sigma2)
     budget = PrivacyBudget(eps=0.3, delta_1=0.05, delta_2=delta_2,
                            eps_1=0.1, eps_2=0.1, delta=0.05)
-    ctx = _calibration(ds, gram_spectrum(ds), oracle, budget, 0.0, None)
+    ctx = _calibration(ds, gram_spectrum(ds), oracle, budget)
     return ctx, ctx.bounds, ctx.spectrum
 
 
@@ -391,7 +391,7 @@ def _release_inputs():
     ds, oracle = _release_dataset()
     spectrum = gram_spectrum(ds)
     ks = knockoff_summary(ds, spectrum)
-    ctx = _calibration(ds, spectrum, oracle, _RELEASE_BUDGET, 0.0, None)
+    ctx = _calibration(ds, spectrum, oracle, _RELEASE_BUDGET)
     return ks, ctx, _RELEASE_BUDGET
 
 
@@ -734,7 +734,7 @@ def _calibrations(ds, spectrum, oracle, row_bound):
     """The calibration ``dpknockoff calibrate`` runs: the context, or None, and
     the refusal of each step (building the context, then each method's scales)."""
     ctx, refused = _outcome(
-        lambda: _calibration(ds, spectrum, oracle, _AUDIT_BUDGET, 0.0, row_bound))
+        lambda: _calibration(ds, spectrum, oracle, _AUDIT_BUDGET, row_bound_override=row_bound))
     if ctx is None:
         return None, [refused]
     return ctx, [None, *(_outcome(functools.partial(ctx.noise_scales, m))[1] for m in "12")]
@@ -927,7 +927,7 @@ def test_a_public_row_bound_keeps_the_realized_loss_within_the_claim(method):
     sides = []
     for ds in (Dataset.from_arrays(x, y), Dataset.from_arrays(x2, y2)):
         spectrum = gram_spectrum(ds)
-        ctx = _calibration(ds, spectrum, oracle, budget, 0.0, 10.0)
+        ctx = _calibration(ds, spectrum, oracle, budget, row_bound_override=10.0)
         sides.append((knockoff_summary(ds, spectrum), ctx))
     exact = [estimate_coefficients(ks.gram_g, ks.crossprod) for ks, _ in sides]
     upper = np.triu_indices(p, 1)

@@ -429,8 +429,7 @@ def test_select_makes_one_release_per_call_of_one_summary(method):
     budget = None if method == "none" else budget
     spectrum = gram_spectrum(ds)
     ks = pipeline.knockoff_summary(ds, spectrum)
-    ctx = None if method == "none" else pipeline._calibration(
-        ds, spectrum, oracle, budget, 0.0, None)
+    ctx = None if method == "none" else pipeline._calibration(ds, spectrum, oracle, budget)
     for seed in (1, 2, 3):
         got = pipeline._select(ks, ctx, method, 0.2, "lcd", 0.0, 0.0, seed)
         want = run_knockoff_filter(ds, q=0.2, method=method, budget=budget, oracle=oracle,
