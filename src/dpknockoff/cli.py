@@ -107,7 +107,7 @@ def cmd_calibrate(args) -> int:
 
     kappa = None  # without a finite estimate calibration, method 2 prints only its cost
     if args.method == "1" or m2_sens is not None:  # noise_scales refuses non-finite scales
-        kappa = ctx.noise_scales(args.method)["kappa2_sq" if args.method == "1" else "kappa_sq"]
+        kappa = ctx.noise_scales(args.method)[-1]  # kappa2_sq or kappa_sq
     eps_total, delta_total = budget.totals(args.method)
 
     record = {

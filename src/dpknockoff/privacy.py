@@ -17,7 +17,8 @@ noise is calibrated at the dataset at hand, not over all possible datasets.
 
 :class:`SensitivityContext` is the one calibration record: each
 sensitivity formula and noise scale is one of its cached properties,
-evaluated once, and a non-finite one is refused; ``dpknockoff calibrate``
+evaluated once; ``noise_scales(method)`` gives the scales a release draws
+at, in draw order, and refuses a non-finite one; ``dpknockoff calibrate``
 prints its fields.  A release holds only its noisy quantities and their
 public (eps, delta) cost, never a scale or sensitivity of the data.
 """
@@ -257,27 +258,20 @@ class SensitivityContext:
         """Gaussian variance of the estimate sensitivity at (eps, delta_1)."""
         return gaussian_scale(self.estimate_sensitivity, self.budget.eps, self.budget.delta_1)
 
-    def noise_scales(self, method: str) -> dict:
-        """A method ``"1"`` (pair) or ``"2"`` (estimate) release's noise scales, the
-        sensitivities behind them and its total cost.  Unset knobs raise
-        :class:`BudgetInvalid`; a non-finite entry, such as the inf scale of an
+    def noise_scales(self, method: str) -> tuple[float, ...]:
+        """The scales a method ``"1"`` (pair) or ``"2"`` (estimate) release draws at, in
+        draw order: (theta1_scale, kappa1_sq, kappa2_sq) or (kappa_sq,).  Unset knobs
+        raise :class:`BudgetInvalid`; a non-finite scale, such as the inf of an
         overflowing ||beta|| bound, raises :class:`PrivacyPreconditionFailed`.
         """
-        totals = self.budget.totals(method)
-        if method == "1":
-            keys = ("theta1_scale", "kappa1_sq", "kappa2_sq", "lambda_min_sensitivity",
-                    "gram_frobenius_sensitivity", "crossprod_sensitivity")
-        else:
-            keys = ("kappa_sq", "estimate_sensitivity", "ridge_omega2")
-        scales = {key: getattr(self, key) for key in keys}
-        scales["eps_total"], scales["delta_total"] = totals
+        self.budget.totals(method)  # refuses an unknown method and the pair's unset knobs
+        scales = ({"theta1_scale": self.theta1_scale, "kappa1_sq": self.kappa1_sq,
+                   "kappa2_sq": self.kappa2_sq} if method == "1" else {"kappa_sq": self.kappa_sq})
         for key, value in scales.items():
             if not math.isfinite(value):
-                raise PrivacyPreconditionFailed(
-                    f"calibration gives {key}={value}; the norm bounds are too loose "
-                    "for finite noise"
-                )
-        return scales
+                raise PrivacyPreconditionFailed(f"calibration gives {key}={value}; the norm "
+                                                "bounds are too loose for finite noise")
+        return tuple(scales.values())
 
 
 def delta2_floor(p: int) -> float:
@@ -390,19 +384,15 @@ def release_pair(
     Both are read from ``ks``.  The Gram perturbation is
     theta_1 ~ Laplace(theta1_scale) on the off-diagonal identity blocks plus
     a symmetric Gaussian block with upper-triangle variance kappa_1^2; the
-    product perturbation is i.i.d. Gaussian with variance kappa_2^2.  The
-    scales come from ``ctx.noise_scales("1")``.  Any statistic computed from the
+    product perturbation is i.i.d. Gaussian with variance kappa_2^2.  These
+    three scales are ``ctx.noise_scales("1")``, in order.  Any statistic computed from the
     released pair costs (eps + eps_1 + eps_2, delta + delta_1 + delta_2) in
     total.  The release adds exactly the noise it draws.
     """
-    scales = ctx.noise_scales("1")
-    theta_1 = float(
-        sample_laplace_vector(1, scales["theta1_scale"], _substream(seed, _LABEL_THETA1))[0]
-    )
-    theta_2 = sample_symmetric_offdiag_gaussian(
-        ks.p, scales["kappa1_sq"], _substream(seed, _LABEL_THETA2)
-    )
-    e_vec = sample_gaussian_vector(2 * ks.p, scales["kappa2_sq"], _substream(seed, _LABEL_VECTOR))
+    theta1_scale, kappa1_sq, kappa2_sq = ctx.noise_scales("1")
+    theta_1 = float(sample_laplace_vector(1, theta1_scale, _substream(seed, _LABEL_THETA1))[0])
+    theta_2 = sample_symmetric_offdiag_gaussian(ks.p, kappa1_sq, _substream(seed, _LABEL_THETA2))
+    e_vec = sample_gaussian_vector(2 * ks.p, kappa2_sq, _substream(seed, _LABEL_VECTOR))
     return PrivateRelease(
         gram_noisy=ks.gram_g + paired_blocks(theta_2, theta_1),
         crossprod_noisy=ks.crossprod + e_vec,
@@ -420,12 +410,12 @@ def release_estimate(
     The vector is :func:`~dpknockoff.selection.estimate_coefficients` of
     G + omega^2 I and [X' Xt]^T y, both read from ``ks``, with omega^2 the
     record's ridge term; the sensitivity is calibrated for exactly that
-    vector.  It adds i.i.d. Gaussian noise with variance kappa^2 from
-    ``ctx.noise_scales("2")``; delta_2 is consumed by the
+    vector.  It adds i.i.d. Gaussian noise with variance kappa^2, the one
+    scale of ``ctx.noise_scales("2")``; delta_2 is consumed by the
     concentration event inside the sensitivity bound, for a total cost of
     (eps, delta_1 + delta_2).
     """
-    scales = ctx.noise_scales("2")
+    (kappa_sq,) = ctx.noise_scales("2")
     estimate = estimate_coefficients(ks.gram_g, ks.crossprod, ridge_omega2=ctx.ridge_omega2)
-    e_vec = sample_gaussian_vector(2 * ks.p, scales["kappa_sq"], _substream(seed, _LABEL_VECTOR))
+    e_vec = sample_gaussian_vector(2 * ks.p, kappa_sq, _substream(seed, _LABEL_VECTOR))
     return PrivateRelease(total_privacy=ctx.budget.totals("2"), estimate_noisy=estimate + e_vec)

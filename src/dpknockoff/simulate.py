@@ -47,9 +47,10 @@ class SimConfig:
     (Laplace, Gram scalar) and ``eps_2`` (Gaussian, Gram block).  The delta
     rule fixes the total delta per trial: ``two_p_over_n`` sets it to 2p/n
     (split equally across the knobs the method uses), ``fixed`` uses
-    ``delta_value``.  ``threads`` is the number of processes each sample
-    size's trials run on, this one and forked workers, capped at ``trials``
-    and at the CPUs this process may run on (``design._cpus``); 1 runs them in-process.
+    ``delta_value``, which no other rule accepts.  ``threads`` is the number
+    of processes each sample size's trials run on, this one and forked
+    workers, capped at ``trials`` and at the CPUs this process may run on
+    (``design._cpus``); 1 runs them in-process.
     """
 
     n_grid: tuple
@@ -98,6 +99,9 @@ class SimConfig:
         if self.delta_rule == "fixed" and self.method != "none":
             if self.delta_value is None or not 0.0 < self.delta_value < 1.0:
                 raise ConfigInvalid("fixed delta rule needs delta_value in (0,1)")
+        if self.delta_rule != "fixed" and self.delta_value is not None:
+            raise ConfigInvalid(f"delta_value is ignored under delta_rule = {self.delta_rule}; "
+                                "set delta_rule = fixed to use it")
         if self.threads < 1:
             raise ConfigInvalid("threads must be at least 1")
         if self.base_seed < 0:
@@ -107,9 +111,10 @@ class SimConfig:
         floor = delta2_floor(self.p)
         try:  # a budget that every trial at some n would refuse
             for n in self.n_grid:
-                budget_totals(self, n)
-                budget = budget_for(self, n)
-                if budget is not None and budget.delta_2 <= floor:
+                if (budget := budget_for(self, n)) is None:
+                    continue
+                budget.totals(self.method)
+                if budget.delta_2 <= floor:
                     raise ConfigInvalid(f"at n={n}, delta_2={budget.delta_2:g} must exceed "
                                         f"2*exp(-p/2)={floor:.3e}")
         except BudgetInvalid as exc:

@@ -79,11 +79,6 @@ PAIR_BUDGET = [
     "--delta", "0.02", "--delta1", "0.02", "--delta2", "0.02",
 ]
 ESTIMATE_BUDGET = ["--eps", "0.2", "--delta1", "0.02", "--delta2", "0.02"]
-RUN_SCALE_KEYS = {
-    "1": ["theta1_scale", "kappa1_sq", "kappa2_sq", "lambda_min_sensitivity",
-          "gram_frobenius_sensitivity", "crossprod_sensitivity", "eps_total", "delta_total"],
-    "2": ["kappa_sq", "estimate_sensitivity", "ridge_omega2", "eps_total", "delta_total"],
-}
 
 
 @pytest.mark.parametrize("method, budget, ridge, pairs", [
@@ -122,11 +117,13 @@ def test_calibrate_agrees_with_run(monkeypatch, capsys, data_files, method, budg
         ridge_omega2=args.ridge, seed=args.seed,
     )
     (ctx,) = built
-    cal, scales = json.loads(out_cal), ctx.noise_scales(method)
-    assert list(scales) == RUN_SCALE_KEYS[method]
+    cal = json.loads(out_cal)
+    assert ctx.ridge_omega2 == float(ridge)
     for cal_key, run_key in pairs.items():
-        assert cal[cal_key] == scales[run_key], cal_key
-    assert (cal["total_eps"], cal["total_delta"]) == (scales["eps_total"], scales["delta_total"])
+        assert cal[cal_key] == getattr(ctx, run_key), cal_key
+    # the scale the release drew its product or estimate noise at, the last it draws
+    assert cal["kappa2_sq_or_kappa_sq"] == ctx.noise_scales(method)[-1]
+    assert (cal["total_eps"], cal["total_delta"]) == ctx.budget.totals(method)
     assert result.release.total_privacy == (cal["total_eps"], cal["total_delta"])
 
 
@@ -558,7 +555,9 @@ def test_simulate_abort_is_cli_error(tmp_path, capsys):
     ("method = 1\neps = 0.3\neps1 = 0.1\neps2 = 1.5\n", "eps_2 must lie in (0,1), got 1.5"),
     ("method = 1\neps = 0.3\neps1 = 0.1\neps2 = 0.1\ndelta_rule = fixed\ndelta_value = 0.03\n",
      "at n=200, delta_2=0.01 must exceed 2*exp(-p/2)=1.348e-02"),
-], ids=["eps", "eps_1", "eps_2", "delta_2"])
+    ("method = 2\neps = 0.2\ndelta_value = 0.5\n",  # two_p_over_n would spend 2p/n instead
+     "delta_value is ignored under delta_rule = two_p_over_n; set delta_rule = fixed to use it"),
+], ids=["eps", "eps_1", "eps_2", "delta_2", "delta_value"])
 def test_simulate_refuses_a_budget_every_trial_would_refuse(tmp_path, capsys, budget, message):
     # refused with the config, before either report file is opened
     cfg = tmp_path / "sweep.cfg"

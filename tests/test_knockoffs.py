@@ -182,7 +182,7 @@ def test_complement_basis_orthogonality():
     assert np.max(np.abs(u.T @ u - np.eye(8))) <= 1e-9
 
 
-def test_raw_gram_frobenius_matches_direct_product():
+def test_gram_frobenius_matches_direct_product():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((60, 4)) * rng.uniform(0.5, 3.0, size=4)
     ds = Dataset.from_arrays(x, np.zeros(60))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import beta as beta_dist, binom
+from scipy.stats import beta as beta_dist, binom, ncx2, norm
 
 from dpknockoff import (
     BoundViolation,
@@ -407,19 +407,33 @@ def test_release_pair_zero_noise_passthrough(zero_draws):
 def test_release_pair_recorded_scales():
     ks, ctx, budget = _release_inputs()
     rel = release_pair(ks, ctx, seed=3)
-    scales = ctx.noise_scales("1")  # what the release draws at
+    theta1_scale, kappa1_sq, kappa2_sq = ctx.noise_scales("1")  # what the release draws at
     lam_sens, frob_sens = ctx.lambda_min_sensitivity, ctx.gram_frobenius_sensitivity
-    assert scales["theta1_scale"] == pytest.approx(lam_sens / budget.eps_1, rel=1e-12)
-    assert scales["kappa1_sq"] == pytest.approx(
+    assert theta1_scale == pytest.approx(lam_sens / budget.eps_1, rel=1e-12)
+    assert kappa1_sq == pytest.approx(
         gaussian_scale(frob_sens, budget.eps_2, budget.delta), rel=1e-12
     )
-    assert scales["kappa2_sq"] == pytest.approx(
+    assert kappa2_sq == pytest.approx(
         gaussian_scale(ctx.crossprod_sensitivity, budget.eps, budget.delta_1), rel=1e-12
     )
     assert rel.total_privacy == budget.totals("1") == (
         pytest.approx(budget.eps + budget.eps_1 + budget.eps_2),
         pytest.approx(budget.delta + budget.delta_1 + budget.delta_2),
     )
+
+
+@pytest.mark.parametrize("method, release", [("1", release_pair), ("2", release_estimate)])
+def test_each_release_draws_at_exactly_its_noise_scales(monkeypatch, method, release):
+    # sample_symmetric_offdiag_gaussian draws its block through sample_gaussian_vector
+    ks, ctx, _ = _release_inputs()
+    drawn = []
+    for name in ("sample_laplace_vector", "sample_gaussian_vector"):
+        real = getattr(privacy, name)
+        monkeypatch.setattr(privacy, name, lambda dim, scale, seed=None, real=real: (
+            drawn.append(scale) or real(dim, scale, seed)))
+    release(ks, ctx, seed=3)
+    expected = {"1": (ctx.theta1_scale, ctx.kappa1_sq, ctx.kappa2_sq), "2": (ctx.kappa_sq,)}
+    assert tuple(drawn) == ctx.noise_scales(method) == expected[method]
 
 
 def test_release_pair_theta1_scale_hand_value():
@@ -464,11 +478,12 @@ def test_release_estimate_scales_and_ridge():
     ks, ctx, budget = _release_inputs()
     ridged = dataclasses.replace(ctx, ridge_omega2=0.5)
     rel = release_estimate(ks, ridged, seed=5)
-    scales = ridged.noise_scales("2")  # what the release draws at
+    (kappa_sq,) = ridged.noise_scales("2")  # what the release draws at
     sens = ridged.estimate_sensitivity
-    assert scales["estimate_sensitivity"] == sens
-    assert scales["kappa_sq"] == pytest.approx(
-        gaussian_scale(sens, budget.eps, budget.delta_1), rel=1e-12
+    assert sens != ctx.estimate_sensitivity  # calibrated at the record's own ridge term
+    assert kappa_sq == gaussian_scale(sens, budget.eps, budget.delta_1) == ridged.kappa_sq
+    assert kappa_sq == pytest.approx(
+        2.0 * math.log(1.25 / budget.delta_1) * (sens / budget.eps) ** 2, rel=1e-8
     )
     assert rel.total_privacy == budget.totals("2") == (
         pytest.approx(budget.eps), pytest.approx(budget.delta_1 + budget.delta_2)
@@ -541,9 +556,8 @@ def test_calibrate_refuses_non_finite_scales():
 def test_pair_scales_need_their_knobs():
     _, ctx, budget = _release_inputs()
     theta1, kappa1 = ctx.theta1_scale, ctx.kappa1_sq
-    record = ctx.noise_scales("1")
-    assert (theta1, kappa1) == (record["theta1_scale"], record["kappa1_sq"])
-    assert all(record[key] == getattr(ctx, key) for key in record if not key.endswith("_total"))
+    assert ctx.noise_scales("1") == (theta1, kappa1, ctx.kappa2_sq)
+    assert ctx.noise_scales("2") == (ctx.kappa_sq,)
     only_eps1 = PrivacyBudget(eps=0.4, delta_1=0.05, delta_2=0.05, eps_1=0.2, eps_2=0.2)
     got = dataclasses.replace(ctx, budget=only_eps1)
     assert (got.theta1_scale, got.kappa1_sq) == (theta1, None)
@@ -907,12 +921,13 @@ def _eps_lower_bound(a, b, delta):
     return math.log((lo - delta) / hi) if lo > delta else 0.0
 
 
-@pytest.mark.parametrize("method", ["1", "2"])
-def test_a_public_row_bound_keeps_the_realized_loss_within_the_claim(method):
-    # an iid design and its neighbour with the largest-norm row replaced by
-    # the median-norm row; B = 10 is public and lies above every row of both
-    # (compute_bounds refuses it otherwise).  With the default B, the largest
-    # row norm, this audit reads eps >= 4.6 for method 1.
+def _replaced_largest_row_sides(budget, row_bound):
+    """An iid design and its neighbour with the largest-norm row replaced by
+    the median-norm row: each side's knockoff summary and its calibration at
+    ``budget``, made at its own data.  ``row_bound`` None is the default B,
+    each side's largest row norm; B = 10 is public and lies above every row of
+    both (compute_bounds refuses it otherwise).
+    """
     n, p, k = 1000, 50, 15
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, p))
@@ -923,12 +938,20 @@ def test_a_public_row_bound_keeps_the_realized_loss_within_the_claim(method):
     x2, y2 = x.copy(), y.copy()
     x2[largest], y2[largest] = x[median], y[median]
     oracle = ModelOracle(beta_norm_bound=float(np.linalg.norm(beta)), sigma2_bound=1.0)
-    budget = _LOSS_BUDGETS[method]
     sides = []
     for ds in (Dataset.from_arrays(x, y), Dataset.from_arrays(x2, y2)):
         spectrum = gram_spectrum(ds)
-        ctx = _calibration(ds, spectrum, oracle, budget, row_bound_override=10.0)
+        ctx = _calibration(ds, spectrum, oracle, budget, row_bound_override=row_bound)
         sides.append((knockoff_summary(ds, spectrum), ctx))
+    return sides
+
+
+@pytest.mark.parametrize("method", ["1", "2"])
+def test_a_public_row_bound_keeps_the_realized_loss_within_the_claim(method):
+    # With the default B this audit reads eps >= 4.6 for method 1.
+    budget = _LOSS_BUDGETS[method]
+    sides = _replaced_largest_row_sides(budget, row_bound=10.0)
+    p = sides[0][0].p
     exact = [estimate_coefficients(ks.gram_g, ks.crossprod) for ks, _ in sides]
     upper = np.triu_indices(p, 1)
 
@@ -943,3 +966,73 @@ def test_a_public_row_bound_keeps_the_realized_loss_within_the_claim(method):
              for (ks, ctx), side_seeds in zip(sides, seeds)]
     eps, delta = budget.totals(method)
     assert _eps_lower_bound(*draws, delta) <= eps
+
+
+# -- the exact privacy loss of method 2, whose release is one isotropic Gaussian --
+
+# Below this relative gap between the two variances the noncentral chi-square
+# form loses its precision (it gives nan at 1e-7 on the d = 100 case below);
+# at it, the two forms agree to about 1e-4 relative on that case.
+_EQUAL_VARIANCE_RTOL = 1e-6
+
+
+def _gaussian_hockey_stick(eps, a, var_a, b, var_b):
+    """delta(eps) = P(L > eps) - e^eps Q(L > eps), with P = N(a, var_a I),
+    Q = N(b, var_b I) and L = ln(dP/dQ) the privacy loss of an outcome drawn
+    from P: the least delta for which every event E has
+    P(E) <= e^eps Q(E) + delta.
+    """
+    d, gap_sq = len(a), float((a - b) @ (a - b))
+    if abs(var_a / var_b - 1.0) <= _EQUAL_VARIANCE_RTOL:  # Balle & Wang 2018, Theorem 8
+        gap = math.sqrt(gap_sq / (0.5 * (var_a + var_b)))
+        return norm.cdf(gap / 2 - eps / gap) - math.exp(eps) * norm.cdf(-gap / 2 - eps / gap)
+    # Completing the square, L(x) = k |x - m|^2 + c with m = (b/var_b - a/var_a) / (2k),
+    # so |X - m|^2 / var is noncentral chi-square under either side
+    ia, ib = 0.5 / var_a, 0.5 / var_b
+    k = ib - ia
+    c = 0.5 * d * math.log(var_b / var_a) - ia * ib * gap_sq / k
+    tail = ncx2.sf if k > 0 else ncx2.cdf  # P(k W > t): W > t/k, or W < t/k for k < 0
+    p_tail = tail((eps - c) / (k * var_a), d, ib * ib * gap_sq / (k * k * var_a))
+    q_tail = tail((eps - c) / (k * var_b), d, ia * ia * gap_sq / (k * k * var_b))
+    return p_tail - math.exp(eps) * q_tail
+
+
+@pytest.mark.parametrize("var_a, var_b", [(1.0, 1.1), (1.1, 1.0), (1.0, 1.0)],
+                         ids=["wider-q", "wider-p", "equal"])
+def test_gaussian_hockey_stick_matches_monte_carlo(var_a, var_b):
+    # delta(eps) = E_P[(1 - e^(eps - L))_+], estimated from 400k draws of P, d = 5
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal(5)
+    b = a + 0.3 * rng.standard_normal(5)
+    x = a + math.sqrt(var_a) * rng.standard_normal((400_000, 5))
+    loss = (2.5 * math.log(var_b / var_a) - ((x - a) ** 2).sum(axis=1) / (2.0 * var_a)
+            + ((x - b) ** 2).sum(axis=1) / (2.0 * var_b))
+    for eps in (0.0, 0.2, 1.0):
+        terms = np.maximum(0.0, 1.0 - np.exp(eps - loss))
+        se = terms.std() / math.sqrt(len(terms))
+        exact = _gaussian_hockey_stick(eps, a, var_a, b, var_b)
+        assert abs(exact - terms.mean()) <= 5.0 * se + 1e-12, (eps, exact, terms.mean(), se)
+
+
+def test_gaussian_hockey_stick_is_continuous_across_the_equal_variance_switch():
+    a, b = np.zeros(100), np.full(100, 0.009)
+    equal = _gaussian_hockey_stick(0.2, a, 1.0, b, 1.0)
+    for ratio in (1.0 + 2.0 * _EQUAL_VARIANCE_RTOL, 1.0 + 0.5 * _EQUAL_VARIANCE_RTOL):
+        assert _gaussian_hockey_stick(0.2, a, 1.0, b, ratio) == pytest.approx(equal, rel=1e-3)
+    assert equal == _gaussian_hockey_stick(0.2, b, 1.0, a, 1.0)  # symmetric in the pair
+
+
+def test_a_public_row_bound_keeps_the_exact_loss_of_method_2_within_the_claim():
+    # Each side releases N(b, kappa^2 I_100), b its exact OLS estimate and kappa^2
+    # calibrated at its own data; the larger delta(eps) over both orders of the
+    # pair is the release's exact cost, and bounds every statistic of it.  At
+    # the default B the same pair reads delta(0.2) = 0.092 and delta(0) = 0.161.
+    budget = _LOSS_BUDGETS["2"]
+    sides = _replaced_largest_row_sides(budget, row_bound=10.0)
+    a, b = [estimate_coefficients(ks.gram_g, ks.crossprod) for ks, _ in sides]
+    (var_a,), (var_b,) = [ctx.noise_scales("2") for _, ctx in sides]
+    assert var_a != var_b  # each side is calibrated at its own data
+    eps, delta = budget.totals("2")
+    exact = max(_gaussian_hockey_stick(eps, a, var_a, b, var_b),
+                _gaussian_hockey_stick(eps, b, var_b, a, var_a))
+    assert 0.0 <= exact <= delta

@@ -65,6 +65,10 @@ def test_config_rejects_bad_values():
         _cfg(method="1")  # missing eps split
     with pytest.raises(ConfigInvalid):
         _cfg(method="2", delta_rule="fixed")  # missing delta_value
+    for method in ("none", "2"):  # two_p_over_n would spend 2p/n = 0.025 instead
+        with pytest.raises(ConfigInvalid, match="^delta_value is ignored under delta_rule = "
+                                                "two_p_over_n; set delta_rule = fixed to use it$"):
+            _cfg(method=method, eps=0.2, delta_value=0.5)
     with pytest.raises(ConfigInvalid, match="^delta_rule must be one of"):
         _cfg(delta_rule="three_p_over_n")
     with pytest.raises(ConfigInvalid, match="^threads must be at least 1$"):
